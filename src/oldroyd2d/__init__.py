@@ -4,7 +4,7 @@ Submodules cover the closed-form symmetric 2x2 matrix calculus, the
 structured-grid field operators, the regularized model right-hand sides,
 explicit time integration, energy/positivity diagnostics, a kinetic
 Fokker-Planck oracle for the macroscopic closure, and the command line
-front end.
+front end (``oldroyd2d.cli``, run as ``python -m oldroyd2d``).
 """
 
 from oldroyd2d.symcalc import EigenPair2, NotSPDError, SymMat2
@@ -35,7 +35,6 @@ from oldroyd2d.diagnostics import (
     stress_l2_monitor,
 )
 from oldroyd2d.closure import GradU2, KineticDistribution, closure_compare
-from oldroyd2d.cli import RunConfig, build_initial, main, parse_config, serialize
 
 __all__ = [
     "SymMat2",
@@ -67,11 +66,6 @@ __all__ = [
     "GradU2",
     "KineticDistribution",
     "closure_compare",
-    "RunConfig",
-    "parse_config",
-    "serialize",
-    "build_initial",
-    "main",
 ]
 
 __version__ = "0.1.0"

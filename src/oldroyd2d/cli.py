@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -28,14 +26,10 @@ from oldroyd2d import diagnostics as dg
 from oldroyd2d import symcalc as sc
 from oldroyd2d.grid import (
     Grid2D,
-    SCALAR_NEUMANN,
     ScalarField2D,
     SymTensorField2D,
-    TENSOR_NEUMANN,
-    VELOCITY_DIRICHLET,
     VectorField2D,
     cell_sum,
-    integrate_cells,
     load_snapshot,
     mollify_initial,
     save_snapshot,
@@ -70,7 +64,9 @@ SUITES = (
     "convergence",
 )
 
-_SNAPSHOT_PARTS = (("rho", "rho"), ("u", "u"), ("eta", "eta"), ("T", "T"))
+# state attribute -> field kind; each is saved to <prefix>.<attribute>.snap
+_SNAPSHOT_KINDS = {"rho": ScalarField2D, "u": VectorField2D,
+                   "eta": ScalarField2D, "T": SymTensorField2D}
 
 
 class ConfigError(ValueError):
@@ -327,12 +323,18 @@ def serialize(cfg: RunConfig) -> str:
 def _load_state(prefix: str) -> SimState:
     fields = {}
     geom = None
-    for attr, suffix in _SNAPSHOT_PARTS:
-        path = f"{prefix}.{suffix}.snap"
+    for attr, kind in _SNAPSHOT_KINDS.items():
+        path = f"{prefix}.{attr}.snap"
         try:
             fields[attr] = load_snapshot(path)
         except OSError as err:
             raise ConfigError(f"cannot read snapshot {path}: {err}") from err
+        except ValueError as err:
+            raise ConfigError(f"malformed snapshot {path}: {err}") from err
+        if not isinstance(fields[attr], kind):
+            raise ConfigError(
+                f"snapshot {path} holds a {type(fields[attr]).__name__}, "
+                f"expected a {kind.__name__}")
         g = fields[attr].grid
         if geom is None:
             geom = g
@@ -345,8 +347,8 @@ def _load_state(prefix: str) -> SimState:
 
 
 def _save_state(state: SimState, prefix: str) -> None:
-    for attr, suffix in _SNAPSHOT_PARTS:
-        save_snapshot(getattr(state, attr), f"{prefix}.{suffix}.snap")
+    for attr in _SNAPSHOT_KINDS:
+        save_snapshot(getattr(state, attr), f"{prefix}.{attr}.snap")
 
 
 def _preset_fields(grid: Grid2D, cfg: RunConfig) -> SimState:
@@ -372,10 +374,10 @@ def _preset_fields(grid: Grid2D, cfg: RunConfig) -> SimState:
         ux = amp * np.sin(px) ** 2 * np.sin(2.0 * py)
     return SimState(
         t=0.0,
-        rho=ScalarField2D(grid, rho, SCALAR_NEUMANN, "rho"),
-        u=VectorField2D(grid, ux, uy, VELOCITY_DIRICHLET, "u"),
-        eta=ScalarField2D(grid, eta, SCALAR_NEUMANN, "eta"),
-        T=SymTensorField2D(grid, txx, txy, tyy, TENSOR_NEUMANN, "T"),
+        rho=ScalarField2D(grid, rho, "rho"),
+        u=VectorField2D(grid, ux, uy, "u"),
+        eta=ScalarField2D(grid, eta, "eta"),
+        T=SymTensorField2D(grid, txx, txy, tyy, "T"),
     )
 
 
@@ -461,12 +463,15 @@ def _rand_spd(rng: np.random.Generator) -> SymMat2:
                    lam1 * s * s + lam2 * c * c)
 
 
+_SMOOTH_MODES = 3  # cosine modes per direction in the suites' random fields
+
+
 def _smooth_random(grid: Grid2D, rng: np.random.Generator,
-                   scale: float = 1.0, modes: int = 3) -> np.ndarray:
+                   scale: float = 1.0) -> np.ndarray:
     x, y = grid.cell_centers()
     out = np.zeros((grid.nx, grid.ny))
-    for kx in range(modes + 1):
-        for ky in range(modes + 1):
+    for kx in range(_SMOOTH_MODES + 1):
+        for ky in range(_SMOOTH_MODES + 1):
             amp = scale * rng.normal() / (1.0 + kx * kx + ky * ky)
             phx, phy = rng.uniform(0.0, 2.0 * np.pi, size=2)
             out += amp * np.cos(kx * np.pi * x / grid.lx + phx) \
@@ -481,7 +486,7 @@ def _random_spd_field(grid: Grid2D, rng: np.random.Generator,
     g2 = floor_scale * np.exp(_smooth_random(grid, rng, scale=0.8))
     ang = _smooth_random(grid, rng, scale=1.2)
     xx, xy, yy = sc.recombine_fields(g1, g2, np.cos(ang), np.sin(ang))
-    return SymTensorField2D(grid, xx, xy, yy, TENSOR_NEUMANN, "T")
+    return SymTensorField2D(grid, xx, xy, yy, "T")
 
 
 class _SuiteReport:
@@ -571,7 +576,7 @@ def _suite_field(seed: int) -> _SuiteReport:
     s = 0.4 * _smooth_random(grid, rng, scale=1.0)
     e = np.exp(s)
     zero = np.zeros_like(e)
-    T = SymTensorField2D(grid, e, zero, e, TENSOR_NEUMANN, "T")
+    T = SymTensorField2D(grid, e, zero, e, "T")
     r = dg.log_grad_bound(T)
     ratio = r.rhs / r.lhs if r.lhs > 0.0 else 1.0
     ok = 0.5 <= ratio <= 2.0
@@ -709,15 +714,6 @@ def cmd_verify(suite: str, seed: int = DEFAULT_SEED) -> int:
 # sweep subcommand.
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("OLDROYD2D_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(
-            f"OLDROYD2D_THREADS must be an integer, got {raw!r}") from None
-
-
 def parse_values(text: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -763,7 +759,6 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
     try:
         cfg = _read_config(config_path)
         values = parse_values(values_text)
-        threads = _thread_cap()
         if knob not in ("alpha", "delta"):
             raise ConfigError(f"unknown sweep knob {knob!r}")
         if cfg.step.dt is None:
@@ -791,7 +786,7 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
     make = _alpha_variant if knob == "alpha" else _delta_variant
     bound_rows = []
     if knob == "delta":
-        eta0_mass = integrate_cells(base.eta)
+        eta0_mass = cell_sum(base.eta.grid, base.eta.data)
         for v in values:
             scaled = base.eta.data / (1.0 + v ** 0.25 * np.sqrt(base.eta.data))
             lhs = v * cell_sum(base.eta.grid, scaled ** 2)
@@ -807,11 +802,7 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
             return v, None, None, str(err)
         return v, result, rec.rows(), None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, values))
-    else:
-        outcomes = [one(v) for v in values]
+    outcomes = [one(v) for v in values]
 
     failures = [(v, err) for v, _, _, err in outcomes if err is not None]
     if failures:

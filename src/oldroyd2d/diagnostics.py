@@ -20,7 +20,7 @@ import numpy as np
 
 from . import grid as g2
 from . import symcalc
-from .grid import ScalarField2D, SymTensorField2D, VectorField2D, cell_sum, integrate_cells
+from .grid import ScalarField2D, SymTensorField2D, VectorField2D, cell_sum
 from .model import PhysParams, RegParams, SimState, tr_log_field, velocity_jacobian
 
 DIM = 2
@@ -178,43 +178,44 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
     )
 
 
-def energy_residual_series(
-    reports: Sequence[EnergyReport], dt: float | None = None
-) -> list[float]:
-    """One-sided budget residual at each report time, normalized by E0 + 1.
+def _budget_mismatch(reports: Sequence[EnergyReport]) -> list[float]:
+    """E(t_n) + int (dissipation - sources) dt - E(t_0) for n >= 1.
 
-    residual(t_n) = E(t_n) + sum dt (dissipation) - E(t_0) - sum dt (sources),
-    accumulated by the trapezoidal rule and clipped below at zero: extra
-    numerical dissipation is allowed, spurious energy production is not.
-    dt=None takes the spacing from the report timestamps, which also covers
-    a final sample recorded off cadence.
+    The integral is accumulated by the trapezoidal rule with the spacing
+    taken from the report timestamps, which also covers a final sample
+    recorded off cadence.
     """
-    if not reports:
-        return []
     e0 = reports[0].total
-    scale = e0 + 1.0
-    out = [0.0]  # residual at t0 is E0 - E0
+    out = []
     acc = 0.0
     for prev, rep in zip(reports[:-1], reports[1:]):
-        spacing = (rep.t - prev.t) if dt is None else dt
-        acc += 0.5 * spacing * (
+        acc += 0.5 * (rep.t - prev.t) * (
             (prev.dissipation - prev.sources) + (rep.dissipation - rep.sources)
         )
-        out.append(max(rep.total + acc - e0, 0.0) / scale)
+        out.append(rep.total + acc - e0)
     return out
 
 
-def energy_inequality_residual(
-    reports: Sequence[EnergyReport], dt: float | None = None
-) -> float:
+def energy_residual_series(reports: Sequence[EnergyReport]) -> list[float]:
+    """One-sided budget residual at each report time, normalized by E0 + 1.
+
+    The budget mismatch is clipped below at zero: extra numerical
+    dissipation is allowed, spurious energy production is not.
+    """
+    if not reports:
+        return []
+    scale = reports[0].total + 1.0
+    # residual at t0 is E0 - E0
+    return [0.0] + [max(m, 0.0) / scale for m in _budget_mismatch(reports)]
+
+
+def energy_inequality_residual(reports: Sequence[EnergyReport]) -> float:
     """Max over report times of the one-sided budget residual; 0 if empty."""
-    series = energy_residual_series(reports, dt)
+    series = energy_residual_series(reports)
     return max(series) if series else 0.0
 
 
-def energy_budget_gap(
-    reports: Sequence[EnergyReport], dt: float | None = None
-) -> float:
+def energy_budget_gap(reports: Sequence[EnergyReport]) -> float:
     """Max absolute two-sided budget mismatch, normalized by E0 + 1.
 
     Unlike the one-sided residual this does not forgive extra numerical
@@ -223,17 +224,8 @@ def energy_budget_gap(
     """
     if not reports:
         return 0.0
-    e0 = reports[0].total
-    scale = e0 + 1.0
-    worst = 0.0
-    acc = 0.0
-    for prev, rep in zip(reports[:-1], reports[1:]):
-        spacing = (rep.t - prev.t) if dt is None else dt
-        acc += 0.5 * spacing * (
-            (prev.dissipation - prev.sources) + (rep.dissipation - rep.sources)
-        )
-        worst = max(worst, abs(rep.total + acc - e0))
-    return worst / scale
+    worst = max([0.0] + [abs(m) for m in _budget_mismatch(reports)])
+    return worst / (reports[0].total + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +240,10 @@ def conservation(state: SimState, initial: SimState) -> tuple[float, float]:
         return abs(now - ref) / den
 
     return (
-        rel_drift(integrate_cells(state.rho), integrate_cells(initial.rho)),
-        rel_drift(integrate_cells(state.eta), integrate_cells(initial.eta)),
+        rel_drift(cell_sum(state.rho.grid, state.rho.data),
+                  cell_sum(initial.rho.grid, initial.rho.data)),
+        rel_drift(cell_sum(state.eta.grid, state.eta.data),
+                  cell_sum(initial.eta.grid, initial.eta.data)),
     )
 
 
@@ -374,29 +368,24 @@ def renormalization_residual(
     rho_series: Sequence[ScalarField2D],
     u_series: Sequence[VectorField2D],
     dt: float,
-    b_prime: Callable[[np.ndarray], np.ndarray] | None = None,
+    b_prime: Callable[[np.ndarray], np.ndarray],
 ) -> float:
     """Max residual of d/dt int b(rho) + int (b'(rho) rho - b(rho)) div u.
 
     The transport term int div(b(rho) u) is included as well; it telescopes
     to zero under no-slip and costs nothing.  b must be C^1 on (0, inf) and
-    continuous at 0; when b_prime is omitted a central difference stands in.
+    continuous at 0, with derivative b_prime.
     """
     if len(rho_series) != len(u_series):
         raise ValueError("rho and velocity series must pair up")
     if len(rho_series) < 2:
         return 0.0
-    if b_prime is None:
-        def b_prime(s, b=b):
-            h = 1e-6 * (1.0 + np.abs(s))
-            return (b(s + h) - b(s - h)) / (2.0 * h)
-
     grid = rho_series[0].grid
 
     def spatial(rho: ScalarField2D, u: VectorField2D) -> float:
         brho = b(rho.data)
         transport = cell_sum(
-            grid, g2.upwind_div(u.x, u.y, u.bc, brho, rho.bc, grid.hx, grid.hy)
+            grid, g2.upwind_div(u.x, u.y, brho, rho.bc, grid.hx, grid.hy)
         )
         div_u = g2.grad_x(u.x, u.bc, grid.hx) + g2.grad_y(u.y, u.bc, grid.hy)
         compress = cell_sum(grid, (b_prime(rho.data) * rho.data - brho) * div_u)
@@ -602,8 +591,8 @@ class TimeseriesRecorder:
         rep = energy(state, self.phys, self.reg)
         spd = spd_monitor(state.T, alpha=self.reg.alpha)
         row = {"t": state.t,
-               "mass": integrate_cells(state.rho),
-               "eta_mass": integrate_cells(state.eta),
+               "mass": cell_sum(state.rho.grid, state.rho.data),
+               "eta_mass": cell_sum(state.eta.grid, state.eta.data),
                "E_total": rep.total}
         for name in _ENERGY_FIELDS:
             row[name] = getattr(rep, name)

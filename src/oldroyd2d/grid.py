@@ -2,29 +2,27 @@
 
 The domain is the rectangle (0, lx) x (0, ly) split into nx x ny cells
 with samples at cell centers.  Boundary handling goes through one layer
-of ghost cells: mirror ghosts realize homogeneous Neumann conditions,
-odd reflection realizes the no-slip (homogeneous Dirichlet) condition.
-All operators are linear stencils acting on whole component arrays;
-nothing here mutates its inputs.
+of ghost cells, and each field kind has one fixed ghost rule: odd
+reflection realizes the no-slip (homogeneous Dirichlet) condition for
+velocity, mirror ghosts realize homogeneous Neumann conditions for
+scalars and tensors.  All operators are linear stencils acting on whole
+component arrays; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-VELOCITY_DIRICHLET = "velocity-Dirichlet"
-SCALAR_NEUMANN = "scalar-Neumann"
-TENSOR_NEUMANN = "tensor-Neumann"
-
-_KNOWN_TAGS = (VELOCITY_DIRICHLET, SCALAR_NEUMANN, TENSOR_NEUMANN)
-
-
-class BoundaryTagError(ValueError):
-    """Field carries a boundary tag the operator cannot honor."""
+# The two ghost rules: DIRICHLET is the odd reflection of velocity,
+# NEUMANN the mirror of every other field.  The odd reflection makes every
+# wall-face velocity exactly zero, which keeps the upwind fluxes
+# conservative.
+DIRICHLET = "dirichlet"
+NEUMANN = "neumann"
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,8 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError("need at least 4 cells per direction")
-        if self.lx <= 0.0 or self.ly <= 0.0:
-            raise ValueError("domain side lengths must be positive")
+        if not (0.0 < self.lx < math.inf and 0.0 < self.ly < math.inf):
+            raise ValueError("domain side lengths must be positive and finite")
 
     @property
     def hx(self) -> float:
@@ -61,26 +59,20 @@ class Grid2D:
         return np.meshgrid(x, y, indexing="ij")
 
 
-def _check_tag(bc: str) -> None:
-    if bc not in _KNOWN_TAGS:
-        raise BoundaryTagError(f"unknown boundary tag {bc!r}")
-
-
 @dataclass
 class ScalarField2D:
     grid: Grid2D
     data: np.ndarray
-    bc: str = SCALAR_NEUMANN
     name: str = "scalar"
+    bc: ClassVar[str] = NEUMANN
 
     def __post_init__(self):
-        _check_tag(self.bc)
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.shape != (self.grid.nx, self.grid.ny):
             raise ValueError("scalar data must have shape (nx, ny)")
 
     def copy(self) -> "ScalarField2D":
-        return ScalarField2D(self.grid, self.data.copy(), self.bc, self.name)
+        return ScalarField2D(self.grid, self.data.copy(), self.name)
 
     def components(self):
         return (self.data,)
@@ -91,11 +83,10 @@ class VectorField2D:
     grid: Grid2D
     x: np.ndarray
     y: np.ndarray
-    bc: str = VELOCITY_DIRICHLET
     name: str = "vector"
+    bc: ClassVar[str] = DIRICHLET
 
     def __post_init__(self):
-        _check_tag(self.bc)
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         shape = (self.grid.nx, self.grid.ny)
@@ -103,7 +94,7 @@ class VectorField2D:
             raise ValueError("vector components must have shape (nx, ny)")
 
     def copy(self) -> "VectorField2D":
-        return VectorField2D(self.grid, self.x.copy(), self.y.copy(), self.bc, self.name)
+        return VectorField2D(self.grid, self.x.copy(), self.y.copy(), self.name)
 
     def components(self):
         return (self.x, self.y)
@@ -117,11 +108,10 @@ class SymTensorField2D:
     xx: np.ndarray
     xy: np.ndarray
     yy: np.ndarray
-    bc: str = TENSOR_NEUMANN
     name: str = "symtensor"
+    bc: ClassVar[str] = NEUMANN
 
     def __post_init__(self):
-        _check_tag(self.bc)
         self.xx = np.asarray(self.xx, dtype=np.float64)
         self.xy = np.asarray(self.xy, dtype=np.float64)
         self.yy = np.asarray(self.yy, dtype=np.float64)
@@ -132,16 +122,11 @@ class SymTensorField2D:
 
     def copy(self) -> "SymTensorField2D":
         return SymTensorField2D(
-            self.grid, self.xx.copy(), self.xy.copy(), self.yy.copy(), self.bc, self.name
+            self.grid, self.xx.copy(), self.xy.copy(), self.yy.copy(), self.name
         )
 
     def components(self):
         return (self.xx, self.xy, self.yy)
-
-    def at(self, i: int, j: int):
-        from oldroyd2d.symcalc import SymMat2
-
-        return SymMat2(float(self.xx[i, j]), float(self.xy[i, j]), float(self.yy[i, j]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +140,9 @@ def _pad(arr: np.ndarray, bc: str, axis: int) -> np.ndarray:
     Odd reflection (Dirichlet): ghost equals minus the interior value,
     putting the zero of the linear interpolant on the wall face.
     """
-    _check_tag(bc)
     padded = np.pad(arr, [(1, 1) if ax == axis else (0, 0) for ax in range(arr.ndim)],
                     mode="edge")
-    if bc == VELOCITY_DIRICHLET:
+    if bc == DIRICHLET:
         first = [slice(None)] * arr.ndim
         last = [slice(None)] * arr.ndim
         first[axis] = 0
@@ -186,21 +170,22 @@ def lap(arr: np.ndarray, bc: str, hx: float, hy: float) -> np.ndarray:
     return ddx + ddy
 
 
-def upwind_div(ux: np.ndarray, uy: np.ndarray, u_bc: str,
+def upwind_div(ux: np.ndarray, uy: np.ndarray,
                arr: np.ndarray, arr_bc: str, hx: float, hy: float) -> np.ndarray:
     """Conservative first-order upwind discretization of div(u * arr).
 
-    Face velocities average the two adjacent cells; with the no-slip tag
-    the odd reflection makes every wall-face velocity exactly zero, so
-    the total flux telescopes to zero and cell sums are conserved.
+    Face velocities average the two adjacent cells of the no-slip
+    velocity (ux, uy); the odd reflection makes every wall-face velocity
+    exactly zero, so the total flux telescopes to zero and cell sums are
+    conserved.
     """
-    pux = _pad(ux, u_bc, 0)
+    pux = _pad(ux, DIRICHLET, 0)
     fx_vel = 0.5 * (pux[:-1, :] + pux[1:, :])  # x-faces, shape (nx+1, ny)
     pa = _pad(arr, arr_bc, 0)
     up = np.where(fx_vel > 0.0, pa[:-1, :], pa[1:, :])
     flux_x = fx_vel * up
 
-    puy = _pad(uy, u_bc, 1)
+    puy = _pad(uy, DIRICHLET, 1)
     fy_vel = 0.5 * (puy[:, :-1] + puy[:, 1:])  # y-faces, shape (nx, ny+1)
     pa = _pad(arr, arr_bc, 1)
     up = np.where(fy_vel > 0.0, pa[:, :-1], pa[:, 1:])
@@ -209,85 +194,16 @@ def upwind_div(ux: np.ndarray, uy: np.ndarray, u_bc: str,
     return (flux_x[1:, :] - flux_x[:-1, :]) / hx + (flux_y[:, 1:] - flux_y[:, :-1]) / hy
 
 
-# ---------------------------------------------------------------------------
-# Field-level operators.
-
-
-def gradient(f: ScalarField2D) -> VectorField2D:
-    g = f.grid
-    return VectorField2D(
-        g,
-        grad_x(f.data, f.bc, g.hx),
-        grad_y(f.data, f.bc, g.hy),
-        bc=VELOCITY_DIRICHLET,
-        name=f"grad_{f.name}",
-    )
-
-
-def divergence(v: VectorField2D) -> ScalarField2D:
-    g = v.grid
-    out = grad_x(v.x, v.bc, g.hx) + grad_y(v.y, v.bc, g.hy)
-    return ScalarField2D(g, out, bc=SCALAR_NEUMANN, name=f"div_{v.name}")
-
-
 def tensor_divergence(t: SymTensorField2D) -> VectorField2D:
     """Row-wise divergence (Div T)_k = sum_l d_l T_kl."""
     g = t.grid
     vx = grad_x(t.xx, t.bc, g.hx) + grad_y(t.xy, t.bc, g.hy)
     vy = grad_x(t.xy, t.bc, g.hx) + grad_y(t.yy, t.bc, g.hy)
-    return VectorField2D(g, vx, vy, bc=VELOCITY_DIRICHLET, name=f"div_{t.name}")
-
-
-def advect_scalar(u: VectorField2D, f: ScalarField2D) -> ScalarField2D:
-    g = f.grid
-    out = upwind_div(u.x, u.y, u.bc, f.data, f.bc, g.hx, g.hy)
-    return ScalarField2D(g, out, bc=f.bc, name=f"adv_{f.name}")
-
-
-def advect_tensor(u: VectorField2D, t: SymTensorField2D) -> SymTensorField2D:
-    """Div(uT) componentwise: each entry is transported like a scalar."""
-    g = t.grid
-    comps = [
-        upwind_div(u.x, u.y, u.bc, comp, t.bc, g.hx, g.hy)
-        for comp in (t.xx, t.xy, t.yy)
-    ]
-    return SymTensorField2D(g, *comps, bc=t.bc, name=f"adv_{t.name}")
-
-
-def laplacian(f):
-    """5-point laplacian honoring the field's own boundary tag."""
-    g = f.grid
-    if isinstance(f, ScalarField2D):
-        return ScalarField2D(g, lap(f.data, f.bc, g.hx, g.hy), bc=f.bc, name=f"lap_{f.name}")
-    if isinstance(f, VectorField2D):
-        return VectorField2D(
-            g,
-            lap(f.x, f.bc, g.hx, g.hy),
-            lap(f.y, f.bc, g.hx, g.hy),
-            bc=f.bc,
-            name=f"lap_{f.name}",
-        )
-    if isinstance(f, SymTensorField2D):
-        return SymTensorField2D(
-            g,
-            lap(f.xx, f.bc, g.hx, g.hy),
-            lap(f.xy, f.bc, g.hx, g.hy),
-            lap(f.yy, f.bc, g.hx, g.hy),
-            bc=f.bc,
-            name=f"lap_{f.name}",
-        )
-    raise TypeError(f"unsupported field type {type(f).__name__}")
-
-
-def integrate_cells(f) -> float:
-    """Midpoint-rule cell sum; accepts a scalar field or a raw array."""
-    if isinstance(f, ScalarField2D):
-        return float(np.sum(f.data) * f.grid.hx * f.grid.hy)
-    raise TypeError("integrate_cells expects a ScalarField2D")
+    return VectorField2D(g, vx, vy, name=f"div_{t.name}")
 
 
 def cell_sum(grid: Grid2D, arr: np.ndarray) -> float:
-    """Array-level midpoint quadrature used by the diagnostics."""
+    """Midpoint-rule quadrature of a cell array."""
     return float(np.sum(arr) * grid.hx * grid.hy)
 
 
@@ -339,13 +255,12 @@ def mollify_initial(data, theta: float):
     kernel = _bump_kernel(data.grid, theta)
     if isinstance(data, ScalarField2D):
         out = _convolve_component(data.data, kernel) + theta
-        return ScalarField2D(data.grid, out, data.bc, data.name)
+        return ScalarField2D(data.grid, out, data.name)
     if isinstance(data, VectorField2D):
         return VectorField2D(
             data.grid,
             _convolve_component(data.x, kernel),
             _convolve_component(data.y, kernel),
-            data.bc,
             data.name,
         )
     if isinstance(data, SymTensorField2D):
@@ -354,7 +269,6 @@ def mollify_initial(data, theta: float):
             _convolve_component(data.xx, kernel) + theta,
             _convolve_component(data.xy, kernel),
             _convolve_component(data.yy, kernel) + theta,
-            data.bc,
             data.name,
         )
     raise TypeError(f"unsupported field type {type(data).__name__}")
@@ -365,7 +279,6 @@ def mollify_initial(data, theta: float):
 
 
 _KIND_BY_COUNT = {1: ScalarField2D, 2: VectorField2D, 3: SymTensorField2D}
-_DEFAULT_BC_BY_COUNT = {1: SCALAR_NEUMANN, 2: VELOCITY_DIRICHLET, 3: TENSOR_NEUMANN}
 
 
 def save_snapshot(f, path) -> None:
@@ -377,17 +290,21 @@ def save_snapshot(f, path) -> None:
             fh.write(np.ascontiguousarray(comp, dtype=np.float64).tobytes())
 
 
-def load_snapshot(path, bc: str | None = None):
+def load_snapshot(path):
+    """Read a field written by save_snapshot; ValueError if it is malformed."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        nx, ny = int(header[0]), int(header[1])
-        hx, hy = float(header[2]), float(header[3])
-        name, count = header[4], int(header[5])
-        grid = Grid2D(nx, ny, lx=hx * nx, ly=hy * ny)
-        comps = []
-        for _ in range(count):
-            raw = fh.read(8 * nx * ny)
-            comps.append(np.frombuffer(raw, dtype=np.float64).reshape(nx, ny).copy())
-    tag = bc if bc is not None else _DEFAULT_BC_BY_COUNT[count]
-    cls = _KIND_BY_COUNT[count]
-    return cls(grid, *comps, bc=tag, name=name)
+        header = fh.readline()
+        payload = fh.read()
+    try:
+        nx, ny, hx, hy, name, count = header.decode("ascii").split()
+        nx, ny, hx, hy, count = int(nx), int(ny), float(hx), float(hy), int(count)
+    except ValueError:
+        raise ValueError(f"unreadable header {header[:80]!r}") from None
+    if count not in _KIND_BY_COUNT:
+        raise ValueError(f"unknown component count {count}")
+    if len(payload) != 8 * nx * ny * count:
+        raise ValueError(f"payload has {len(payload)} bytes, "
+                         f"expected 8 * {nx} * {ny} * {count}")
+    grid = Grid2D(nx, ny, lx=hx * nx, ly=hy * ny)
+    comps = np.frombuffer(payload, dtype=np.float64).reshape(count, nx, ny)
+    return _KIND_BY_COUNT[count](grid, *(c.copy() for c in comps), name=name)

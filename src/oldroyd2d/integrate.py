@@ -11,7 +11,7 @@ of positive definiteness is a reportable failure, not a repairable one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -124,10 +124,10 @@ def _unpack(y, template: SimState, t: float, floor_counter) -> SimState:
     grid = template.rho.grid
     return SimState(
         t=t,
-        rho=ScalarField2D(grid, rho, bc=template.rho.bc, name=template.rho.name),
-        u=VectorField2D(grid, mx / safe, my / safe, bc=template.u.bc, name=template.u.name),
-        eta=ScalarField2D(grid, eta, bc=template.eta.bc, name=template.eta.name),
-        T=SymTensorField2D(grid, txx, txy, tyy, bc=template.T.bc, name=template.T.name),
+        rho=ScalarField2D(grid, rho, name=template.rho.name),
+        u=VectorField2D(grid, mx / safe, my / safe, name=template.u.name),
+        eta=ScalarField2D(grid, eta, name=template.eta.name),
+        T=SymTensorField2D(grid, txx, txy, tyy, name=template.T.name),
     )
 
 

@@ -17,7 +17,7 @@ the base model bit for bit: knob terms are skipped, not multiplied by 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,9 +29,6 @@ from oldroyd2d.grid import (
     ScalarField2D,
     SymTensorField2D,
     VectorField2D,
-    SCALAR_NEUMANN,
-    TENSOR_NEUMANN,
-    VELOCITY_DIRICHLET,
 )
 from oldroyd2d.symcalc import NotSPDError
 
@@ -113,7 +110,7 @@ def pressure(rho: ScalarField2D, phys: PhysParams, reg: RegParams) -> ScalarFiel
     p = phys.a * base**phys.gamma
     if reg.sigma1 != 0.0:
         p = p + reg.sigma1 * base**reg.Gamma
-    return ScalarField2D(rho.grid, p, bc=rho.bc, name="pressure")
+    return ScalarField2D(rho.grid, p, name="pressure")
 
 
 def velocity_jacobian(u: VectorField2D):
@@ -129,12 +126,6 @@ def velocity_jacobian(u: VectorField2D):
 def newtonian_stress(u: VectorField2D, phys: PhysParams) -> SymTensorField2D:
     """muS (sym grad u - (div u / 2) I) + muB (div u) I, d = 2."""
     jxx, jxy, jyx, jyy = velocity_jacobian(u)
-    return newtonian_stress_from_jacobian(u.grid, jxx, jxy, jyx, jyy, phys)
-
-
-def newtonian_stress_from_jacobian(
-    grid: Grid2D, jxx, jxy, jyx, jyy, phys: PhysParams
-) -> SymTensorField2D:
     div_u = jxx + jyy
     sym_xy = 0.5 * (jxy + jyx)
     half_div = 0.5 * div_u
@@ -144,27 +135,23 @@ def newtonian_stress_from_jacobian(
     if phys.muB != 0.0:
         sxx = sxx + phys.muB * div_u
         syy = syy + phys.muB * div_u
-    return SymTensorField2D(grid, sxx, sxy, syy, bc=TENSOR_NEUMANN, name="newtonian")
+    return SymTensorField2D(u.grid, sxx, sxy, syy, name="newtonian")
 
 
 def rhs_continuity(state: SimState, phys: PhysParams, reg: RegParams) -> ScalarField2D:
     """-div(rho u) with conservative upwind flux, plus sigma2 diffusion."""
     g = state.rho.grid
-    out = -g2.upwind_div(
-        state.u.x, state.u.y, state.u.bc, state.rho.data, state.rho.bc, g.hx, g.hy
-    )
+    out = -g2.upwind_div(state.u.x, state.u.y, state.rho.data, state.rho.bc, g.hx, g.hy)
     if reg.sigma2 != 0.0:
-        out = out + reg.sigma2 * g2.lap(state.rho.data, SCALAR_NEUMANN, g.hx, g.hy)
-    return ScalarField2D(g, out, bc=state.rho.bc, name="rhs_rho")
+        out = out + reg.sigma2 * g2.lap(state.rho.data, state.rho.bc, g.hx, g.hy)
+    return ScalarField2D(g, out, name="rhs_rho")
 
 
 def rhs_eta(state: SimState, phys: PhysParams) -> ScalarField2D:
     g = state.eta.grid
-    out = -g2.upwind_div(
-        state.u.x, state.u.y, state.u.bc, state.eta.data, state.eta.bc, g.hx, g.hy
-    )
+    out = -g2.upwind_div(state.u.x, state.u.y, state.eta.data, state.eta.bc, g.hx, g.hy)
     out = out + phys.eps * g2.lap(state.eta.data, state.eta.bc, g.hx, g.hy)
-    return ScalarField2D(g, out, bc=state.eta.bc, name="rhs_eta")
+    return ScalarField2D(g, out, name="rhs_eta")
 
 
 def tr_log_field(T: SymTensorField2D, context: str = "") -> np.ndarray:
@@ -187,8 +174,8 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
     # transport of momentum components by the same upwind flux as mass
     mx = rho.data * u.x
     my = rho.data * u.y
-    out_x = -g2.upwind_div(u.x, u.y, u.bc, mx, u.bc, g.hx, g.hy)
-    out_y = -g2.upwind_div(u.x, u.y, u.bc, my, u.bc, g.hx, g.hy)
+    out_x = -g2.upwind_div(u.x, u.y, mx, u.bc, g.hx, g.hy)
+    out_y = -g2.upwind_div(u.x, u.y, my, u.bc, g.hx, g.hy)
 
     p = pressure(rho, phys, reg)
     out_x -= g2.grad_x(p.data, p.bc, g.hx)
@@ -216,8 +203,8 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
 
     if reg.sigma2 != 0.0:
         jxx, jxy, jyx, jyy = velocity_jacobian(u)
-        drho_x = g2.grad_x(rho.data, SCALAR_NEUMANN, g.hx)
-        drho_y = g2.grad_y(rho.data, SCALAR_NEUMANN, g.hy)
+        drho_x = g2.grad_x(rho.data, rho.bc, g.hx)
+        drho_y = g2.grad_y(rho.data, rho.bc, g.hy)
         out_x -= reg.sigma2 * (jxx * drho_x + jxy * drho_y)
         out_y -= reg.sigma2 * (jyx * drho_x + jyy * drho_y)
 
@@ -225,7 +212,7 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
         out_x += rho.data * phys.f.x
         out_y += rho.data * phys.f.y
 
-    return VectorField2D(g, out_x, out_y, bc=u.bc, name="rhs_momentum")
+    return VectorField2D(g, out_x, out_y, name="rhs_momentum")
 
 
 def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorField2D:
@@ -245,7 +232,7 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
         txx, txy, tyy = T.xx, T.xy, T.yy
 
     out = [
-        -g2.upwind_div(u.x, u.y, u.bc, comp, T.bc, g.hx, g.hy)
+        -g2.upwind_div(u.x, u.y, comp, T.bc, g.hx, g.hy)
         for comp in (txx, txy, tyy)
     ]
 
@@ -263,7 +250,7 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
     out[1] += -relax * txy
     out[2] += source - relax * tyy
 
-    return SymTensorField2D(g, out[0], out[1], out[2], bc=T.bc, name="rhs_T")
+    return SymTensorField2D(g, out[0], out[1], out[2], name="rhs_T")
 
 
 def kramers_tensor(state: SimState, phys: PhysParams) -> SymTensorField2D:
@@ -276,7 +263,6 @@ def kramers_tensor(state: SimState, phys: PhysParams) -> SymTensorField2D:
         state.T.xx - solvent,
         state.T.xy,
         state.T.yy - solvent,
-        bc=state.T.bc,
         name="kramers",
     )
 
@@ -295,11 +281,10 @@ def equilibrium_state(
     t_eq = phys.k * (eta_bar + reg.alpha)
     return SimState(
         t=0.0,
-        rho=ScalarField2D(grid, np.full(shape, rho_bar), bc=SCALAR_NEUMANN, name="rho"),
-        u=VectorField2D(grid, np.zeros(shape), np.zeros(shape), bc=VELOCITY_DIRICHLET, name="u"),
-        eta=ScalarField2D(grid, np.full(shape, eta_bar), bc=SCALAR_NEUMANN, name="eta"),
+        rho=ScalarField2D(grid, np.full(shape, rho_bar), name="rho"),
+        u=VectorField2D(grid, np.zeros(shape), np.zeros(shape), name="u"),
+        eta=ScalarField2D(grid, np.full(shape, eta_bar), name="eta"),
         T=SymTensorField2D(
-            grid, np.full(shape, t_eq), np.zeros(shape), np.full(shape, t_eq),
-            bc=TENSOR_NEUMANN, name="T",
+            grid, np.full(shape, t_eq), np.zeros(shape), np.full(shape, t_eq), name="T"
         ),
     )

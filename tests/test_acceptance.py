@@ -14,7 +14,7 @@ from oldroyd2d import cli
 from oldroyd2d import diagnostics as dg
 from oldroyd2d import symcalc as sc
 from oldroyd2d.closure import GradU2, closure_compare
-from oldroyd2d.grid import Grid2D, SymTensorField2D, TENSOR_NEUMANN, cell_sum, grad_x, grad_y
+from oldroyd2d.grid import Grid2D, SymTensorField2D, cell_sum, grad_x, grad_y
 from oldroyd2d.integrate import StepConfig, run, step
 from oldroyd2d.model import PhysParams, RegParams, equilibrium_state
 
@@ -44,7 +44,7 @@ def random_spd_field(grid, rng, floor_scale=1.0):
     g2 = floor_scale * np.exp(smooth_random(grid, rng, scale=0.8))
     ang = smooth_random(grid, rng, scale=1.2)
     xx, xy, yy = sc.recombine_fields(g1, g2, np.cos(ang), np.sin(ang))
-    return SymTensorField2D(grid, xx, xy, yy, TENSOR_NEUMANN, "T")
+    return SymTensorField2D(grid, xx, xy, yy, "T")
 
 
 def recorded_run(text):
@@ -116,7 +116,7 @@ def test_criterion_03_field_inequalities():
     x, y = grid.cell_centers()
     s = 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
     e = np.exp(s)
-    T = SymTensorField2D(grid, e, np.zeros_like(e), e, TENSOR_NEUMANN, "T")
+    T = SymTensorField2D(grid, e, np.zeros_like(e), e, "T")
     r = dg.log_grad_bound(T)
     gx = grad_x(s, T.bc, grid.hx)
     gy = grad_y(s, T.bc, grid.hy)

@@ -2,6 +2,10 @@
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oldroyd2d import cli
-from oldroyd2d.grid import integrate_cells, load_snapshot
+from oldroyd2d.grid import cell_sum, load_snapshot
 from oldroyd2d.symcalc import IneqResult
 
 
@@ -131,7 +135,7 @@ class TestPresets:
         st = cli.build_initial(cfg)
         # the cosine perturbations integrate to zero on the symmetric grid,
         # so total mass is (rho_bar + theta) * area up to roundoff
-        assert integrate_cells(st.rho) == pytest.approx(1.1, abs=1e-12)
+        assert cell_sum(st.rho.grid, st.rho.data) == pytest.approx(1.1, abs=1e-12)
         assert st.eta.data.min() >= 0.1
         assert st.u.x.max() > 0.0
 
@@ -166,6 +170,27 @@ class TestPresets:
     def test_missing_snapshot_is_config_error(self):
         with pytest.raises(cli.ConfigError, match="cannot read snapshot"):
             cli.build_initial(cli.parse_config("initial = file:/nonexistent/x"))
+
+    @pytest.mark.parametrize("fault", ["header", "count", "payload", "kind"])
+    def test_malformed_snapshot_is_config_error(self, tmp_path, fault):
+        st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
+        cli._save_state(st, str(tmp_path / "bad"))
+        rho = tmp_path / "bad.rho.snap"
+        header, payload = rho.read_bytes().split(b"\n", 1)
+        if fault == "header":
+            rho.write_bytes(b"eight 8 0.125 0.125 rho 1\n" + payload)
+        elif fault == "count":
+            rho.write_bytes(header[:-1] + b"4\n" + payload * 4)
+        elif fault == "payload":
+            rho.write_bytes(header + b"\n" + payload[:-8])
+        else:
+            rho.write_bytes((tmp_path / "bad.u.snap").read_bytes())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"initial = file:{tmp_path}/bad\nt_end = 0.01\n")
+        code, out, err = capture(cli.cmd_run, str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(rho) in err
 
 
 class TestRunCommand:
@@ -332,20 +357,6 @@ class TestSweepCommand:
         assert "alpha=0.1" in err and "alpha=0.05" in err
         assert "positive definiteness" in err
 
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = self.write(tmp_path)
-        monkeypatch.setenv("OLDROYD2D_THREADS", "1")
-        a = capture(cli.cmd_sweep, cfg, "alpha", "0.1,0.05")
-        monkeypatch.setenv("OLDROYD2D_THREADS", "3")
-        b = capture(cli.cmd_sweep, cfg, "alpha", "0.1,0.05")
-        assert a == b
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OLDROYD2D_THREADS", "many")
-        code, _, err = capture(
-            cli.cmd_sweep, self.write(tmp_path), "alpha", "0.1,0.05")
-        assert code == 1 and "OLDROYD2D_THREADS" in err
-
 
 class TestMain:
     def test_run_dispatch(self, tmp_path):
@@ -376,3 +387,14 @@ class TestMain:
     def test_help_exits_zero(self):
         code, out, _ = capture(cli.main, ["--help"])
         assert code == 0
+
+    @pytest.mark.parametrize("module", ["oldroyd2d", "oldroyd2d.cli"])
+    def test_module_entry_points_run_clean(self, module):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and "usage: oldroyd2d" in proc.stdout
+        assert proc.stderr == ""

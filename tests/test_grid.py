@@ -10,25 +10,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oldroyd2d.grid import (
-    SCALAR_NEUMANN,
-    TENSOR_NEUMANN,
-    VELOCITY_DIRICHLET,
-    BoundaryTagError,
+    DIRICHLET,
+    NEUMANN,
     Grid2D,
     ScalarField2D,
     SymTensorField2D,
     VectorField2D,
-    advect_scalar,
-    advect_tensor,
     cell_sum,
-    divergence,
-    gradient,
-    integrate_cells,
-    laplacian,
+    grad_x,
+    grad_y,
+    lap,
     load_snapshot,
     mollify_initial,
     save_snapshot,
     tensor_divergence,
+    upwind_div,
 )
 
 CONSERVE_TOL = 1e-12
@@ -38,8 +34,8 @@ def unit_grid(n):
     return Grid2D(n, n, 1.0, 1.0)
 
 
-def rng_field(grid, rng, bc=SCALAR_NEUMANN):
-    return ScalarField2D(grid, rng.standard_normal((grid.nx, grid.ny)), bc=bc)
+def rng_field(grid, rng):
+    return ScalarField2D(grid, rng.standard_normal((grid.nx, grid.ny)))
 
 
 def rng_velocity(grid, rng):
@@ -47,8 +43,27 @@ def rng_velocity(grid, rng):
         grid,
         rng.standard_normal((grid.nx, grid.ny)),
         rng.standard_normal((grid.nx, grid.ny)),
-        bc=VELOCITY_DIRICHLET,
     )
+
+
+def grad(f):
+    g = f.grid
+    return grad_x(f.data, f.bc, g.hx), grad_y(f.data, f.bc, g.hy)
+
+
+def div(v):
+    g = v.grid
+    return grad_x(v.x, v.bc, g.hx) + grad_y(v.y, v.bc, g.hy)
+
+
+def laplace(f):
+    g = f.grid
+    return lap(f.data, f.bc, g.hx, g.hy)
+
+
+def advect(u, f):
+    g = f.grid
+    return upwind_div(u.x, u.y, f.data, f.bc, g.hx, g.hy)
 
 
 class TestGridType:
@@ -67,38 +82,67 @@ class TestGridType:
         with pytest.raises(ValueError):
             Grid2D(8, 8, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_lengths(self, bad):
+        # a snapshot header can carry these; nan would also break grid equality
+        with pytest.raises(ValueError):
+            Grid2D(8, 8, bad, 1.0)
+        with pytest.raises(ValueError):
+            Grid2D(8, 8, 1.0, bad)
+
     def test_field_shape_check(self):
         g = unit_grid(4)
         with pytest.raises(ValueError):
             ScalarField2D(g, np.zeros((5, 4)))
 
-    def test_unknown_tag_rejected(self):
-        g = unit_grid(4)
-        with pytest.raises(BoundaryTagError):
-            ScalarField2D(g, np.zeros((4, 4)), bc="periodic")
+
+class TestWallRule:
+    """No-slip walls for velocity, homogeneous Neumann for everything else."""
+
+    def test_rule_per_field_kind(self):
+        assert VectorField2D.bc == DIRICHLET
+        assert ScalarField2D.bc == NEUMANN and SymTensorField2D.bc == NEUMANN
+
+    def test_constant_velocity_sees_the_walls(self):
+        g = Grid2D(8, 8, 1.0, 2.0)
+        c = 0.75
+        u = VectorField2D(g, np.full((8, 8), c), np.full((8, 8), c))
+        gx = grad_x(u.x, u.bc, g.hx)
+        gy = grad_y(u.y, u.bc, g.hy)
+        assert np.all(gx[0, :] == c / g.hx) and np.all(gx[-1, :] == -c / g.hx)
+        assert np.all(gy[:, 0] == c / g.hy) and np.all(gy[:, -1] == -c / g.hy)
+        assert np.all(gx[1:-1, :] == 0.0) and np.all(gy[:, 1:-1] == 0.0)
+
+    def test_constant_scalar_and_tensor_have_zero_gradient(self):
+        g = Grid2D(8, 8, 1.0, 2.0)
+        one = np.full((8, 8), 0.75)
+        for f in (ScalarField2D(g, one), SymTensorField2D(g, one, one, one)):
+            for comp in f.components():
+                assert np.all(grad_x(comp, f.bc, g.hx) == 0.0)
+                assert np.all(grad_y(comp, f.bc, g.hy) == 0.0)
 
 
 class TestGradient:
     def test_constant_is_zero(self):
         g = unit_grid(8)
         f = ScalarField2D(g, np.full((8, 8), 3.7))
-        v = gradient(f)
-        assert np.all(v.x == 0.0) and np.all(v.y == 0.0)
+        vx, vy = grad(f)
+        assert np.all(vx == 0.0) and np.all(vy == 0.0)
 
     def test_linear_exact_interior(self):
         g = unit_grid(16)
         x, _ = g.cell_centers()
-        v = gradient(ScalarField2D(g, x))
-        assert np.allclose(v.x[1:-1, :], 1.0, atol=0.0)
-        assert np.all(v.y == 0.0)
+        vx, vy = grad(ScalarField2D(g, x))
+        assert np.allclose(vx[1:-1, :], 1.0, atol=0.0)
+        assert np.all(vy == 0.0)
 
     def test_quadratic_order_two(self):
         errs = []
         for n in (32, 64):
             g = unit_grid(n)
             x, y = g.cell_centers()
-            v = gradient(ScalarField2D(g, x * x + y * y))
-            err = np.abs(v.x[1:-1, 1:-1] - 2.0 * x[1:-1, 1:-1]).max()
+            vx, _ = grad(ScalarField2D(g, x * x + y * y))
+            err = np.abs(vx[1:-1, 1:-1] - 2.0 * x[1:-1, 1:-1]).max()
             errs.append(err)
         # centered differences are exact on quadratics; interior error is
         # round-off, so just require both tiny rather than a ratio
@@ -110,9 +154,9 @@ class TestGradient:
             g = unit_grid(n)
             x, y = g.cell_centers()
             f = ScalarField2D(g, np.sin(2 * x + y) + np.cos(y))
-            v = gradient(f)
+            vx, _ = grad(f)
             exact = 2.0 * np.cos(2 * x + y)
-            errs.append(np.abs(v.x[1:-1, 1:-1] - exact[1:-1, 1:-1]).max())
+            errs.append(np.abs(vx[1:-1, 1:-1] - exact[1:-1, 1:-1]).max())
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9
 
@@ -121,13 +165,13 @@ class TestDivergence:
     def test_constant_zero(self):
         g = unit_grid(8)
         v = VectorField2D(g, np.ones((8, 8)), np.ones((8, 8)))
-        assert np.allclose(divergence(v).data[1:-1, 1:-1], 0.0, atol=0.0)
+        assert np.allclose(div(v)[1:-1, 1:-1], 0.0, atol=0.0)
 
     def test_identity_map_two(self):
         g = unit_grid(16)
         x, y = g.cell_centers()
         v = VectorField2D(g, x, y)
-        assert np.allclose(divergence(v).data[1:-1, 1:-1], 2.0, atol=1e-13)
+        assert np.allclose(div(v)[1:-1, 1:-1], 2.0, atol=1e-13)
 
     def test_tensor_identity_zero(self):
         g = unit_grid(8)
@@ -147,9 +191,9 @@ class TestAdjointnessAndConservation:
         rng = np.random.default_rng(s)
         v = rng_velocity(g, rng)
         f = rng_field(g, rng)
-        lhs = cell_sum(g, divergence(v).data * f.data)
-        gf = gradient(f)
-        rhs = -cell_sum(g, v.x * gf.x + v.y * gf.y)
+        lhs = cell_sum(g, div(v) * f.data)
+        gfx, gfy = grad(f)
+        rhs = -cell_sum(g, v.x * gfx + v.y * gfy)
         scale = 1.0 + abs(lhs) + abs(rhs)
         assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -159,7 +203,7 @@ class TestAdjointnessAndConservation:
     def test_divergence_integral_zero(self, n, s):
         g = unit_grid(n)
         v = rng_velocity(g, np.random.default_rng(s))
-        total = integrate_cells(divergence(v))
+        total = cell_sum(g, div(v))
         assert abs(total) <= CONSERVE_TOL * (1.0 + np.abs(v.x).max() + np.abs(v.y).max())
 
     @seed(20260817)
@@ -168,7 +212,7 @@ class TestAdjointnessAndConservation:
     def test_neumann_laplacian_integral_zero(self, n, s):
         g = unit_grid(n)
         f = rng_field(g, np.random.default_rng(s))
-        total = integrate_cells(laplacian(f))
+        total = cell_sum(g, laplace(f))
         assert abs(total) <= CONSERVE_TOL * (1.0 + np.abs(f.data).max()) / (g.hx * g.hy)
 
     @seed(20260817)
@@ -179,7 +223,7 @@ class TestAdjointnessAndConservation:
         rng = np.random.default_rng(s)
         u = rng_velocity(g, rng)
         f = rng_field(g, rng)
-        total = integrate_cells(advect_scalar(u, f))
+        total = cell_sum(g, advect(u, f))
         scale = (1.0 + np.abs(f.data).max()) * (1.0 + np.abs(u.x).max() + np.abs(u.y).max())
         assert abs(total) <= CONSERVE_TOL * scale / min(g.hx, g.hy)
 
@@ -192,10 +236,10 @@ class TestLinearity:
         fb = rng.integers(-8, 8, size=(8, 8)).astype(float)
         a, b = 2.0, -0.5
         combo = ScalarField2D(g, a * fa + b * fb)
-        sep_x = a * gradient(ScalarField2D(g, fa)).x + b * gradient(ScalarField2D(g, fb)).x
-        assert np.array_equal(gradient(combo).x, sep_x)
-        lap_combo = laplacian(combo).data
-        lap_sep = a * laplacian(ScalarField2D(g, fa)).data + b * laplacian(ScalarField2D(g, fb)).data
+        sep_x = a * grad(ScalarField2D(g, fa))[0] + b * grad(ScalarField2D(g, fb))[0]
+        assert np.array_equal(grad(combo)[0], sep_x)
+        lap_combo = laplace(combo)
+        lap_sep = a * laplace(ScalarField2D(g, fa)) + b * laplace(ScalarField2D(g, fb))
         assert np.array_equal(lap_combo, lap_sep)
 
     def test_advection_linear_in_transported_field(self):
@@ -208,10 +252,8 @@ class TestLinearity:
         )
         fa = rng.integers(-8, 8, size=(8, 8)).astype(float)
         fb = rng.integers(-8, 8, size=(8, 8)).astype(float)
-        combo = advect_scalar(u, ScalarField2D(g, 2.0 * fa - fb)).data
-        sep = 2.0 * advect_scalar(u, ScalarField2D(g, fa)).data - advect_scalar(
-            u, ScalarField2D(g, fb)
-        ).data
+        combo = advect(u, ScalarField2D(g, 2.0 * fa - fb))
+        sep = 2.0 * advect(u, ScalarField2D(g, fa)) - advect(u, ScalarField2D(g, fb))
         assert np.array_equal(combo, sep)
 
 
@@ -219,7 +261,7 @@ class TestLaplacian:
     def test_constant_neumann_zero(self):
         g = unit_grid(8)
         f = ScalarField2D(g, np.full((8, 8), 2.5))
-        assert np.all(laplacian(f).data == 0.0)
+        assert np.all(laplace(f) == 0.0)
 
     def test_neumann_eigenfunction(self):
         errs = []
@@ -227,7 +269,7 @@ class TestLaplacian:
             g = unit_grid(n)
             x, _ = g.cell_centers()
             f = ScalarField2D(g, np.cos(np.pi * x))
-            got = laplacian(f).data
+            got = laplace(f)
             want = -(np.pi**2) * f.data
             errs.append(np.abs(got - want).max())
         order = math.log2(errs[0] / errs[1])
@@ -237,7 +279,7 @@ class TestLaplacian:
         g = unit_grid(16)
         x, y = g.cell_centers()
         u = VectorField2D(g, np.sin(np.pi * x) * np.sin(np.pi * y), np.zeros((16, 16)))
-        got = laplacian(u).x
+        got = lap(u.x, u.bc, g.hx, g.hy)
         want = -2.0 * np.pi**2 * u.x
         # interior truncation O(h^2); boundary ghost is first order
         assert np.abs(got[2:-2, 2:-2] - want[2:-2, 2:-2]).max() < 0.4
@@ -254,8 +296,8 @@ class TestAdvection:
             rng.standard_normal((8, 8)),
         )
         u = VectorField2D(g, np.zeros((8, 8)), np.zeros((8, 8)))
-        out = advect_tensor(u, t)
-        assert np.all(out.xx == 0.0) and np.all(out.xy == 0.0) and np.all(out.yy == 0.0)
+        out = [upwind_div(u.x, u.y, comp, t.bc, g.hx, g.hy) for comp in t.components()]
+        assert np.all(out[0] == 0.0) and np.all(out[1] == 0.0) and np.all(out[2] == 0.0)
 
     def test_constant_tensor_linear_velocity(self):
         # u = (x, 0) has div u = 1, so Div(uT) = T on interior cells
@@ -268,10 +310,10 @@ class TestAdvection:
             np.full_like(x, -1.0),
             np.full_like(x, 0.5),
         )
-        out = advect_tensor(u, t)
-        assert np.allclose(out.xx[1:-1, 1:-1], 2.0, atol=1e-13)
-        assert np.allclose(out.xy[1:-1, 1:-1], -1.0, atol=1e-13)
-        assert np.allclose(out.yy[1:-1, 1:-1], 0.5, atol=1e-13)
+        out = [upwind_div(u.x, u.y, comp, t.bc, g.hx, g.hy) for comp in t.components()]
+        assert np.allclose(out[0][1:-1, 1:-1], 2.0, atol=1e-13)
+        assert np.allclose(out[1][1:-1, 1:-1], -1.0, atol=1e-13)
+        assert np.allclose(out[2][1:-1, 1:-1], 0.5, atol=1e-13)
 
     def test_first_order_convergence(self):
         errs = []
@@ -288,7 +330,7 @@ class TestAdvection:
             df_dy = -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
             exact = ux * df_dx + uy * df_dy + f * (dux_dx + duy_dy)
             u = VectorField2D(g, ux, uy)
-            got = advect_scalar(u, ScalarField2D(g, f)).data
+            got = advect(u, ScalarField2D(g, f))
             errs.append(np.abs(got[2:-2, 2:-2] - exact[2:-2, 2:-2]).max())
         order = math.log2(errs[0] / errs[1])
         assert 0.8 <= order <= 1.6
@@ -338,18 +380,17 @@ class TestMollifier:
 class TestIntegrate:
     def test_unit_constant(self):
         g = Grid2D(8, 8, 2.0, 3.0)
-        f = ScalarField2D(g, np.ones((8, 8)))
-        assert integrate_cells(f) == pytest.approx(6.0, abs=1e-14)
+        assert cell_sum(g, np.ones((8, 8))) == pytest.approx(6.0, abs=1e-14)
 
     def test_zero(self):
         g = unit_grid(8)
-        assert integrate_cells(ScalarField2D(g, np.zeros((8, 8)))) == 0.0
+        assert cell_sum(g, np.zeros((8, 8))) == 0.0
 
     def test_linear_exact(self):
         # midpoint quadrature integrates linears exactly
         g = unit_grid(32)
         x, _ = g.cell_centers()
-        assert integrate_cells(ScalarField2D(g, x)) == pytest.approx(0.5, abs=1e-14)
+        assert cell_sum(g, x) == pytest.approx(0.5, abs=1e-14)
 
 
 class TestSnapshot:
@@ -398,4 +439,4 @@ class TestSnapshot:
         ls, lv = load_snapshot(ps), load_snapshot(pv)
         assert isinstance(ls, ScalarField2D) and np.array_equal(ls.data, s.data)
         assert isinstance(lv, VectorField2D) and np.array_equal(lv.x, v.x)
-        assert lv.bc == VELOCITY_DIRICHLET
+        assert lv.bc == DIRICHLET

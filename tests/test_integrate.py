@@ -206,12 +206,12 @@ class TestConservation:
         phys = PhysParams(eps=0.1, muS=0.05)
         reg = RegParams(alpha=0.1, sigma2=0.02 if scheme == "rk2" else 0.0)
         state = perturbed_state(g)
-        mass0 = g2.integrate_cells(state.rho)
-        eta0 = g2.integrate_cells(state.eta)
+        mass0 = g2.cell_sum(state.rho.grid, state.rho.data)
+        eta0 = g2.cell_sum(state.eta.grid, state.eta.data)
         cfg = StepConfig(t_end=0.1, scheme=scheme)
         result = run(state, phys, reg, cfg)
-        mass1 = g2.integrate_cells(result.final.rho)
-        eta1 = g2.integrate_cells(result.final.eta)
+        mass1 = g2.cell_sum(result.final.rho.grid, result.final.rho.data)
+        eta1 = g2.cell_sum(result.final.eta.grid, result.final.eta.data)
         assert abs(mass1 - mass0) <= 1e-11 * abs(mass0)
         assert abs(eta1 - eta0) <= 1e-11 * abs(eta0)
         assert result.steps > 0

@@ -156,10 +156,6 @@ class TestMatLog:
         with pytest.raises(NotSPDError):
             tr_log(sym(1, 0, -1))
 
-    def test_spd_floor_passthrough(self):
-        with pytest.raises(NotSPDError):
-            tr_log(sym(1, 0, 1e-8), spd_floor=1e-6)
-
     @seed(20260817)
     @settings(max_examples=300, deadline=None)
     @given(spd_matrices)
