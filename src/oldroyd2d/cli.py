@@ -141,6 +141,9 @@ _KEY_TABLE: dict[str, tuple[Callable, object]] = {
     "seed": (_cast_int, DEFAULT_SEED),
 }
 
+# grid keys; a file: initial takes its grid from the snapshots instead
+_GRID_KEYS = ("nx", "ny", "lx", "ly")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -262,6 +265,13 @@ def parse_config(text: str) -> RunConfig:
         hits = [lines_by_key[k] for k in keys if k in lines_by_key]
         prefix = f"line {max(hits)}: " if hits else ""
         raise ConfigError(prefix + message)
+    if values["initial"].startswith("file:"):
+        for key in _GRID_KEYS:
+            if key in lines_by_key:
+                raise ConfigError(
+                    f"line {lines_by_key[key]}: {key} cannot be set with "
+                    f"initial = {values['initial']}: the grid comes from "
+                    "the snapshots")
     try:
         phys = PhysParams(
             a=values["a"], gamma=values["gamma"], muS=values["muS"],
@@ -310,6 +320,8 @@ def serialize(cfg: RunConfig) -> str:
     }
     lines = []
     for key in _KEY_TABLE:
+        if key in _GRID_KEYS and cfg.initial.startswith("file:"):
+            continue
         val = values[key]
         text = repr(val) if isinstance(val, float) else str(val)
         lines.append(f"{key} = {text}")
@@ -440,10 +452,11 @@ def cmd_run(config_path) -> int:
         _save_state(result.final, cfg.snapshot)
     mass_drift, eta_drift = dg.conservation(result.final, initial)
     print("completed: steps={} t_final={:.17g} residual_max={:.6e} "
-          "min_eig_final={:.6e} mass_drift={:.3e} eta_drift={:.3e}".format(
+          "min_eig_final={:.6e} mass_drift={:.3e} eta_drift={:.3e} "
+          "floor_hits={}".format(
               result.steps, result.final.t,
               max(row["residual"] for row in rows),
-              rows[-1]["min_eig"], mass_drift, eta_drift))
+              rows[-1]["min_eig"], mass_drift, eta_drift, result.floor_hits))
     return EXIT_OK
 
 

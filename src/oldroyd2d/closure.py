@@ -131,19 +131,25 @@ def boundary_mass_fraction(psi: KineticDistribution) -> float:
     return ring / total
 
 
+def _slab(arr: np.ndarray, lo: int, hi: int, axis: int) -> np.ndarray:
+    """View of indices lo..hi-1 along axis 0 or 1."""
+    return arr[lo:hi] if axis == 0 else arr[:, lo:hi]
+
+
 def _mc_slopes(psi: np.ndarray, axis: int) -> np.ndarray:
     """Monotonized-central limited slopes; zero in the outermost cells."""
     d = np.diff(psi, axis=axis)
-    dm = np.take(d, range(0, d.shape[axis] - 1), axis=axis)
-    dp = np.take(d, range(1, d.shape[axis]), axis=axis)
+    m = d.shape[axis]
+    dm = _slab(d, 0, m - 1, axis)
+    dp = _slab(d, 1, m, axis)
     same = dm * dp > 0.0
     lim = np.sign(dm) * np.minimum(
         np.minimum(2.0 * np.abs(dm), 2.0 * np.abs(dp)), 0.5 * np.abs(dm + dp)
     )
     inner = np.where(same, lim, 0.0)
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (1, 1)
-    return np.pad(inner, pad)
+    slopes = np.zeros(psi.shape, dtype=inner.dtype)
+    _slab(slopes, 1, m, axis)[...] = inner
+    return slopes
 
 
 def _axis_flux(psi2d: np.ndarray, face_vel: np.ndarray, ratio: np.ndarray,
@@ -151,11 +157,10 @@ def _axis_flux(psi2d: np.ndarray, face_vel: np.ndarray, ratio: np.ndarray,
     """Interior-face flux along one axis: limited upwind drift + ratio diffusion."""
     slopes = _mc_slopes(psi2d, axis)
     n = psi2d.shape[axis]
-    take = lambda arr, lo, hi: np.take(arr, range(lo, hi), axis=axis)
-    left = take(psi2d, 0, n - 1) + 0.5 * take(slopes, 0, n - 1)
-    right = take(psi2d, 1, n) - 0.5 * take(slopes, 1, n)
+    left = _slab(psi2d, 0, n - 1, axis) + 0.5 * _slab(slopes, 0, n - 1, axis)
+    right = _slab(psi2d, 1, n, axis) - 0.5 * _slab(slopes, 1, n, axis)
     drift = np.where(face_vel >= 0.0, face_vel * left, face_vel * right)
-    fp = -diff * eq_face * (take(ratio, 1, n) - take(ratio, 0, n - 1)) / dq
+    fp = -diff * eq_face * (_slab(ratio, 1, n, axis) - _slab(ratio, 0, n - 1, axis)) / dq
     return drift + fp
 
 

@@ -139,16 +139,25 @@ def _pad(arr: np.ndarray, bc: str, axis: int) -> np.ndarray:
     Mirror ghost (Neumann): ghost equals the adjacent interior value.
     Odd reflection (Dirichlet): ghost equals minus the interior value,
     putting the zero of the linear interpolant on the wall face.
+
+    Slice copies into an empty array give the values and the memory
+    order of ``np.pad(mode="edge")``, without its per-call overhead.
+    The odd ghosts are negated in place after the copy, never written
+    through ``np.negative(..., out=ghost_view)``: numpy 2.4 writes wrong
+    values into a strided ``out`` of that form for some shapes (8x8).
     """
-    padded = np.pad(arr, [(1, 1) if ax == axis else (0, 0) for ax in range(arr.ndim)],
-                    mode="edge")
+    shape = list(arr.shape)
+    shape[axis] += 2
+    padded = np.empty(shape, dtype=arr.dtype, order="F" if arr.flags.fnc else "C")
+    # swap the padded axis to the front so the copies are one set of slices
+    p = padded.swapaxes(0, axis)
+    a = arr.swapaxes(0, axis)
+    p[1:-1] = a
+    p[0] = a[0]
+    p[-1] = a[-1]
     if bc == DIRICHLET:
-        first = [slice(None)] * arr.ndim
-        last = [slice(None)] * arr.ndim
-        first[axis] = 0
-        last[axis] = -1
-        padded[tuple(first)] *= -1.0
-        padded[tuple(last)] *= -1.0
+        p[0] *= -1.0
+        p[-1] *= -1.0
     return padded
 
 

@@ -1,8 +1,10 @@
-"""Independent reference routes for the matrix-calculus tests.
+"""Independent reference routes for the tests.
 
-Everything here goes through numpy.linalg / scipy rather than the
-closed-form 2x2 formulas in the package, so a bug in the package
-cannot hide in the expected values.
+The matrix-calculus references go through numpy.linalg / scipy rather
+than the closed-form 2x2 formulas in the package, so a bug in the
+package cannot hide in the expected values.  The ghost-padding and
+kinetic-flux references are the plain np.pad / np.take formulations the
+package's slice-based versions must reproduce bit for bit.
 """
 
 import numpy as np
@@ -52,3 +54,47 @@ def random_spd(rng: np.random.Generator, lo: float = 1e-3, hi: float = 1e3) -> n
 def random_sym(rng: np.random.Generator, scale: float = 3.0) -> np.ndarray:
     a, b, c = rng.uniform(-scale, scale, size=3)
     return np.array([[a, b], [b, c]])
+
+
+def pad_np(arr: np.ndarray, odd: bool, axis: int) -> np.ndarray:
+    """One edge-replicated ghost layer on the axis, negated when odd."""
+    padded = np.pad(arr, [(1, 1) if ax == axis else (0, 0) for ax in range(arr.ndim)],
+                    mode="edge")
+    if odd:
+        first = [slice(None)] * arr.ndim
+        last = [slice(None)] * arr.ndim
+        first[axis] = 0
+        last[axis] = -1
+        padded[tuple(first)] *= -1.0
+        padded[tuple(last)] *= -1.0
+    return padded
+
+
+def mc_slopes_np(psi: np.ndarray, axis: int) -> np.ndarray:
+    """Monotonized-central limited slopes; zero in the outermost cells."""
+    d = np.diff(psi, axis=axis)
+    dm = np.take(d, range(0, d.shape[axis] - 1), axis=axis)
+    dp = np.take(d, range(1, d.shape[axis]), axis=axis)
+    same = dm * dp > 0.0
+    lim = np.sign(dm) * np.minimum(
+        np.minimum(2.0 * np.abs(dm), 2.0 * np.abs(dp)), 0.5 * np.abs(dm + dp)
+    )
+    inner = np.where(same, lim, 0.0)
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (1, 1)
+    return np.pad(inner, pad)
+
+
+def axis_flux_np(psi2d, face_vel, ratio, eq_face, diff, dq, axis):
+    """Interior-face flux along one axis: limited upwind drift + ratio diffusion."""
+    slopes = mc_slopes_np(psi2d, axis)
+    n = psi2d.shape[axis]
+
+    def take(arr, lo, hi):
+        return np.take(arr, range(lo, hi), axis=axis)
+
+    left = take(psi2d, 0, n - 1) + 0.5 * take(slopes, 0, n - 1)
+    right = take(psi2d, 1, n) - 0.5 * take(slopes, 1, n)
+    drift = np.where(face_vel >= 0.0, face_vel * left, face_vel * right)
+    fp = -diff * eq_face * (take(ratio, 1, n) - take(ratio, 0, n - 1)) / dq
+    return drift + fp

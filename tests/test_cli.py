@@ -109,6 +109,19 @@ class TestParseConfig:
         cfg = cli.parse_config("dt = auto")
         assert cli.parse_config(cli.serialize(cfg)).step.dt is None
 
+    @pytest.mark.parametrize("key", ["nx", "ny", "lx", "ly"])
+    def test_file_initial_rejects_grid_keys(self, key):
+        with pytest.raises(cli.ConfigError,
+                           match=f"^line 2: {key} cannot be set .*snapshots"):
+            cli.parse_config(f"initial = file:/tmp/x\n{key} = 8\nalpha = 0.2\n")
+
+    def test_file_initial_round_trip_omits_grid_keys(self):
+        cfg = cli.parse_config("initial = file:/tmp/x\nalpha = 0.2\n")
+        text = cli.serialize(cfg)
+        keys = {line.split("=")[0].strip() for line in text.splitlines()}
+        assert keys.isdisjoint({"nx", "ny", "lx", "ly"})
+        assert cli.parse_config(text) == cfg
+
     @settings(max_examples=25, deadline=None)
     @given(
         mu=st.floats(1e-3, 1e3, allow_nan=False),
@@ -167,6 +180,17 @@ class TestPresets:
         with pytest.raises(cli.ConfigError, match="does not match"):
             cli.build_initial(cli.parse_config(f"initial = file:{tmp_path}/mix"))
 
+    def test_file_preset_with_grid_keys_exits_one(self, tmp_path):
+        st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
+        cli._save_state(st, str(tmp_path / "snap"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"initial = file:{tmp_path}/snap\nnx = 16\nny = 16\n"
+                       "lx = 2.0\nt_end = 0.01\n")
+        code, out, err = capture(cli.cmd_run, str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("config error: line 2: nx cannot be set")
+        assert err.count("\n") == 1
+
     def test_missing_snapshot_is_config_error(self):
         with pytest.raises(cli.ConfigError, match="cannot read snapshot"):
             cli.build_initial(cli.parse_config("initial = file:/nonexistent/x"))
@@ -213,6 +237,14 @@ class TestRunCommand:
         assert all(float(row.split(",")[ridx]) <= 1e-10 for row in lines[1:])
         final = load_snapshot(str(tmp_path / "final.T.snap"))
         assert np.all(final.xx == pytest.approx(1.1))
+
+    def test_summary_reports_floor_hits(self, tmp_path):
+        path = self.equilibrium_config(tmp_path, "initial = perturbed-equilibrium\n")
+        code, out, err = capture(cli.cmd_run, str(path))
+        assert code == 0 and err == ""
+        summary = out.strip().splitlines()[-1]
+        assert summary.startswith("completed: ")
+        assert summary.endswith(" floor_hits=0")
 
     def test_indefinite_stress_exits_two_at_start(self, tmp_path):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))

@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from oldroyd2d.grid import (
     DIRICHLET,
     NEUMANN,
@@ -16,6 +17,7 @@ from oldroyd2d.grid import (
     ScalarField2D,
     SymTensorField2D,
     VectorField2D,
+    _pad,
     cell_sum,
     grad_x,
     grad_y,
@@ -120,6 +122,43 @@ class TestWallRule:
             for comp in f.components():
                 assert np.all(grad_x(comp, f.bc, g.hx) == 0.0)
                 assert np.all(grad_y(comp, f.bc, g.hy) == 0.0)
+
+
+class TestGhostPadding:
+    """The slice-based ghost fill reproduces np.pad(mode="edge") bit for bit."""
+
+    @staticmethod
+    def layouts(nx, ny, rng):
+        a = rng.standard_normal((nx, ny))
+        # signed zeros on the edges and inside: the odd ghost of +0.0 is -0.0
+        a[0, 0], a[-1, -1], a[0, -1], a[-1, 0] = 0.0, -0.0, -0.0, 0.0
+        a[rng.uniform(size=a.shape) < 0.2] = -0.0
+        a[rng.uniform(size=a.shape) < 0.2] = 0.0
+        strided = np.empty((2 * nx, ny + 1))
+        strided[::2, 1:] = a
+        return {"C": a, "F": np.asfortranarray(a), "strided": strided[::2, 1:]}
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    def test_matches_np_pad_bitwise(self, bc, axis):
+        rng = np.random.default_rng(20260817)
+        for nx in range(4, 13):
+            for ny in range(4, 13):
+                for order, a in self.layouts(nx, ny, rng).items():
+                    got = _pad(a, bc, axis)
+                    ref = oracles.pad_np(a, bc == DIRICHLET, axis)
+                    where = f"{nx}x{ny} {order}"
+                    assert got.shape == ref.shape, where
+                    assert got.tobytes() == ref.tobytes(), where
+                    assert got.flags.c_contiguous == ref.flags.c_contiguous, where
+                    assert got.flags.f_contiguous == ref.flags.f_contiguous, where
+
+    def test_input_untouched(self):
+        a = np.arange(16.0).reshape(4, 4)
+        before = a.copy()
+        for axis in (0, 1):
+            _pad(a, DIRICHLET, axis)
+        assert np.array_equal(a, before)
 
 
 class TestGradient:
