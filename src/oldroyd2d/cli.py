@@ -147,10 +147,10 @@ _GRID_KEYS = ("nx", "ny", "lx", "ly")
 
 @dataclass(frozen=True)
 class RunConfig:
-    nx: int
-    ny: int
-    lx: float
-    ly: float
+    nx: Optional[int]  # the grid keys are None for a file: initial
+    ny: Optional[int]
+    lx: Optional[float]
+    ly: Optional[float]
     phys: PhysParams
     reg: RegParams
     step: StepConfig
@@ -272,6 +272,7 @@ def parse_config(text: str) -> RunConfig:
                     f"line {lines_by_key[key]}: {key} cannot be set with "
                     f"initial = {values['initial']}: the grid comes from "
                     "the snapshots")
+            values[key] = None
     try:
         phys = PhysParams(
             a=values["a"], gamma=values["gamma"], muS=values["muS"],
@@ -320,9 +321,9 @@ def serialize(cfg: RunConfig) -> str:
     }
     lines = []
     for key in _KEY_TABLE:
-        if key in _GRID_KEYS and cfg.initial.startswith("file:"):
-            continue
         val = values[key]
+        if val is None:
+            continue
         text = repr(val) if isinstance(val, float) else str(val)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

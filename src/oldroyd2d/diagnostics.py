@@ -274,7 +274,7 @@ def spd_monitor(T: SymTensorField2D, alpha: float = 0.0) -> SPDReport:
         det = T.xx * T.yy - T.xy**2
         inv_trace = cell_sum(grid, tr_t / det)
         if alpha != 0.0:
-            lam1, lam2, _, _ = symcalc.eig_fields(T.xx, T.xy, T.yy)
+            lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
             entropy_trace = cell_sum(
                 grid, tr_t - alpha * (np.log(lam1) + np.log(lam2))
             )
@@ -473,15 +473,15 @@ def cutoff_log_grad_bound(T: SymTensorField2D, sigma3: float) -> FieldIneq:
     fields that have lost definiteness as long as sigma3 > 0.
     """
     grid = T.grid
-    lam1, lam2, _, _ = symcalc.eig_fields(T.xx, T.xy, T.yy)
-    trlog_chi = np.log(np.maximum(lam1, sigma3)) + np.log(np.maximum(lam2, sigma3))
+    lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
+    chi1, chi2 = np.maximum(lam1, sigma3), np.maximum(lam2, sigma3)
+    trlog_chi = np.log(chi1) + np.log(chi2)
     gx = g2.grad_x(trlog_chi, T.bc, grid.hx)
     gy = g2.grad_y(trlog_chi, T.bc, grid.hy)
     lhs = 0.5 * cell_sum(grid, gx**2 + gy**2)
 
-    cxx, cxy, cyy = symcalc.apply_scalar_fields(
-        lambda lam: np.maximum(lam, sigma3), T.xx, T.xy, T.yy
-    )
+    c, s = symcalc.rotation_fields(T.xx, T.xy, T.yy, lam1, lam2)
+    cxx, cxy, cyy = symcalc.recombine_fields(chi1, chi2, c, s)
     det_c = cxx * cyy - cxy**2
     inv_xx, inv_xy, inv_yy = cyy / det_c, -cxy / det_c, cxx / det_c
     rhs = 0.0

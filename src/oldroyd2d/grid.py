@@ -314,6 +314,9 @@ def load_snapshot(path):
     if len(payload) != 8 * nx * ny * count:
         raise ValueError(f"payload has {len(payload)} bytes, "
                          f"expected 8 * {nx} * {ny} * {count}")
-    grid = Grid2D(nx, ny, lx=hx * nx, ly=hy * ny)
+    try:
+        grid = Grid2D(nx, ny, lx=hx * nx, ly=hy * ny)
+    except OverflowError:  # a cell count too large for a float side length
+        raise ValueError(f"grid size out of range in header {header[:80]!r}") from None
     comps = np.frombuffer(payload, dtype=np.float64).reshape(count, nx, ny)
     return _KIND_BY_COUNT[count](grid, *(c.copy() for c in comps), name=name)

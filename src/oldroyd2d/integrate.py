@@ -72,7 +72,11 @@ class RunResult:
 
 
 def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) -> float:
-    """Stability bound cfl * min(diffusive, advective) time step."""
+    """Stability bound cfl * min(diffusive, advective, relaxation) time step.
+
+    The relaxation bound keeps (A0 / 2 lam) * dt <= cfl <= 1, so every
+    explicit Maxwell relaxation stage is monotone.
+    """
     rho_min = float(state.rho.data.min())
     if rho_min <= RHO_FLOOR:
         raise DegenerateStateError(
@@ -97,9 +101,11 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
     speed = u_max + c_max
     dt_adv = cfg.cfl * h / speed if speed > 0.0 else math.inf
 
-    dt = min(dt_diff, dt_adv)
+    dt_relax = cfg.cfl * 2.0 * phys.lam / phys.A0
+
+    dt = min(dt_diff, dt_adv, dt_relax)
     if not math.isfinite(dt):
-        raise DegenerateStateError("no finite stability bound (all wave speeds zero)")
+        raise DegenerateStateError(f"stability bound dt = {dt} is not finite")
     return dt
 
 
@@ -166,12 +172,19 @@ def _neumann_heat_solve(arr: np.ndarray, kappa_dt: float, hx: float, hy: float) 
     return scipy.fft.idctn(spec / denom, type=2, norm="ortho")
 
 
+# names of the packed conservative components, in _pack order
+_COMPONENTS = ("rho", "rho*u_x", "rho*u_y", "eta", "T_xx", "T_xy", "T_yy")
+
+
 def _check_finite(y, t: float) -> None:
-    for comp in y:
+    for name, comp in zip(_COMPONENTS, y):
         m = np.abs(comp).max()
         if not np.isfinite(m) or m > BLOWUP_LIMIT:
+            # argmax picks the first NaN if there is one, else the largest |value|
+            idx = np.unravel_index(np.argmax(np.abs(comp)), comp.shape)
             raise BlowupError(
                 f"field magnitude {m:.3e} exceeds {BLOWUP_LIMIT:.1e} at t={t:.6g}"
+                f" in {name} at cell {tuple(int(v) for v in idx)}"
             )
 
 

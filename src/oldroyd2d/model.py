@@ -156,7 +156,7 @@ def rhs_eta(state: SimState, phys: PhysParams) -> ScalarField2D:
 
 def tr_log_field(T: SymTensorField2D, context: str = "") -> np.ndarray:
     """Pointwise tr log T; aborts naming the worst cell if T is not SPD."""
-    lam1, lam2, _, _ = symcalc.eig_fields(T.xx, T.xy, T.yy)
+    lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
     if np.any(lam2 <= 0.0) or not np.all(np.isfinite(lam2)):
         idx = np.unravel_index(np.nanargmin(lam2), lam2.shape)
         raise NotSPDError(

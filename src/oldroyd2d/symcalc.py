@@ -283,37 +283,46 @@ def trace_derivative_check(
 # ---------------------------------------------------------------------------
 # Vectorized companions operating on whole component arrays (xx, xy, yy).
 # Same formulas as the scalar path; used by the field operators so that
-# per-cell loops never appear in the solver.
+# per-cell loops never appear in the solver.  eig_fields() returns the
+# eigenvalues only: the solver's tr log T needs nothing else, so the
+# rotation (arctan2, the tie mask, cos and sin) is computed by
+# rotation_fields() only where a lifted matrix is recombined.
 #
 # The scalar path above is kept on purpose rather than written as 0-d
 # calls into these functions: eig() takes about 1.5 us per matrix, while
-# eig_fields() on 0-d arrays takes about 40 us (numpy call overhead).  The
-# matrix-inequalities verify suite makes 150,000 eig() calls, which would
-# grow from about 1 s to about 6 s.
+# the same formulas as numpy calls on 0-d arrays take about 40 us (call
+# overhead).  The matrix-inequalities verify suite makes 150,000 eig()
+# calls, which would grow from about 1 s to about 6 s.
 
 
 def eig_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
-    """Componentwise eigendecomposition: (lam1, lam2, cos, sin) arrays.
+    """Componentwise eigenvalues (lam1, lam2) with lam1 >= lam2.
 
     Mirrors eig(): the smaller-magnitude eigenvalue comes from det/lam
-    to avoid subtraction cancellation.
+    to avoid subtraction cancellation.  Each branch is one masked divide,
+    so a cell pays only for the quotient it keeps.
     """
-    mean = 0.5 * (xx + yy)
-    half_gap = 0.5 * (xx - yy)
-    radius = np.hypot(half_gap, xy)
-    det = xx * yy - xy * xy
-    big_pos = mean + radius
-    big_neg = mean - radius
-    with np.errstate(divide="ignore", invalid="ignore"):
-        from_pos = np.where(big_pos != 0.0, det / np.where(big_pos != 0.0, big_pos, 1.0), big_neg)
-        from_neg = det / np.where(big_neg != 0.0, big_neg, 1.0)
-    nonneg = mean >= 0.0
-    lam1 = np.where(nonneg, big_pos, from_neg)
-    lam2 = np.where(nonneg, from_pos, big_neg)
-    angle = 0.5 * np.arctan2(2.0 * xy, xx - yy)
-    tie = (lam1 - lam2) < _TIE_BREAK_REL * (1.0 + np.abs(lam1))
-    angle = np.where(tie, 0.0, angle)
-    return lam1, lam2, np.cos(angle), np.sin(angle)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = 0.5 * (xx + yy)
+        half_gap = 0.5 * (xx - yy)
+        radius = np.hypot(half_gap, xy)
+        det = xx * yy - xy * xy
+        big_pos = mean + radius
+        big_neg = mean - radius
+        nonneg = mean >= 0.0
+        lam1 = np.divide(det, big_neg, out=big_pos.copy(), where=~nonneg)
+        lam2 = np.divide(det, big_pos, out=big_neg, where=nonneg & (big_pos != 0.0))
+    return lam1, lam2
+
+
+def rotation_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray,
+                    lam1: np.ndarray, lam2: np.ndarray):
+    """(cos, sin) of the eigenvector angle; the identity at (near-)ties."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        angle = 0.5 * np.arctan2(2.0 * xy, xx - yy)
+        tie = (lam1 - lam2) < _TIE_BREAK_REL * (1.0 + np.abs(lam1))
+        angle = np.where(tie, 0.0, angle)
+        return np.cos(angle), np.sin(angle)
 
 
 def recombine_fields(g1: np.ndarray, g2: np.ndarray, c: np.ndarray, s: np.ndarray):
@@ -324,7 +333,8 @@ def recombine_fields(g1: np.ndarray, g2: np.ndarray, c: np.ndarray, s: np.ndarra
 
 def apply_scalar_fields(g, xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
     """Lift a numpy-vectorized scalar g over component arrays."""
-    lam1, lam2, c, s = eig_fields(xx, xy, yy)
+    lam1, lam2 = eig_fields(xx, xy, yy)
+    c, s = rotation_fields(xx, xy, yy, lam1, lam2)
     return recombine_fields(g(lam1), g(lam2), c, s)
 
 

@@ -4,7 +4,9 @@ The matrix-calculus references go through numpy.linalg / scipy rather
 than the closed-form 2x2 formulas in the package, so a bug in the
 package cannot hide in the expected values.  The ghost-padding and
 kinetic-flux references are the plain np.pad / np.take formulations the
-package's slice-based versions must reproduce bit for bit.
+package's slice-based versions must reproduce bit for bit, and
+eig_fields_np is the nested np.where eigendecomposition the package's
+masked-divide eig_fields / rotation_fields must reproduce bit for bit.
 """
 
 import numpy as np
@@ -54,6 +56,26 @@ def random_spd(rng: np.random.Generator, lo: float = 1e-3, hi: float = 1e3) -> n
 def random_sym(rng: np.random.Generator, scale: float = 3.0) -> np.ndarray:
     a, b, c = rng.uniform(-scale, scale, size=3)
     return np.array([[a, b], [b, c]])
+
+
+def eig_fields_np(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
+    """Componentwise (lam1, lam2, cos, sin), branches chosen by np.where."""
+    mean = 0.5 * (xx + yy)
+    half_gap = 0.5 * (xx - yy)
+    radius = np.hypot(half_gap, xy)
+    det = xx * yy - xy * xy
+    big_pos = mean + radius
+    big_neg = mean - radius
+    with np.errstate(divide="ignore", invalid="ignore"):
+        from_pos = np.where(big_pos != 0.0, det / np.where(big_pos != 0.0, big_pos, 1.0), big_neg)
+        from_neg = det / np.where(big_neg != 0.0, big_neg, 1.0)
+    nonneg = mean >= 0.0
+    lam1 = np.where(nonneg, big_pos, from_neg)
+    lam2 = np.where(nonneg, from_pos, big_neg)
+    angle = 0.5 * np.arctan2(2.0 * xy, xx - yy)
+    tie = (lam1 - lam2) < 1e-14 * (1.0 + np.abs(lam1))
+    angle = np.where(tie, 0.0, angle)
+    return lam1, lam2, np.cos(angle), np.sin(angle)
 
 
 def pad_np(arr: np.ndarray, odd: bool, axis: int) -> np.ndarray:

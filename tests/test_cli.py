@@ -5,11 +5,12 @@ import contextlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oldroyd2d import cli
@@ -122,6 +123,11 @@ class TestParseConfig:
         assert keys.isdisjoint({"nx", "ny", "lx", "ly"})
         assert cli.parse_config(text) == cfg
 
+    def test_file_initial_carries_no_grid(self):
+        cfg = cli.parse_config("initial = file:x")
+        assert (cfg.nx, cfg.ny, cfg.lx, cfg.ly) == (None, None, None, None)
+        assert cli.parse_config(cli.serialize(cfg)) == cfg
+
     @settings(max_examples=25, deadline=None)
     @given(
         mu=st.floats(1e-3, 1e3, allow_nan=False),
@@ -215,6 +221,76 @@ class TestPresets:
         assert code == 1 and out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(rho) in err
+
+
+# Snapshot files for the loader fuzz: raw junk, or six header tokens
+# (well-formed or not) with a payload that either matches the length the
+# header names, is a few bytes off, or is arbitrary.
+_MAX_PAYLOAD = 8 * 16 * 16 * 3 + 8
+_int_tokens = st.one_of(
+    st.integers(4, 12).map(str), st.integers(-10, 3).map(str),
+    st.sampled_from(["10" * 200, "-0", "8.0", "", "x"]))
+_float_tokens = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e308", "1e-320", "-0.125", "nan", "inf"]))
+
+
+@st.composite
+def _snapshot_files(draw):
+    fill = draw(st.sampled_from([1.0, np.nan, -np.inf]))
+    if draw(st.booleans()):
+        header = draw(st.binary(max_size=64))
+        length = draw(st.integers(0, _MAX_PAYLOAD))
+    else:
+        nx, ny, count = draw(_int_tokens), draw(_int_tokens), draw(
+            st.sampled_from(["1", "2", "3", "0", "4", "-1", "3 7"]))
+        tokens = [nx, ny, draw(_float_tokens), draw(_float_tokens),
+                  draw(st.sampled_from(["rho", "u", "T", "x" * 70])), count]
+        header = " ".join(tokens).encode("ascii")
+        try:
+            length = 8 * int(nx) * int(ny) * int(count)
+        except ValueError:
+            length = 0
+        length += draw(st.sampled_from([0, 0, -8, 8, 3]))
+        if not 0 <= length <= _MAX_PAYLOAD:
+            length = draw(st.integers(0, _MAX_PAYLOAD))
+    payload = np.full(length // 8, fill).tobytes() + b"\0" * (length % 8)
+    return header + b"\n" + payload
+
+
+class TestSnapshotFuzz:
+    """Arbitrary headers and payload lengths: a field or ValueError from the
+    loader, a state or ConfigError from the state loader, nothing else."""
+
+    @seed(20260817)
+    @settings(max_examples=300, deadline=None)
+    @given(data=_snapshot_files())
+    def test_load_snapshot_returns_field_or_value_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.snap"
+            path.write_bytes(data)
+            try:
+                field = load_snapshot(str(path))
+            except ValueError:
+                return
+        comps = field.components()
+        assert all(c.shape == (field.grid.nx, field.grid.ny) for c in comps)
+        assert 8 * comps[0].size * len(comps) == len(data.split(b"\n", 1)[1])
+
+    @seed(20260817)
+    @settings(max_examples=150, deadline=None)
+    @given(data=_snapshot_files())
+    def test_load_state_returns_state_or_config_error(self, data):
+        good = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._save_state(good, f"{tmp}/s")
+            Path(f"{tmp}/s.rho.snap").write_bytes(data)
+            try:
+                state = cli._load_state(f"{tmp}/s")
+            except cli.ConfigError:
+                return
+        assert state.rho.data.shape == (8, 8)
 
 
 class TestRunCommand:

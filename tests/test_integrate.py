@@ -13,6 +13,7 @@ from oldroyd2d.integrate import (
     DegenerateStateError,
     RunResult,
     StepConfig,
+    _check_finite,
     _neumann_heat_solve,
     auto_dt,
     run,
@@ -24,6 +25,8 @@ from oldroyd2d.model import (
     SimState,
     equilibrium_state,
 )
+from oldroyd2d import cli
+from oldroyd2d import diagnostics as dg
 from oldroyd2d import grid as g2
 
 
@@ -116,6 +119,34 @@ class TestAutoDt:
         state.rho.data[2, 2] = 0.0
         with pytest.raises(DegenerateStateError):
             auto_dt(state, phys, reg, StepConfig())
+
+    def test_relaxation_limit_governs_stiff_relaxation(self):
+        g = unit_grid(16)
+        phys = PhysParams(eps=0.01, muS=0.01, lam=1e-3, A0=2.0)
+        reg = RegParams()
+        state = equilibrium_state(g, phys, reg)
+        got = auto_dt(state, phys, reg, StepConfig(cfl=0.4))
+        assert got == 0.4 * 2.0 * 1e-3 / 2.0
+        # (A0 / 2 lam) * dt stays at cfl, so the explicit relaxation is monotone
+        assert phys.A0 / (2.0 * phys.lam) * got <= 0.4 + 1e-15
+
+    def test_stiff_relaxation_run_stays_spd(self):
+        # Without the relaxation bound auto picks dt = 7.99e-3, where
+        # (A0 / 2 lam) * dt = 4.0, and the run aborts with NotSPDError at
+        # t = 0.016: an unstable explicit step, not a loss of definiteness.
+        cfg = cli.parse_config(
+            "nx = 32\nny = 32\nmuS = 0.01\neps = 0.01\nlambda = 1e-3\n"
+            "initial = perturbed-equilibrium\nt_end = 0.05\n")
+        initial = cli.build_initial(cfg)
+        assert auto_dt(initial, cfg.phys, cfg.reg, cfg.step) == pytest.approx(8e-4, rel=1e-12)
+        rec = dg.TimeseriesRecorder(cfg.phys, cfg.reg)
+        result = run(initial, cfg.phys, cfg.reg, cfg.step, diag_hooks=(rec.hook,))
+        rows = rec.rows()
+        assert result.steps == 63
+        assert min(row["min_eig"] for row in rows) > 1.0
+        assert max(row["residual"] for row in rows) <= 1e-6
+        mass_drift, eta_drift = dg.conservation(result.final, initial)
+        assert mass_drift <= 1e-11 and eta_drift <= 1e-11
 
     def test_sigma2_enters_explicit_bound_only(self):
         g = unit_grid(16)
@@ -279,6 +310,33 @@ class TestBlowup:
         with pytest.raises(BlowupError):
             # dt far above the diffusive limit amplifies the noise at once
             step(state, phys, reg, StepConfig(dt=10.0))
+
+    def test_error_names_component_and_cell(self):
+        g = unit_grid(8)
+        phys = PhysParams(eps=1.0)
+        reg = RegParams()
+        state = equilibrium_state(g, phys, reg)
+        rng = np.random.default_rng(1)
+        state.T.xx += 1e11 * rng.random((8, 8))
+        with pytest.raises(BlowupError) as err:
+            step(state, phys, reg, StepConfig(dt=10.0))
+        # the density is checked first and is already out of range
+        assert str(err.value).startswith("field magnitude ")
+        assert str(err.value).endswith(" at t=10 in rho at cell (1, 1)")
+
+    @pytest.mark.parametrize("index, name", [
+        (0, "rho"), (1, "rho*u_x"), (2, "rho*u_y"), (3, "eta"),
+        (4, "T_xx"), (5, "T_xy"), (6, "T_yy"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0 * BLOWUP_LIMIT])
+    def test_check_finite_names_first_failing_component(self, index, name, bad):
+        y = [np.ones((6, 5)) for _ in range(7)]
+        y[index][4, 2] = bad
+        if index < 6:
+            y[index + 1][1, 1] = np.nan  # a later failure is not reported
+        with pytest.raises(BlowupError) as err:
+            _check_finite(y, 0.5)
+        assert str(err.value).endswith(f" at t=0.5 in {name} at cell (4, 2)")
 
 
 class TestImex:

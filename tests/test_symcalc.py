@@ -1,6 +1,8 @@
 """Matrix-calculus unit tests: frozen reference values plus property sweeps."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from oldroyd2d.symcalc import (
     mat_log,
     matrix_log_diff_ineq,
     min_eig_fields,
+    recombine_fields,
+    rotation_fields,
     scalar_log_ineq,
     tr_log,
     trace_derivative_check,
@@ -401,9 +405,9 @@ class TestVectorizedPath:
     @settings(max_examples=100, deadline=None)
     @given(sym_matrices)
     def test_eig_fields_matches_scalar(self, p):
-        lam1, lam2, c, s = eig_fields(
-            np.array([p.xx]), np.array([p.xy]), np.array([p.yy])
-        )
+        xx, xy, yy = np.array([p.xx]), np.array([p.xy]), np.array([p.yy])
+        lam1, lam2 = eig_fields(xx, xy, yy)
+        c, s = rotation_fields(xx, xy, yy, lam1, lam2)
         e = eig(p)
         assert lam1[0] == pytest.approx(e.lam1, abs=1e-13)
         assert lam2[0] == pytest.approx(e.lam2, abs=1e-13)
@@ -428,3 +432,73 @@ class TestVectorizedPath:
         got = min_eig_fields(xx, xy, yy)
         assert got[0] == pytest.approx(1.0, abs=1e-14)
         assert got[1] == pytest.approx(-1.0, abs=1e-14)
+
+
+# Every value below in every (xx, xy, yy) slot: the zero matrix, exact
+# ties, negative means, signed zeros, underflow, overflow, NaN and inf.
+_EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-300, 1e200, -1e200,
+                np.nan, np.inf, -np.inf)
+
+
+def _edge_components():
+    cells = np.array(list(itertools.product(_EDGE_VALUES, repeat=3)))
+    return cells[:, 0].copy(), cells[:, 1].copy(), cells[:, 2].copy()
+
+
+def _random_components(rng, shape):
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(3,) + shape)
+    xx, xy, yy = scale * rng.standard_normal((3,) + shape)
+    # a share of the cells as exact ties and diagonal matrices
+    tie = rng.random(shape) < 0.1
+    yy[tie] = xx[tie]
+    xy[tie | (rng.random(shape) < 0.1)] = 0.0
+    return xx, xy, yy
+
+
+class TestEigFieldsBitwise:
+    """The masked-divide eigenvalues and the split-off rotation reproduce
+    the nested np.where decomposition bit for bit, warning-free."""
+
+    @staticmethod
+    def _check(xx, xy, yy):
+        with np.errstate(all="ignore"):
+            ref = oracles.eig_fields_np(xx, xy, yy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lam1, lam2 = eig_fields(xx, xy, yy)
+            c, s = rotation_fields(xx, xy, yy, lam1, lam2)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        for got, want in zip((lam1, lam2, c, s), ref):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_edge_cells(self):
+        self._check(*_edge_components())
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (16, 9), (64, 64)])
+    def test_random_arrays(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        self._check(*_random_components(rng, shape))
+
+    def test_fortran_and_strided_inputs(self):
+        rng = np.random.default_rng(11)
+        xx, xy, yy = _random_components(rng, (12, 10))
+        self._check(*(np.asfortranarray(a) for a in (xx, xy, yy)))
+        self._check(*(a[::2, 1::3] for a in (xx, xy, yy)))
+
+    def test_inputs_untouched(self):
+        xx, xy, yy = _edge_components()
+        before = [a.tobytes() for a in (xx, xy, yy)]
+        lam1, lam2 = eig_fields(xx, xy, yy)
+        rotation_fields(xx, xy, yy, lam1, lam2)
+        assert [a.tobytes() for a in (xx, xy, yy)] == before
+
+    def test_apply_scalar_fields_is_eig_rotation_recombine(self):
+        rng = np.random.default_rng(5)
+        xx, xy, yy = _random_components(rng, (9, 8))
+        g = lambda lam: np.maximum(lam, 0.25)  # noqa: E731
+        with np.errstate(all="ignore"):
+            lam1, lam2, c, s = oracles.eig_fields_np(xx, xy, yy)
+            want = recombine_fields(g(lam1), g(lam2), c, s)
+        got = apply_scalar_fields(g, xx, xy, yy)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
