@@ -1,9 +1,10 @@
 """Config parsing, run orchestration, verification suites, and limit sweeps.
 
 Config files are flat ``key = value`` text, one key per physical or
-numerical symbol, with '#' comments.  Every constraint on the parameter
-dataclasses is re-checked at parse time so violations are reported with
-the line that caused them instead of a bare traceback.
+numerical symbol, with '#' comments.  Each key is a field of one
+parameter dataclass, which states its default and constraints; the
+parser reports a violation with the line that caused it instead of a
+bare traceback.
 
 Exit code contract: 0 success, 1 unusable configuration, 2 run aborted
 (blowup, vacuum, or loss of stress positivity), 3 verification suite
@@ -17,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,12 +27,14 @@ from oldroyd2d import diagnostics as dg
 from oldroyd2d import symcalc as sc
 from oldroyd2d.grid import (
     Grid2D,
+    ParamError,
     ScalarField2D,
     SymTensorField2D,
     VectorField2D,
     cell_sum,
     load_snapshot,
     mollify_initial,
+    require,
     save_snapshot,
 )
 from oldroyd2d.integrate import (
@@ -77,6 +80,38 @@ class ConfigError(ValueError):
 # Config keys.  One flat key per symbol; 'lambda' maps to PhysParams.lam.
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    nx: Optional[int]  # the grid keys are None for a file: initial
+    ny: Optional[int]
+    lx: Optional[float]
+    ly: Optional[float]
+    phys: PhysParams
+    reg: RegParams
+    step: StepConfig
+    initial: str = "equilibrium"
+    rho_bar: float = 1.0
+    eta_bar: float = 1.0
+    amp: float = 0.05
+    csv: str = ""
+    snapshot: str = ""
+    seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        require(self.initial in PRESETS
+                or (self.initial.startswith("file:") and len(self.initial) > 5),
+                f"initial = {self.initial!r} must be one of {', '.join(PRESETS)} "
+                "or file:<path prefix>", "initial")
+        require(self.rho_bar > 0.0, f"rho_bar = {self.rho_bar} violates rho_bar > 0",
+                "rho_bar")
+        require(self.eta_bar > 0.0, f"eta_bar = {self.eta_bar} violates eta_bar > 0",
+                "eta_bar")
+        require(0.0 <= self.amp < 1.0,
+                f"amp = {self.amp} violates 0 <= amp < 1 (relative perturbation "
+                "sizes at or above 1 destroy positivity of the preset data)", "amp")
+        require(self.seed >= 0, f"seed = {self.seed} violates seed >= 0", "seed")
+
+
 def _cast_float(text: str) -> float:
     try:
         val = float(text)
@@ -100,144 +135,37 @@ def _cast_dt(text: str) -> Optional[float]:
     return _cast_float(text)
 
 
-def _cast_str(text: str) -> str:
-    return text
-
-
-# (caster, default) in serialization order; defaults describe an
-# equilibrium run with the baseline regularization alpha = 0.1.
-_KEY_TABLE: dict[str, tuple[Callable, object]] = {
-    "nx": (_cast_int, 64),
-    "ny": (_cast_int, 64),
-    "lx": (_cast_float, 1.0),
-    "ly": (_cast_float, 1.0),
-    "a": (_cast_float, 1.0),
-    "gamma": (_cast_float, 2.0),
-    "muS": (_cast_float, 1.0),
-    "muB": (_cast_float, 0.0),
-    "eps": (_cast_float, 1.0),
-    "k": (_cast_float, 1.0),
-    "L": (_cast_float, 1.0),
-    "delta": (_cast_float, 0.0),
-    "lambda": (_cast_float, 1.0),
-    "A0": (_cast_float, 1.0),
-    "alpha": (_cast_float, 0.1),
-    "sigma1": (_cast_float, 0.0),
-    "Gamma": (_cast_float, 4.0),
-    "sigma2": (_cast_float, 0.0),
-    "sigma3": (_cast_float, 0.0),
-    "theta": (_cast_float, 0.1),
-    "dt": (_cast_dt, None),
-    "t_end": (_cast_float, 1.0),
-    "cfl": (_cast_float, 0.4),
-    "scheme": (_cast_str, "rk2"),
-    "diag_every": (_cast_int, 1),
-    "initial": (_cast_str, "equilibrium"),
-    "rho_bar": (_cast_float, 1.0),
-    "eta_bar": (_cast_float, 1.0),
-    "amp": (_cast_float, 0.05),
-    "csv": (_cast_str, ""),
-    "snapshot": (_cast_str, ""),
-    "seed": (_cast_int, DEFAULT_SEED),
-}
-
 # grid keys; a file: initial takes its grid from the snapshots instead
 _GRID_KEYS = ("nx", "ny", "lx", "ly")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    nx: Optional[int]  # the grid keys are None for a file: initial
-    ny: Optional[int]
-    lx: Optional[float]
-    ly: Optional[float]
-    phys: PhysParams
-    reg: RegParams
-    step: StepConfig
-    initial: str
-    rho_bar: float
-    eta_bar: float
-    amp: float
-    csv: str
-    snapshot: str
-    seed: int
-
-
-def _constraint_checks(v: dict) -> list[tuple[bool, tuple[str, ...], str]]:
-    """(violated, involved keys, message) triples covering every contract."""
-    sig3 = v["sigma3"]
-    return [
-        (v["nx"] < 4, ("nx",), f"nx = {v['nx']} violates nx >= 4"),
-        (v["ny"] < 4, ("ny",), f"ny = {v['ny']} violates ny >= 4"),
-        (v["lx"] <= 0.0, ("lx",), f"lx = {v['lx']} violates lx > 0"),
-        (v["ly"] <= 0.0, ("ly",), f"ly = {v['ly']} violates ly > 0"),
-        (v["a"] <= 0.0, ("a",),
-         f"a = {v['a']} violates a > 0 (pressure coefficient)"),
-        (v["gamma"] <= 1.0, ("gamma",),
-         f"gamma = {v['gamma']} violates gamma > 1 (adiabatic exponent)"),
-        (v["muS"] <= 0.0, ("muS",),
-         f"muS = {v['muS']} violates muS > 0 (shear viscosity)"),
-        (v["muB"] < 0.0, ("muB",),
-         f"muB = {v['muB']} violates muB >= 0 (bulk viscosity)"),
-        (v["eps"] <= 0.0, ("eps",),
-         f"eps = {v['eps']} violates eps > 0 (stress diffusion)"),
-        (v["k"] <= 0.0, ("k",), f"k = {v['k']} violates k > 0"),
-        (v["L"] < 0.0, ("L",), f"L = {v['L']} violates L >= 0"),
-        (v["delta"] < 0.0, ("delta",),
-         f"delta = {v['delta']} violates delta >= 0"),
-        (v["L"] + v["delta"] == 0.0, ("L", "delta"),
-         "L and delta cannot both vanish (the polymer pressure needs at "
-         "least one of them)"),
-        (v["lambda"] <= 0.0, ("lambda",),
-         f"lambda = {v['lambda']} violates lambda > 0 (relaxation time)"),
-        (v["A0"] <= 0.0, ("A0",), f"A0 = {v['A0']} violates A0 > 0"),
-        (v["alpha"] < 0.0, ("alpha",),
-         f"alpha = {v['alpha']} violates alpha >= 0"),
-        (v["sigma1"] < 0.0, ("sigma1",),
-         f"sigma1 = {v['sigma1']} violates sigma1 >= 0"),
-        (v["sigma2"] < 0.0, ("sigma2",),
-         f"sigma2 = {v['sigma2']} violates sigma2 >= 0"),
-        (sig3 < 0.0, ("sigma3",), f"sigma3 = {sig3} violates sigma3 >= 0"),
-        (v["theta"] <= 0.0, ("theta",),
-         f"theta = {v['theta']} violates theta > 0 (mollification radius)"),
-        (v["sigma1"] > 0.0 and v["Gamma"] < 4.0, ("Gamma", "sigma1"),
-         f"Gamma = {v['Gamma']} violates Gamma >= 4, required whenever "
-         "sigma1 > 0 (artificial pressure exponent)"),
-        (sig3 > 0.0 and not sig3 < min(v["alpha"], v["theta"]),
-         ("sigma3", "alpha", "theta"),
-         f"sigma3 = {sig3} violates sigma3 < min(alpha, theta) = "
-         f"{min(v['alpha'], v['theta'])} (the eigenvalue cutoff must sit "
-         "below the stress shift and the mollification radius)"),
-        (v["dt"] is not None and v["dt"] <= 0.0, ("dt",),
-         f"dt = {v['dt']} violates dt > 0 (or the literal 'auto')"),
-        (v["t_end"] < 0.0, ("t_end",),
-         f"t_end = {v['t_end']} violates t_end >= 0"),
-        (not 0.0 < v["cfl"] <= 1.0, ("cfl",),
-         f"cfl = {v['cfl']} violates 0 < cfl <= 1"),
-        (v["scheme"] not in ("rk2", "imex"), ("scheme",),
-         f"scheme = {v['scheme']!r} must be 'rk2' or 'imex'"),
-        (v["diag_every"] < 1, ("diag_every",),
-         f"diag_every = {v['diag_every']} violates diag_every >= 1"),
-        (v["initial"] not in PRESETS
-         and not (v["initial"].startswith("file:") and len(v["initial"]) > 5),
-         ("initial",),
-         f"initial = {v['initial']!r} must be one of {', '.join(PRESETS)} "
-         "or file:<path prefix>"),
-        (v["rho_bar"] <= 0.0, ("rho_bar",),
-         f"rho_bar = {v['rho_bar']} violates rho_bar > 0"),
-        (v["eta_bar"] <= 0.0, ("eta_bar",),
-         f"eta_bar = {v['eta_bar']} violates eta_bar > 0"),
-        (not 0.0 <= v["amp"] < 1.0, ("amp",),
-         f"amp = {v['amp']} violates 0 <= amp < 1 (relative perturbation "
-         "sizes at or above 1 destroy positivity of the preset data)"),
-        (v["seed"] < 0, ("seed",), f"seed = {v['seed']} violates seed >= 0"),
-    ]
+# config key -> (owner, field), in serialization order.  The owner states
+# the field's type, default and constraints; a key left out of the config
+# text takes the owner's default, except for _PARSER_DEFAULTS.
+_KEY_TABLE: dict[str, tuple[type, str]] = {
+    **{key: (Grid2D, key) for key in _GRID_KEYS},
+    **{key: (PhysParams, key)
+       for key in ("a", "gamma", "muS", "muB", "eps", "k", "L", "delta")},
+    "lambda": (PhysParams, "lam"),
+    "A0": (PhysParams, "A0"),
+    **{key: (RegParams, key)
+       for key in ("alpha", "sigma1", "Gamma", "sigma2", "sigma3", "theta")},
+    **{key: (StepConfig, key)
+       for key in ("dt", "t_end", "cfl", "scheme", "diag_every")},
+    **{key: (RunConfig, key) for key in ("initial", "rho_bar", "eta_bar", "amp",
+                                         "csv", "snapshot", "seed")},
+}
+# Grid2D has no default size; the baseline run is regularized with alpha = 0.1
+_PARSER_DEFAULTS = {"nx": 64, "ny": 64, "alpha": 0.1}
+# field annotation -> caster; the owners' modules postpone annotations, so
+# each annotation is its source text
+_CASTS = {"int": _cast_int, "float": _cast_float, "str": str, "Optional[float]": _cast_dt}
+_CASTER = {key: _CASTS[owner.__annotations__[name]]
+           for key, (owner, name) in _KEY_TABLE.items()}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat key = value text; unknown keys and violations are errors."""
     lines_by_key: dict[str, int] = {}
-    values = {key: default for key, (_, default) in _KEY_TABLE.items()}
+    values = dict(_PARSER_DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -253,78 +181,46 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} "
                 f"(first set on line {lines_by_key[key]})")
-        caster = _KEY_TABLE[key][0]
         try:
-            values[key] = caster(val)
+            values[key] = _CASTER[key](val)
         except ConfigError as err:
             raise ConfigError(f"line {lineno}: key {key!r} {err}") from None
         lines_by_key[key] = lineno
-    for violated, keys, message in _constraint_checks(values):
-        if not violated:
-            continue
-        hits = [lines_by_key[k] for k in keys if k in lines_by_key]
-        prefix = f"line {max(hits)}: " if hits else ""
-        raise ConfigError(prefix + message)
-    if values["initial"].startswith("file:"):
-        for key in _GRID_KEYS:
-            if key in lines_by_key:
-                raise ConfigError(
-                    f"line {lines_by_key[key]}: {key} cannot be set with "
-                    f"initial = {values['initial']}: the grid comes from "
-                    "the snapshots")
-            values[key] = None
-    try:
-        phys = PhysParams(
-            a=values["a"], gamma=values["gamma"], muS=values["muS"],
-            muB=values["muB"], eps=values["eps"], k=values["k"],
-            L=values["L"], delta=values["delta"], lam=values["lambda"],
-            A0=values["A0"],
-        )
-        reg = RegParams(
-            alpha=values["alpha"], sigma1=values["sigma1"],
-            Gamma=values["Gamma"], sigma2=values["sigma2"],
-            sigma3=values["sigma3"], theta=values["theta"],
-        )
-        step = StepConfig(
-            dt=values["dt"], t_end=values["t_end"], cfl=values["cfl"],
-            scheme=values["scheme"], diag_every=values["diag_every"],
-        )
-    except ValueError as err:
-        # the explicit checks above should have caught everything first
-        raise ConfigError(str(err)) from err
-    return RunConfig(
-        nx=values["nx"], ny=values["ny"], lx=values["lx"], ly=values["ly"],
-        phys=phys, reg=reg, step=step, initial=values["initial"],
-        rho_bar=values["rho_bar"], eta_bar=values["eta_bar"],
-        amp=values["amp"], csv=values["csv"], snapshot=values["snapshot"],
-        seed=values["seed"],
-    )
+
+    def build(owner, **extra):
+        """The owner built from its keys; a violation cites its latest line."""
+        kwargs = {name: values[key] for key, (o, name) in _KEY_TABLE.items()
+                  if o is owner and key in values}
+        try:
+            return owner(**kwargs, **extra)
+        except ParamError as err:
+            hits = [lines_by_key[k] for k in err.keys if k in lines_by_key]
+            prefix = f"line {max(hits)}: " if hits else ""
+            raise ConfigError(prefix + str(err)) from None
+
+    grid = build(Grid2D)
+    sections = {"phys": build(PhysParams), "reg": build(RegParams),
+                "step": build(StepConfig)}
+    from_file = values.get("initial", "").startswith("file:")
+    geometry = {key: None if from_file else getattr(grid, key) for key in _GRID_KEYS}
+    cfg = build(RunConfig, **geometry, **sections)
+    for key in _GRID_KEYS:
+        if from_file and key in lines_by_key:
+            raise ConfigError(
+                f"line {lines_by_key[key]}: {key} cannot be set with "
+                f"initial = {cfg.initial}: the grid comes from the snapshots")
+    return cfg
 
 
 def serialize(cfg: RunConfig) -> str:
     """Emit text whose parse compares equal to cfg (round-trip invariant)."""
-    values = {
-        "nx": cfg.nx, "ny": cfg.ny, "lx": cfg.lx, "ly": cfg.ly,
-        "a": cfg.phys.a, "gamma": cfg.phys.gamma, "muS": cfg.phys.muS,
-        "muB": cfg.phys.muB, "eps": cfg.phys.eps, "k": cfg.phys.k,
-        "L": cfg.phys.L, "delta": cfg.phys.delta, "lambda": cfg.phys.lam,
-        "A0": cfg.phys.A0,
-        "alpha": cfg.reg.alpha, "sigma1": cfg.reg.sigma1,
-        "Gamma": cfg.reg.Gamma, "sigma2": cfg.reg.sigma2,
-        "sigma3": cfg.reg.sigma3, "theta": cfg.reg.theta,
-        "dt": "auto" if cfg.step.dt is None else repr(cfg.step.dt),
-        "t_end": cfg.step.t_end, "cfl": cfg.step.cfl,
-        "scheme": cfg.step.scheme, "diag_every": cfg.step.diag_every,
-        "initial": cfg.initial, "rho_bar": cfg.rho_bar,
-        "eta_bar": cfg.eta_bar, "amp": cfg.amp,
-        "csv": cfg.csv, "snapshot": cfg.snapshot, "seed": cfg.seed,
-    }
+    sections = {PhysParams: cfg.phys, RegParams: cfg.reg, StepConfig: cfg.step}
     lines = []
-    for key in _KEY_TABLE:
-        val = values[key]
-        if val is None:
-            continue
-        text = repr(val) if isinstance(val, float) else str(val)
+    for key, (owner, name) in _KEY_TABLE.items():
+        val = getattr(sections.get(owner, cfg), name)
+        if val is None and owner is Grid2D:
+            continue  # a file: initial carries no grid
+        text = "auto" if val is None else repr(val) if isinstance(val, float) else str(val)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
@@ -751,10 +647,14 @@ def _alpha_variant(base: SimState, cfg: RunConfig, alpha: float):
     return state, cfg.phys, replace(cfg.reg, alpha=alpha)
 
 
+def _delta_scaled_eta(eta: np.ndarray, delta: float) -> np.ndarray:
+    """Initial polymer density of a delta-sweep run."""
+    return eta / (1.0 + delta ** 0.25 * np.sqrt(eta))
+
+
 def _delta_variant(base: SimState, cfg: RunConfig, delta: float):
     state = base.copy()
-    scaled = base.eta.data / (1.0 + delta ** 0.25 * np.sqrt(base.eta.data))
-    state.eta.data[...] = scaled
+    state.eta.data[...] = _delta_scaled_eta(base.eta.data, delta)
     return state, replace(cfg.phys, delta=delta), cfg.reg
 
 
@@ -790,7 +690,9 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
                 f"{cfg.reg.sigma3} (cutoff constraint sigma3 < min(alpha, "
                 "theta))")
         if knob == "alpha":
-            base = build_initial(replace(cfg, reg=replace(cfg.reg, alpha=0.0)))
+            # the base state ignores the cutoff, which alpha = 0 would violate
+            base = build_initial(
+                replace(cfg, reg=replace(cfg.reg, alpha=0.0, sigma3=0.0)))
         else:
             base = build_initial(cfg)
     except ConfigError as err:
@@ -802,8 +704,7 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
     if knob == "delta":
         eta0_mass = cell_sum(base.eta.grid, base.eta.data)
         for v in values:
-            scaled = base.eta.data / (1.0 + v ** 0.25 * np.sqrt(base.eta.data))
-            lhs = v * cell_sum(base.eta.grid, scaled ** 2)
+            lhs = v * cell_sum(base.eta.grid, _delta_scaled_eta(base.eta.data, v) ** 2)
             rhs = math.sqrt(v) * eta0_mass
             bound_rows.append((v, lhs, rhs))
 

@@ -22,8 +22,7 @@ from . import grid as g2
 from . import symcalc
 from .grid import ScalarField2D, SymTensorField2D, VectorField2D, cell_sum
 from .model import PhysParams, RegParams, SimState, tr_log_field, velocity_jacobian
-
-DIM = 2
+from .symcalc import DIM
 
 # slack granted to the discrete field inequalities, scaled by 1 + |lhs| + |rhs|
 FIELD_INEQ_SLACK = 1e-8
@@ -85,6 +84,13 @@ def _xlogx(arr: np.ndarray) -> np.ndarray:
         return np.where(arr > 0.0, arr * np.log(np.where(arr > 0.0, arr, 1.0)), 0.0)
 
 
+def _div_and_dev2(jxx, jxy, jyx, jyy):
+    """div u and the squared deviatoric strain rate |D u - (div u / 2) I|^2."""
+    div_u = jxx + jyy
+    off = 0.5 * (jxy + jyx)
+    return div_u, (jxx - 0.5 * div_u) ** 2 + (jyy - 0.5 * div_u) ** 2 + 2.0 * off**2
+
+
 def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
     """Evaluate every energy component and rate on one state snapshot.
 
@@ -130,10 +136,7 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
         entropic = np.zeros_like(grad_eta2)
     eta_diss = phys.eps * cell_sum(grid, entropic + 2.0 * phys.delta * grad_eta2)
 
-    jxx, jxy, jyx, jyy = velocity_jacobian(u)
-    div_u = jxx + jyy
-    off = 0.5 * (jxy + jyx)
-    dev2 = (jxx - 0.5 * div_u) ** 2 + (jyy - 0.5 * div_u) ** 2 + 2.0 * off**2
+    div_u, dev2 = _div_and_dev2(*velocity_jacobian(u))
     newtonian_diss = cell_sum(grid, phys.muS * dev2 + phys.muB * div_u**2)
 
     rate = phys.A0 / (4.0 * phys.lam)
@@ -501,10 +504,7 @@ def functional_ineq_checks(state: SimState, sigma3: float = 0.0) -> FieldIneqRep
     grid = state.rho.grid
     jxx, jxy, jyx, jyy = velocity_jacobian(state.u)
     grad_norm = math.sqrt(cell_sum(grid, jxx**2 + jxy**2 + jyx**2 + jyy**2))
-    div_u = jxx + jyy
-    off = 0.5 * (jxy + jyx)
-    dev2 = (jxx - 0.5 * div_u) ** 2 + (jyy - 0.5 * div_u) ** 2 + 2.0 * off**2
-    dev_norm = math.sqrt(cell_sum(grid, dev2))
+    dev_norm = math.sqrt(cell_sum(grid, _div_and_dev2(jxx, jxy, jyx, jyy)[1]))
     korn = _fitted(grad_norm, dev_norm)
 
     eta = state.eta

@@ -25,6 +25,20 @@ DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
 
+class ParamError(ValueError):
+    """A parameter violates its constraint; keys names the config keys involved."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+def require(ok: bool, message: str, *keys: str) -> None:
+    """Raise ParamError(message, *keys) unless ok."""
+    if not ok:
+        raise ParamError(message, *keys)
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform rectangle (0,lx) x (0,ly) with nx x ny cell centers."""
@@ -35,10 +49,14 @@ class Grid2D:
     ly: float = 1.0
 
     def __post_init__(self):
-        if self.nx < 4 or self.ny < 4:
-            raise ValueError("need at least 4 cells per direction")
-        if not (0.0 < self.lx < math.inf and 0.0 < self.ly < math.inf):
-            raise ValueError("domain side lengths must be positive and finite")
+        require(self.nx >= 4, f"nx = {self.nx} violates nx >= 4", "nx")
+        require(self.ny >= 4, f"ny = {self.ny} violates ny >= 4", "ny")
+        require(self.lx > 0.0, f"lx = {self.lx} violates lx > 0", "lx")
+        require(self.ly > 0.0, f"ly = {self.ly} violates ly > 0", "ly")
+        # the config parser rejects inf; a snapshot header can still carry it
+        require(self.lx < math.inf and self.ly < math.inf,
+                f"domain side lengths {self.lx} x {self.ly} must be finite",
+                "lx", "ly")
 
     @property
     def hx(self) -> float:
@@ -288,6 +306,8 @@ def mollify_initial(data, theta: float):
 
 
 _KIND_BY_COUNT = {1: ScalarField2D, 2: VectorField2D, 3: SymTensorField2D}
+# component name suffixes per component count, as in "T_xy"
+_SUFFIXES = {1: ("",), 2: ("_x", "_y"), 3: ("_xx", "_xy", "_yy")}
 
 
 def save_snapshot(f, path) -> None:
@@ -319,4 +339,9 @@ def load_snapshot(path):
     except OverflowError:  # a cell count too large for a float side length
         raise ValueError(f"grid size out of range in header {header[:80]!r}") from None
     comps = np.frombuffer(payload, dtype=np.float64).reshape(count, nx, ny)
+    for comp, suffix in zip(comps, _SUFFIXES[count]):
+        if not np.isfinite(comp).all():
+            idx = np.unravel_index(np.argmin(np.isfinite(comp)), comp.shape)
+            raise ValueError(f"non-finite {name}{suffix} at cell "
+                             f"{tuple(int(v) for v in idx)}")
     return _KIND_BY_COUNT[count](grid, *(c.copy() for c in comps), name=name)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 
 from oldroyd2d import grid as g2
-from oldroyd2d.grid import ScalarField2D, SymTensorField2D, VectorField2D
+from oldroyd2d.grid import ScalarField2D, SymTensorField2D, VectorField2D, require
 from oldroyd2d.model import (
     PhysParams,
     RegParams,
@@ -51,16 +51,14 @@ class StepConfig:
     diag_every: int = 1
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive (or None for auto)")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
-        if self.scheme not in ("rk2", "imex"):
-            raise ValueError("scheme must be 'rk2' or 'imex'")
-        if self.diag_every < 1:
-            raise ValueError("diag_every must be at least 1")
+        require(self.dt is None or self.dt > 0.0,
+                f"dt = {self.dt} violates dt > 0 (or the literal 'auto')", "dt")
+        require(self.t_end >= 0.0, f"t_end = {self.t_end} violates t_end >= 0", "t_end")
+        require(0.0 < self.cfl <= 1.0, f"cfl = {self.cfl} violates 0 < cfl <= 1", "cfl")
+        require(self.scheme in ("rk2", "imex"),
+                f"scheme = {self.scheme!r} must be 'rk2' or 'imex'", "scheme")
+        require(self.diag_every >= 1,
+                f"diag_every = {self.diag_every} violates diag_every >= 1", "diag_every")
 
 
 @dataclass

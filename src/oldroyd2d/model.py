@@ -29,6 +29,7 @@ from oldroyd2d.grid import (
     ScalarField2D,
     SymTensorField2D,
     VectorField2D,
+    require,
 )
 from oldroyd2d.symcalc import NotSPDError
 
@@ -37,39 +38,34 @@ from oldroyd2d.symcalc import NotSPDError
 class PhysParams:
     """Physical constants; lambda is spelled lam (reserved word)."""
 
-    a: float = 1.0          # pressure coefficient, > 0
-    gamma: float = 2.0      # adiabatic exponent, > 1 (and > d/2 = 1)
-    muS: float = 1.0        # shear viscosity, > 0
-    muB: float = 0.0        # bulk viscosity, >= 0
-    eps: float = 1.0        # center-of-mass / stress diffusion, > 0
-    k: float = 1.0          # Boltzmann-temperature product, > 0
-    L: float = 1.0          # bead-number parameter, >= 0
-    delta: float = 0.0      # interaction coefficient, >= 0, delta + L != 0
-    lam: float = 1.0        # relaxation (Deborah) parameter, > 0
-    A0: float = 1.0         # Rouse eigenvalue, > 0
+    a: float = 1.0          # pressure coefficient
+    gamma: float = 2.0      # adiabatic exponent (> d/2 = 1)
+    muS: float = 1.0        # shear viscosity
+    muB: float = 0.0        # bulk viscosity
+    eps: float = 1.0        # center-of-mass / stress diffusion
+    k: float = 1.0          # Boltzmann-temperature product
+    L: float = 1.0          # bead-number parameter
+    delta: float = 0.0      # interaction coefficient
+    lam: float = 1.0        # relaxation (Deborah) parameter
+    A0: float = 1.0         # Rouse eigenvalue
     f: Optional[VectorField2D] = None  # static body force; None means zero
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("pressure coefficient a must satisfy a > 0")
-        if self.gamma <= 1.0:
-            raise ValueError("adiabatic exponent must satisfy gamma > 1")
-        if self.muS <= 0.0:
-            raise ValueError("shear viscosity must satisfy muS > 0")
-        if self.muB < 0.0:
-            raise ValueError("bulk viscosity must satisfy muB >= 0")
-        if self.eps <= 0.0:
-            raise ValueError("diffusion coefficient must satisfy eps > 0")
-        if self.k <= 0.0:
-            raise ValueError("k must satisfy k > 0")
-        if self.L < 0.0 or self.delta < 0.0:
-            raise ValueError("L and delta must be nonnegative")
-        if self.L + self.delta == 0.0:
-            raise ValueError("delta + L must be nonzero")
-        if self.lam <= 0.0:
-            raise ValueError("lambda must satisfy lambda > 0")
-        if self.A0 <= 0.0:
-            raise ValueError("A0 must satisfy A0 > 0")
+        require(self.a > 0.0, f"a = {self.a} violates a > 0 (pressure coefficient)", "a")
+        require(self.gamma > 1.0,
+                f"gamma = {self.gamma} violates gamma > 1 (adiabatic exponent)", "gamma")
+        require(self.muS > 0.0, f"muS = {self.muS} violates muS > 0 (shear viscosity)", "muS")
+        require(self.muB >= 0.0, f"muB = {self.muB} violates muB >= 0 (bulk viscosity)", "muB")
+        require(self.eps > 0.0, f"eps = {self.eps} violates eps > 0 (stress diffusion)", "eps")
+        require(self.k > 0.0, f"k = {self.k} violates k > 0", "k")
+        require(self.L >= 0.0, f"L = {self.L} violates L >= 0", "L")
+        require(self.delta >= 0.0, f"delta = {self.delta} violates delta >= 0", "delta")
+        require(self.L + self.delta != 0.0,
+                "L and delta cannot both vanish (the polymer pressure needs at "
+                "least one of them)", "L", "delta")
+        require(self.lam > 0.0,
+                f"lambda = {self.lam} violates lambda > 0 (relaxation time)", "lambda")
+        require(self.A0 > 0.0, f"A0 = {self.A0} violates A0 > 0", "A0")
 
 
 @dataclass(frozen=True)
@@ -82,14 +78,19 @@ class RegParams:
     theta: float = 0.1
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.sigma1 < 0.0 or self.sigma2 < 0.0 or self.sigma3 < 0.0:
-            raise ValueError("regularization knobs must be nonnegative")
-        if self.theta <= 0.0:
-            raise ValueError("mollification radius theta must satisfy theta > 0")
-        if self.sigma1 > 0.0 and self.Gamma < 4.0:
-            raise ValueError("artificial pressure needs Gamma >= 4 when sigma1 > 0")
-        if self.sigma3 > 0.0 and not self.sigma3 < min(self.alpha, self.theta):
-            raise ValueError("stress cutoff needs sigma3 < min(alpha, theta)")
+        for key in ("alpha", "sigma1", "sigma2", "sigma3"):
+            val = getattr(self, key)
+            require(val >= 0.0, f"{key} = {val} violates {key} >= 0", key)
+        require(self.theta > 0.0,
+                f"theta = {self.theta} violates theta > 0 (mollification radius)", "theta")
+        require(self.sigma1 <= 0.0 or self.Gamma >= 4.0,
+                f"Gamma = {self.Gamma} violates Gamma >= 4, required whenever "
+                "sigma1 > 0 (artificial pressure exponent)", "Gamma", "sigma1")
+        cap = min(self.alpha, self.theta)
+        require(self.sigma3 <= 0.0 or self.sigma3 < cap,
+                f"sigma3 = {self.sigma3} violates sigma3 < min(alpha, theta) = "
+                f"{cap} (the eigenvalue cutoff must sit below the stress shift "
+                "and the mollification radius)", "sigma3", "alpha", "theta")
 
 
 @dataclass
@@ -111,6 +112,14 @@ def pressure(rho: ScalarField2D, phys: PhysParams, reg: RegParams) -> ScalarFiel
     if reg.sigma1 != 0.0:
         p = p + reg.sigma1 * base**reg.Gamma
     return ScalarField2D(rho.grid, p, name="pressure")
+
+
+def polymer_pressure(eta: np.ndarray, phys: PhysParams) -> np.ndarray:
+    """k L eta + delta eta^2; the delta term is skipped, not multiplied by 0."""
+    out = phys.k * phys.L * eta
+    if phys.delta != 0.0:
+        out = out + phys.delta * eta**2
+    return out
 
 
 def velocity_jacobian(u: VectorField2D):
@@ -155,13 +164,21 @@ def rhs_eta(state: SimState, phys: PhysParams) -> ScalarField2D:
 
 
 def tr_log_field(T: SymTensorField2D, context: str = "") -> np.ndarray:
-    """Pointwise tr log T; aborts naming the worst cell if T is not SPD."""
+    """Pointwise tr log T; aborts naming the first non-finite cell, else the
+    worst cell, if T is not SPD."""
     lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
     if np.any(lam2 <= 0.0) or not np.all(np.isfinite(lam2)):
-        idx = np.unravel_index(np.nanargmin(lam2), lam2.shape)
+        where = f" in {context}" if context else ""
+        finite = np.isfinite(lam2)
+        if not finite.all():
+            idx = np.unravel_index(np.argmin(finite), lam2.shape)
+            raise NotSPDError(
+                f"stress is not finite at cell {tuple(int(v) for v in idx)}"
+                f" (eigenvalue {lam2[idx]:.3e}){where}")
+        idx = np.unravel_index(np.argmin(lam2), lam2.shape)
         raise NotSPDError(
             f"stress lost positive definiteness at cell {tuple(int(v) for v in idx)}"
-            f" (min eigenvalue {lam2[idx]:.3e}){' in ' + context if context else ''}"
+            f" (min eigenvalue {lam2[idx]:.3e}){where}"
         )
     return np.log(lam1) + np.log(lam2)
 
@@ -181,9 +198,7 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
     out_x -= g2.grad_x(p.data, p.bc, g.hx)
     out_y -= g2.grad_y(p.data, p.bc, g.hy)
 
-    solvent = phys.k * phys.L * eta.data
-    if phys.delta != 0.0:
-        solvent = solvent + phys.delta * eta.data**2
+    solvent = polymer_pressure(eta.data, phys)
     out_x -= g2.grad_x(solvent, eta.bc, g.hx)
     out_y -= g2.grad_y(solvent, eta.bc, g.hy)
 
@@ -255,9 +270,7 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
 
 def kramers_tensor(state: SimState, phys: PhysParams) -> SymTensorField2D:
     """Elastic extra stress K = T - (k L eta + delta eta^2) I."""
-    solvent = phys.k * phys.L * state.eta.data
-    if phys.delta != 0.0:
-        solvent = solvent + phys.delta * state.eta.data**2
+    solvent = polymer_pressure(state.eta.data, phys)
     return SymTensorField2D(
         state.T.grid,
         state.T.xx - solvent,

@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oldroyd2d import cli
-from oldroyd2d.grid import cell_sum, load_snapshot
+from oldroyd2d.grid import Grid2D, ParamError, cell_sum, load_snapshot
+from oldroyd2d.integrate import StepConfig
+from oldroyd2d.model import PhysParams, RegParams
 from oldroyd2d.symcalc import IneqResult
 
 
@@ -140,6 +143,119 @@ class TestParseConfig:
         assert cli.parse_config(cli.serialize(cfg)) == cfg
 
 
+# One violating config per rule, 27 owned by the parameter dataclasses and
+# 5 by RunConfig, each after a comment line; each message is pinned byte for
+# byte, line prefix included.
+_RULE_CASES = [
+    ("nx", "nx = 3", "line 2: nx = 3 violates nx >= 4"),
+    ("ny", "ny = 2", "line 2: ny = 2 violates ny >= 4"),
+    ("lx", "lx = 0", "line 2: lx = 0.0 violates lx > 0"),
+    ("ly", "ly = -1.5", "line 2: ly = -1.5 violates ly > 0"),
+    ("a", "a = 0", "line 2: a = 0.0 violates a > 0 (pressure coefficient)"),
+    ("gamma", "gamma = 1",
+     "line 2: gamma = 1.0 violates gamma > 1 (adiabatic exponent)"),
+    ("muS", "muS = -1", "line 2: muS = -1.0 violates muS > 0 (shear viscosity)"),
+    ("muB", "muB = -0.5",
+     "line 2: muB = -0.5 violates muB >= 0 (bulk viscosity)"),
+    ("eps", "eps = 0", "line 2: eps = 0.0 violates eps > 0 (stress diffusion)"),
+    ("k", "k = 0", "line 2: k = 0.0 violates k > 0"),
+    ("L", "L = -1", "line 2: L = -1.0 violates L >= 0"),
+    ("delta", "delta = -0.25", "line 2: delta = -0.25 violates delta >= 0"),
+    ("L+delta", "L = 0\ndelta = 0",
+     "line 3: L and delta cannot both vanish (the polymer pressure needs at "
+     "least one of them)"),
+    ("lambda", "lambda = 0",
+     "line 2: lambda = 0.0 violates lambda > 0 (relaxation time)"),
+    ("A0", "A0 = -2", "line 2: A0 = -2.0 violates A0 > 0"),
+    ("alpha", "alpha = -0.1", "line 2: alpha = -0.1 violates alpha >= 0"),
+    ("sigma1", "sigma1 = -1", "line 2: sigma1 = -1.0 violates sigma1 >= 0"),
+    ("sigma2", "sigma2 = -0.5", "line 2: sigma2 = -0.5 violates sigma2 >= 0"),
+    ("sigma3", "sigma3 = -0.01", "line 2: sigma3 = -0.01 violates sigma3 >= 0"),
+    ("theta", "theta = 0",
+     "line 2: theta = 0.0 violates theta > 0 (mollification radius)"),
+    ("Gamma", "sigma1 = 0.5\nGamma = 3.5",
+     "line 3: Gamma = 3.5 violates Gamma >= 4, required whenever sigma1 > 0 "
+     "(artificial pressure exponent)"),
+    ("sigma3-cap", "sigma3 = 0.2\nalpha = 0.1",
+     "line 3: sigma3 = 0.2 violates sigma3 < min(alpha, theta) = 0.1 (the "
+     "eigenvalue cutoff must sit below the stress shift and the "
+     "mollification radius)"),
+    ("dt", "dt = 0", "line 2: dt = 0.0 violates dt > 0 (or the literal 'auto')"),
+    ("t_end", "t_end = -1", "line 2: t_end = -1.0 violates t_end >= 0"),
+    ("cfl", "cfl = 1.5", "line 2: cfl = 1.5 violates 0 < cfl <= 1"),
+    ("scheme", "scheme = euler",
+     "line 2: scheme = 'euler' must be 'rk2' or 'imex'"),
+    ("diag_every", "diag_every = 0",
+     "line 2: diag_every = 0 violates diag_every >= 1"),
+    ("initial", "initial = vortex",
+     "line 2: initial = 'vortex' must be one of equilibrium, "
+     "perturbed-equilibrium, shear-layer or file:<path prefix>"),
+    ("rho_bar", "rho_bar = 0", "line 2: rho_bar = 0.0 violates rho_bar > 0"),
+    ("eta_bar", "eta_bar = -1", "line 2: eta_bar = -1.0 violates eta_bar > 0"),
+    ("amp", "amp = 1",
+     "line 2: amp = 1.0 violates 0 <= amp < 1 (relative perturbation sizes "
+     "at or above 1 destroy positivity of the preset data)"),
+    ("seed", "seed = -3", "line 2: seed = -3 violates seed >= 0"),
+]
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("body, message", [c[1:] for c in _RULE_CASES],
+                             ids=[c[0] for c in _RULE_CASES])
+    def test_each_rule_reports_its_message_and_line(self, body, message):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config("# a leading comment\n" + body)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, line", [
+        ("sigma1 = 0.5\nmuS = 2\nGamma = 3.5", 3),
+        ("Gamma = 3.5\nmuS = 2\nsigma1 = 0.5", 3),
+        ("delta = 0\n\n# gap\nL = 0", 4),
+        ("sigma3 = 0.05\ntheta = 0.03\nmuS = 2\nalpha = 0.5", 4),
+        ("muS = 2\nsigma3 = 0.2", 2),  # alpha and theta left at defaults
+        ("L = 0\nmuS = 2", 1),         # delta left at its default
+    ])
+    def test_multi_key_rule_cites_latest_line_set(self, text, line):
+        with pytest.raises(cli.ConfigError, match=f"^line {line}: "):
+            cli.parse_config(text)
+
+    @pytest.mark.parametrize("build, keys", [
+        (lambda: Grid2D(3, 8), ("nx",)),
+        (lambda: Grid2D(8, 8, 1.0, 0.0), ("ly",)),
+        (lambda: Grid2D(8, 8, math.inf, 1.0), ("lx", "ly")),
+        (lambda: PhysParams(gamma=1.0), ("gamma",)),
+        (lambda: PhysParams(lam=0.0), ("lambda",)),
+        (lambda: PhysParams(L=0.0, delta=0.0), ("L", "delta")),
+        (lambda: RegParams(sigma2=-1.0), ("sigma2",)),
+        (lambda: RegParams(sigma1=1.0, Gamma=2.0), ("Gamma", "sigma1")),
+        (lambda: RegParams(sigma3=0.2, alpha=0.5), ("sigma3", "alpha", "theta")),
+        (lambda: StepConfig(scheme="rk4"), ("scheme",)),
+        (lambda: cli.RunConfig(64, 64, 1.0, 1.0, PhysParams(), RegParams(),
+                               StepConfig(), amp=2.0), ("amp",)),
+    ])
+    def test_dataclass_error_carries_config_keys(self, build, keys):
+        with pytest.raises(ParamError) as err:
+            build()
+        assert isinstance(err.value, ValueError)
+        assert err.value.keys == keys
+        assert set(keys) <= set(cli._KEY_TABLE)
+
+    def test_readme_key_table_matches_parser(self):
+        # the README's config key table lists every key with the default the
+        # parser applies ("none" for an empty string)
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        table = text.split("| key | default | meaning |\n| --- | --- | --- |\n")[1]
+        documented = {}
+        for row in table.split("\n\n")[0].splitlines():
+            keys, default, _ = (c.strip() for c in row.strip("|").split("|"))
+            for key in keys.split(","):
+                default = default.strip("`")
+                documented[key.strip().strip("`")] = "" if default == "none" else default
+        parsed = cli.serialize(cli.parse_config(""))
+        assert documented == dict(line.split(" = ", 1) for line in parsed.splitlines())
+
+
 class TestPresets:
     def test_equilibrium_is_exact_and_unmollified(self):
         cfg = cli.parse_config("nx = 8\nny = 8\nalpha = 0.1\neta_bar = 2.0")
@@ -201,7 +317,8 @@ class TestPresets:
         with pytest.raises(cli.ConfigError, match="cannot read snapshot"):
             cli.build_initial(cli.parse_config("initial = file:/nonexistent/x"))
 
-    @pytest.mark.parametrize("fault", ["header", "count", "payload", "kind"])
+    @pytest.mark.parametrize("fault", ["header", "count", "payload", "kind",
+                                       "nonfinite"])
     def test_malformed_snapshot_is_config_error(self, tmp_path, fault):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
         cli._save_state(st, str(tmp_path / "bad"))
@@ -213,6 +330,10 @@ class TestPresets:
             rho.write_bytes(header[:-1] + b"4\n" + payload * 4)
         elif fault == "payload":
             rho.write_bytes(header + b"\n" + payload[:-8])
+        elif fault == "nonfinite":
+            data = np.frombuffer(payload, dtype=np.float64).copy()
+            data[3 * 8 + 5] = np.nan
+            rho.write_bytes(header + b"\n" + data.tobytes())
         else:
             rho.write_bytes((tmp_path / "bad.u.snap").read_bytes())
         cfg = tmp_path / "run.cfg"
@@ -221,6 +342,8 @@ class TestPresets:
         assert code == 1 and out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(rho) in err
+        if fault == "nonfinite":
+            assert err.endswith(": non-finite rho at cell (3, 5)\n")
 
 
 # Snapshot files for the loader fuzz: raw junk, or six header tokens
@@ -453,6 +576,14 @@ class TestSweepCommand:
         code, _, err = capture(
             cli.cmd_sweep, self.write(tmp_path, text), "alpha", "0.1,0.02")
         assert code == 1 and "sigma3" in err
+
+    def test_alpha_sweep_runs_with_active_cutoff(self, tmp_path):
+        # the alpha = 0 base state must not trip the sigma3 < alpha rule
+        text = SWEEP_BASE.replace("t_end = 0.1", "t_end = 0.01") + "sigma3 = 0.01\n"
+        code, out, err = capture(
+            cli.cmd_sweep, self.write(tmp_path, text), "alpha", "0.1,0.05")
+        assert code == 0 and err == ""
+        assert out.count("\nrun alpha=") == 2
 
     def test_failures_carry_knob_value(self, tmp_path):
         bad = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))

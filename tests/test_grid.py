@@ -467,6 +467,17 @@ class TestSnapshot:
             with open(p1, "rb") as fa, open(p2, "rb") as fb:
                 assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_component_and_cell(self, tmp_path, bad):
+        g = unit_grid(8)
+        zero = np.zeros((8, 8))
+        t = SymTensorField2D(g, zero + 1.0, zero.copy(), zero + 1.0, name="T")
+        t.xy[3, 5] = bad
+        t.yy[6, 1] = bad  # a later component is not reported first
+        save_snapshot(t, tmp_path / "t.snap")
+        with pytest.raises(ValueError, match=r"^non-finite T_xy at cell \(3, 5\)$"):
+            load_snapshot(tmp_path / "t.snap")
+
     def test_scalar_and_vector_kinds(self, tmp_path):
         g = unit_grid(4)
         rng = np.random.default_rng(0)

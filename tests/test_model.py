@@ -25,6 +25,7 @@ from oldroyd2d.model import (
     rhs_eta,
     rhs_momentum,
     rhs_stress,
+    tr_log_field,
 )
 from oldroyd2d.symcalc import NotSPDError
 
@@ -310,6 +311,31 @@ class TestMomentum:
         with pytest.raises(NotSPDError) as err:
             rhs_momentum(state, PhysParams(), RegParams(alpha=0.1))
         assert "(3, 5)" in str(err.value)
+
+    def test_non_finite_cell_named_before_indefinite_one(self):
+        # T = 2 I with one NaN: the NaN cell is named, not a healthy one
+        g = unit_grid(4)
+        xx = np.full((4, 4), 2.0)
+        xx[1, 2] = np.nan
+        T = SymTensorField2D(g, xx, np.zeros((4, 4)), np.full((4, 4), 2.0))
+        with pytest.raises(NotSPDError, match=r"^stress is not finite at cell \(1, 2\) "
+                           r"\(eigenvalue nan\) in probe$"):
+            tr_log_field(T, context="probe")
+        # an indefinite cell earlier in the array does not take precedence
+        xx[0, 0] = -1.0
+        with pytest.raises(NotSPDError, match=r"not finite at cell \(1, 2\)"):
+            tr_log_field(T)
+        xx[1, 2] = 2.0
+        with pytest.raises(NotSPDError, match=r"^stress lost positive definiteness at "
+                           r"cell \(0, 0\) \(min eigenvalue -1.000e\+00\)$"):
+            tr_log_field(T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_all_non_finite_stress_is_not_spd_error(self, bad):
+        g = unit_grid(4)
+        full = np.full((4, 4), bad)
+        with pytest.raises(NotSPDError, match=r"not finite at cell \(0, 0\)"):
+            tr_log_field(SymTensorField2D(g, full, np.zeros((4, 4)), full))
 
     def test_alpha_zero_tolerates_indefinite_stress(self):
         g = unit_grid(8)
