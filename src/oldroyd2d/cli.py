@@ -7,8 +7,8 @@ parser reports a violation with the line that caused it instead of a
 bare traceback.
 
 Exit code contract: 0 success, 1 unusable configuration, 2 run aborted
-(blowup, vacuum, or loss of stress positivity), 3 verification suite
-found a counterexample.
+(blowup, vacuum, loss of stress positivity, or a summary quantity that is
+not finite), 3 verification suite found a counterexample.
 """
 
 from __future__ import annotations
@@ -348,12 +348,21 @@ def cmd_run(config_path) -> int:
     if cfg.snapshot:
         _save_state(result.final, cfg.snapshot)
     mass_drift, eta_drift = dg.conservation(result.final, initial)
+    summary = {
+        # np.max, unlike max, lets a NaN in any row through
+        "residual_max": float(np.max([row["residual"] for row in rows])),
+        "min_eig_final": rows[-1]["min_eig"],
+        "mass_drift": mass_drift,
+        "eta_drift": eta_drift,
+    }
+    for name, value in summary.items():
+        if not math.isfinite(value):
+            print(f"run aborted: {name} is not finite", file=sys.stderr)
+            return EXIT_RUNTIME
     print("completed: steps={} t_final={:.17g} residual_max={:.6e} "
           "min_eig_final={:.6e} mass_drift={:.3e} eta_drift={:.3e} "
-          "floor_hits={}".format(
-              result.steps, result.final.t,
-              max(row["residual"] for row in rows),
-              rows[-1]["min_eig"], mass_drift, eta_drift, result.floor_hits))
+          "floor_hits={}".format(result.steps, result.final.t, *summary.values(),
+                                 result.floor_hits))
     return EXIT_OK
 
 

@@ -12,10 +12,12 @@ component arrays; nothing here mutates its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+import scipy.fft
 
 # The two ghost rules: DIRICHLET is the odd reflection of velocity,
 # NEUMANN the mirror of every other field.  The odd reflection makes every
@@ -57,6 +59,13 @@ class Grid2D:
         require(self.lx < math.inf and self.ly < math.inf,
                 f"domain side lengths {self.lx} x {self.ly} must be finite",
                 "lx", "ly")
+        # cell_sum scales by hx * hy and lap divides by hx * hx and hy * hy
+        require(math.isfinite(self.lx * self.ly),
+                f"domain area lx * ly = {self.lx} * {self.ly} overflows", "lx", "ly")
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        require(tiny <= self.hx * self.hx <= huge and tiny <= self.hy * self.hy <= huge,
+                f"cell spacings lx / nx = {self.hx:.3e} and ly / ny = {self.hy:.3e} "
+                "must have squares that are normal floats", "nx", "ny", "lx", "ly")
 
     @property
     def hx(self) -> float:
@@ -254,19 +263,30 @@ def _bump_kernel(grid: Grid2D, theta: float) -> np.ndarray:
     return w / total
 
 
-def _convolve_component(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Kernel sweep with edge-replicated padding (constants preserved)."""
-    rx = kernel.shape[0] // 2
-    ry = kernel.shape[1] // 2
-    padded = np.pad(arr, ((rx, rx), (ry, ry)), mode="edge")
-    out = np.zeros_like(arr)
+def _fft_shape(nx: int, ny: int, rx: int, ry: int):
+    """Transform sizes no shorter than the padded array.
+
+    The linear convolution of the padded array with the kernel is
+    nonzero on [0, nx + 4 rx); a circular one of length L >= nx + 2 rx
+    folds only indices >= L back, and those land below 2 rx, outside the
+    valid window [2 rx, 2 rx + nx).
+    """
+    return (scipy.fft.next_fast_len(nx + 2 * rx, real=True),
+            scipy.fft.next_fast_len(ny + 2 * ry, real=True))
+
+
+def _convolve_component(arr: np.ndarray, kernel_hat: np.ndarray, rx: int, ry: int) -> np.ndarray:
+    """Kernel correlation with edge-replicated padding (constants preserved).
+
+    kernel_hat is the real FFT of the flipped (2 rx + 1) x (2 ry + 1)
+    kernel at _fft_shape(nx, ny, rx, ry); one convolution with it is the
+    correlation with the kernel.
+    """
     nx, ny = arr.shape
-    for a in range(kernel.shape[0]):
-        for b in range(kernel.shape[1]):
-            w = kernel[a, b]
-            if w != 0.0:
-                out += w * padded[a : a + nx, b : b + ny]
-    return out
+    shape = _fft_shape(nx, ny, rx, ry)
+    padded = np.pad(arr, ((rx, rx), (ry, ry)), mode="edge")
+    full = scipy.fft.irfft2(scipy.fft.rfft2(padded, shape) * kernel_hat, shape)
+    return full[2 * rx : 2 * rx + nx, 2 * ry : 2 * ry + ny].copy()
 
 
 def mollify_initial(data, theta: float):
@@ -279,23 +299,26 @@ def mollify_initial(data, theta: float):
     """
     if theta <= 0.0:
         raise ValueError("mollifier radius must be positive")
-    kernel = _bump_kernel(data.grid, theta)
+    grid = data.grid
+    kernel = _bump_kernel(grid, theta)
+    rx, ry = kernel.shape[0] // 2, kernel.shape[1] // 2
+    # one kernel spectrum for all components of the field
+    kernel_hat = scipy.fft.rfft2(kernel[::-1, ::-1], _fft_shape(grid.nx, grid.ny, rx, ry))
+
+    def smooth(arr):
+        return _convolve_component(arr, kernel_hat, rx, ry)
+
     if isinstance(data, ScalarField2D):
-        out = _convolve_component(data.data, kernel) + theta
-        return ScalarField2D(data.grid, out, data.name)
+        out = smooth(data.data) + theta
+        return ScalarField2D(grid, out, data.name)
     if isinstance(data, VectorField2D):
-        return VectorField2D(
-            data.grid,
-            _convolve_component(data.x, kernel),
-            _convolve_component(data.y, kernel),
-            data.name,
-        )
+        return VectorField2D(grid, smooth(data.x), smooth(data.y), data.name)
     if isinstance(data, SymTensorField2D):
         return SymTensorField2D(
-            data.grid,
-            _convolve_component(data.xx, kernel) + theta,
-            _convolve_component(data.xy, kernel),
-            _convolve_component(data.yy, kernel) + theta,
+            grid,
+            smooth(data.xx) + theta,
+            smooth(data.xy),
+            smooth(data.yy) + theta,
             data.name,
         )
     raise TypeError(f"unsupported field type {type(data).__name__}")

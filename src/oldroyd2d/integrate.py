@@ -160,14 +160,22 @@ def _diffusion_only(state: SimState, phys: PhysParams, reg: RegParams):
     return [drho, zero, zero, deta, dts[0], dts[1], dts[2]]
 
 
-def _neumann_heat_solve(arr: np.ndarray, kappa_dt: float, hx: float, hy: float) -> np.ndarray:
-    """Solve (I - kappa_dt * lap_neumann) x = arr via DCT-II diagonalization."""
-    nx, ny = arr.shape
-    lam_x = (2.0 * np.cos(np.pi * np.arange(nx) / nx) - 2.0) / (hx * hx)
-    lam_y = (2.0 * np.cos(np.pi * np.arange(ny) / ny) - 2.0) / (hy * hy)
-    denom = 1.0 - kappa_dt * (lam_x[:, None] + lam_y[None, :])
+def _neumann_symbol(grid: g2.Grid2D) -> np.ndarray:
+    """Eigenvalues of the mirror-ghost Neumann laplacian on the DCT-II modes."""
+    lam_x = (2.0 * np.cos(np.pi * np.arange(grid.nx) / grid.nx) - 2.0) / (grid.hx * grid.hx)
+    lam_y = (2.0 * np.cos(np.pi * np.arange(grid.ny) / grid.ny) - 2.0) / (grid.hy * grid.hy)
+    return lam_x[:, None] + lam_y[None, :]
+
+
+def _neumann_heat_solve(arr: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Solve (I - kappa_dt * lap_neumann) x = arr via DCT-II diagonalization.
+
+    denom is 1 - kappa_dt * _neumann_symbol(grid), shared by every
+    component diffused at the same kappa_dt.
+    """
     spec = scipy.fft.dctn(arr, type=2, norm="ortho")
-    return scipy.fft.idctn(spec / denom, type=2, norm="ortho")
+    spec /= denom
+    return scipy.fft.idctn(spec, type=2, norm="ortho", overwrite_x=True)
 
 
 # names of the packed conservative components, in _pack order
@@ -212,12 +220,12 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
         f1 = f_expl(s1)
         y2 = [0.5 * (a + b + dt * c) for a, b, c in zip(y0, y1, f1)]
         # ... then one implicit Euler solve per diffused component
-        g = state.rho.grid
+        symbol = _neumann_symbol(state.rho.grid)
         if reg.sigma2 != 0.0:
-            y2[0] = _neumann_heat_solve(y2[0], reg.sigma2 * dt, g.hx, g.hy)
-        y2[3] = _neumann_heat_solve(y2[3], phys.eps * dt, g.hx, g.hy)
-        for i in (4, 5, 6):
-            y2[i] = _neumann_heat_solve(y2[i], phys.eps * dt, g.hx, g.hy)
+            y2[0] = _neumann_heat_solve(y2[0], 1.0 - reg.sigma2 * dt * symbol)
+        eps_denom = 1.0 - phys.eps * dt * symbol
+        for i in (3, 4, 5, 6):
+            y2[i] = _neumann_heat_solve(y2[i], eps_denom)
 
     _check_finite(y2, state.t + dt)
     return _unpack(y2, state, state.t + dt, floor_counter)

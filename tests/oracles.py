@@ -7,9 +7,13 @@ kinetic-flux references are the plain np.pad / np.take formulations the
 package's slice-based versions must reproduce bit for bit, and
 eig_fields_np is the nested np.where eigendecomposition the package's
 masked-divide eig_fields / rotation_fields must reproduce bit for bit.
+convolve_direct is the tap-by-tap kernel sum the package's FFT mollifier
+must match to rounding, and neumann_heat_solve_np the per-call DCT heat
+solve its shared-denominator version must reproduce bit for bit.
 """
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 
@@ -120,3 +124,28 @@ def axis_flux_np(psi2d, face_vel, ratio, eq_face, diff, dq, axis):
     drift = np.where(face_vel >= 0.0, face_vel * left, face_vel * right)
     fp = -diff * eq_face * (take(ratio, 1, n) - take(ratio, 0, n - 1)) / dq
     return drift + fp
+
+
+def convolve_direct(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Kernel sweep with edge-replicated padding (constants preserved)."""
+    rx = kernel.shape[0] // 2
+    ry = kernel.shape[1] // 2
+    padded = np.pad(arr, ((rx, rx), (ry, ry)), mode="edge")
+    out = np.zeros_like(arr)
+    nx, ny = arr.shape
+    for a in range(kernel.shape[0]):
+        for b in range(kernel.shape[1]):
+            w = kernel[a, b]
+            if w != 0.0:
+                out += w * padded[a : a + nx, b : b + ny]
+    return out
+
+
+def neumann_heat_solve_np(arr: np.ndarray, kappa_dt: float, hx: float, hy: float) -> np.ndarray:
+    """Solve (I - kappa_dt * lap_neumann) x = arr via DCT-II diagonalization."""
+    nx, ny = arr.shape
+    lam_x = (2.0 * np.cos(np.pi * np.arange(nx) / nx) - 2.0) / (hx * hx)
+    lam_y = (2.0 * np.cos(np.pi * np.arange(ny) / ny) - 2.0) / (hy * hy)
+    denom = 1.0 - kappa_dt * (lam_x[:, None] + lam_y[None, :])
+    spec = scipy.fft.dctn(arr, type=2, norm="ortho")
+    return scipy.fft.idctn(spec / denom, type=2, norm="ortho")

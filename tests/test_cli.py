@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oldroyd2d import cli
+from oldroyd2d import diagnostics as dg
 from oldroyd2d.grid import Grid2D, ParamError, cell_sum, load_snapshot
 from oldroyd2d.integrate import StepConfig
 from oldroyd2d.model import PhysParams, RegParams
@@ -151,6 +152,11 @@ _RULE_CASES = [
     ("ny", "ny = 2", "line 2: ny = 2 violates ny >= 4"),
     ("lx", "lx = 0", "line 2: lx = 0.0 violates lx > 0"),
     ("ly", "ly = -1.5", "line 2: ly = -1.5 violates ly > 0"),
+    ("spacing", "nx = 4\nny = 4\nlx = 1e-300\nly = 1e-300",
+     "line 5: cell spacings lx / nx = 2.500e-301 and ly / ny = 2.500e-301 must "
+     "have squares that are normal floats"),
+    ("area", "lx = 1e300\nly = 1e300",
+     "line 3: domain area lx * ly = 1e+300 * 1e+300 overflows"),
     ("a", "a = 0", "line 2: a = 0.0 violates a > 0 (pressure coefficient)"),
     ("gamma", "gamma = 1",
      "line 2: gamma = 1.0 violates gamma > 1 (adiabatic exponent)"),
@@ -232,6 +238,9 @@ class TestConfigRules:
         (lambda: StepConfig(scheme="rk4"), ("scheme",)),
         (lambda: cli.RunConfig(64, 64, 1.0, 1.0, PhysParams(), RegParams(),
                                StepConfig(), amp=2.0), ("amp",)),
+        (lambda: Grid2D(4, 4, 1e-300, 1.0), ("nx", "ny", "lx", "ly")),
+        (lambda: Grid2D(4, 4, 1e200, 1e-200), ("nx", "ny", "lx", "ly")),
+        (lambda: Grid2D(4, 4, 1e300, 1e300), ("lx", "ly")),
     ])
     def test_dataclass_error_carries_config_keys(self, build, keys):
         with pytest.raises(ParamError) as err:
@@ -318,7 +327,7 @@ class TestPresets:
             cli.build_initial(cli.parse_config("initial = file:/nonexistent/x"))
 
     @pytest.mark.parametrize("fault", ["header", "count", "payload", "kind",
-                                       "nonfinite"])
+                                       "nonfinite", "spacing"])
     def test_malformed_snapshot_is_config_error(self, tmp_path, fault):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
         cli._save_state(st, str(tmp_path / "bad"))
@@ -330,6 +339,8 @@ class TestPresets:
             rho.write_bytes(header[:-1] + b"4\n" + payload * 4)
         elif fault == "payload":
             rho.write_bytes(header + b"\n" + payload[:-8])
+        elif fault == "spacing":  # the square of the spacing underflows
+            rho.write_bytes(b"8 8 1e-300 1e-300 rho 1\n" + payload)
         elif fault == "nonfinite":
             data = np.frombuffer(payload, dtype=np.float64).copy()
             data[3 * 8 + 5] = np.nan
@@ -444,6 +455,41 @@ class TestRunCommand:
         summary = out.strip().splitlines()[-1]
         assert summary.startswith("completed: ")
         assert summary.endswith(" floor_hits=0")
+
+    @pytest.mark.parametrize("quantity", ["residual_max", "min_eig_final",
+                                          "mass_drift", "eta_drift"])
+    def test_non_finite_summary_exits_two(self, tmp_path, monkeypatch, quantity):
+        nan = math.nan
+        if quantity == "mass_drift":
+            monkeypatch.setattr(dg, "conservation", lambda state, initial: (nan, 0.0))
+        elif quantity == "eta_drift":
+            monkeypatch.setattr(dg, "conservation", lambda state, initial: (0.0, nan))
+        else:
+            # the NaN sits in the last row, after finite ones
+            column = {"residual_max": "residual", "min_eig_final": "min_eig"}[quantity]
+            rows = dg.TimeseriesRecorder.rows
+
+            def poisoned(self):
+                out = rows(self)
+                out[-1][column] = nan
+                return out
+            monkeypatch.setattr(dg.TimeseriesRecorder, "rows", poisoned)
+        path = self.equilibrium_config(tmp_path, "initial = perturbed-equilibrium\n")
+        code, out, err = capture(cli.cmd_run, str(path))
+        assert code == 2 and "completed:" not in out
+        assert err == f"run aborted: {quantity} is not finite\n"
+
+    @pytest.mark.parametrize("grid, line", [
+        ("lx = 1e-300\nly = 1e-300", 4),
+        ("lx = 1e300\nly = 1e300\ninitial = perturbed-equilibrium", 4),
+    ])
+    def test_unusable_spacing_or_area_exits_one(self, tmp_path, grid, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"nx = 4\nny = 4\n{grid}\nt_end = 0.1\n")
+        code, out, err = capture(cli.cmd_run, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"config error: line {line}: ") and err.count("\n") == 1
+        assert "lx" in err and "ly" in err
 
     def test_indefinite_stress_exits_two_at_start(self, tmp_path):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))

@@ -17,6 +17,7 @@ from oldroyd2d.grid import (
     ScalarField2D,
     SymTensorField2D,
     VectorField2D,
+    _bump_kernel,
     _pad,
     cell_sum,
     grad_x,
@@ -414,6 +415,41 @@ class TestMollifier:
         g = unit_grid(8)
         with pytest.raises(ValueError):
             mollify_initial(ScalarField2D(g, np.zeros((8, 8))), 0.0)
+
+    # (nx, ny, lx, ly, theta): radii from below one cell (a one-tap
+    # kernel) to wider than the domain (rx > nx, ry > ny)
+    @pytest.mark.parametrize("nx, ny, lx, ly, theta", [
+        (4, 4, 1.0, 1.0, 0.1),
+        (4, 4, 1.0, 1.0, 3.0),
+        (8, 8, 1.0, 2.0, 0.3),
+        (8, 8, 1.0, 1.0, 0.01),
+        (12, 40, 1.0, 1.0, 0.2),
+        (12, 40, 0.5, 3.0, 1.2),
+        (64, 16, 2.0, 0.5, 0.1),
+        (100, 37, 1.0, 3.0, 0.05),
+        (256, 256, 1.0, 1.0, 0.03),
+    ])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_matches_direct_tap_sum(self, nx, ny, lx, ly, theta, layout):
+        g = Grid2D(nx, ny, lx, ly)
+        kernel = _bump_kernel(g, theta)
+        rng = np.random.default_rng(nx * ny)
+        for scale in (1e-8, 1.0, 1e8):
+            raw = scale * rng.standard_normal((2 * nx, 3 * ny))
+            if layout == "strided":
+                x = raw[::2, ::3]
+            elif layout == "F":
+                x = np.asfortranarray(raw[:nx, :ny])
+            else:
+                x = raw[:nx, :ny].copy()
+            y = scale * np.cos(7.0 * raw[nx:, ny : 2 * ny])
+            keep = x.copy(), y.copy()
+            out = mollify_initial(VectorField2D(g, x, y), theta)
+            for got, arr in ((out.x, x), (out.y, y)):
+                assert got.shape == (nx, ny) and got.dtype == np.float64
+                ref = oracles.convolve_direct(arr, kernel)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(arr).max()
+            assert np.array_equal(x, keep[0]) and np.array_equal(y, keep[1])
 
 
 class TestIntegrate:

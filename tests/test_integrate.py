@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oldroyd2d.grid import Grid2D, ScalarField2D, SymTensorField2D, VectorField2D
 from oldroyd2d.integrate import (
     BLOWUP_LIMIT,
@@ -15,6 +16,7 @@ from oldroyd2d.integrate import (
     StepConfig,
     _check_finite,
     _neumann_heat_solve,
+    _neumann_symbol,
     auto_dt,
     run,
     step,
@@ -346,9 +348,23 @@ class TestImex:
         rng = np.random.default_rng(3)
         b = rng.standard_normal((16, 16))
         kappa_dt = 0.37
-        x = _neumann_heat_solve(b, kappa_dt, g.hx, g.hy)
+        x = _neumann_heat_solve(b, 1.0 - kappa_dt * _neumann_symbol(g))
         recon = x - kappa_dt * g2.lap(x, "scalar-Neumann", g.hx, g.hy)
         assert np.abs(recon - b).max() <= 1e-11 * (1.0 + np.abs(b).max())
+
+    @pytest.mark.parametrize("nx, ny, lx, ly, kappa_dt", [
+        (16, 16, 1.0, 1.0, 0.37),
+        (12, 40, 2.0, 0.5, 1e-3),
+        (256, 256, 1.0, 1.0, 2.5e-6),
+    ])
+    def test_shared_denominator_matches_per_call_solve_bitwise(self, nx, ny, lx, ly,
+                                                                kappa_dt):
+        g = Grid2D(nx, ny, lx, ly)
+        b = np.random.default_rng(nx + ny).standard_normal((nx, ny))
+        keep = b.copy()
+        x = _neumann_heat_solve(b, 1.0 - kappa_dt * _neumann_symbol(g))
+        assert np.array_equal(x, oracles.neumann_heat_solve_np(keep, kappa_dt, g.hx, g.hy))
+        assert np.array_equal(b, keep)
 
     def test_large_dt_stays_bounded(self):
         g = unit_grid(16)
