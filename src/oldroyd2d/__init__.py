@@ -32,7 +32,6 @@ from oldroyd2d.diagnostics import (
     energy_budget_gap,
     energy_inequality_residual,
     spd_monitor,
-    stress_l2_monitor,
 )
 from oldroyd2d.closure import GradU2, KineticDistribution, closure_compare
 
@@ -62,7 +61,6 @@ __all__ = [
     "energy_budget_gap",
     "conservation",
     "spd_monitor",
-    "stress_l2_monitor",
     "GradU2",
     "KineticDistribution",
     "closure_compare",

@@ -40,7 +40,6 @@ from oldroyd2d.grid import (
 from oldroyd2d.integrate import (
     BlowupError,
     DegenerateStateError,
-    RunResult,
     StepConfig,
     run,
 )
@@ -137,9 +136,9 @@ def _cast_dt(text: str) -> Optional[float]:
 
 # grid keys; a file: initial takes its grid from the snapshots instead
 _GRID_KEYS = ("nx", "ny", "lx", "ly")
-# config key -> (owner, field), in serialization order.  The owner states
-# the field's type, default and constraints; a key left out of the config
-# text takes the owner's default, except for _PARSER_DEFAULTS.
+# config key -> (owner, field).  The owner states the field's type, default
+# and constraints; a key left out of the config text takes the owner's
+# default, except for _PARSER_DEFAULTS.
 _KEY_TABLE: dict[str, tuple[type, str]] = {
     **{key: (Grid2D, key) for key in _GRID_KEYS},
     **{key: (PhysParams, key)
@@ -210,19 +209,6 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lines_by_key[key]}: {key} cannot be set with "
                 f"initial = {cfg.initial}: the grid comes from the snapshots")
     return cfg
-
-
-def serialize(cfg: RunConfig) -> str:
-    """Emit text whose parse compares equal to cfg (round-trip invariant)."""
-    sections = {PhysParams: cfg.phys, RegParams: cfg.reg, StepConfig: cfg.step}
-    lines = []
-    for key, (owner, name) in _KEY_TABLE.items():
-        val = getattr(sections.get(owner, cfg), name)
-        if val is None and owner is Grid2D:
-            continue  # a file: initial carries no grid
-        text = "auto" if val is None else repr(val) if isinstance(val, float) else str(val)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +314,20 @@ def _read_config(path) -> RunConfig:
     return parse_config(text)
 
 
+def _row_summary(rows) -> dict:
+    """residual_max and min_eig_final of a recorded run, as run and sweep print them."""
+    return {
+        # np.max, unlike max, lets a NaN in any row through
+        "residual_max": float(np.max([row["residual"] for row in rows])),
+        "min_eig_final": rows[-1]["min_eig"],
+    }
+
+
+def _non_finite(values: dict) -> list:
+    """Names of the values that are not finite numbers."""
+    return [name for name, value in values.items() if not math.isfinite(value)]
+
+
 def cmd_run(config_path) -> int:
     try:
         cfg = _read_config(config_path)
@@ -348,17 +348,11 @@ def cmd_run(config_path) -> int:
     if cfg.snapshot:
         _save_state(result.final, cfg.snapshot)
     mass_drift, eta_drift = dg.conservation(result.final, initial)
-    summary = {
-        # np.max, unlike max, lets a NaN in any row through
-        "residual_max": float(np.max([row["residual"] for row in rows])),
-        "min_eig_final": rows[-1]["min_eig"],
-        "mass_drift": mass_drift,
-        "eta_drift": eta_drift,
-    }
-    for name, value in summary.items():
-        if not math.isfinite(value):
-            print(f"run aborted: {name} is not finite", file=sys.stderr)
-            return EXIT_RUNTIME
+    summary = {**_row_summary(rows), "mass_drift": mass_drift, "eta_drift": eta_drift}
+    broken = _non_finite(summary)
+    if broken:
+        print(f"run aborted: {broken[0]} is not finite", file=sys.stderr)
+        return EXIT_RUNTIME
     print("completed: steps={} t_final={:.17g} residual_max={:.6e} "
           "min_eig_final={:.6e} mass_drift={:.3e} eta_drift={:.3e} "
           "floor_hits={}".format(result.steps, result.final.t, *summary.values(),
@@ -734,29 +728,37 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
             print(f"{knob}={v!r}: run aborted: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    summaries = [_row_summary(rows) for _, _, rows, _ in outcomes]
+    pairs = list(zip(outcomes, outcomes[1:]))
+    field_l2 = [_field_distance(ra.final, rb.final) for (_, ra, *_), (_, rb, *_) in pairs]
+    broken = [(repr(v), name) for (v, *_), summary in zip(outcomes, summaries)
+              for name in _non_finite(summary)]
+    broken += [(f"{va!r}->{vb!r}", "field_l2")
+               for ((va, *_), (vb, *_)), fdist in zip(pairs, field_l2)
+               if not math.isfinite(fdist)]
+    if broken:
+        for label, name in broken:
+            print(f"{knob}={label}: run aborted: {name} is not finite", file=sys.stderr)
+        return EXIT_RUNTIME
+
     lines = [f"sweep knob={knob} values={','.join(repr(v) for v in values)} "
              f"t_end={cfg.step.t_end!r} dt={cfg.step.dt!r}"]
-    for v, result, rows, _ in outcomes:
+    for (v, result, _, _), summary in zip(outcomes, summaries):
         lines.append(
             "run {}={!r}: steps={} residual_max={!r} min_eig_final={!r}".format(
-                knob, v, result.steps,
-                max(row["residual"] for row in rows),
-                rows[-1]["min_eig"]))
+                knob, v, result.steps, *summary.values()))
     for v, lhs, rhs in bound_rows:
         ok = lhs <= rhs * (1.0 + 1e-12)
         lines.append(f"bound delta={v!r}: delta*l2_sq(eta0_delta)={lhs!r} "
                      f"<= sqrt(delta)*mass(eta0)={rhs!r} {'ok' if ok else 'VIOLATED'}")
-    diffs = []
-    for (va, ra, rowa, _), (vb, rb, rowb, _) in zip(outcomes, outcomes[1:]):
-        fdist = _field_distance(ra.final, rb.final)
+    for ((va, _, rowa, _), (vb, _, rowb, _)), fdist in zip(pairs, field_l2):
         n = min(len(rowa), len(rowb))
         edist = max(abs(rowa[i]["E_total"] - rowb[i]["E_total"])
                     for i in range(n))
-        diffs.append(fdist)
         lines.append(f"pair {knob}={va!r}->{vb!r}: field_l2={fdist!r} "
                      f"energy_dist={edist!r}")
-    if len(diffs) >= 2:
-        dec = all(b < a for a, b in zip(diffs, diffs[1:]))
+    if len(field_l2) >= 2:
+        dec = all(b < a for a, b in zip(field_l2, field_l2[1:]))
         lines.append(f"cauchy_decreasing: {'yes' if dec else 'no'}")
     else:
         lines.append("cauchy_decreasing: n/a")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,11 +100,6 @@ def equilibrium_distribution(eta_bar: float, nq: int = 128, Q: float = 8.0) -> K
     q = psi.centers()
     psi.psi = eta_bar * maxwellian(q[:, None], q[None, :])
     return psi
-
-
-def number_density(psi: KineticDistribution) -> float:
-    """Midpoint-rule integral of psi over the configuration box."""
-    return float(np.sum(psi.psi)) * psi.dq**2
 
 
 def kramers_stress(psi: KineticDistribution, k: float) -> SymMat2:
@@ -315,24 +310,3 @@ def closure_compare(
     max_error = max(s.error for s in out)
     return ClosureReport(tuple(out), max_error, worst_boundary, dt, steps)
 
-
-CLOSURE_CSV_COLUMNS = (
-    "t",
-    "kin_xx", "kin_xy", "kin_yy",
-    "macro_xx", "macro_xy", "macro_yy",
-    "error",
-)
-
-
-def format_closure_csv(report: ClosureReport) -> str:
-    lines = [",".join(CLOSURE_CSV_COLUMNS)]
-    for s in report.samples:
-        vals = (s.t, s.kinetic.xx, s.kinetic.xy, s.kinetic.yy,
-                s.macro.xx, s.macro.xy, s.macro.yy, s.error)
-        lines.append(",".join(format(v, ".17g") for v in vals))
-    return "\n".join(lines) + "\n"
-
-
-def write_closure_csv(path, report: ClosureReport) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_closure_csv(report))

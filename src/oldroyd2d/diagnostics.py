@@ -1,26 +1,27 @@
-"""Run-time monitors: energy budget, conservation, positivity, norm bounds.
+"""Run-time monitors: energy budget, conservation, positivity, stress norms.
 
 Everything here is read-only over state snapshots.  The energy report
 carries the stored energy together with the instantaneous dissipation and
 source rates, so a time series of reports can be folded into a one-sided
-budget residual.  The remaining monitors track the quantities a healthy
-run must keep under control: total mass of rho and eta, the minimum
-eigenvalue of the conformation stress, its L2/gradient norms, and the
-discrete gradient inequalities that tie log-stress oscillation to stress
+budget residual and a two-sided budget gap.  The remaining monitors track
+the quantities a healthy run must keep under control: total mass of rho
+and eta, the minimum eigenvalue of the conformation stress, its L2 and
+sup norms, and the two discrete gradient inequalities (with and without
+the eigenvalue cutoff) that tie log-stress oscillation to stress
 oscillation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import grid as g2
 from . import symcalc
-from .grid import ScalarField2D, SymTensorField2D, VectorField2D, cell_sum
+from .grid import SymTensorField2D, cell_sum
 from .model import PhysParams, RegParams, SimState, tr_log_field, velocity_jacobian
 from .symcalc import DIM
 
@@ -250,43 +251,21 @@ def conservation(state: SimState, initial: SimState) -> tuple[float, float]:
     )
 
 
-class TraceStats(NamedTuple):
-    inv_trace: float  # int tr(T^-1); nan when T is not SPD
-    entropy_trace: float  # int tr(T - alpha log T); nan when alpha > 0 and not SPD
-
-
 class SPDReport(NamedTuple):
     min_eig: float
     argmin: tuple[int, int]
-    trace_stats: TraceStats
 
 
-def spd_monitor(T: SymTensorField2D, alpha: float = 0.0) -> SPDReport:
-    """Pointwise minimum eigenvalue plus the trace integrals a run must bound.
+def spd_monitor(T: SymTensorField2D) -> SPDReport:
+    """Pointwise minimum stress eigenvalue and its cell.
 
-    Reports nonpositive minima instead of raising; the integrals that need
-    positivity come back as nan in that case.
+    Uses the solver's eigenvalues (symcalc.eig_fields), so the monitor and
+    the solver's positivity check agree on every cell.  Reports a
+    nonpositive minimum instead of raising.
     """
-    grid = T.grid
-    lam_min = symcalc.min_eig_fields(T.xx, T.xy, T.yy)
-    idx = np.unravel_index(np.argmin(lam_min), lam_min.shape)
-    min_eig = float(lam_min[idx])
-    tr_t = T.xx + T.yy
-    spd = min_eig > 0.0 and bool(np.all(np.isfinite(lam_min)))
-    if spd:
-        det = T.xx * T.yy - T.xy**2
-        inv_trace = cell_sum(grid, tr_t / det)
-        if alpha != 0.0:
-            lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
-            entropy_trace = cell_sum(
-                grid, tr_t - alpha * (np.log(lam1) + np.log(lam2))
-            )
-        else:
-            entropy_trace = cell_sum(grid, tr_t)
-    else:
-        inv_trace = math.nan
-        entropy_trace = cell_sum(grid, tr_t) if alpha == 0.0 else math.nan
-    return SPDReport(min_eig, (int(idx[0]), int(idx[1])), TraceStats(inv_trace, entropy_trace))
+    lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)[1]
+    idx = np.unravel_index(np.argmin(lam2), lam2.shape)
+    return SPDReport(float(lam2[idx]), (int(idx[0]), int(idx[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -303,117 +282,8 @@ def stress_sup(T: SymTensorField2D) -> float:
     return math.sqrt(float(np.max(T.xx**2 + 2.0 * T.xy**2 + T.yy**2)))
 
 
-def stress_grad_l2(T: SymTensorField2D) -> float:
-    """int |grad T|^2, summed over both derivative directions."""
-    grid = T.grid
-    total = 0.0
-    for comp, weight in ((T.xx, 1.0), (T.xy, 2.0), (T.yy, 1.0)):
-        dx = g2.grad_x(comp, T.bc, grid.hx)
-        dy = g2.grad_y(comp, T.bc, grid.hy)
-        total += weight * cell_sum(grid, dx**2 + dy**2)
-    return total
-
-
-class StressL2Report(NamedTuple):
-    bound: float  # sup_t int |T|^2 + eps int int |grad T|^2 + (A0/4 lam) int int |T|^2
-    sup_l2: float
-    grad_accum: float
-    relax_accum: float
-    l2_series: tuple[float, ...]
-    doubled: bool  # some value more than doubled over a unit-time window
-
-
-def stress_l2_monitor(
-    times: Sequence[float],
-    stresses: Sequence[SymTensorField2D],
-    phys: PhysParams,
-) -> StressL2Report:
-    """Accumulate the stress norm bound over a sampled run and flag blowup."""
-    if len(times) != len(stresses):
-        raise ValueError("times and stress snapshots must pair up")
-    l2_vals = [stress_l2(T) for T in stresses]
-    grad_vals = [stress_grad_l2(T) for T in stresses]
-    grad_accum = 0.0
-    relax_accum = 0.0
-    for i in range(1, len(times)):
-        half_dt = 0.5 * (times[i] - times[i - 1])
-        grad_accum += half_dt * (grad_vals[i - 1] + grad_vals[i])
-        relax_accum += half_dt * (l2_vals[i - 1] + l2_vals[i])
-    sup_l2 = max(l2_vals) if l2_vals else 0.0
-    bound = sup_l2 + phys.eps * grad_accum + phys.A0 / (4.0 * phys.lam) * relax_accum
-
-    doubled = not all(math.isfinite(v) for v in l2_vals)
-    window_min = math.inf
-    lag = 0
-    for j in range(len(times)):
-        while lag < j and times[j] - times[lag] >= 1.0:
-            window_min = min(window_min, l2_vals[lag])
-            lag += 1
-        if window_min < math.inf and l2_vals[j] > 2.0 * window_min:
-            doubled = True
-    return StressL2Report(bound, sup_l2, grad_accum, relax_accum, tuple(l2_vals), doubled)
-
-
-def relaxation_distance(state: SimState, phys: PhysParams, reg: RegParams) -> float:
-    """Squared L2 distance of the stress from its local relaxation target."""
-    target = phys.k * (state.eta.data + reg.alpha)
-    dxx = state.T.xx - target
-    dyy = state.T.yy - target
-    return cell_sum(state.rho.grid, dxx**2 + 2.0 * state.T.xy**2 + dyy**2)
-
-
-# ---------------------------------------------------------------------------
-# renormalized continuity residual
-
-
-def renormalization_residual(
-    b: Callable[[np.ndarray], np.ndarray],
-    rho_series: Sequence[ScalarField2D],
-    u_series: Sequence[VectorField2D],
-    dt: float,
-    b_prime: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Max residual of d/dt int b(rho) + int (b'(rho) rho - b(rho)) div u.
-
-    The transport term int div(b(rho) u) is included as well; it telescopes
-    to zero under no-slip and costs nothing.  b must be C^1 on (0, inf) and
-    continuous at 0, with derivative b_prime.
-    """
-    if len(rho_series) != len(u_series):
-        raise ValueError("rho and velocity series must pair up")
-    if len(rho_series) < 2:
-        return 0.0
-    grid = rho_series[0].grid
-
-    def spatial(rho: ScalarField2D, u: VectorField2D) -> float:
-        brho = b(rho.data)
-        transport = cell_sum(
-            grid, g2.upwind_div(u.x, u.y, brho, rho.bc, grid.hx, grid.hy)
-        )
-        div_u = g2.grad_x(u.x, u.bc, grid.hx) + g2.grad_y(u.y, u.bc, grid.hy)
-        compress = cell_sum(grid, (b_prime(rho.data) * rho.data - brho) * div_u)
-        return transport + compress
-
-    worst = 0.0
-    spatial_prev = spatial(rho_series[0], u_series[0])
-    mass_prev = cell_sum(grid, b(rho_series[0].data))
-    for rho, u in zip(rho_series[1:], u_series[1:]):
-        spatial_next = spatial(rho, u)
-        mass_next = cell_sum(grid, b(rho.data))
-        residual = (mass_next - mass_prev) / dt + 0.5 * (spatial_prev + spatial_next)
-        worst = max(worst, abs(residual))
-        spatial_prev, mass_prev = spatial_next, mass_next
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # functional inequalities on a state
-
-
-class FittedIneq(NamedTuple):
-    lhs: float
-    rhs: float  # norm quantity the fitted constant multiplies
-    constant: float  # lhs / rhs, or 0 when both sides vanish
 
 
 class FieldIneq(NamedTuple):
@@ -421,18 +291,6 @@ class FieldIneq(NamedTuple):
     rhs: float
     margin: float  # rhs - lhs
     holds: bool
-
-
-class FieldIneqReport(NamedTuple):
-    korn: FittedIneq
-    gagliardo_nirenberg: FittedIneq
-    log_grad_bound: FieldIneq
-    cutoff_log_grad_bound: FieldIneq
-
-
-def _fitted(lhs: float, rhs: float) -> FittedIneq:
-    constant = lhs / rhs if rhs > 0.0 else 0.0
-    return FittedIneq(lhs, rhs, constant)
 
 
 def _field_ineq(lhs: float, rhs: float) -> FieldIneq:
@@ -495,83 +353,18 @@ def cutoff_log_grad_bound(T: SymTensorField2D, sigma3: float) -> FieldIneq:
     return _field_ineq(lhs, rhs)
 
 
-def functional_ineq_checks(state: SimState, sigma3: float = 0.0) -> FieldIneqReport:
-    """Evaluate both sides of each functional inequality on one snapshot.
-
-    Korn and Gagliardo-Nirenberg come back with fitted constants (reported,
-    not asserted); the two log-gradient bounds come back with margins.
-    """
-    grid = state.rho.grid
-    jxx, jxy, jyx, jyy = velocity_jacobian(state.u)
-    grad_norm = math.sqrt(cell_sum(grid, jxx**2 + jxy**2 + jyx**2 + jyy**2))
-    dev_norm = math.sqrt(cell_sum(grid, _div_and_dev2(jxx, jxy, jyx, jyy)[1]))
-    korn = _fitted(grad_norm, dev_norm)
-
-    eta = state.eta
-    l4 = cell_sum(grid, eta.data**4) ** 0.25
-    l2 = math.sqrt(cell_sum(grid, eta.data**2))
-    dex = g2.grad_x(eta.data, eta.bc, grid.hx)
-    dey = g2.grad_y(eta.data, eta.bc, grid.hy)
-    w12 = math.sqrt(cell_sum(grid, eta.data**2 + dex**2 + dey**2))
-    gn = _fitted(l4, math.sqrt(l2 * w12) if l2 * w12 > 0.0 else 0.0)
-
-    return FieldIneqReport(
-        korn=korn,
-        gagliardo_nirenberg=gn,
-        log_grad_bound=log_grad_bound(state.T),
-        cutoff_log_grad_bound=cutoff_log_grad_bound(state.T, sigma3),
-    )
-
-
 # ---------------------------------------------------------------------------
 # time-series CSV
 
-# Fixed column layout.  mass / eta_mass are int rho and int eta; E_total is
-# the stored energy; the next fourteen columns repeat EnergyReport in field
-# order; residual is the one-sided budget residual up to that row; min_eig
-# is the pointwise minimum stress eigenvalue; sup_T the largest pointwise
-# Frobenius norm; l2_T is int |T|^2.
-CSV_COLUMNS = (
-    "t",
-    "mass",
-    "eta_mass",
-    "E_total",
-    "kinetic",
-    "pressure_pot",
-    "artificial_pot",
-    "polymer_entropy",
-    "polymer_quad",
-    "stress_trace",
-    "eta_diss",
-    "newtonian_diss",
-    "stress_relax",
-    "inverse_term",
-    "log_grad",
-    "force_work",
-    "eta_source",
-    "const_source",
-    "residual",
-    "min_eig",
-    "sup_T",
-    "l2_T",
-)
+# EnergyReport's fields after t, in declaration order
+_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyReport) if f.name != "t")
 
-_ENERGY_FIELDS = (
-    "kinetic",
-    "pressure_pot",
-    "artificial_pot",
-    "polymer_entropy",
-    "polymer_quad",
-    "stress_trace",
-    "eta_diss",
-    "newtonian_diss",
-    "stress_relax",
-    "inverse_term",
-    "log_grad",
-    "force_work",
-    "eta_source",
-    "const_source",
-)
+# Fixed column layout.  mass / eta_mass are int rho and int eta; E_total is
+# the stored energy; the energy columns follow; residual is the one-sided
+# budget residual up to that row; min_eig is the pointwise minimum stress
+# eigenvalue; sup_T the largest pointwise Frobenius norm; l2_T is int |T|^2.
+CSV_COLUMNS = ("t", "mass", "eta_mass", "E_total", *_ENERGY_FIELDS,
+               "residual", "min_eig", "sup_T", "l2_T")
 
 
 class TimeseriesRecorder:
@@ -589,7 +382,6 @@ class TimeseriesRecorder:
 
     def hook(self, state: SimState) -> dict:
         rep = energy(state, self.phys, self.reg)
-        spd = spd_monitor(state.T, alpha=self.reg.alpha)
         row = {"t": state.t,
                "mass": cell_sum(state.rho.grid, state.rho.data),
                "eta_mass": cell_sum(state.eta.grid, state.eta.data),
@@ -597,7 +389,7 @@ class TimeseriesRecorder:
         for name in _ENERGY_FIELDS:
             row[name] = getattr(rep, name)
         row["residual"] = 0.0
-        row["min_eig"] = spd.min_eig
+        row["min_eig"] = spd_monitor(state.T).min_eig
         row["sup_T"] = stress_sup(state.T)
         row["l2_T"] = stress_l2(state.T)
         self.reports.append(rep)

@@ -62,6 +62,12 @@ class Grid2D:
         # cell_sum scales by hx * hy and lap divides by hx * hx and hy * hy
         require(math.isfinite(self.lx * self.ly),
                 f"domain area lx * ly = {self.lx} * {self.ly} overflows", "lx", "ly")
+        # one float64 component must be addressable; this also keeps nx and
+        # ny small enough to convert to float in hx and hy
+        limit = np.iinfo(np.intp).max
+        require(self.nx * self.ny * 8 <= limit,
+                f"grid nx * ny = {self.nx} * {self.ny} is too large: one component "
+                f"needs 8 * nx * ny bytes, at most {limit}", "nx", "ny")
         tiny, huge = sys.float_info.min, sys.float_info.max
         require(tiny <= self.hx * self.hx <= huge and tiny <= self.hy * self.hy <= huge,
                 f"cell spacings lx / nx = {self.hx:.3e} and ly / ny = {self.hy:.3e} "

@@ -268,18 +268,6 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
     return SymTensorField2D(g, out[0], out[1], out[2], name="rhs_T")
 
 
-def kramers_tensor(state: SimState, phys: PhysParams) -> SymTensorField2D:
-    """Elastic extra stress K = T - (k L eta + delta eta^2) I."""
-    solvent = polymer_pressure(state.eta.data, phys)
-    return SymTensorField2D(
-        state.T.grid,
-        state.T.xx - solvent,
-        state.T.xy,
-        state.T.yy - solvent,
-        name="kramers",
-    )
-
-
 def equilibrium_state(
     grid: Grid2D,
     phys: PhysParams,

@@ -1,9 +1,10 @@
 """Closed-form functional calculus for symmetric 2x2 matrices.
 
-Provides the eigendecomposition, matrix logarithm, the eigenvalue cutoff
-chi and its logarithmic companion G, and executable oracles for the
-matrix identities and inequalities the stress analysis relies on
-(difference-of-logs bound, concavity trace chains, Jacobi's formula).
+Provides the eigendecomposition, the lift of a scalar function through
+it, tr log, and executable checks of the matrix inequalities the stress
+analysis relies on (difference-of-logs bound, concavity trace chains).
+The array versions at the end serve the solver's fields: eigenvalues,
+rotation and recombination per cell.
 
 Everything is specialized to d = 2; the dimension enters inequality
 constants and is kept in the single constant DIM below.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,31 +42,14 @@ class SymMat2:
     xy: float
     yy: float
 
-    def to_array(self) -> np.ndarray:
-        return np.array([[self.xx, self.xy], [self.xy, self.yy]])
-
-    @staticmethod
-    def from_array(m: np.ndarray) -> "SymMat2":
-        return SymMat2(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
-
-    @staticmethod
-    def identity() -> "SymMat2":
-        return SymMat2(1.0, 0.0, 1.0)
-
     def trace(self) -> float:
         return self.xx + self.yy
 
     def det(self) -> float:
         return self.xx * self.yy - self.xy * self.xy
 
-    def add(self, other: "SymMat2") -> "SymMat2":
-        return SymMat2(self.xx + other.xx, self.xy + other.xy, self.yy + other.yy)
-
     def sub(self, other: "SymMat2") -> "SymMat2":
         return SymMat2(self.xx - other.xx, self.xy - other.xy, self.yy - other.yy)
-
-    def scale(self, c: float) -> "SymMat2":
-        return SymMat2(c * self.xx, c * self.xy, c * self.yy)
 
     def inner(self, other: "SymMat2") -> float:
         """Frobenius inner product A:B (off-diagonal counted twice)."""
@@ -86,13 +70,6 @@ class EigenPair2:
     lam1: float
     lam2: float
     angle: float
-
-    def rotation(self) -> np.ndarray:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, -s], [s, c]])
-
-    def reconstruct(self) -> SymMat2:
-        return _recombine(self.lam1, self.lam2, self.angle)
 
 
 def _recombine(g1: float, g2: float, angle: float) -> SymMat2:
@@ -132,49 +109,11 @@ def apply_scalar(g: Callable[[float], float], p: SymMat2) -> SymMat2:
     return _recombine(g(e.lam1), g(e.lam2), e.angle)
 
 
-def mat_log(p: SymMat2) -> SymMat2:
-    e = eig(p)
-    if e.lam2 <= 0.0:
-        raise NotSPDError(f"matrix log needs eigenvalues > 0, got min {e.lam2}")
-    return _recombine(math.log(e.lam1), math.log(e.lam2), e.angle)
-
-
 def tr_log(p: SymMat2) -> float:
     e = eig(p)
     if e.lam2 <= 0.0:
         raise NotSPDError(f"tr log needs eigenvalues > 0, got min {e.lam2}")
     return math.log(e.lam1) + math.log(e.lam2)
-
-
-def chi_scalar(s3: float, s: float) -> float:
-    return s3 if s < s3 else s
-
-
-def chi_cutoff(s3: float, p: SymMat2) -> SymMat2:
-    """Eigenvalue-wise max with s3; output SPD with min eigenvalue >= s3."""
-    if s3 <= 0.0:
-        raise ValueError("cutoff level must be positive")
-    return apply_scalar(lambda s: chi_scalar(s3, s), p)
-
-
-def g_cutoff_scalar(s3: float, s: float) -> float:
-    """log above the cutoff, its tangent line below (C^1 continuation)."""
-    if s >= s3:
-        return math.log(s)
-    return s / s3 + math.log(s3) - 1.0
-
-
-def g_cutoff_log(s3: float, p: SymMat2) -> SymMat2:
-    if s3 <= 0.0:
-        raise ValueError("cutoff level must be positive")
-    return apply_scalar(lambda s: g_cutoff_scalar(s3, s), p)
-
-
-def inv_chi(s3: float, p: SymMat2) -> SymMat2:
-    """Inverse of the cutoff matrix; identical to lifting G' = 1/chi."""
-    if s3 <= 0.0:
-        raise ValueError("cutoff level must be positive")
-    return apply_scalar(lambda s: 1.0 / chi_scalar(s3, s), p)
 
 
 class IneqResult(NamedTuple):
@@ -238,48 +177,6 @@ def convexity_trace_ineq(
     return ChainResult(left, mid, right, holds)
 
 
-def jacobi_residual(path: Sequence[SymMat2], dt: float) -> float:
-    """Centered-difference residual of d(log det P) = tr(P^-1 dP).
-
-    Max over interior samples; O(dt^2) for smooth SPD paths.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    pairs = [eig(p) for p in path]
-    for e in pairs:
-        if e.lam2 <= 0.0:
-            raise NotSPDError("path must stay positive definite")
-    worst = 0.0
-    for i in range(1, len(path) - 1):
-        d_logdet = (
-            math.log(path[i + 1].det()) - math.log(path[i - 1].det())
-        ) / (2.0 * dt)
-        dp = path[i + 1].sub(path[i - 1]).scale(1.0 / (2.0 * dt))
-        inv_p = apply_scalar(lambda s: 1.0 / s, path[i])
-        worst = max(worst, abs(d_logdet - inv_p.inner(dp)))
-    return worst
-
-
-def trace_derivative_check(
-    g: Callable[[float], float],
-    g_prime: Callable[[float], float],
-    path: Sequence[SymMat2],
-    dt: float,
-) -> float:
-    """Centered-difference residual of d tr g(P) = g'(P):dP along a path."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    worst = 0.0
-    for i in range(1, len(path) - 1):
-        d_tr = (
-            apply_scalar(g, path[i + 1]).trace()
-            - apply_scalar(g, path[i - 1]).trace()
-        ) / (2.0 * dt)
-        dp = path[i + 1].sub(path[i - 1]).scale(1.0 / (2.0 * dt))
-        worst = max(worst, abs(d_tr - apply_scalar(g_prime, path[i]).inner(dp)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Vectorized companions operating on whole component arrays (xx, xy, yy).
 # Same formulas as the scalar path; used by the field operators so that
@@ -337,7 +234,3 @@ def apply_scalar_fields(g, xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
     c, s = rotation_fields(xx, xy, yy, lam1, lam2)
     return recombine_fields(g(lam1), g(lam2), c, s)
 
-
-def min_eig_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray) -> np.ndarray:
-    mean = 0.5 * (xx + yy)
-    return mean - np.hypot(0.5 * (xx - yy), xy)

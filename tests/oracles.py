@@ -10,11 +10,27 @@ masked-divide eig_fields / rotation_fields must reproduce bit for bit.
 convolve_direct is the tap-by-tap kernel sum the package's FFT mollifier
 must match to rounding, and neumann_heat_solve_np the per-call DCT heat
 solve its shared-denominator version must reproduce bit for bit.
+
+The rest are checks that more than one test module runs and the solver
+never does, built on the package's closed-form 2x2 calculus: the
+eigenvalue cutoff chi (chi_scalar, chi_cutoff), the centered-difference
+residual of Jacobi's formula along a matrix path (jacobi_residual, with
+sym_scale), and the stress norm bound accumulated over a sampled run
+(stress_l2_monitor, StressL2Report, stress_grad_l2).
 """
+
+import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft
 import scipy.linalg
+
+from oldroyd2d import grid as g2
+from oldroyd2d.diagnostics import stress_l2
+from oldroyd2d.grid import SymTensorField2D, cell_sum
+from oldroyd2d.model import PhysParams
+from oldroyd2d.symcalc import NotSPDError, SymMat2, apply_scalar, eig
 
 
 def eig_np(mat: np.ndarray):
@@ -149,3 +165,91 @@ def neumann_heat_solve_np(arr: np.ndarray, kappa_dt: float, hx: float, hy: float
     denom = 1.0 - kappa_dt * (lam_x[:, None] + lam_y[None, :])
     spec = scipy.fft.dctn(arr, type=2, norm="ortho")
     return scipy.fft.idctn(spec / denom, type=2, norm="ortho")
+
+
+def chi_scalar(s3: float, s: float) -> float:
+    return s3 if s < s3 else s
+
+
+def chi_cutoff(s3: float, p: SymMat2) -> SymMat2:
+    """Eigenvalue-wise max with s3; output SPD with min eigenvalue >= s3."""
+    if s3 <= 0.0:
+        raise ValueError("cutoff level must be positive")
+    return apply_scalar(lambda s: chi_scalar(s3, s), p)
+
+
+def sym_scale(p: SymMat2, c: float) -> SymMat2:
+    return SymMat2(c * p.xx, c * p.xy, c * p.yy)
+
+
+def jacobi_residual(path: Sequence[SymMat2], dt: float) -> float:
+    """Centered-difference residual of d(log det P) = tr(P^-1 dP).
+
+    Max over interior samples; O(dt^2) for smooth SPD paths.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    pairs = [eig(p) for p in path]
+    for e in pairs:
+        if e.lam2 <= 0.0:
+            raise NotSPDError("path must stay positive definite")
+    worst = 0.0
+    for i in range(1, len(path) - 1):
+        d_logdet = (
+            math.log(path[i + 1].det()) - math.log(path[i - 1].det())
+        ) / (2.0 * dt)
+        dp = sym_scale(path[i + 1].sub(path[i - 1]), 1.0 / (2.0 * dt))
+        inv_p = apply_scalar(lambda s: 1.0 / s, path[i])
+        worst = max(worst, abs(d_logdet - inv_p.inner(dp)))
+    return worst
+
+
+def stress_grad_l2(T: SymTensorField2D) -> float:
+    """int |grad T|^2, summed over both derivative directions."""
+    grid = T.grid
+    total = 0.0
+    for comp, weight in ((T.xx, 1.0), (T.xy, 2.0), (T.yy, 1.0)):
+        dx = g2.grad_x(comp, T.bc, grid.hx)
+        dy = g2.grad_y(comp, T.bc, grid.hy)
+        total += weight * cell_sum(grid, dx**2 + dy**2)
+    return total
+
+
+class StressL2Report(NamedTuple):
+    bound: float  # sup_t int |T|^2 + eps int int |grad T|^2 + (A0/4 lam) int int |T|^2
+    sup_l2: float
+    grad_accum: float
+    relax_accum: float
+    l2_series: tuple[float, ...]
+    doubled: bool  # some value more than doubled over a unit-time window
+
+
+def stress_l2_monitor(
+    times: Sequence[float],
+    stresses: Sequence[SymTensorField2D],
+    phys: PhysParams,
+) -> StressL2Report:
+    """Accumulate the stress norm bound over a sampled run and flag blowup."""
+    if len(times) != len(stresses):
+        raise ValueError("times and stress snapshots must pair up")
+    l2_vals = [stress_l2(T) for T in stresses]
+    grad_vals = [stress_grad_l2(T) for T in stresses]
+    grad_accum = 0.0
+    relax_accum = 0.0
+    for i in range(1, len(times)):
+        half_dt = 0.5 * (times[i] - times[i - 1])
+        grad_accum += half_dt * (grad_vals[i - 1] + grad_vals[i])
+        relax_accum += half_dt * (l2_vals[i - 1] + l2_vals[i])
+    sup_l2 = max(l2_vals) if l2_vals else 0.0
+    bound = sup_l2 + phys.eps * grad_accum + phys.A0 / (4.0 * phys.lam) * relax_accum
+
+    doubled = not all(math.isfinite(v) for v in l2_vals)
+    window_min = math.inf
+    lag = 0
+    for j in range(len(times)):
+        while lag < j and times[j] - times[lag] >= 1.0:
+            window_min = min(window_min, l2_vals[lag])
+            lag += 1
+        if window_min < math.inf and l2_vals[j] > 2.0 * window_min:
+            doubled = True
+    return StressL2Report(bound, sup_l2, grad_accum, relax_accum, tuple(l2_vals), doubled)

@@ -22,6 +22,19 @@ from oldroyd2d.model import PhysParams, RegParams
 from oldroyd2d.symcalc import IneqResult
 
 
+def serialize(cfg: cli.RunConfig) -> str:
+    """Emit text whose parse compares equal to cfg (round-trip invariant)."""
+    sections = {PhysParams: cfg.phys, RegParams: cfg.reg, StepConfig: cfg.step}
+    lines = []
+    for key, (owner, name) in cli._KEY_TABLE.items():
+        val = getattr(sections.get(owner, cfg), name)
+        if val is None and owner is Grid2D:
+            continue  # a file: initial carries no grid
+        text = "auto" if val is None else repr(val) if isinstance(val, float) else str(val)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
 def capture(fn, *args):
     """Run a command, returning (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -106,13 +119,13 @@ class TestParseConfig:
         text = ("nx = 16\nny = 24\nlambda = 0.5\ndt = 0.001\n"
                 "initial = shear-layer\ncsv = out.csv\nseed = 7\n")
         cfg = cli.parse_config(text)
-        again = cli.parse_config(cli.serialize(cfg))
+        again = cli.parse_config(serialize(cfg))
         assert again == cfg
-        assert cli.serialize(again) == cli.serialize(cfg)
+        assert serialize(again) == serialize(cfg)
 
     def test_round_trip_keeps_auto_dt(self):
         cfg = cli.parse_config("dt = auto")
-        assert cli.parse_config(cli.serialize(cfg)).step.dt is None
+        assert cli.parse_config(serialize(cfg)).step.dt is None
 
     @pytest.mark.parametrize("key", ["nx", "ny", "lx", "ly"])
     def test_file_initial_rejects_grid_keys(self, key):
@@ -122,7 +135,7 @@ class TestParseConfig:
 
     def test_file_initial_round_trip_omits_grid_keys(self):
         cfg = cli.parse_config("initial = file:/tmp/x\nalpha = 0.2\n")
-        text = cli.serialize(cfg)
+        text = serialize(cfg)
         keys = {line.split("=")[0].strip() for line in text.splitlines()}
         assert keys.isdisjoint({"nx", "ny", "lx", "ly"})
         assert cli.parse_config(text) == cfg
@@ -130,7 +143,7 @@ class TestParseConfig:
     def test_file_initial_carries_no_grid(self):
         cfg = cli.parse_config("initial = file:x")
         assert (cfg.nx, cfg.ny, cfg.lx, cfg.ly) == (None, None, None, None)
-        assert cli.parse_config(cli.serialize(cfg)) == cfg
+        assert cli.parse_config(serialize(cfg)) == cfg
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -141,10 +154,10 @@ class TestParseConfig:
     def test_round_trip_survives_awkward_floats(self, mu, al, tend):
         text = f"muS = {mu!r}\nalpha = {al!r}\nt_end = {tend!r}\n"
         cfg = cli.parse_config(text)
-        assert cli.parse_config(cli.serialize(cfg)) == cfg
+        assert cli.parse_config(serialize(cfg)) == cfg
 
 
-# One violating config per rule, 27 owned by the parameter dataclasses and
+# One violating config per rule, 30 owned by the parameter dataclasses and
 # 5 by RunConfig, each after a comment line; each message is pinned byte for
 # byte, line prefix included.
 _RULE_CASES = [
@@ -157,6 +170,9 @@ _RULE_CASES = [
      "have squares that are normal floats"),
     ("area", "lx = 1e300\nly = 1e300",
      "line 3: domain area lx * ly = 1e+300 * 1e+300 overflows"),
+    ("size", "nx = 100000000000\nny = 100000000000",
+     "line 3: grid nx * ny = 100000000000 * 100000000000 is too large: one "
+     "component needs 8 * nx * ny bytes, at most 9223372036854775807"),
     ("a", "a = 0", "line 2: a = 0.0 violates a > 0 (pressure coefficient)"),
     ("gamma", "gamma = 1",
      "line 2: gamma = 1.0 violates gamma > 1 (adiabatic exponent)"),
@@ -241,6 +257,7 @@ class TestConfigRules:
         (lambda: Grid2D(4, 4, 1e-300, 1.0), ("nx", "ny", "lx", "ly")),
         (lambda: Grid2D(4, 4, 1e200, 1e-200), ("nx", "ny", "lx", "ly")),
         (lambda: Grid2D(4, 4, 1e300, 1e300), ("lx", "ly")),
+        (lambda: Grid2D(10**400, 4), ("nx", "ny")),
     ])
     def test_dataclass_error_carries_config_keys(self, build, keys):
         with pytest.raises(ParamError) as err:
@@ -261,7 +278,7 @@ class TestConfigRules:
             for key in keys.split(","):
                 default = default.strip("`")
                 documented[key.strip().strip("`")] = "" if default == "none" else default
-        parsed = cli.serialize(cli.parse_config(""))
+        parsed = serialize(cli.parse_config(""))
         assert documented == dict(line.split(" = ", 1) for line in parsed.splitlines())
 
 
@@ -491,6 +508,20 @@ class TestRunCommand:
         assert err.startswith(f"config error: line {line}: ") and err.count("\n") == 1
         assert "lx" in err and "ly" in err
 
+    @pytest.mark.parametrize("grid", ["nx = 1" + "0" * 400,
+                                      "nx = 100000000000\nny = 100000000000"],
+                             ids=["int-beyond-float", "array-beyond-memory"])
+    def test_oversized_grid_exits_one(self, tmp_path, monkeypatch, grid):
+        # the grid rule must reject the config before any array is allocated
+        monkeypatch.setattr(cli, "build_initial",
+                            lambda cfg: pytest.fail("oversized grid reached build_initial"))
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{grid}\nt_end = 0.1\n")
+        code, out, err = capture(cli.cmd_run, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"config error: line {grid.count(chr(10)) + 1}: grid nx * ny = ")
+        assert err.count("\n") == 1 and "is too large" in err
+
     def test_indefinite_stress_exits_two_at_start(self, tmp_path):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
         st.T.xx[3, 4] = -0.5
@@ -599,6 +630,29 @@ class TestSweepCommand:
         assert code == 0
         assert "pair" not in out
         assert "cauchy_decreasing: n/a" in out
+
+    @pytest.mark.parametrize("quantity", ["residual_max", "min_eig_final", "field_l2"])
+    def test_non_finite_summary_exits_two(self, tmp_path, monkeypatch, quantity):
+        nan = math.nan
+        if quantity == "field_l2":
+            monkeypatch.setattr(cli, "_field_distance", lambda a, b: nan)
+            expected = f"alpha=0.1->0.05: run aborted: {quantity} is not finite\n"
+        else:
+            # the NaN sits in the last row of each run, after finite ones
+            column = {"residual_max": "residual", "min_eig_final": "min_eig"}[quantity]
+            rows = dg.TimeseriesRecorder.rows
+
+            def poisoned(self):
+                out = rows(self)
+                out[-1][column] = nan
+                return out
+            monkeypatch.setattr(dg.TimeseriesRecorder, "rows", poisoned)
+            expected = "".join(f"alpha={v}: run aborted: {quantity} is not finite\n"
+                               for v in ("0.1", "0.05"))
+        code, out, err = capture(
+            cli.cmd_sweep, self.write(tmp_path), "alpha", "0.1,0.05")
+        assert code == 2 and out == ""
+        assert err == expected
 
     def test_values_must_decrease(self, tmp_path):
         code, _, err = capture(

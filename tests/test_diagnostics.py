@@ -1,6 +1,7 @@
 """Tests for the run-time monitors: energy budget, conservation, positivity."""
 
 import math
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -10,15 +11,25 @@ from hypothesis import strategies as st
 from oldroyd2d import diagnostics as dg
 from oldroyd2d import grid as g2
 from oldroyd2d import integrate as itg
+from oldroyd2d import symcalc
 from oldroyd2d.grid import (
     NEUMANN,
     Grid2D,
     ScalarField2D,
     SymTensorField2D,
     VectorField2D,
+    cell_sum,
 )
-from oldroyd2d.model import PhysParams, RegParams, SimState, equilibrium_state
+from oldroyd2d.model import (
+    PhysParams,
+    RegParams,
+    SimState,
+    equilibrium_state,
+    tr_log_field,
+    velocity_jacobian,
+)
 from oldroyd2d.symcalc import NotSPDError
+from oracles import stress_l2_monitor
 
 # frozen by direct evaluation: |O| (a/(g-1) + kL + delta + 1) on the unit square
 ENERGY_UNIT_STATE = 3.5
@@ -226,16 +237,40 @@ class TestConservation:
         assert eta_drift <= 1e-11
 
 
+class TraceStats(NamedTuple):
+    inv_trace: float  # int tr(T^-1); nan when T is not SPD
+    entropy_trace: float  # int tr(T - alpha log T); nan when alpha > 0 and not SPD
+
+
+def trace_stats(T: SymTensorField2D, alpha: float = 0.0) -> TraceStats:
+    """The trace integrals a run must bound; nan where they need an SPD T."""
+    grid = T.grid
+    lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
+    tr_t = T.xx + T.yy
+    if np.all(lam2 > 0.0) and np.all(np.isfinite(lam2)):
+        det = T.xx * T.yy - T.xy**2
+        inv_trace = cell_sum(grid, tr_t / det)
+        if alpha != 0.0:
+            entropy_trace = cell_sum(grid, tr_t - alpha * (np.log(lam1) + np.log(lam2)))
+        else:
+            entropy_trace = cell_sum(grid, tr_t)
+    else:
+        inv_trace = math.nan
+        entropy_trace = cell_sum(grid, tr_t) if alpha == 0.0 else math.nan
+    return TraceStats(inv_trace, entropy_trace)
+
+
 class TestSPDMonitor:
     def test_identity_tensor(self):
         state = unit_state()
         rep = dg.spd_monitor(state.T)
         assert rep.min_eig == 1.0
-        assert rep.trace_stats.inv_trace == pytest.approx(2.0, rel=1e-13)
-        assert rep.trace_stats.entropy_trace == pytest.approx(2.0, rel=1e-13)
+        stats = trace_stats(state.T)
+        assert stats.inv_trace == pytest.approx(2.0, rel=1e-13)
+        assert stats.entropy_trace == pytest.approx(2.0, rel=1e-13)
         # tr log I = 0: the alpha-weighted integral is unchanged
-        rep_a = dg.spd_monitor(state.T, alpha=0.3)
-        assert rep_a.trace_stats.entropy_trace == pytest.approx(2.0, rel=1e-13)
+        stats_a = trace_stats(state.T, alpha=0.3)
+        assert stats_a.entropy_trace == pytest.approx(2.0, rel=1e-13)
 
     def test_indefinite_cell_located(self):
         state = unit_state()
@@ -243,14 +278,26 @@ class TestSPDMonitor:
         yy[5, 2] = -0.1
         T = SymTensorField2D(state.T.grid, state.T.xx.copy(), state.T.xy.copy(), yy,
                              name="T")
-        rep = dg.spd_monitor(T, alpha=0.1)
+        rep = dg.spd_monitor(T)
         assert rep.min_eig == pytest.approx(-0.1, rel=1e-13)
         assert rep.argmin == (5, 2)
-        assert math.isnan(rep.trace_stats.inv_trace)
-        assert math.isnan(rep.trace_stats.entropy_trace)
+        stats = trace_stats(T, alpha=0.1)
+        assert math.isnan(stats.inv_trace)
+        assert math.isnan(stats.entropy_trace)
         # with alpha = 0 the plain trace integral is still reported
-        rep0 = dg.spd_monitor(T, alpha=0.0)
-        assert math.isfinite(rep0.trace_stats.entropy_trace)
+        stats0 = trace_stats(T, alpha=0.0)
+        assert math.isfinite(stats0.entropy_trace)
+
+    def test_agrees_with_solver_on_far_apart_eigenvalues(self):
+        # mean - radius cancels to 0 here; the solver's det / lam1 does not
+        state = unit_state()
+        xx, yy = state.T.xx.copy(), state.T.yy.copy()
+        xx[2, 3], yy[2, 3] = 1e8, 1e-9
+        T = SymTensorField2D(state.T.grid, xx, state.T.xy.copy(), yy, name="T")
+        assert np.all(np.isfinite(tr_log_field(T)))
+        rep = dg.spd_monitor(T)
+        assert rep.min_eig == 1e-9
+        assert rep.argmin == (2, 3)
 
     def test_healthy_run_stays_spd(self):
         state = perturbed_state(12)
@@ -265,6 +312,14 @@ class TestSPDMonitor:
         assert min(res.series["min_eig"]) > 0.0
 
 
+def relaxation_distance(state: SimState, phys: PhysParams, reg: RegParams) -> float:
+    """Squared L2 distance of the stress from its local relaxation target."""
+    target = phys.k * (state.eta.data + reg.alpha)
+    dxx = state.T.xx - target
+    dyy = state.T.yy - target
+    return cell_sum(state.rho.grid, dxx**2 + 2.0 * state.T.xy**2 + dyy**2)
+
+
 class TestStressL2Monitor:
     def test_equilibrium_series_constant(self):
         phys = PhysParams()
@@ -272,7 +327,7 @@ class TestStressL2Monitor:
         g = Grid2D(8, 8, 1.0, 1.0)
         state = equilibrium_state(g, phys, reg)
         times = [0.0, 0.5, 1.0, 1.5]
-        rep = dg.stress_l2_monitor(times, [state.T] * 4, phys)
+        rep = stress_l2_monitor(times, [state.T] * 4, phys)
         assert not rep.doubled
         assert rep.l2_series == pytest.approx([rep.sup_l2] * 4, rel=1e-13)
         expected = rep.sup_l2 * (1.0 + phys.A0 / (4.0 * phys.lam) * 1.5)
@@ -289,9 +344,9 @@ class TestStressL2Monitor:
 
         times = [0.0, 0.6, 1.2]
         growing = [scaled(1.0), scaled(1.3), scaled(1.7)]  # l2 ratio 2.89 over 1.2
-        assert dg.stress_l2_monitor(times, growing, phys).doubled
+        assert stress_l2_monitor(times, growing, phys).doubled
         tame = [scaled(1.0), scaled(1.1), scaled(1.2)]  # l2 ratio 1.44
-        assert not dg.stress_l2_monitor(times, tame, phys).doubled
+        assert not stress_l2_monitor(times, tame, phys).doubled
 
     def test_pure_relaxation_monotone(self):
         # constant-in-space fields: the stress follows the relaxation flow
@@ -304,7 +359,7 @@ class TestStressL2Monitor:
         yy = np.full((8, 8), 0.8)
         state = SimState(0.0, state.rho, state.u, state.eta,
                          SymTensorField2D(g, xx, xy, yy, name="T"))
-        hook = lambda s: {"dist": dg.relaxation_distance(s, phys, reg)}
+        hook = lambda s: {"dist": relaxation_distance(s, phys, reg)}
         res = itg.run(state, phys, reg,
                       itg.StepConfig(dt=5e-3, t_end=1.0, scheme="rk2", diag_every=1),
                       diag_hooks=[hook])
@@ -314,13 +369,53 @@ class TestStressL2Monitor:
         assert series[-1] < 0.5 * series[0]
 
 
+def renormalization_residual(
+    b: Callable[[np.ndarray], np.ndarray],
+    rho_series: Sequence[ScalarField2D],
+    u_series: Sequence[VectorField2D],
+    dt: float,
+    b_prime: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """Max residual of d/dt int b(rho) + int (b'(rho) rho - b(rho)) div u.
+
+    The transport term int div(b(rho) u) is included as well; it telescopes
+    to zero under no-slip and costs nothing.  b must be C^1 on (0, inf) and
+    continuous at 0, with derivative b_prime.
+    """
+    if len(rho_series) != len(u_series):
+        raise ValueError("rho and velocity series must pair up")
+    if len(rho_series) < 2:
+        return 0.0
+    grid = rho_series[0].grid
+
+    def spatial(rho: ScalarField2D, u: VectorField2D) -> float:
+        brho = b(rho.data)
+        transport = cell_sum(
+            grid, g2.upwind_div(u.x, u.y, brho, rho.bc, grid.hx, grid.hy)
+        )
+        div_u = g2.grad_x(u.x, u.bc, grid.hx) + g2.grad_y(u.y, u.bc, grid.hy)
+        compress = cell_sum(grid, (b_prime(rho.data) * rho.data - brho) * div_u)
+        return transport + compress
+
+    worst = 0.0
+    spatial_prev = spatial(rho_series[0], u_series[0])
+    mass_prev = cell_sum(grid, b(rho_series[0].data))
+    for rho, u in zip(rho_series[1:], u_series[1:]):
+        spatial_next = spatial(rho, u)
+        mass_next = cell_sum(grid, b(rho.data))
+        residual = (mass_next - mass_prev) / dt + 0.5 * (spatial_prev + spatial_next)
+        worst = max(worst, abs(residual))
+        spatial_prev, mass_prev = spatial_next, mass_next
+    return worst
+
+
 class TestRenormalization:
     def test_constant_state_exact_zero(self):
         g = Grid2D(8, 8, 1.0, 1.0)
         rho = ScalarField2D(g, np.full((8, 8), 1.3), name="rho")
         u = VectorField2D(g, np.zeros((8, 8)), np.zeros((8, 8)),
                           name="u")
-        res = dg.renormalization_residual(lambda s: s * s, [rho, rho], [u, u],
+        res = renormalization_residual(lambda s: s * s, [rho, rho], [u, u],
                                           dt=0.1, b_prime=lambda s: 2.0 * s)
         assert res == 0.0
 
@@ -342,7 +437,7 @@ class TestRenormalization:
 
     def test_identity_matches_continuity(self):
         rhos, us = self._run_series(16, 2e-3, 0.04)
-        res = dg.renormalization_residual(lambda s: s, rhos, us, dt=2e-3,
+        res = renormalization_residual(lambda s: s, rhos, us, dt=2e-3,
                                           b_prime=np.ones_like)
         assert res <= 1e-11
 
@@ -350,8 +445,8 @@ class TestRenormalization:
         coarse = self._run_series(16, 2e-3, 0.04)
         fine = self._run_series(32, 1e-3, 0.04)
         b, bp = (lambda s: s * s), (lambda s: 2.0 * s)
-        r_c = dg.renormalization_residual(b, *coarse, dt=2e-3, b_prime=bp)
-        r_f = dg.renormalization_residual(b, *fine, dt=1e-3, b_prime=bp)
+        r_c = renormalization_residual(b, *coarse, dt=2e-3, b_prime=bp)
+        r_f = renormalization_residual(b, *fine, dt=1e-3, b_prime=bp)
         assert r_c / r_f >= 1.9  # observed order ~1.0 under (h, dt) halving
 
     def test_default_derivative_fallback(self):
@@ -364,16 +459,62 @@ class TestRenormalization:
             return (b(s + h) - b(s - h)) / (2.0 * h)
 
         rhos, us = self._run_series(12, 2e-3, 0.02)
-        exact = dg.renormalization_residual(b, rhos, us, dt=2e-3,
+        exact = renormalization_residual(b, rhos, us, dt=2e-3,
                                             b_prime=lambda s: 2.0 * s)
-        approx = dg.renormalization_residual(b, rhos, us, dt=2e-3, b_prime=central)
+        approx = renormalization_residual(b, rhos, us, dt=2e-3, b_prime=central)
         assert approx == pytest.approx(exact, rel=1e-6, abs=1e-12)
+
+
+class FittedIneq(NamedTuple):
+    lhs: float
+    rhs: float  # norm quantity the fitted constant multiplies
+    constant: float  # lhs / rhs, or 0 when both sides vanish
+
+
+class FieldIneqReport(NamedTuple):
+    korn: FittedIneq
+    gagliardo_nirenberg: FittedIneq
+    log_grad_bound: dg.FieldIneq
+    cutoff_log_grad_bound: dg.FieldIneq
+
+
+def _fitted(lhs: float, rhs: float) -> FittedIneq:
+    constant = lhs / rhs if rhs > 0.0 else 0.0
+    return FittedIneq(lhs, rhs, constant)
+
+
+def functional_ineq_checks(state: SimState, sigma3: float = 0.0) -> FieldIneqReport:
+    """Evaluate both sides of each functional inequality on one snapshot.
+
+    Korn and Gagliardo-Nirenberg come back with fitted constants (reported,
+    not asserted); the two log-gradient bounds come back with margins.
+    """
+    grid = state.rho.grid
+    jxx, jxy, jyx, jyy = velocity_jacobian(state.u)
+    grad_norm = math.sqrt(cell_sum(grid, jxx**2 + jxy**2 + jyx**2 + jyy**2))
+    dev_norm = math.sqrt(cell_sum(grid, dg._div_and_dev2(jxx, jxy, jyx, jyy)[1]))
+    korn = _fitted(grad_norm, dev_norm)
+
+    eta = state.eta
+    l4 = cell_sum(grid, eta.data**4) ** 0.25
+    l2 = math.sqrt(cell_sum(grid, eta.data**2))
+    dex = g2.grad_x(eta.data, eta.bc, grid.hx)
+    dey = g2.grad_y(eta.data, eta.bc, grid.hy)
+    w12 = math.sqrt(cell_sum(grid, eta.data**2 + dex**2 + dey**2))
+    gn = _fitted(l4, math.sqrt(l2 * w12) if l2 * w12 > 0.0 else 0.0)
+
+    return FieldIneqReport(
+        korn=korn,
+        gagliardo_nirenberg=gn,
+        log_grad_bound=dg.log_grad_bound(state.T),
+        cutoff_log_grad_bound=dg.cutoff_log_grad_bound(state.T, sigma3),
+    )
 
 
 class TestFunctionalIneq:
     def test_constant_fields_trivial(self):
         state = unit_state()
-        rep = dg.functional_ineq_checks(state, sigma3=0.05)
+        rep = functional_ineq_checks(state, sigma3=0.05)
         assert rep.log_grad_bound.lhs == 0.0
         assert rep.log_grad_bound.rhs == 0.0
         assert rep.log_grad_bound.holds
@@ -385,14 +526,14 @@ class TestFunctionalIneq:
         _, Y = state.rho.grid.cell_centers()
         u = VectorField2D(state.rho.grid, 0.3 * Y * (1.0 - Y), np.zeros_like(Y),
                           name="u")
-        rep = dg.functional_ineq_checks(
+        rep = functional_ineq_checks(
             SimState(0.0, state.rho, u, state.eta, state.T))
         assert rep.korn.constant == pytest.approx(KORN_SHEAR, rel=1e-12)
 
     def test_gn_constant_field(self):
         # eta = c on the unit square: fitted constant is exactly 1
         state = unit_state(eta=2.0)
-        rep = dg.functional_ineq_checks(state)
+        rep = functional_ineq_checks(state)
         assert rep.gagliardo_nirenberg.constant == pytest.approx(1.0, rel=1e-12)
 
     def test_scalar_exponent_family(self):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oldroyd2d.grid import (
     Grid2D,
     ScalarField2D,
@@ -18,8 +19,8 @@ from oldroyd2d.model import (
     RegParams,
     SimState,
     equilibrium_state,
-    kramers_tensor,
     newtonian_stress,
+    polymer_pressure,
     pressure,
     rhs_continuity,
     rhs_eta,
@@ -409,6 +410,18 @@ class TestMomentum:
         assert order >= 0.8
 
 
+def kramers_tensor(state: SimState, phys: PhysParams) -> SymTensorField2D:
+    """Elastic extra stress K = T - (k L eta + delta eta^2) I."""
+    solvent = polymer_pressure(state.eta.data, phys)
+    return SymTensorField2D(
+        state.T.grid,
+        state.T.xx - solvent,
+        state.T.xy,
+        state.T.yy - solvent,
+        name="kramers",
+    )
+
+
 class TestKramersSplit:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_divergence_split(self, seed):
@@ -434,7 +447,7 @@ def brute_force_stress_rhs(state, phys, reg):
     Deliberately written with loops, np.pad ghosts, and SymMat2 calls so
     the vectorized production path is checked against a second route.
     """
-    from oldroyd2d.symcalc import SymMat2, chi_cutoff
+    from oldroyd2d.symcalc import SymMat2
 
     g = state.T.grid
     nx, ny = g.nx, g.ny
@@ -462,7 +475,7 @@ def brute_force_stress_rhs(state, phys, reg):
             for j in range(ny):
                 t = state.T
                 cell = SymMat2(float(t.xx[i, j]), float(t.xy[i, j]), float(t.yy[i, j]))
-                m = chi_cutoff(reg.sigma3, cell)
+                m = oracles.chi_cutoff(reg.sigma3, cell)
                 comps[i, j] = (m.xx, m.xy, m.yy)
         txx, txy, tyy = comps[:, :, 0], comps[:, :, 1], comps[:, :, 2]
     else:

@@ -10,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import chi_cutoff, chi_scalar, jacobi_residual, sym_scale
 from oldroyd2d.symcalc import (
     DIM,
     EigenPair2,
@@ -17,22 +18,15 @@ from oldroyd2d.symcalc import (
     SymMat2,
     apply_scalar,
     apply_scalar_fields,
-    chi_cutoff,
+    _recombine,
     convexity_trace_ineq,
     eig,
     eig_fields,
-    g_cutoff_log,
-    g_cutoff_scalar,
-    inv_chi,
-    jacobi_residual,
-    mat_log,
     matrix_log_diff_ineq,
-    min_eig_fields,
     recombine_fields,
     rotation_fields,
     scalar_log_ineq,
     tr_log,
-    trace_derivative_check,
 )
 
 RECON_TOL = 1e-12
@@ -49,6 +43,69 @@ CHAIN_G_HALF_2I_I = (2.0, 1.3862943611198906, 1.0)
 
 def sym(xx, xy, yy):
     return SymMat2(float(xx), float(xy), float(yy))
+
+
+def identity() -> SymMat2:
+    return SymMat2(1.0, 0.0, 1.0)
+
+
+def to_array(p: SymMat2) -> np.ndarray:
+    return np.array([[p.xx, p.xy], [p.xy, p.yy]])
+
+
+def from_array(m: np.ndarray) -> SymMat2:
+    return SymMat2(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
+
+
+def rotation(e: EigenPair2) -> np.ndarray:
+    c, s = math.cos(e.angle), math.sin(e.angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def reconstruct(e: EigenPair2) -> SymMat2:
+    return _recombine(e.lam1, e.lam2, e.angle)
+
+
+def mat_log(p: SymMat2) -> SymMat2:
+    e = eig(p)
+    if e.lam2 <= 0.0:
+        raise NotSPDError(f"matrix log needs eigenvalues > 0, got min {e.lam2}")
+    return _recombine(math.log(e.lam1), math.log(e.lam2), e.angle)
+
+
+def g_cutoff_scalar(s3: float, s: float) -> float:
+    """log above the cutoff, its tangent line below (C^1 continuation)."""
+    if s >= s3:
+        return math.log(s)
+    return s / s3 + math.log(s3) - 1.0
+
+
+def g_cutoff_log(s3: float, p: SymMat2) -> SymMat2:
+    if s3 <= 0.0:
+        raise ValueError("cutoff level must be positive")
+    return apply_scalar(lambda s: g_cutoff_scalar(s3, s), p)
+
+
+def inv_chi(s3: float, p: SymMat2) -> SymMat2:
+    """Inverse of the cutoff matrix; identical to lifting G' = 1/chi."""
+    if s3 <= 0.0:
+        raise ValueError("cutoff level must be positive")
+    return apply_scalar(lambda s: 1.0 / chi_scalar(s3, s), p)
+
+
+def trace_derivative_check(g, g_prime, path, dt: float) -> float:
+    """Centered-difference residual of d tr g(P) = g'(P):dP along a path."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    worst = 0.0
+    for i in range(1, len(path) - 1):
+        d_tr = (
+            apply_scalar(g, path[i + 1]).trace()
+            - apply_scalar(g, path[i - 1]).trace()
+        ) / (2.0 * dt)
+        dp = sym_scale(path[i + 1].sub(path[i - 1]), 1.0 / (2.0 * dt))
+        worst = max(worst, abs(d_tr - apply_scalar(g_prime, path[i]).inner(dp)))
+    return worst
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -75,7 +132,7 @@ sym_matrices = st.builds(sym, entry, entry, entry)
 
 class TestEig:
     def test_identity_tie_break(self):
-        e = eig(SymMat2.identity())
+        e = eig(identity())
         assert (e.lam1, e.lam2) == (1.0, 1.0)
         assert e.angle == 0.0
 
@@ -88,7 +145,7 @@ class TestEig:
         e = eig(sym(2, 1, 2))
         assert e.lam1 == pytest.approx(EIG_211_LAM[0], abs=1e-14)
         assert e.lam2 == pytest.approx(EIG_211_LAM[1], abs=1e-14)
-        vec1 = e.rotation()[:, 0]
+        vec1 = rotation(e)[:, 0]
         assert vec1[0] == pytest.approx(EIG_211_VEC1[0], abs=1e-14)
         assert vec1[1] == pytest.approx(EIG_211_VEC1[1], abs=1e-14)
 
@@ -98,16 +155,16 @@ class TestEig:
     def test_reconstruction_and_orthogonality(self, p):
         e = eig(p)
         assert e.lam1 >= e.lam2
-        o = e.rotation()
+        o = rotation(e)
         assert np.allclose(o @ o.T, np.eye(2), atol=1e-12)
-        err = np.linalg.norm(e.reconstruct().to_array() - p.to_array())
-        assert err <= RECON_TOL * (1.0 + np.linalg.norm(p.to_array()))
+        err = np.linalg.norm(to_array(reconstruct(e)) - to_array(p))
+        assert err <= RECON_TOL * (1.0 + np.linalg.norm(to_array(p)))
 
     @seed(20260817)
     @settings(max_examples=200, deadline=None)
     @given(sym_matrices)
     def test_matches_numpy_route(self, p):
-        lam_np, _ = oracles.eig_np(p.to_array())
+        lam_np, _ = oracles.eig_np(to_array(p))
         e = eig(p)
         scale = 1.0 + abs(lam_np[0]) + abs(lam_np[1])
         assert abs(e.lam1 - lam_np[0]) <= 1e-12 * scale
@@ -118,16 +175,16 @@ class TestApplyScalar:
     def test_identity_function(self):
         p = sym(2, 1, 2)
         q = apply_scalar(lambda s: s, p)
-        assert np.allclose(q.to_array(), p.to_array(), atol=1e-14)
+        assert np.allclose(to_array(q), to_array(p), atol=1e-14)
 
     def test_square_on_diagonal(self):
         q = apply_scalar(lambda s: s * s, sym(2, 0, 3))
-        assert np.allclose(q.to_array(), np.diag([4.0, 9.0]), atol=1e-14)
+        assert np.allclose(to_array(q), np.diag([4.0, 9.0]), atol=1e-14)
 
     def test_exp_log_round_trip(self):
         p = sym(2, 1, 2)
         q = apply_scalar(math.log, apply_scalar(math.exp, p))
-        assert np.allclose(q.to_array(), p.to_array(), atol=1e-12)
+        assert np.allclose(to_array(q), to_array(p), atol=1e-12)
 
     @seed(20260817)
     @settings(max_examples=200, deadline=None)
@@ -135,20 +192,20 @@ class TestApplyScalar:
     def test_commutes_with_conjugation(self, p, phi):
         c, s = math.cos(phi), math.sin(phi)
         o = np.array([[c, -s], [s, c]])
-        rotated = SymMat2.from_array(o @ p.to_array() @ o.T)
-        lhs = apply_scalar(math.log, rotated).to_array()
-        rhs = o @ apply_scalar(math.log, p).to_array() @ o.T
+        rotated = from_array(o @ to_array(p) @ o.T)
+        lhs = to_array(apply_scalar(math.log, rotated))
+        rhs = o @ to_array(apply_scalar(math.log, p)) @ o.T
         assert np.allclose(lhs, rhs, atol=1e-12 * (1.0 + np.abs(rhs).max()))
 
 
 class TestMatLog:
     def test_identity(self):
-        assert np.allclose(mat_log(SymMat2.identity()).to_array(), 0.0)
-        assert tr_log(SymMat2.identity()) == 0.0
+        assert np.allclose(to_array(mat_log(identity())), 0.0)
+        assert tr_log(identity()) == 0.0
 
     def test_diag_e_1(self):
         q = mat_log(sym(math.e, 0, 1))
-        assert np.allclose(q.to_array(), np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(to_array(q), np.diag([1.0, 0.0]), atol=1e-15)
         assert tr_log(sym(math.e, 0, 1)) == pytest.approx(1.0, abs=1e-15)
 
     def test_frozen_tr_log(self):
@@ -172,33 +229,33 @@ class TestMatLog:
     @settings(max_examples=100, deadline=None)
     @given(spd_matrices)
     def test_matches_scipy_logm(self, p):
-        ours = mat_log(p).to_array()
-        ref = oracles.logm_np(p.to_array())
+        ours = to_array(mat_log(p))
+        ref = oracles.logm_np(to_array(p))
         assert np.allclose(ours, ref, atol=1e-10 * (1.0 + np.abs(ref).max()))
 
 
 class TestCutoffs:
     def test_chi_max_rule(self):
         q = chi_cutoff(0.5, sym(2, 0, 0.1))
-        assert np.allclose(q.to_array(), np.diag([2.0, 0.5]), atol=1e-15)
+        assert np.allclose(to_array(q), np.diag([2.0, 0.5]), atol=1e-15)
 
     def test_chi_zero_matrix(self):
         q = chi_cutoff(0.5, sym(0, 0, 0))
-        assert np.allclose(q.to_array(), 0.5 * np.eye(2), atol=1e-15)
+        assert np.allclose(to_array(q), 0.5 * np.eye(2), atol=1e-15)
 
     def test_chi_inactive_above(self):
         p = sym(2, 1, 2)
-        assert np.allclose(chi_cutoff(0.5, p).to_array(), p.to_array(), atol=1e-14)
+        assert np.allclose(to_array(chi_cutoff(0.5, p)), to_array(p), atol=1e-14)
 
     def test_g_identity_is_zero(self):
-        assert np.allclose(g_cutoff_log(0.5, SymMat2.identity()).to_array(), 0.0)
+        assert np.allclose(to_array(g_cutoff_log(0.5, identity())), 0.0)
 
     def test_g_below_cutoff_frozen(self):
         assert g_cutoff_scalar(0.5, 0.0) == pytest.approx(G_AT_ZERO_HALF, abs=1e-15)
 
     def test_inv_chi_frozen(self):
         q = inv_chi(0.5, sym(2, 0, 0.1))
-        assert np.allclose(q.to_array(), np.diag([0.5, 2.0]), atol=1e-14)
+        assert np.allclose(to_array(q), np.diag([0.5, 2.0]), atol=1e-14)
 
     def test_g_is_c1_at_cutoff(self):
         s3 = 0.7
@@ -214,7 +271,7 @@ class TestCutoffs:
         q = chi_cutoff(s3, p)
         lam_min = eig(q).lam2
         assert lam_min >= s3 - 1e-12 * (1.0 + s3)
-        prod = q.to_array() @ inv_chi(s3, p).to_array()
+        prod = to_array(q) @ to_array(inv_chi(s3, p))
         # condition number of chi(P) stays below ~2000 on this strategy,
         # so the 1e-12 identity tolerance is expressible in doubles
         assert np.allclose(prod, np.eye(2), atol=1e-12)
@@ -224,7 +281,7 @@ class TestCutoffs:
     @given(sym_matrices, st.floats(min_value=1e-6, max_value=10.0))
     def test_chi_inverse_ill_conditioned(self, p, s3):
         q = chi_cutoff(s3, p)
-        prod = q.to_array() @ inv_chi(s3, p).to_array()
+        prod = to_array(q) @ to_array(inv_chi(s3, p))
         cond = eig(q).lam1 / s3
         assert np.allclose(prod, np.eye(2), atol=1e-12 * (1.0 + cond))
 
@@ -233,10 +290,10 @@ class TestCutoffs:
     @given(spd_matrices)
     def test_inactive_cutoff_reduces_to_log(self, p):
         s3 = 0.5 * eig(p).lam2
-        got = g_cutoff_log(s3, p).to_array()
-        want = mat_log(p).to_array()
+        got = to_array(g_cutoff_log(s3, p))
+        want = to_array(mat_log(p))
         assert np.allclose(got, want, atol=1e-12 * (1.0 + np.abs(want).max()))
-        assert np.allclose(chi_cutoff(s3, p).to_array(), p.to_array(), atol=1e-12)
+        assert np.allclose(to_array(chi_cutoff(s3, p)), to_array(p), atol=1e-12)
 
     @seed(20260817)
     @settings(max_examples=200, deadline=None)
@@ -278,14 +335,14 @@ class TestMatrixLogDiffIneq:
         assert r.lhs == 0.0 and abs(r.rhs) < 1e-15 and r.holds
 
     def test_frozen_2i_i(self):
-        r = matrix_log_diff_ineq(sym(2, 0, 2), SymMat2.identity())
+        r = matrix_log_diff_ineq(sym(2, 0, 2), identity())
         assert r.lhs == pytest.approx(MATRIX_INEQ_2I_I[0], abs=1e-12)
         assert r.rhs == pytest.approx(MATRIX_INEQ_2I_I[1], abs=1e-15)
         assert r.holds
 
     def test_rejects_non_spd(self):
         with pytest.raises(NotSPDError):
-            matrix_log_diff_ineq(sym(1, 0, -1), SymMat2.identity())
+            matrix_log_diff_ineq(sym(1, 0, -1), identity())
 
     @seed(20260817)
     @settings(max_examples=500, deadline=None)
@@ -308,7 +365,7 @@ class TestConvexityChain:
             lambda s: 1.0 / max(0.5, s),
             "concave",
             sym(2, 0, 2),
-            SymMat2.identity(),
+            identity(),
         )
         assert r.left == pytest.approx(CHAIN_G_HALF_2I_I[0], abs=1e-14)
         assert r.mid == pytest.approx(CHAIN_G_HALF_2I_I[1], abs=1e-14)
@@ -318,7 +375,7 @@ class TestConvexityChain:
     def test_rejects_bad_tag(self):
         with pytest.raises(ValueError):
             convexity_trace_ineq(math.log, lambda s: 1.0 / s, "linear",
-                                 SymMat2.identity(), SymMat2.identity())
+                                 identity(), identity())
 
     @seed(20260817)
     @settings(max_examples=300, deadline=None)
@@ -364,7 +421,7 @@ class TestPathChecks:
 
     def test_jacobi_rejects_non_spd_sample(self):
         with pytest.raises(NotSPDError):
-            jacobi_residual([SymMat2.identity(), sym(1, 0, -1)], 1e-3)
+            jacobi_residual([identity(), sym(1, 0, -1)], 1e-3)
 
     def test_trace_derivative_constant(self):
         path = [sym(2, 1, 2)] * 5
@@ -429,7 +486,7 @@ class TestVectorizedPath:
         xx = np.array([2.0, 1.0])
         xy = np.array([1.0, 0.0])
         yy = np.array([2.0, -1.0])
-        got = min_eig_fields(xx, xy, yy)
+        got = eig_fields(xx, xy, yy)[1]
         assert got[0] == pytest.approx(1.0, abs=1e-14)
         assert got[1] == pytest.approx(-1.0, abs=1e-14)
 
