@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,13 +58,6 @@ EXIT_COUNTEREXAMPLE = 3
 
 DEFAULT_SEED = 20260817
 PRESETS = ("equilibrium", "perturbed-equilibrium", "shear-layer")
-SUITES = (
-    "matrix-inequalities",
-    "field-inequalities",
-    "conservation",
-    "closure",
-    "convergence",
-)
 
 # state attribute -> field kind; each is saved to <prefix>.<attribute>.snap
 _SNAPSHOT_KINDS = {"rho": ScalarField2D, "u": VectorField2D,
@@ -94,7 +87,6 @@ class RunConfig:
     amp: float = 0.05
     csv: str = ""
     snapshot: str = ""
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         require(self.initial in PRESETS
@@ -108,7 +100,6 @@ class RunConfig:
         require(0.0 <= self.amp < 1.0,
                 f"amp = {self.amp} violates 0 <= amp < 1 (relative perturbation "
                 "sizes at or above 1 destroy positivity of the preset data)", "amp")
-        require(self.seed >= 0, f"seed = {self.seed} violates seed >= 0", "seed")
 
 
 def _cast_float(text: str) -> float:
@@ -150,7 +141,7 @@ _KEY_TABLE: dict[str, tuple[type, str]] = {
     **{key: (StepConfig, key)
        for key in ("dt", "t_end", "cfl", "scheme", "diag_every")},
     **{key: (RunConfig, key) for key in ("initial", "rho_bar", "eta_bar", "amp",
-                                         "csv", "snapshot", "seed")},
+                                         "csv", "snapshot")},
 }
 # Grid2D has no default size; the baseline run is regularized with alpha = 0.1
 _PARSER_DEFAULTS = {"nx": 64, "ny": 64, "alpha": 0.1}
@@ -403,60 +394,59 @@ def _random_spd_field(grid: Grid2D, rng: np.random.Generator,
 
 
 class _SuiteReport:
-    def __init__(self, name: str, seed: int):
-        self.lines = [f"suite {name} seed {seed}"]
-        self.counterexample: Optional[str] = None
+    """Pass counts and first failure per check, in the order the checks first run."""
 
-    def add(self, check: str, passed: int, total: int,
-            failure: Optional[str]) -> None:
-        self.lines.append(f"{check}: {passed}/{total}")
-        if failure is not None and self.counterexample is None:
-            self.counterexample = f"{check}: {failure}"
+    def __init__(self, name: str, seed: int):
+        self.title = f"suite {name} seed {seed}"
+        self.counts: dict[str, list[int]] = {}  # check -> [passed, evaluated]
+        self.failures: dict[str, str] = {}  # check -> detail of its first failure
+
+    def check(self, name: str, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one evaluation; detail() runs only on the check's first failure."""
+        count = self.counts.setdefault(name, [0, 0])
+        count[1] += 1
+        if ok:
+            count[0] += 1
+        elif name not in self.failures:
+            self.failures[name] = detail()
 
     def render(self) -> tuple[str, int]:
-        ok = self.counterexample is None
-        tail = ["result: PASS" if ok else "result: FAIL"]
-        if not ok:
-            tail.append(f"counterexample: {self.counterexample}")
-        return "\n".join(self.lines + tail) + "\n", \
-            EXIT_OK if ok else EXIT_COUNTEREXAMPLE
+        """The counterexample is the first failed check, with its first failing detail."""
+        lines = [self.title]
+        lines += [f"{name}: {passed}/{total}" for name, (passed, total) in self.counts.items()]
+        failed = [name for name in self.counts if name in self.failures]
+        if failed:
+            lines += ["result: FAIL", f"counterexample: {failed[0]}: {self.failures[failed[0]]}"]
+        else:
+            lines.append("result: PASS")
+        return "\n".join(lines) + "\n", EXIT_COUNTEREXAMPLE if failed else EXIT_OK
+
+
+# (check, phi, phi', kind) of the two trace inequality chains
+_CHAINS = (("concave-chain", math.log, lambda s: 1.0 / s, "concave"),
+           ("convex-chain", lambda s: s * s, lambda s: 2.0 * s, "convex"))
 
 
 def _suite_matrix(seed: int) -> _SuiteReport:
     rep = _SuiteReport("matrix-inequalities", seed)
     rng = np.random.default_rng(seed)
-    n = 10_000
-    counts = {"scalar-log": 0, "matrix-log-diff": 0, "concave-chain": 0,
-              "convex-chain": 0, "trlog-logdet": 0}
-    fails: dict[str, Optional[str]] = {k: None for k in counts}
-
-    def note(check: str, ok: bool, detail: str) -> None:
-        if ok:
-            counts[check] += 1
-        elif fails[check] is None:
-            fails[check] = detail
-
-    for _ in range(n):
+    for _ in range(10_000):
         a = 10.0 ** rng.uniform(-3.0, 3.0)
         b = 10.0 ** rng.uniform(-3.0, 3.0)
         r = sc.scalar_log_ineq(a, b)
-        note("scalar-log", r.holds, f"a={a!r} b={b!r} lhs={r.lhs!r} rhs={r.rhs!r}")
+        rep.check("scalar-log", r.holds, lambda: f"a={a!r} b={b!r} lhs={r.lhs!r} rhs={r.rhs!r}")
         A, B = _rand_spd(rng), _rand_spd(rng)
         r = sc.matrix_log_diff_ineq(A, B)
-        note("matrix-log-diff", r.holds, f"A={A!r} B={B!r} lhs={r.lhs!r} rhs={r.rhs!r}")
-        ch = sc.convexity_trace_ineq(math.log, lambda s: 1.0 / s, "concave", A, B)
-        note("concave-chain", ch.holds,
-             f"A={A!r} B={B!r} left={ch.left!r} mid={ch.mid!r} right={ch.right!r}")
-        ch = sc.convexity_trace_ineq(lambda s: s * s, lambda s: 2.0 * s,
-                                     "convex", A, B)
-        note("convex-chain", ch.holds,
-             f"A={A!r} B={B!r} left={ch.left!r} mid={ch.mid!r} right={ch.right!r}")
+        rep.check("matrix-log-diff", r.holds,
+                  lambda: f"A={A!r} B={B!r} lhs={r.lhs!r} rhs={r.rhs!r}")
+        for name, phi, dphi, kind in _CHAINS:
+            ch = sc.convexity_trace_ineq(phi, dphi, kind, A, B)
+            rep.check(name, ch.holds, lambda: f"A={A!r} B={B!r} left={ch.left!r} "
+                                              f"mid={ch.mid!r} right={ch.right!r}")
         tl = sc.tr_log(A)
         ld = math.log(A.det())
-        ok = abs(tl - ld) <= 1e-10 * (1.0 + abs(tl))
-        note("trlog-logdet", ok, f"A={A!r} tr_log={tl!r} log_det={ld!r}")
-    for check, passed in counts.items():
-        rep.add(check, passed, n, fails[check])
+        rep.check("trlog-logdet", abs(tl - ld) <= 1e-10 * (1.0 + abs(tl)),
+                  lambda: f"A={A!r} tr_log={tl!r} log_det={ld!r}")
     return rep
 
 
@@ -464,26 +454,15 @@ def _suite_field(seed: int) -> _SuiteReport:
     rep = _SuiteReport("field-inequalities", seed)
     rng = np.random.default_rng(seed)
     grid = Grid2D(64, 64)
-    n = 100
     sigma3 = 0.01
-    ok_plain = ok_cut = 0
-    fail_plain = fail_cut = None
-    for i in range(n):
+    for i in range(100):
         # half the draws dip below the cutoff so both branches are hit
         scale = 1.0 if i % 2 == 0 else 0.02
         T = _random_spd_field(grid, rng, floor_scale=scale)
-        r = dg.log_grad_bound(T)
-        if r.holds:
-            ok_plain += 1
-        elif fail_plain is None:
-            fail_plain = f"field #{i}: lhs={r.lhs!r} rhs={r.rhs!r} margin={r.margin!r}"
-        rc = dg.cutoff_log_grad_bound(T, sigma3)
-        if rc.holds:
-            ok_cut += 1
-        elif fail_cut is None:
-            fail_cut = f"field #{i}: lhs={rc.lhs!r} rhs={rc.rhs!r} margin={rc.margin!r}"
-    rep.add("log-grad-bound", ok_plain, n, fail_plain)
-    rep.add("cutoff-log-grad-bound", ok_cut, n, fail_cut)
+        for name, r in (("log-grad-bound", dg.log_grad_bound(T)),
+                        ("cutoff-log-grad-bound", dg.cutoff_log_grad_bound(T, sigma3))):
+            rep.check(name, r.holds,
+                      lambda: f"field #{i}: lhs={r.lhs!r} rhs={r.rhs!r} margin={r.margin!r}")
     # scalar-exponent family T = exp(s) I: the two sides coincide, so the
     # discrete ratio must sit within a factor 2 of equality
     s = 0.4 * _smooth_random(grid, rng, scale=1.0)
@@ -492,9 +471,8 @@ def _suite_field(seed: int) -> _SuiteReport:
     T = SymTensorField2D(grid, e, zero, e, "T")
     r = dg.log_grad_bound(T)
     ratio = r.rhs / r.lhs if r.lhs > 0.0 else 1.0
-    ok = 0.5 <= ratio <= 2.0
-    rep.add("scalar-exponent-ratio", int(ok), 1,
-            None if ok else f"lhs={r.lhs!r} rhs={r.rhs!r} ratio={ratio!r}")
+    rep.check("scalar-exponent-ratio", 0.5 <= ratio <= 2.0,
+              lambda: f"lhs={r.lhs!r} rhs={r.rhs!r} ratio={ratio!r}")
     return rep
 
 
@@ -518,11 +496,8 @@ def _suite_conservation(seed: int) -> _SuiteReport:
     initial = build_initial(cfg)
     result = run(initial, cfg.phys, cfg.reg, cfg.step, diag_hooks=())
     mass_drift, eta_drift = dg.conservation(result.final, initial)
-    tol = 1e-11
-    rep.add("mass-drift", int(abs(mass_drift) <= tol), 1,
-            None if abs(mass_drift) <= tol else f"relative drift {mass_drift!r}")
-    rep.add("eta-drift", int(abs(eta_drift) <= tol), 1,
-            None if abs(eta_drift) <= tol else f"relative drift {eta_drift!r}")
+    for name, drift in (("mass-drift", mass_drift), ("eta-drift", eta_drift)):
+        rep.check(name, abs(drift) <= 1e-11, lambda: f"relative drift {drift!r}")
     return rep
 
 
@@ -533,19 +508,14 @@ def _suite_closure(seed: int) -> _SuiteReport:
     rate = float(rng.uniform(0.05, 0.15))
     r = cl.closure_compare(cl.GradU2.shear(rate), 1.0, phys,
                            t_end=5.0, nq=128)
-    ok = r.max_error <= 2e-2
-    rep.add("shear", int(ok), 1,
-            None if ok else f"rate={rate!r} max_error={r.max_error!r}")
+    rep.check("shear", r.max_error <= 2e-2, lambda: f"rate={rate!r} max_error={r.max_error!r}")
     r = cl.closure_compare(cl.GradU2(), 1.0, phys, t_end=2.0, nq=64)
-    ok = r.max_error <= 1e-10
-    rep.add("kappa-zero", int(ok), 1,
-            None if ok else f"max_error={r.max_error!r}")
+    rep.check("kappa-zero", r.max_error <= 1e-10, lambda: f"max_error={r.max_error!r}")
     omega = float(rng.uniform(0.1, 0.3))
     r = cl.closure_compare(cl.GradU2.rotation(omega), 1.0, phys,
                            t_end=3.0, nq=64)
-    ok = r.max_error <= 5e-4
-    rep.add("rotation", int(ok), 1,
-            None if ok else f"omega={omega!r} max_error={r.max_error!r}")
+    rep.check("rotation", r.max_error <= 5e-4,
+              lambda: f"omega={omega!r} max_error={r.max_error!r}")
     return rep
 
 
@@ -571,9 +541,7 @@ def _suite_convergence(seed: int) -> _SuiteReport:
         out = run(state, phys, reg, cfg, diag_hooks=())
         errs.append(abs(float(out.final.T.xx[0, 0]) - exact))
     order_ratio = errs[0] / errs[1] if errs[1] > 0.0 else math.inf
-    ok = order_ratio >= 3.0
-    rep.add("dt-order", int(ok), 1,
-            None if ok else f"errors={errs!r} ratio={order_ratio!r}")
+    rep.check("dt-order", order_ratio >= 3.0, lambda: f"errors={errs!r} ratio={order_ratio!r}")
 
     # the two-sided energy budget gap shrinks under space-time refinement.
     # The one-sided residual is already zero whenever the scheme leans on
@@ -590,10 +558,10 @@ def _suite_convergence(seed: int) -> _SuiteReport:
         rec = dg.TimeseriesRecorder(cfg.phys, cfg.reg)
         run(initial, cfg.phys, cfg.reg, cfg.step, diag_hooks=(rec.hook,))
         gaps.append(dg.energy_budget_gap(rec.reports))
-        residuals.append(max(row["residual"] for row in rec.rows()))
-    ok = gaps[1] < 0.7 * gaps[0] and residuals[1] <= residuals[0]
-    rep.add("budget-gap-refinement", int(ok), 1,
-            None if ok else f"gaps={gaps!r} residuals={residuals!r}")
+        residuals.append(_row_summary(rec.rows())["residual_max"])
+    rep.check("budget-gap-refinement",
+              gaps[1] < 0.7 * gaps[0] and residuals[1] <= residuals[0],
+              lambda: f"gaps={gaps!r} residuals={residuals!r}")
     return rep
 
 
@@ -604,6 +572,7 @@ _SUITE_FUNCS = {
     "closure": _suite_closure,
     "convergence": _suite_convergence,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def verify_report(suite: str, seed: int = DEFAULT_SEED) -> tuple[str, int]:

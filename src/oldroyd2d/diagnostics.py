@@ -216,7 +216,8 @@ def energy_residual_series(reports: Sequence[EnergyReport]) -> list[float]:
 def energy_inequality_residual(reports: Sequence[EnergyReport]) -> float:
     """Max over report times of the one-sided budget residual; 0 if empty."""
     series = energy_residual_series(reports)
-    return max(series) if series else 0.0
+    # np.max, unlike max, lets a NaN report through
+    return float(np.max(series)) if series else 0.0
 
 
 def energy_budget_gap(reports: Sequence[EnergyReport]) -> float:
@@ -228,7 +229,7 @@ def energy_budget_gap(reports: Sequence[EnergyReport]) -> float:
     """
     if not reports:
         return 0.0
-    worst = max([0.0] + [abs(m) for m in _budget_mismatch(reports)])
+    worst = float(np.max([0.0] + [abs(m) for m in _budget_mismatch(reports)]))
     return worst / (reports[0].total + 1.0)
 
 
@@ -380,7 +381,7 @@ class TimeseriesRecorder:
         self.reports: list[EnergyReport] = []
         self._rows: list[dict[str, float]] = []
 
-    def hook(self, state: SimState) -> dict:
+    def hook(self, state: SimState) -> None:
         rep = energy(state, self.phys, self.reg)
         row = {"t": state.t,
                "mass": cell_sum(state.rho.grid, state.rho.data),
@@ -394,7 +395,6 @@ class TimeseriesRecorder:
         row["l2_T"] = stress_l2(state.T)
         self.reports.append(rep)
         self._rows.append(row)
-        return {}
 
     def rows(self) -> list[dict[str, float]]:
         residuals = energy_residual_series(self.reports)

@@ -64,7 +64,6 @@ class StepConfig:
 @dataclass
 class RunResult:
     final: SimState
-    series: dict
     steps: int
     floor_hits: int
 
@@ -236,23 +235,20 @@ def run(
     phys: PhysParams,
     reg: RegParams,
     cfg: StepConfig,
-    diag_hooks: Sequence[Callable[[SimState], dict]] = (),
+    diag_hooks: Sequence[Callable[[SimState], object]] = (),
 ) -> RunResult:
-    """Advance to t_end, sampling diagnostics every diag_every steps."""
-    series: dict = {"t": []}
+    """Advance to t_end, calling each diag hook every diag_every steps; returns are ignored."""
     floor_counter = [0]
 
     def record(s: SimState) -> None:
-        series["t"].append(s.t)
         for hook in diag_hooks:
-            for key, val in hook(s).items():
-                series.setdefault(key, []).append(val)
+            hook(s)
 
     state = initial.copy()
     steps = 0
     t_final = initial.t + cfg.t_end
     if state.t >= t_final - 1e-14 * max(1.0, abs(t_final)):
-        return RunResult(final=state, series=series, steps=0, floor_hits=0)
+        return RunResult(final=state, steps=0, floor_hits=0)
     try:
         record(state)
     except NotSPDError as err:
@@ -270,4 +266,4 @@ def run(
             record(state)
     if steps % cfg.diag_every != 0:
         record(state)
-    return RunResult(final=state, series=series, steps=steps, floor_hits=floor_counter[0])
+    return RunResult(final=state, steps=steps, floor_hits=floor_counter[0])

@@ -220,7 +220,6 @@ def test_criterion_07_stress_positivity():
 
     def eig_hook(s):
         lam_mins.append(float(sc.eig_fields(s.T.xx, s.T.xy, s.T.yy)[1].min()))
-        return {}
 
     run(initial, cfg.phys, cfg.reg, cfg.step, diag_hooks=(eig_hook,))
     cut_mins = [max(sigma3, v) for v in lam_mins]
@@ -289,7 +288,6 @@ def stress_monitor_for(text):
     def hook(s):
         times.append(s.t)
         stresses.append(s.T.copy())
-        return {}
 
     run(initial, cfg.phys, cfg.reg, cfg.step, diag_hooks=(hook,))
     return oracles.stress_l2_monitor(times, stresses, cfg.phys)

@@ -19,7 +19,7 @@ from oldroyd2d import diagnostics as dg
 from oldroyd2d.grid import Grid2D, ParamError, cell_sum, load_snapshot
 from oldroyd2d.integrate import StepConfig
 from oldroyd2d.model import PhysParams, RegParams
-from oldroyd2d.symcalc import IneqResult
+from oldroyd2d.symcalc import IneqResult, SymMat2
 
 
 def serialize(cfg: cli.RunConfig) -> str:
@@ -117,7 +117,7 @@ class TestParseConfig:
 
     def test_serialize_parse_round_trip(self):
         text = ("nx = 16\nny = 24\nlambda = 0.5\ndt = 0.001\n"
-                "initial = shear-layer\ncsv = out.csv\nseed = 7\n")
+                "initial = shear-layer\ncsv = out.csv\n")
         cfg = cli.parse_config(text)
         again = cli.parse_config(serialize(cfg))
         assert again == cfg
@@ -158,7 +158,7 @@ class TestParseConfig:
 
 
 # One violating config per rule, 30 owned by the parameter dataclasses and
-# 5 by RunConfig, each after a comment line; each message is pinned byte for
+# 4 by RunConfig, each after a comment line; each message is pinned byte for
 # byte, line prefix included.
 _RULE_CASES = [
     ("nx", "nx = 3", "line 2: nx = 3 violates nx >= 4"),
@@ -217,7 +217,6 @@ _RULE_CASES = [
     ("amp", "amp = 1",
      "line 2: amp = 1.0 violates 0 <= amp < 1 (relative perturbation sizes "
      "at or above 1 destroy positivity of the preset data)"),
-    ("seed", "seed = -3", "line 2: seed = -3 violates seed >= 0"),
 ]
 
 
@@ -562,12 +561,17 @@ class TestRunCommand:
         assert all(float(r.split(",")[ridx]) <= 1e-10 for r in lines[1:])
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 class TestVerifyCommand:
     def test_all_suites_pass(self):
+        # a passing report holds only counts, so its bytes do not depend on libm
         for suite in cli.SUITES:
             text, code = cli.verify_report(suite, seed=20260817)
             assert code == 0, text
-            assert text.endswith("result: PASS\n")
+            golden = (GOLDEN / f"verify-{suite}.txt").read_bytes()
+            assert text.encode("ascii") == golden
 
     def test_reports_are_reproducible_from_seed(self):
         a = cli.verify_report("matrix-inequalities", seed=11)
@@ -585,6 +589,47 @@ class TestVerifyCommand:
         assert "result: FAIL" in out
         assert "counterexample: scalar-log" in out
         assert "scalar-log: 0/10000" in out
+
+    def test_passing_suite_formats_no_failure_text(self, monkeypatch):
+        def no_repr(self):
+            raise AssertionError("failure text formatted for a passing check")
+        monkeypatch.setattr(SymMat2, "__repr__", no_repr)
+        text, code = cli.verify_report("matrix-inequalities", 5)
+        assert code == 0 and text.endswith("result: PASS\n")
+
+    def test_later_check_fails_alone(self, monkeypatch):
+        chain = cli.sc.convexity_trace_ineq
+
+        def convex_fails(phi, dphi, kind, A, B):
+            res = chain(phi, dphi, kind, A, B)
+            return res._replace(holds=False) if kind == "convex" else res
+        monkeypatch.setattr(cli.sc, "convexity_trace_ineq", convex_fails)
+        text, code = cli.verify_report("matrix-inequalities", 5)
+        assert code == 3
+        assert "concave-chain: 10000/10000\nconvex-chain: 0/10000\n" in text
+        assert "counterexample: convex-chain: A=SymMat2(" in text
+
+    def test_field_check_failure_names_first_field(self, monkeypatch):
+        bound = dg.cutoff_log_grad_bound
+        monkeypatch.setattr(dg, "cutoff_log_grad_bound",
+                            lambda T, sigma3: bound(T, sigma3)._replace(holds=False))
+        text, code = cli.verify_report("field-inequalities", 5)
+        assert code == 3
+        assert "log-grad-bound: 100/100\ncutoff-log-grad-bound: 0/100\n" in text
+        assert "counterexample: cutoff-log-grad-bound: field #0: lhs=" in text
+
+    def test_non_finite_residual_fails_convergence(self, monkeypatch):
+        # the NaN sits in the last row, after finite ones
+        rows = dg.TimeseriesRecorder.rows
+
+        def poisoned(self):
+            out = rows(self)
+            out[-1]["residual"] = math.nan
+            return out
+        monkeypatch.setattr(dg.TimeseriesRecorder, "rows", poisoned)
+        text, code = cli.verify_report("convergence")
+        assert code == 3
+        assert "budget-gap-refinement: 0/1\nresult: FAIL\n" in text
 
     def test_unknown_suite_exits_one(self):
         code, _, err = capture(cli.cmd_verify, "nonsense", 0)

@@ -218,12 +218,6 @@ class TestMacroMomentStep:
         assert T.xy == pytest.approx(exact[1], abs=1e-8)
         assert T.yy == pytest.approx(exact[2], abs=1e-8)
 
-    def test_alpha_shifts_source(self):
-        alpha = 0.2
-        T = SymMat2(1.2, 0.0, 1.2)  # k (eta + alpha) I
-        out = cl.macro_moment_step(T, 1.0, cl.GradU2(), PHYS, 0.05, alpha=alpha)
-        assert out == pytest.approx(T, rel=1e-14)
-
 
 class TestClosureCompare:
     def test_equilibrium_agreement(self):

@@ -184,6 +184,10 @@ class TestEnergyResidual:
         assert dg.energy_inequality_residual(reports) == pytest.approx(0.35, rel=1e-12)
         # the two-sided gap agrees where the one-sided residual is positive
         assert dg.energy_budget_gap(reports) == pytest.approx(0.35, rel=1e-12)
+        # a NaN report is not skipped
+        poisoned = reports + [report_with(1.5, math.nan, 0.6)]
+        assert math.isnan(dg.energy_inequality_residual(poisoned))
+        assert math.isnan(dg.energy_budget_gap(poisoned))
 
     def test_budget_gap_sees_extra_dissipation(self):
         # energy drops faster than the recorded rates account for: the
@@ -304,12 +308,11 @@ class TestSPDMonitor:
         phys = PhysParams(muS=0.1, eps=0.1)
         reg = RegParams(alpha=0.1)
         minima = []
-        hook = lambda s: {"min_eig": dg.spd_monitor(s.T).min_eig}
-        res = itg.run(state, phys, reg,
-                      itg.StepConfig(dt=1e-3, t_end=0.05, scheme="rk2", diag_every=5),
-                      diag_hooks=[hook])
-        assert res.series["min_eig"]
-        assert min(res.series["min_eig"]) > 0.0
+        itg.run(state, phys, reg,
+                itg.StepConfig(dt=1e-3, t_end=0.05, scheme="rk2", diag_every=5),
+                diag_hooks=[lambda s: minima.append(dg.spd_monitor(s.T).min_eig)])
+        assert minima
+        assert min(minima) > 0.0
 
 
 def relaxation_distance(state: SimState, phys: PhysParams, reg: RegParams) -> float:
@@ -359,11 +362,10 @@ class TestStressL2Monitor:
         yy = np.full((8, 8), 0.8)
         state = SimState(0.0, state.rho, state.u, state.eta,
                          SymTensorField2D(g, xx, xy, yy, name="T"))
-        hook = lambda s: {"dist": relaxation_distance(s, phys, reg)}
-        res = itg.run(state, phys, reg,
-                      itg.StepConfig(dt=5e-3, t_end=1.0, scheme="rk2", diag_every=1),
-                      diag_hooks=[hook])
-        series = res.series["dist"]
+        series = []
+        itg.run(state, phys, reg,
+                itg.StepConfig(dt=5e-3, t_end=1.0, scheme="rk2", diag_every=1),
+                diag_hooks=[lambda s: series.append(relaxation_distance(s, phys, reg))])
         # distance to the target contracts by exp(-A0 t / lam) ~ 0.37 at t = 1
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(series, series[1:]))
         assert series[-1] < 0.5 * series[0]
@@ -428,7 +430,6 @@ class TestRenormalization:
         def collect(s):
             rhos.append(s.rho.copy())
             us.append(s.u.copy())
-            return {}
 
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=dt, t_end=t_end, scheme="rk2", diag_every=1),

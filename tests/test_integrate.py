@@ -256,9 +256,10 @@ class TestRun:
         phys = PhysParams()
         reg = RegParams()
         state = equilibrium_state(g, phys, reg)
-        result = run(state, phys, reg, StepConfig(t_end=0.0))
+        calls = []
+        result = run(state, phys, reg, StepConfig(t_end=0.0), diag_hooks=[calls.append])
         assert result.steps == 0
-        assert result.series["t"] == []
+        assert calls == []
         assert np.array_equal(result.final.rho.data, state.rho.data)
 
     def test_diag_cadence_and_hooks(self):
@@ -267,26 +268,30 @@ class TestRun:
         reg = RegParams(alpha=0.1)
         state = perturbed_state(g)
 
+        times, max_u = [], []
+
         def hook(s):
-            return {"max_u": float(np.abs(s.u.x).max())}
+            times.append(s.t)
+            max_u.append(float(np.abs(s.u.x).max()))
 
         cfg = StepConfig(dt=1e-3, t_end=0.02, diag_every=5)
         result = run(state, phys, reg, cfg, diag_hooks=[hook])
         assert result.steps == 20
-        assert len(result.series["t"]) == len(result.series["max_u"]) == 5
-        assert result.series["t"][0] == 0.0
-        assert result.series["t"][-1] == pytest.approx(0.02, abs=1e-12)
+        assert len(times) == len(max_u) == 5
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(0.02, abs=1e-12)
 
     def test_deterministic(self):
         g = unit_grid(8)
         phys = PhysParams(eps=0.2, muS=0.1)
         reg = RegParams(alpha=0.1)
         cfg = StepConfig(t_end=0.05)
-        r1 = run(perturbed_state(g), phys, reg, cfg)
-        r2 = run(perturbed_state(g), phys, reg, cfg)
+        t1, t2 = [], []
+        r1 = run(perturbed_state(g), phys, reg, cfg, diag_hooks=[lambda s: t1.append(s.t)])
+        r2 = run(perturbed_state(g), phys, reg, cfg, diag_hooks=[lambda s: t2.append(s.t)])
         assert np.array_equal(r1.final.rho.data, r2.final.rho.data)
         assert np.array_equal(r1.final.T.xx, r2.final.T.xx)
-        assert r1.series["t"] == r2.series["t"]
+        assert t1 == t2
 
     def test_error_carries_failing_time(self):
         g = unit_grid(8)
