@@ -335,15 +335,12 @@ def cutoff_log_grad_bound(T: SymTensorField2D, sigma3: float) -> FieldIneq:
     fields that have lost definiteness as long as sigma3 > 0.
     """
     grid = T.grid
-    lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
-    chi1, chi2 = np.maximum(lam1, sigma3), np.maximum(lam2, sigma3)
+    (chi1, chi2), (cxx, cxy, cyy) = symcalc.cutoff_fields(T.xx, T.xy, T.yy, sigma3)
     trlog_chi = np.log(chi1) + np.log(chi2)
     gx = g2.grad_x(trlog_chi, T.bc, grid.hx)
     gy = g2.grad_y(trlog_chi, T.bc, grid.hy)
     lhs = 0.5 * cell_sum(grid, gx**2 + gy**2)
 
-    c, s = symcalc.rotation_fields(T.xx, T.xy, T.yy, lam1, lam2)
-    cxx, cxy, cyy = symcalc.recombine_fields(chi1, chi2, c, s)
     det_c = cxx * cyy - cxy**2
     inv_xx, inv_xy, inv_yy = cyy / det_c, -cxy / det_c, cxx / det_c
     rhs = 0.0

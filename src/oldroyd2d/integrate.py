@@ -159,6 +159,13 @@ def _diffusion_only(state: SimState, phys: PhysParams, reg: RegParams):
     return [drho, zero, zero, deta, dts[0], dts[1], dts[2]]
 
 
+def _explicit_rhs(state: SimState, phys: PhysParams, reg: RegParams):
+    """The IMEX scheme's explicit part: everything but the stiff diffusion."""
+    full = _rhs(state, phys, reg)
+    diff = _diffusion_only(state, phys, reg)
+    return [a - b for a, b in zip(full, diff)]
+
+
 def _neumann_symbol(grid: g2.Grid2D) -> np.ndarray:
     """Eigenvalues of the mirror-ghost Neumann laplacian on the DCT-II modes."""
     lam_x = (2.0 * np.cos(np.pi * np.arange(grid.nx) / grid.nx) - 2.0) / (grid.hx * grid.hx)
@@ -199,25 +206,15 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
     if dt is None:
         dt = cfg.dt if cfg.dt is not None else auto_dt(state, phys, reg, cfg)
 
+    # SSP-RK2 stages; IMEX runs them on everything but the stiff diffusion ...
+    rhs = _rhs if cfg.scheme == "rk2" else _explicit_rhs
     y0 = _pack(state)
-    if cfg.scheme == "rk2":
-        f0 = _rhs(state, phys, reg)
-        y1 = [a + dt * b for a, b in zip(y0, f0)]
-        s1 = _unpack(y1, state, state.t + dt, floor_counter)
-        f1 = _rhs(s1, phys, reg)
-        y2 = [0.5 * (a + b + dt * c) for a, b, c in zip(y0, y1, f1)]
-    else:
-        # explicit SSP-RK2 on everything but the stiff diffusion ...
-        def f_expl(s):
-            full = _rhs(s, phys, reg)
-            diff = _diffusion_only(s, phys, reg)
-            return [a - b for a, b in zip(full, diff)]
-
-        f0 = f_expl(state)
-        y1 = [a + dt * b for a, b in zip(y0, f0)]
-        s1 = _unpack(y1, state, state.t + dt, floor_counter)
-        f1 = f_expl(s1)
-        y2 = [0.5 * (a + b + dt * c) for a, b, c in zip(y0, y1, f1)]
+    f0 = rhs(state, phys, reg)
+    y1 = [a + dt * b for a, b in zip(y0, f0)]
+    s1 = _unpack(y1, state, state.t + dt, floor_counter)
+    f1 = rhs(s1, phys, reg)
+    y2 = [0.5 * (a + b + dt * c) for a, b, c in zip(y0, y1, f1)]
+    if cfg.scheme == "imex":
         # ... then one implicit Euler solve per diffused component
         symbol = _neumann_symbol(state.rho.grid)
         if reg.sigma2 != 0.0:
@@ -249,21 +246,19 @@ def run(
     t_final = initial.t + cfg.t_end
     if state.t >= t_final - 1e-14 * max(1.0, abs(t_final)):
         return RunResult(final=state, steps=0, floor_hits=0)
+    # every abort, whether from a hook, auto_dt or step, names the time of
+    # the last state that the run completed
     try:
         record(state)
-    except NotSPDError as err:
-        # diagnostics hooks evaluate tr log T on the initial data
-        raise NotSPDError(f"{err} (run failed at t={state.t:.6g})") from err
-    while state.t < t_final - 1e-14 * max(1.0, abs(t_final)):
-        dt = cfg.dt if cfg.dt is not None else auto_dt(state, phys, reg, cfg)
-        dt = min(dt, t_final - state.t)
-        try:
+        while state.t < t_final - 1e-14 * max(1.0, abs(t_final)):
+            dt = cfg.dt if cfg.dt is not None else auto_dt(state, phys, reg, cfg)
+            dt = min(dt, t_final - state.t)
             state = step(state, phys, reg, cfg, dt=dt, floor_counter=floor_counter)
-        except (BlowupError, DegenerateStateError, NotSPDError) as err:
-            raise type(err)(f"{err} (run failed at t={state.t:.6g})") from err
-        steps += 1
-        if steps % cfg.diag_every == 0:
+            steps += 1
+            if steps % cfg.diag_every == 0:
+                record(state)
+        if steps % cfg.diag_every != 0:
             record(state)
-    if steps % cfg.diag_every != 0:
-        record(state)
+    except (BlowupError, DegenerateStateError, NotSPDError) as err:
+        raise type(err)(f"{err} (run failed at t={state.t:.6g})") from err
     return RunResult(final=state, steps=steps, floor_hits=floor_counter[0])

@@ -240,9 +240,7 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
     u, eta, T = state.u, state.eta, state.T
 
     if reg.sigma3 != 0.0:
-        txx, txy, tyy = symcalc.apply_scalar_fields(
-            lambda s: np.maximum(reg.sigma3, s), T.xx, T.xy, T.yy
-        )
+        txx, txy, tyy = symcalc.cutoff_fields(T.xx, T.xy, T.yy, reg.sigma3)[1]
     else:
         txx, txy, tyy = T.xx, T.xy, T.yy
 
@@ -250,22 +248,35 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
         -g2.upwind_div(u.x, u.y, comp, T.bc, g.hx, g.hy)
         for comp in (txx, txy, tyy)
     ]
-
     jxx, jxy, jyx, jyy = velocity_jacobian(u)
+    add_stretching(out, jxx, jxy, jyx, jyy, txx, txy, tyy)
+    for i, comp in enumerate((T.xx, T.xy, T.yy)):
+        out[i] += phys.eps * g2.lap(comp, T.bc, g.hx, g.hy)
+    add_relaxation(out, txx, txy, tyy, eta.data + reg.alpha, phys)
+
+    return SymTensorField2D(g, out[0], out[1], out[2], name="rhs_T")
+
+
+# The two stress source terms below are shared by rhs_stress (on arrays) and
+# the kinetic oracle's moment equation (on floats).  Each adds in place to
+# out = [xx, xy, yy], one component at a time: building the terms as new
+# arrays first costs page faults on the solver's grids.
+
+
+def add_stretching(out, jxx, jxy, jyx, jyy, txx, txy, tyy) -> None:
+    """Add the upper-convected stretching J T + T J^T, with J_ij = d_j u_i."""
     out[0] += 2.0 * (jxx * txx + jxy * txy)
     out[1] += jxx * txy + jxy * tyy + txx * jyx + txy * jyy
     out[2] += 2.0 * (jyx * txy + jyy * tyy)
 
-    for i, comp in enumerate((T.xx, T.xy, T.yy)):
-        out[i] += phys.eps * g2.lap(comp, T.bc, g.hx, g.hy)
 
+def add_relaxation(out, txx, txy, tyy, eta, phys: PhysParams) -> None:
+    """Add the Maxwell relaxation (A0 / 2 lambda) (k eta I - T)."""
     relax = phys.A0 / (2.0 * phys.lam)
-    source = phys.k * relax * (eta.data + reg.alpha)
+    source = phys.k * relax * eta
     out[0] += source - relax * txx
     out[1] += -relax * txy
     out[2] += source - relax * tyy
-
-    return SymTensorField2D(g, out[0], out[1], out[2], name="rhs_T")
 
 
 def equilibrium_state(

@@ -3,8 +3,8 @@
 Provides the eigendecomposition, the lift of a scalar function through
 it, tr log, and executable checks of the matrix inequalities the stress
 analysis relies on (difference-of-logs bound, concavity trace chains).
-The array versions at the end serve the solver's fields: eigenvalues,
-rotation and recombination per cell.
+The array versions at the end serve the solver's fields: eigenvalues
+and the eigenvalue cutoff chi per cell.
 
 Everything is specialized to d = 2; the dimension enters inequality
 constants and is kept in the single constant DIM below.
@@ -181,9 +181,8 @@ def convexity_trace_ineq(
 # Vectorized companions operating on whole component arrays (xx, xy, yy).
 # Same formulas as the scalar path; used by the field operators so that
 # per-cell loops never appear in the solver.  eig_fields() returns the
-# eigenvalues only: the solver's tr log T needs nothing else, so the
-# rotation (arctan2, the tie mask, cos and sin) is computed by
-# rotation_fields() only where a lifted matrix is recombined.
+# eigenvalues only, which is all tr log T needs; cutoff_fields() alone
+# adds the rotation (arctan2, the tie mask, cos and sin) to recombine chi(T).
 #
 # The scalar path above is kept on purpose rather than written as 0-d
 # calls into these functions: eig() takes about 1.5 us per matrix, while
@@ -228,9 +227,10 @@ def recombine_fields(g1: np.ndarray, g2: np.ndarray, c: np.ndarray, s: np.ndarra
     return g1 * cc + g2 * ss, (g1 - g2) * cs, g1 * ss + g2 * cc
 
 
-def apply_scalar_fields(g, xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
-    """Lift a numpy-vectorized scalar g over component arrays."""
+def cutoff_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, floor: float):
+    """Cutoff chi: eigenvalues floored at floor, (chi1, chi2), and chi(T)'s components."""
     lam1, lam2 = eig_fields(xx, xy, yy)
+    chi1, chi2 = np.maximum(lam1, floor), np.maximum(lam2, floor)
     c, s = rotation_fields(xx, xy, yy, lam1, lam2)
-    return recombine_fields(g(lam1), g(lam2), c, s)
+    return (chi1, chi2), recombine_fields(chi1, chi2, c, s)
 

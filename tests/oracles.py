@@ -12,7 +12,8 @@ must match to rounding, and neumann_heat_solve_np the per-call DCT heat
 solve its shared-denominator version must reproduce bit for bit.
 
 The rest are checks that more than one test module runs and the solver
-never does, built on the package's closed-form 2x2 calculus: the
+never does, built on the package's closed-form 2x2 calculus: the lift of
+a scalar function over component arrays (apply_scalar_fields), the
 eigenvalue cutoff chi (chi_scalar, chi_cutoff), the centered-difference
 residual of Jacobi's formula along a matrix path (jacobi_residual, with
 sym_scale), and the stress norm bound accumulated over a sampled run
@@ -30,7 +31,8 @@ from oldroyd2d import grid as g2
 from oldroyd2d.diagnostics import stress_l2
 from oldroyd2d.grid import SymTensorField2D, cell_sum
 from oldroyd2d.model import PhysParams
-from oldroyd2d.symcalc import NotSPDError, SymMat2, apply_scalar, eig
+from oldroyd2d.symcalc import (NotSPDError, SymMat2, apply_scalar, eig, eig_fields,
+                                recombine_fields, rotation_fields)
 
 
 def eig_np(mat: np.ndarray):
@@ -165,6 +167,13 @@ def neumann_heat_solve_np(arr: np.ndarray, kappa_dt: float, hx: float, hy: float
     denom = 1.0 - kappa_dt * (lam_x[:, None] + lam_y[None, :])
     spec = scipy.fft.dctn(arr, type=2, norm="ortho")
     return scipy.fft.idctn(spec / denom, type=2, norm="ortho")
+
+
+def apply_scalar_fields(g, xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
+    """Lift a numpy-vectorized scalar g over component arrays."""
+    lam1, lam2 = eig_fields(xx, xy, yy)
+    c, s = rotation_fields(xx, xy, yy, lam1, lam2)
+    return recombine_fields(g(lam1), g(lam2), c, s)
 
 
 def chi_scalar(s3: float, s: float) -> float:

@@ -24,12 +24,13 @@ from oldroyd2d.symcalc import IneqResult, SymMat2
 
 def serialize(cfg: cli.RunConfig) -> str:
     """Emit text whose parse compares equal to cfg (round-trip invariant)."""
-    sections = {PhysParams: cfg.phys, RegParams: cfg.reg, StepConfig: cfg.step}
+    sections = {Grid2D: cfg.grid, PhysParams: cfg.phys, RegParams: cfg.reg,
+                StepConfig: cfg.step}
     lines = []
     for key, (owner, name) in cli._KEY_TABLE.items():
-        val = getattr(sections.get(owner, cfg), name)
-        if val is None and owner is Grid2D:
+        if owner is Grid2D and cfg.grid is None:
             continue  # a file: initial carries no grid
+        val = getattr(sections.get(owner, cfg), name)
         text = "auto" if val is None else repr(val) if isinstance(val, float) else str(val)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
@@ -52,7 +53,7 @@ class TestParseConfig:
         assert cfg.reg.theta == 0.1
         assert cfg.step.dt is None and cfg.step.scheme == "rk2"
         assert cfg.phys.gamma == 2.0 and cfg.phys.lam == 1.0
-        assert (cfg.nx, cfg.ny) == (64, 64)
+        assert (cfg.grid.nx, cfg.grid.ny) == (64, 64)
         assert cfg.csv == "" and cfg.snapshot == ""
 
     def test_comments_and_blank_lines(self):
@@ -142,7 +143,7 @@ class TestParseConfig:
 
     def test_file_initial_carries_no_grid(self):
         cfg = cli.parse_config("initial = file:x")
-        assert (cfg.nx, cfg.ny, cfg.lx, cfg.ly) == (None, None, None, None)
+        assert cfg.grid is None
         assert cli.parse_config(serialize(cfg)) == cfg
 
     @settings(max_examples=25, deadline=None)
@@ -158,7 +159,7 @@ class TestParseConfig:
 
 
 # One violating config per rule, 30 owned by the parameter dataclasses and
-# 4 by RunConfig, each after a comment line; each message is pinned byte for
+# 5 by RunConfig, each after a comment line; each message is pinned byte for
 # byte, line prefix included.
 _RULE_CASES = [
     ("nx", "nx = 3", "line 2: nx = 3 violates nx >= 4"),
@@ -217,6 +218,9 @@ _RULE_CASES = [
     ("amp", "amp = 1",
      "line 2: amp = 1.0 violates 0 <= amp < 1 (relative perturbation sizes "
      "at or above 1 destroy positivity of the preset data)"),
+    ("theta-domain", "initial = shear-layer\ntheta = 2",
+     "line 3: theta = 2.0 violates theta <= min(lx, ly) = 1.0 for initial = "
+     "shear-layer (the mollifier must fit the domain)"),
 ]
 
 
@@ -235,6 +239,8 @@ class TestConfigRules:
         ("sigma3 = 0.05\ntheta = 0.03\nmuS = 2\nalpha = 0.5", 4),
         ("muS = 2\nsigma3 = 0.2", 2),  # alpha and theta left at defaults
         ("L = 0\nmuS = 2", 1),         # delta left at its default
+        ("theta = 0.8\nmuS = 2\nly = 0.5\ninitial = shear-layer", 4),
+        ("initial = perturbed-equilibrium\ntheta = 0.4\nlx = 0.3\nmuS = 2", 3),
     ])
     def test_multi_key_rule_cites_latest_line_set(self, text, line):
         with pytest.raises(cli.ConfigError, match=f"^line {line}: "):
@@ -251,8 +257,11 @@ class TestConfigRules:
         (lambda: RegParams(sigma1=1.0, Gamma=2.0), ("Gamma", "sigma1")),
         (lambda: RegParams(sigma3=0.2, alpha=0.5), ("sigma3", "alpha", "theta")),
         (lambda: StepConfig(scheme="rk4"), ("scheme",)),
-        (lambda: cli.RunConfig(64, 64, 1.0, 1.0, PhysParams(), RegParams(),
+        (lambda: cli.RunConfig(Grid2D(64, 64), PhysParams(), RegParams(),
                                StepConfig(), amp=2.0), ("amp",)),
+        (lambda: cli.RunConfig(Grid2D(8, 8, 2.0, 0.5), PhysParams(), RegParams(theta=0.6),
+                               StepConfig(), initial="shear-layer"),
+         ("theta", "lx", "ly", "initial")),
         (lambda: Grid2D(4, 4, 1e-300, 1.0), ("nx", "ny", "lx", "ly")),
         (lambda: Grid2D(4, 4, 1e200, 1e-200), ("nx", "ny", "lx", "ly")),
         (lambda: Grid2D(4, 4, 1e300, 1e300), ("lx", "ly")),

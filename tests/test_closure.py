@@ -7,8 +7,9 @@ import pytest
 
 import oracles
 from oldroyd2d import closure as cl
+from oldroyd2d.grid import Grid2D
 from oldroyd2d.integrate import BlowupError
-from oldroyd2d.model import PhysParams
+from oldroyd2d.model import PhysParams, RegParams, equilibrium_state, rhs_stress
 from oldroyd2d.symcalc import SymMat2
 
 # frozen: Gaussian normalization 1/(2 pi)
@@ -217,6 +218,31 @@ class TestMacroMomentStep:
         assert T.xx == pytest.approx(exact[0], abs=1e-8)
         assert T.xy == pytest.approx(exact[1], abs=1e-8)
         assert T.yy == pytest.approx(exact[2], abs=1e-8)
+
+
+class TestSolverSourceTerms:
+    """The oracle's moment equation is the solver's stress right-hand side
+    restricted to a homogeneous state: uniform T and eta, linear velocity."""
+
+    @pytest.mark.parametrize("kappa", [
+        cl.GradU2.shear(0.7),
+        cl.GradU2.rotation(0.4),
+        cl.GradU2(xx=0.5, yy=-0.5),
+    ], ids=["shear", "rotation", "strain"])
+    def test_rhs_stress_matches_moment_rhs(self, kappa):
+        phys = PhysParams(k=1.3, A0=1.5, lam=0.6, eps=0.2)
+        reg = RegParams(alpha=0.0)
+        state = equilibrium_state(Grid2D(16, 16), phys, reg, eta_bar=1.2)
+        state.T.xx[...], state.T.xy[...], state.T.yy[...] = 1.7, 0.3, 0.9
+        x, y = state.u.grid.cell_centers()
+        # u = kappa (x - 1/2): its centered gradient is kappa away from the walls
+        state.u.x[...] = kappa.xx * (x - 0.5) + kappa.xy * (y - 0.5)
+        state.u.y[...] = kappa.yx * (x - 0.5) + kappa.yy * (y - 0.5)
+        got = rhs_stress(state, phys, reg)
+        want = cl._moment_rhs(1.7, 0.3, 0.9, 1.2, kappa, phys)
+        inner = (slice(2, -2), slice(2, -2))
+        for comp, value in zip((got.xx, got.xy, got.yy), want):
+            assert np.max(np.abs(comp[inner] - value)) <= 1e-14
 
 
 class TestClosureCompare:

@@ -27,7 +27,8 @@ from oldroyd2d.model import (
     SimState,
     equilibrium_state,
 )
-from oldroyd2d import cli
+from oldroyd2d.symcalc import NotSPDError
+from oldroyd2d import cli, integrate
 from oldroyd2d import diagnostics as dg
 from oldroyd2d import grid as g2
 
@@ -304,6 +305,34 @@ class TestRun:
         with pytest.raises(BlowupError) as err:
             run(state, phys, reg, cfg)
         assert "run failed at t=" in str(err.value)
+
+    def test_hook_abort_carries_failing_time(self):
+        # auto_dt ignores the stress size, so with k = 1000 an unstable
+        # explicit step drives the stress indefinite; the diagnostics hook
+        # after that step is the first to see it
+        cfg = cli.parse_config(
+            "nx = 32\nny = 32\nk = 1000\nlambda = 100\nmuS = 0.01\neps = 0.01\n"
+            "amp = 0.5\ninitial = perturbed-equilibrium\nt_end = 0.15\n")
+        rec = dg.TimeseriesRecorder(cfg.phys, cfg.reg)
+        with pytest.raises(NotSPDError) as err:
+            run(cli.build_initial(cfg), cfg.phys, cfg.reg, cfg.step, diag_hooks=(rec.hook,))
+        assert str(err.value).endswith("in energy report (run failed at t=0.0914856)")
+
+    def test_auto_dt_abort_carries_failing_time(self, monkeypatch):
+        calls = []
+
+        def vacuum_on_second_call(state, phys, reg, cfg):
+            calls.append(state.t)
+            if len(calls) == 2:
+                raise DegenerateStateError("density minimum at or below floor")
+            return 1e-3
+
+        monkeypatch.setattr(integrate, "auto_dt", vacuum_on_second_call)
+        with pytest.raises(DegenerateStateError) as err:
+            run(perturbed_state(unit_grid(8)), PhysParams(eps=0.2, muS=0.1),
+                RegParams(alpha=0.1), StepConfig(t_end=0.05))
+        assert calls == [0.0, 1e-3]
+        assert str(err.value) == "density minimum at or below floor (run failed at t=0.001)"
 
 
 class TestBlowup:

@@ -10,16 +10,16 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import chi_cutoff, chi_scalar, jacobi_residual, sym_scale
+from oracles import apply_scalar_fields, chi_cutoff, chi_scalar, jacobi_residual, sym_scale
 from oldroyd2d.symcalc import (
     DIM,
     EigenPair2,
     NotSPDError,
     SymMat2,
     apply_scalar,
-    apply_scalar_fields,
     _recombine,
     convexity_trace_ineq,
+    cutoff_fields,
     eig,
     eig_fields,
     matrix_log_diff_ineq,
@@ -559,3 +559,7 @@ class TestEigFieldsBitwise:
             want = recombine_fields(g(lam1), g(lam2), c, s)
         got = apply_scalar_fields(g, xx, xy, yy)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # the solver's eigenvalue cutoff chi is this lift of g, bit for bit
+        (chi1, chi2), cut = cutoff_fields(xx, xy, yy, 0.25)
+        assert [chi1.tobytes(), chi2.tobytes()] == [g(lam1).tobytes(), g(lam2).tobytes()]
+        assert [a.tobytes() for a in cut] == [a.tobytes() for a in want]
