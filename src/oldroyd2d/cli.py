@@ -14,6 +14,7 @@ not finite), 3 verification suite found a counterexample.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -28,14 +29,10 @@ from oldroyd2d import symcalc as sc
 from oldroyd2d.grid import (
     Grid2D,
     ParamError,
-    ScalarField2D,
     SymTensorField2D,
-    VectorField2D,
     cell_sum,
-    load_snapshot,
     mollify_initial,
     require,
-    save_snapshot,
 )
 from oldroyd2d.integrate import (
     BlowupError,
@@ -48,6 +45,8 @@ from oldroyd2d.model import (
     RegParams,
     SimState,
     equilibrium_state,
+    load_state,
+    save_state,
 )
 from oldroyd2d.symcalc import NotSPDError, SymMat2
 
@@ -58,10 +57,6 @@ EXIT_COUNTEREXAMPLE = 3
 
 DEFAULT_SEED = 20260817
 PRESETS = ("equilibrium", "perturbed-equilibrium", "shear-layer")
-
-# state attribute -> field kind; each is saved to <prefix>.<attribute>.snap
-_SNAPSHOT_KINDS = {"rho": ScalarField2D, "u": VectorField2D,
-                   "eta": ScalarField2D, "T": SymTensorField2D}
 
 
 class ConfigError(ValueError):
@@ -74,7 +69,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid: Optional[Grid2D]  # None for a file: initial, which takes the snapshots' grid
+    grid: Optional[Grid2D]  # None for a file: initial, which takes the snapshot's grid
     phys: PhysParams
     reg: RegParams
     step: StepConfig
@@ -89,7 +84,7 @@ class RunConfig:
         require(self.initial in PRESETS
                 or (self.initial.startswith("file:") and len(self.initial) > 5),
                 f"initial = {self.initial!r} must be one of {', '.join(PRESETS)} "
-                "or file:<path prefix>", "initial")
+                "or file:<path>", "initial")
         require(self.rho_bar > 0.0, f"rho_bar = {self.rho_bar} violates rho_bar > 0",
                 "rho_bar")
         require(self.eta_bar > 0.0, f"eta_bar = {self.eta_bar} violates eta_bar > 0",
@@ -128,7 +123,7 @@ def _cast_dt(text: str) -> Optional[float]:
     return _cast_float(text)
 
 
-# grid keys; a file: initial takes its grid from the snapshots instead
+# grid keys; a file: initial takes its grid from the snapshot instead
 _GRID_KEYS = ("nx", "ny", "lx", "ly")
 # config key -> (owner, field).  The owner states the field's type, default
 # and constraints; a key left out of the config text takes the owner's
@@ -200,43 +195,12 @@ def parse_config(text: str) -> RunConfig:
         if from_file and key in lines_by_key:
             raise ConfigError(
                 f"line {lines_by_key[key]}: {key} cannot be set with "
-                f"initial = {cfg.initial}: the grid comes from the snapshots")
+                f"initial = {cfg.initial}: the grid comes from the snapshot")
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # Initial data.
-
-
-def _load_state(prefix: str) -> SimState:
-    fields = {}
-    geom = None
-    for attr, kind in _SNAPSHOT_KINDS.items():
-        path = f"{prefix}.{attr}.snap"
-        try:
-            fields[attr] = load_snapshot(path)
-        except OSError as err:
-            raise ConfigError(f"cannot read snapshot {path}: {err}") from err
-        except ValueError as err:
-            raise ConfigError(f"malformed snapshot {path}: {err}") from err
-        if not isinstance(fields[attr], kind):
-            raise ConfigError(
-                f"snapshot {path} holds a {type(fields[attr]).__name__}, "
-                f"expected a {kind.__name__}")
-        g = fields[attr].grid
-        if geom is None:
-            geom = g
-        elif g != geom:
-            raise ConfigError(
-                f"snapshot {path} grid {g.nx}x{g.ny} does not match "
-                f"{geom.nx}x{geom.ny} from {prefix}.rho.snap")
-    return SimState(t=0.0, rho=fields["rho"], u=fields["u"],
-                    eta=fields["eta"], T=fields["T"])
-
-
-def _save_state(state: SimState, prefix: str) -> None:
-    for attr in _SNAPSHOT_KINDS:
-        save_snapshot(getattr(state, attr), f"{prefix}.{attr}.snap")
 
 
 def _perturb_preset(state: SimState, cfg: RunConfig) -> None:
@@ -263,11 +227,17 @@ def build_initial(cfg: RunConfig) -> SimState:
     The equilibrium preset is returned exactly (the mollifier's positivity
     shift would detune the stress from its relaxation target); the other
     presets are mollified at radius theta, which also lifts eta and the
-    stress eigenvalues by theta.  file: prefixes load four snapshot files
-    written by a previous run and are used verbatim.
+    stress eigenvalues by theta.  file:<path> loads the state file a
+    previous run wrote as its snapshot and uses it verbatim, time included.
     """
     if cfg.initial.startswith("file:"):
-        return _load_state(cfg.initial[5:])
+        path = cfg.initial[5:]
+        try:
+            return load_state(path)
+        except OSError as err:
+            raise ConfigError(f"cannot read snapshot {path}: {err}") from err
+        except ValueError as err:
+            raise ConfigError(f"malformed snapshot {path}: {err}") from err
     raw = equilibrium_state(cfg.grid, cfg.phys, cfg.reg,
                             rho_bar=cfg.rho_bar, eta_bar=cfg.eta_bar)
     if cfg.initial == "equilibrium":
@@ -287,12 +257,34 @@ def build_initial(cfg: RunConfig) -> SimState:
 # run subcommand.
 
 
-def _read_config(path) -> RunConfig:
+def _file_io(action: str, path, op: Callable):
+    """op(path); an OSError becomes the ConfigError 'cannot <action> <path>: <reason>'."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return op(path)
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        raise ConfigError(f"cannot {action} {path}: {err}") from err
+
+
+def _read_config(path) -> RunConfig:
+    text = _file_io("read config", path, lambda p: Path(p).read_text(encoding="utf-8"))
     return parse_config(text)
+
+
+def _exit_codes(cmd: Callable[..., int]) -> Callable[..., int]:
+    """The subcommand cmd; a ConfigError exits 1, a run abort 2, each with one stderr line."""
+
+    @functools.wraps(cmd)
+    def wrapped(*args, **kwargs) -> int:
+        try:
+            return cmd(*args, **kwargs)
+        except ConfigError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (BlowupError, DegenerateStateError, NotSPDError) as err:
+            print(f"run aborted: {err}", file=sys.stderr)
+            return EXIT_RUNTIME
+
+    return wrapped
 
 
 def _row_summary(rows) -> dict:
@@ -309,25 +301,18 @@ def _non_finite(values: dict) -> list:
     return [name for name, value in values.items() if not math.isfinite(value)]
 
 
+@_exit_codes
 def cmd_run(config_path) -> int:
-    try:
-        cfg = _read_config(config_path)
-        initial = build_initial(cfg)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _read_config(config_path)
+    initial = build_initial(cfg)
     rec = dg.TimeseriesRecorder(cfg.phys, cfg.reg)
-    try:
-        result = run(initial, cfg.phys, cfg.reg, cfg.step,
-                     diag_hooks=(rec.hook,))
-    except (BlowupError, DegenerateStateError, NotSPDError) as err:
-        print(f"run aborted: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = run(initial, cfg.phys, cfg.reg, cfg.step,
+                 diag_hooks=(rec.hook,))
     rows = rec.rows()
     if cfg.csv:
-        dg.write_timeseries(cfg.csv, rows)
+        _file_io("write csv", cfg.csv, lambda path: dg.write_timeseries(path, rows))
     if cfg.snapshot:
-        _save_state(result.final, cfg.snapshot)
+        _file_io("write snapshot", cfg.snapshot, lambda path: save_state(result.final, path))
     mass_drift, eta_drift = dg.conservation(result.final, initial)
     summary = {**_row_summary(rows), "mass_drift": mass_drift, "eta_drift": eta_drift}
     broken = _non_finite(summary)
@@ -380,7 +365,7 @@ def _random_spd_field(grid: Grid2D, rng: np.random.Generator,
     g2 = floor_scale * np.exp(_smooth_random(grid, rng, scale=0.8))
     ang = _smooth_random(grid, rng, scale=1.2)
     xx, xy, yy = sc.recombine_fields(g1, g2, np.cos(ang), np.sin(ang))
-    return SymTensorField2D(grid, xx, xy, yy, "T")
+    return SymTensorField2D(grid, xx, xy, yy)
 
 
 class _SuiteReport:
@@ -458,7 +443,7 @@ def _suite_field(seed: int) -> _SuiteReport:
     s = 0.4 * _smooth_random(grid, rng, scale=1.0)
     e = np.exp(s)
     zero = np.zeros_like(e)
-    T = SymTensorField2D(grid, e, zero, e, "T")
+    T = SymTensorField2D(grid, e, zero, e)
     r = dg.log_grad_bound(T)
     ratio = r.rhs / r.lhs if r.lhs > 0.0 else 1.0
     rep.check("scalar-exponent-ratio", 0.5 <= ratio <= 2.0,
@@ -572,12 +557,9 @@ def verify_report(suite: str, seed: int = DEFAULT_SEED) -> tuple[str, int]:
     return _SUITE_FUNCS[suite](seed).render()
 
 
+@_exit_codes
 def cmd_verify(suite: str, seed: int = DEFAULT_SEED) -> int:
-    try:
-        text, code = verify_report(suite, seed)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    text, code = verify_report(suite, seed)
     sys.stdout.write(text)
     return code
 
@@ -625,41 +607,37 @@ def _field_distance(a: SimState, b: SimState) -> float:
     total = cell_sum(grid, (a.rho.data - b.rho.data) ** 2)
     total += cell_sum(grid, (a.u.x - b.u.x) ** 2 + (a.u.y - b.u.y) ** 2)
     total += cell_sum(grid, (a.eta.data - b.eta.data) ** 2)
-    total += cell_sum(grid, (a.T.xx - b.T.xx) ** 2
-                      + 2.0 * (a.T.xy - b.T.xy) ** 2
-                      + (a.T.yy - b.T.yy) ** 2)
+    total += dg.stress_l2(SymTensorField2D(grid, a.T.xx - b.T.xx, a.T.xy - b.T.xy,
+                                           a.T.yy - b.T.yy))
     return math.sqrt(total)
 
 
+@_exit_codes
 def cmd_sweep(config_path, knob: str, values_text: str) -> int:
-    try:
-        cfg = _read_config(config_path)
-        values = parse_values(values_text)
-        if knob not in ("alpha", "delta"):
-            raise ConfigError(f"unknown sweep knob {knob!r}")
-        if cfg.step.dt is None:
-            raise ConfigError(
-                "sweep requires an explicit dt: auto step sizes differ "
-                "across knob values and would confound the comparison")
-        if knob == "delta" and cfg.phys.L == 0.0:
-            raise ConfigError(
-                "delta sweep requires L > 0: with L = 0 the polymer "
-                "pressure vanishes entirely as delta -> 0")
-        if knob == "alpha" and cfg.reg.sigma3 > 0.0 \
-                and min(values) <= cfg.reg.sigma3:
-            raise ConfigError(
-                f"alpha sweep values must stay above sigma3 = "
-                f"{cfg.reg.sigma3} (cutoff constraint sigma3 < min(alpha, "
-                "theta))")
-        if knob == "alpha":
-            # the base state ignores the cutoff, which alpha = 0 would violate
-            base = build_initial(
-                replace(cfg, reg=replace(cfg.reg, alpha=0.0, sigma3=0.0)))
-        else:
-            base = build_initial(cfg)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _read_config(config_path)
+    values = parse_values(values_text)
+    if knob not in ("alpha", "delta"):
+        raise ConfigError(f"unknown sweep knob {knob!r}")
+    if cfg.step.dt is None:
+        raise ConfigError(
+            "sweep requires an explicit dt: auto step sizes differ "
+            "across knob values and would confound the comparison")
+    if knob == "delta" and cfg.phys.L == 0.0:
+        raise ConfigError(
+            "delta sweep requires L > 0: with L = 0 the polymer "
+            "pressure vanishes entirely as delta -> 0")
+    if knob == "alpha" and cfg.reg.sigma3 > 0.0 \
+            and min(values) <= cfg.reg.sigma3:
+        raise ConfigError(
+            f"alpha sweep values must stay above sigma3 = "
+            f"{cfg.reg.sigma3} (cutoff constraint sigma3 < min(alpha, "
+            "theta))")
+    if knob == "alpha":
+        # the base state ignores the cutoff, which alpha = 0 would violate
+        base = build_initial(
+            replace(cfg, reg=replace(cfg.reg, alpha=0.0, sigma3=0.0)))
+    else:
+        base = build_initial(cfg)
 
     make = _alpha_variant if knob == "alpha" else _delta_variant
     bound_rows = []
@@ -724,8 +702,7 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if cfg.csv:
-        with open(cfg.csv, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        _file_io("write csv", cfg.csv, lambda path: Path(path).write_bytes(text.encode("ascii")))
     return EXIT_OK
 
 

@@ -275,12 +275,12 @@ def spd_monitor(T: SymTensorField2D) -> SPDReport:
 
 def stress_l2(T: SymTensorField2D) -> float:
     """int |T|^2 with the off-diagonal counted twice."""
-    return cell_sum(T.grid, T.xx**2 + 2.0 * T.xy**2 + T.yy**2)
+    return cell_sum(T.grid, T.frobenius_sq())
 
 
 def stress_sup(T: SymTensorField2D) -> float:
     """Largest pointwise Frobenius norm over cells."""
-    return math.sqrt(float(np.max(T.xx**2 + 2.0 * T.xy**2 + T.yy**2)))
+    return math.sqrt(float(np.max(T.frobenius_sq())))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +316,7 @@ def log_grad_bound(T: SymTensorField2D) -> FieldIneq:
     gy = g2.grad_y(trlog, T.bc, grid.hy)
     lhs = 0.5 * cell_sum(grid, gx**2 + gy**2)
 
-    det = T.xx * T.yy - T.xy**2
-    ixx, ixy, iyy = T.yy / det, -T.xy / det, T.xx / det
+    ixx, ixy, iyy = symcalc.inverse_fields(T.xx, T.xy, T.yy)
     rhs = 0.0
     for dxx, dxy, dyy in _tensor_grads(grid, T.bc, T.xx, T.xy, T.yy):
         m11 = dxx * ixx + dxy * ixy
@@ -341,8 +340,7 @@ def cutoff_log_grad_bound(T: SymTensorField2D, sigma3: float) -> FieldIneq:
     gy = g2.grad_y(trlog_chi, T.bc, grid.hy)
     lhs = 0.5 * cell_sum(grid, gx**2 + gy**2)
 
-    det_c = cxx * cyy - cxy**2
-    inv_xx, inv_xy, inv_yy = cyy / det_c, -cxy / det_c, cxx / det_c
+    inv_xx, inv_xy, inv_yy = symcalc.inverse_fields(cxx, cxy, cyy)
     rhs = 0.0
     t_grads = _tensor_grads(grid, T.bc, T.xx, T.xy, T.yy)
     inv_grads = _tensor_grads(grid, T.bc, inv_xx, inv_xy, inv_yy)

@@ -96,7 +96,6 @@ class Grid2D:
 class ScalarField2D:
     grid: Grid2D
     data: np.ndarray
-    name: str = "scalar"
     bc: ClassVar[str] = NEUMANN
 
     def __post_init__(self):
@@ -105,7 +104,7 @@ class ScalarField2D:
             raise ValueError("scalar data must have shape (nx, ny)")
 
     def copy(self) -> "ScalarField2D":
-        return ScalarField2D(self.grid, self.data.copy(), self.name)
+        return ScalarField2D(self.grid, self.data.copy())
 
     def components(self):
         return (self.data,)
@@ -116,7 +115,6 @@ class VectorField2D:
     grid: Grid2D
     x: np.ndarray
     y: np.ndarray
-    name: str = "vector"
     bc: ClassVar[str] = DIRICHLET
 
     def __post_init__(self):
@@ -127,7 +125,7 @@ class VectorField2D:
             raise ValueError("vector components must have shape (nx, ny)")
 
     def copy(self) -> "VectorField2D":
-        return VectorField2D(self.grid, self.x.copy(), self.y.copy(), self.name)
+        return VectorField2D(self.grid, self.x.copy(), self.y.copy())
 
     def components(self):
         return (self.x, self.y)
@@ -141,7 +139,6 @@ class SymTensorField2D:
     xx: np.ndarray
     xy: np.ndarray
     yy: np.ndarray
-    name: str = "symtensor"
     bc: ClassVar[str] = NEUMANN
 
     def __post_init__(self):
@@ -155,11 +152,15 @@ class SymTensorField2D:
 
     def copy(self) -> "SymTensorField2D":
         return SymTensorField2D(
-            self.grid, self.xx.copy(), self.xy.copy(), self.yy.copy(), self.name
+            self.grid, self.xx.copy(), self.xy.copy(), self.yy.copy()
         )
 
     def components(self):
         return (self.xx, self.xy, self.yy)
+
+    def frobenius_sq(self) -> np.ndarray:
+        """Pointwise squared Frobenius norm, the off-diagonal counted twice."""
+        return self.xx**2 + 2.0 * self.xy**2 + self.yy**2
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def tensor_divergence(t: SymTensorField2D) -> VectorField2D:
     g = t.grid
     vx = grad_x(t.xx, t.bc, g.hx) + grad_y(t.xy, t.bc, g.hy)
     vy = grad_x(t.xy, t.bc, g.hx) + grad_y(t.yy, t.bc, g.hy)
-    return VectorField2D(g, vx, vy, name=f"div_{t.name}")
+    return VectorField2D(g, vx, vy)
 
 
 def cell_sum(grid: Grid2D, arr: np.ndarray) -> float:
@@ -316,61 +317,15 @@ def mollify_initial(data, theta: float):
 
     if isinstance(data, ScalarField2D):
         out = smooth(data.data) + theta
-        return ScalarField2D(grid, out, data.name)
+        return ScalarField2D(grid, out)
     if isinstance(data, VectorField2D):
-        return VectorField2D(grid, smooth(data.x), smooth(data.y), data.name)
+        return VectorField2D(grid, smooth(data.x), smooth(data.y))
     if isinstance(data, SymTensorField2D):
         return SymTensorField2D(
             grid,
             smooth(data.xx) + theta,
             smooth(data.xy),
             smooth(data.yy) + theta,
-            data.name,
         )
     raise TypeError(f"unsupported field type {type(data).__name__}")
 
-
-# ---------------------------------------------------------------------------
-# Snapshot files: text header + row-major float64 payload, bit-exact.
-
-
-_KIND_BY_COUNT = {1: ScalarField2D, 2: VectorField2D, 3: SymTensorField2D}
-# component name suffixes per component count, as in "T_xy"
-_SUFFIXES = {1: ("",), 2: ("_x", "_y"), 3: ("_xx", "_xy", "_yy")}
-
-
-def save_snapshot(f, path) -> None:
-    comps = f.components()
-    header = f"{f.grid.nx} {f.grid.ny} {f.grid.hx!r} {f.grid.hy!r} {f.name} {len(comps)}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for comp in comps:
-            fh.write(np.ascontiguousarray(comp, dtype=np.float64).tobytes())
-
-
-def load_snapshot(path):
-    """Read a field written by save_snapshot; ValueError if it is malformed."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        payload = fh.read()
-    try:
-        nx, ny, hx, hy, name, count = header.decode("ascii").split()
-        nx, ny, hx, hy, count = int(nx), int(ny), float(hx), float(hy), int(count)
-    except ValueError:
-        raise ValueError(f"unreadable header {header[:80]!r}") from None
-    if count not in _KIND_BY_COUNT:
-        raise ValueError(f"unknown component count {count}")
-    if len(payload) != 8 * nx * ny * count:
-        raise ValueError(f"payload has {len(payload)} bytes, "
-                         f"expected 8 * {nx} * {ny} * {count}")
-    try:
-        grid = Grid2D(nx, ny, lx=hx * nx, ly=hy * ny)
-    except OverflowError:  # a cell count too large for a float side length
-        raise ValueError(f"grid size out of range in header {header[:80]!r}") from None
-    comps = np.frombuffer(payload, dtype=np.float64).reshape(count, nx, ny)
-    for comp, suffix in zip(comps, _SUFFIXES[count]):
-        if not np.isfinite(comp).all():
-            idx = np.unravel_index(np.argmin(np.isfinite(comp)), comp.shape)
-            raise ValueError(f"non-finite {name}{suffix} at cell "
-                             f"{tuple(int(v) for v in idx)}")
-    return _KIND_BY_COUNT[count](grid, *(c.copy() for c in comps), name=name)

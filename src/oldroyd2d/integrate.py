@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 
 from oldroyd2d import grid as g2
-from oldroyd2d.grid import ScalarField2D, SymTensorField2D, VectorField2D, require
+from oldroyd2d.grid import require
 from oldroyd2d.model import (
     PhysParams,
     RegParams,
@@ -27,6 +27,7 @@ from oldroyd2d.model import (
     rhs_eta,
     rhs_momentum,
     rhs_stress,
+    state_from_components,
 )
 from oldroyd2d.symcalc import NotSPDError
 
@@ -107,31 +108,25 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
 
 
 def _pack(state: SimState):
+    """Conservative components; all but the momenta are the state's own arrays."""
     rho = state.rho.data
     return [
-        rho.copy(),
+        rho,
         rho * state.u.x,
         rho * state.u.y,
-        state.eta.data.copy(),
-        state.T.xx.copy(),
-        state.T.xy.copy(),
-        state.T.yy.copy(),
+        state.eta.data,
+        state.T.xx,
+        state.T.xy,
+        state.T.yy,
     ]
 
 
-def _unpack(y, template: SimState, t: float, floor_counter) -> SimState:
+def _unpack(y, grid: g2.Grid2D, t: float, floor_counter) -> SimState:
     rho, mx, my, eta, txx, txy, tyy = y
     safe = np.maximum(rho, RHO_FLOOR)
     if floor_counter is not None and np.any(rho < RHO_FLOOR):
         floor_counter[0] += int(np.count_nonzero(rho < RHO_FLOOR))
-    grid = template.rho.grid
-    return SimState(
-        t=t,
-        rho=ScalarField2D(grid, rho, name=template.rho.name),
-        u=VectorField2D(grid, mx / safe, my / safe, name=template.u.name),
-        eta=ScalarField2D(grid, eta, name=template.eta.name),
-        T=SymTensorField2D(grid, txx, txy, tyy, name=template.T.name),
-    )
+    return state_from_components(t, grid, rho, mx / safe, my / safe, eta, txx, txy, tyy)
 
 
 def _rhs(state: SimState, phys: PhysParams, reg: RegParams):
@@ -211,7 +206,7 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
     y0 = _pack(state)
     f0 = rhs(state, phys, reg)
     y1 = [a + dt * b for a, b in zip(y0, f0)]
-    s1 = _unpack(y1, state, state.t + dt, floor_counter)
+    s1 = _unpack(y1, state.rho.grid, state.t + dt, floor_counter)
     f1 = rhs(s1, phys, reg)
     y2 = [0.5 * (a + b + dt * c) for a, b, c in zip(y0, y1, f1)]
     if cfg.scheme == "imex":
@@ -224,7 +219,7 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
             y2[i] = _neumann_heat_solve(y2[i], eps_denom)
 
     _check_finite(y2, state.t + dt)
-    return _unpack(y2, state, state.t + dt, floor_counter)
+    return _unpack(y2, state.rho.grid, state.t + dt, floor_counter)
 
 
 def run(

@@ -18,6 +18,7 @@ the base model bit for bit: knob terms are skipped, not multiplied by 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -105,13 +106,64 @@ class SimState:
         return SimState(self.t, self.rho.copy(), self.u.copy(), self.eta.copy(), self.T.copy())
 
 
+def state_from_components(t: float, grid: Grid2D, rho, ux, uy, eta, txx, txy, tyy) -> SimState:
+    """The state at time t whose fields hold the seven component arrays."""
+    return SimState(
+        t=t,
+        rho=ScalarField2D(grid, rho),
+        u=VectorField2D(grid, ux, uy),
+        eta=ScalarField2D(grid, eta),
+        T=SymTensorField2D(grid, txx, txy, tyy),
+    )
+
+
+# A state file is one ASCII line "<tag> nx ny lx ly t", its floats written by repr so
+# that they read back exactly, then the seven components as row-major little-endian float64:
+_STATE_COMPONENTS = ("rho", "u_x", "u_y", "eta", "T_xx", "T_xy", "T_yy")
+_STATE_TAG = "oldroyd2d-state-v1"
+
+
+def save_state(state: SimState, path) -> None:
+    """Write state to one file that load_state reads back bit for bit."""
+    g = state.rho.grid
+    header = f"{_STATE_TAG} {g.nx} {g.ny} {g.lx!r} {g.ly!r} {state.t!r}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for field in (state.rho, state.u, state.eta, state.T):
+            for comp in field.components():
+                fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
+
+
+def load_state(path) -> SimState:
+    """Read a file written by save_state; OSError if unreadable, ValueError if malformed."""
+    header, _, payload = Path(path).read_bytes().partition(b"\n")
+    try:
+        tag, nx, ny, lx, ly, t = header.decode("ascii").split()
+        nx, ny, lx, ly, t = int(nx), int(ny), float(lx), float(ly), float(t)
+    except ValueError:
+        raise ValueError(f"unreadable header {header[:80]!r}") from None
+    if tag != _STATE_TAG:
+        raise ValueError(f"format tag {tag[:40]!r} is not {_STATE_TAG!r}")
+    if not np.isfinite(t):
+        raise ValueError(f"time t = {t} is not finite")
+    grid = Grid2D(nx, ny, lx, ly)
+    if len(payload) != 8 * nx * ny * 7:
+        raise ValueError(f"payload has {len(payload)} bytes, expected 8 * {nx} * {ny} * 7")
+    comps = np.frombuffer(payload, dtype="<f8").reshape(7, nx, ny)
+    for name, comp in zip(_STATE_COMPONENTS, comps):
+        if not np.isfinite(comp).all():
+            idx = np.unravel_index(np.argmin(np.isfinite(comp)), comp.shape)
+            raise ValueError(f"non-finite {name} at cell {tuple(int(v) for v in idx)}")
+    return state_from_components(t, grid, *(c.copy() for c in comps))
+
+
 def pressure(rho: ScalarField2D, phys: PhysParams, reg: RegParams) -> ScalarField2D:
     """a rho^gamma plus the artificial sigma1 rho^Gamma term."""
     base = np.maximum(rho.data, 0.0)  # 0^gamma := 0, tolerate advection undershoot
     p = phys.a * base**phys.gamma
     if reg.sigma1 != 0.0:
         p = p + reg.sigma1 * base**reg.Gamma
-    return ScalarField2D(rho.grid, p, name="pressure")
+    return ScalarField2D(rho.grid, p)
 
 
 def polymer_pressure(eta: np.ndarray, phys: PhysParams) -> np.ndarray:
@@ -144,7 +196,7 @@ def newtonian_stress(u: VectorField2D, phys: PhysParams) -> SymTensorField2D:
     if phys.muB != 0.0:
         sxx = sxx + phys.muB * div_u
         syy = syy + phys.muB * div_u
-    return SymTensorField2D(u.grid, sxx, sxy, syy, name="newtonian")
+    return SymTensorField2D(u.grid, sxx, sxy, syy)
 
 
 def rhs_continuity(state: SimState, phys: PhysParams, reg: RegParams) -> ScalarField2D:
@@ -153,14 +205,14 @@ def rhs_continuity(state: SimState, phys: PhysParams, reg: RegParams) -> ScalarF
     out = -g2.upwind_div(state.u.x, state.u.y, state.rho.data, state.rho.bc, g.hx, g.hy)
     if reg.sigma2 != 0.0:
         out = out + reg.sigma2 * g2.lap(state.rho.data, state.rho.bc, g.hx, g.hy)
-    return ScalarField2D(g, out, name="rhs_rho")
+    return ScalarField2D(g, out)
 
 
 def rhs_eta(state: SimState, phys: PhysParams) -> ScalarField2D:
     g = state.eta.grid
     out = -g2.upwind_div(state.u.x, state.u.y, state.eta.data, state.eta.bc, g.hx, g.hy)
     out = out + phys.eps * g2.lap(state.eta.data, state.eta.bc, g.hx, g.hy)
-    return ScalarField2D(g, out, name="rhs_eta")
+    return ScalarField2D(g, out)
 
 
 def tr_log_field(T: SymTensorField2D, context: str = "") -> np.ndarray:
@@ -227,7 +279,7 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
         out_x += rho.data * phys.f.x
         out_y += rho.data * phys.f.y
 
-    return VectorField2D(g, out_x, out_y, name="rhs_momentum")
+    return VectorField2D(g, out_x, out_y)
 
 
 def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorField2D:
@@ -254,7 +306,7 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
         out[i] += phys.eps * g2.lap(comp, T.bc, g.hx, g.hy)
     add_relaxation(out, txx, txy, tyy, eta.data + reg.alpha, phys)
 
-    return SymTensorField2D(g, out[0], out[1], out[2], name="rhs_T")
+    return SymTensorField2D(g, out[0], out[1], out[2])
 
 
 # The two stress source terms below are shared by rhs_stress (on arrays) and
@@ -291,12 +343,6 @@ def equilibrium_state(
         raise ValueError("equilibrium density and polymer density must be positive")
     shape = (grid.nx, grid.ny)
     t_eq = phys.k * (eta_bar + reg.alpha)
-    return SimState(
-        t=0.0,
-        rho=ScalarField2D(grid, np.full(shape, rho_bar), name="rho"),
-        u=VectorField2D(grid, np.zeros(shape), np.zeros(shape), name="u"),
-        eta=ScalarField2D(grid, np.full(shape, eta_bar), name="eta"),
-        T=SymTensorField2D(
-            grid, np.full(shape, t_eq), np.zeros(shape), np.full(shape, t_eq), name="T"
-        ),
-    )
+    return state_from_components(
+        0.0, grid, np.full(shape, rho_bar), np.zeros(shape), np.zeros(shape),
+        np.full(shape, eta_bar), np.full(shape, t_eq), np.zeros(shape), np.full(shape, t_eq))

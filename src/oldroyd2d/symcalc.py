@@ -72,12 +72,6 @@ class EigenPair2:
     angle: float
 
 
-def _recombine(g1: float, g2: float, angle: float) -> SymMat2:
-    c, s = math.cos(angle), math.sin(angle)
-    cc, ss, cs = c * c, s * s, c * s
-    return SymMat2(g1 * cc + g2 * ss, (g1 - g2) * cs, g1 * ss + g2 * cc)
-
-
 def eig(p: SymMat2) -> EigenPair2:
     """Closed-form eigendecomposition via the characteristic quadratic.
 
@@ -106,7 +100,7 @@ def eig(p: SymMat2) -> EigenPair2:
 def apply_scalar(g: Callable[[float], float], p: SymMat2) -> SymMat2:
     """Lift the scalar function g to p through its eigendecomposition."""
     e = eig(p)
-    return _recombine(g(e.lam1), g(e.lam2), e.angle)
+    return SymMat2(*recombine_fields(g(e.lam1), g(e.lam2), math.cos(e.angle), math.sin(e.angle)))
 
 
 def tr_log(p: SymMat2) -> float:
@@ -184,11 +178,10 @@ def convexity_trace_ineq(
 # eigenvalues only, which is all tr log T needs; cutoff_fields() alone
 # adds the rotation (arctan2, the tie mask, cos and sin) to recombine chi(T).
 #
-# The scalar path above is kept on purpose rather than written as 0-d
-# calls into these functions: eig() takes about 1.5 us per matrix, while
-# the same formulas as numpy calls on 0-d arrays take about 40 us (call
-# overhead).  The matrix-inequalities verify suite makes 150,000 eig()
-# calls, which would grow from about 1 s to about 6 s.
+# eig() keeps its own scalar code: it takes about 1.5 us per matrix, the
+# same formulas as numpy calls on 0-d arrays about 40 us (call overhead),
+# so the 150,000 eig() calls of the matrix-inequalities suite take 1 s, not
+# 6 s.  recombine_fields() is plain arithmetic; apply_scalar() calls it too.
 
 
 def eig_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
@@ -225,6 +218,12 @@ def recombine_fields(g1: np.ndarray, g2: np.ndarray, c: np.ndarray, s: np.ndarra
     """Assemble O diag(g1, g2) O^T componentwise."""
     cc, ss, cs = c * c, s * s, c * s
     return g1 * cc + g2 * ss, (g1 - g2) * cs, g1 * ss + g2 * cc
+
+
+def inverse_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
+    """Componentwise inverse: the adjugate over the determinant."""
+    det = xx * yy - xy**2
+    return yy / det, -xy / det, xx / det
 
 
 def cutoff_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, floor: float):

@@ -45,7 +45,7 @@ def random_spd_field(grid, rng, floor_scale=1.0):
     g2 = floor_scale * np.exp(smooth_random(grid, rng, scale=0.8))
     ang = smooth_random(grid, rng, scale=1.2)
     xx, xy, yy = sc.recombine_fields(g1, g2, np.cos(ang), np.sin(ang))
-    return SymTensorField2D(grid, xx, xy, yy, "T")
+    return SymTensorField2D(grid, xx, xy, yy)
 
 
 def recorded_run(text):
@@ -117,7 +117,7 @@ def test_criterion_03_field_inequalities():
     x, y = grid.cell_centers()
     s = 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
     e = np.exp(s)
-    T = SymTensorField2D(grid, e, np.zeros_like(e), e, "T")
+    T = SymTensorField2D(grid, e, np.zeros_like(e), e)
     r = dg.log_grad_bound(T)
     gx = grad_x(s, T.bc, grid.hx)
     gy = grad_y(s, T.bc, grid.hy)

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from oldroyd2d import cli
 from oldroyd2d import diagnostics as dg
-from oldroyd2d.grid import Grid2D, ParamError, cell_sum, load_snapshot
+from oldroyd2d.grid import Grid2D, ParamError, cell_sum
 from oldroyd2d.integrate import StepConfig
-from oldroyd2d.model import PhysParams, RegParams
-from oldroyd2d.symcalc import IneqResult, SymMat2
+from oldroyd2d.model import _STATE_TAG, PhysParams, RegParams, load_state, save_state
+from oldroyd2d.symcalc import IneqResult, NotSPDError, SymMat2
 
 
 def serialize(cfg: cli.RunConfig) -> str:
@@ -131,7 +131,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key", ["nx", "ny", "lx", "ly"])
     def test_file_initial_rejects_grid_keys(self, key):
         with pytest.raises(cli.ConfigError,
-                           match=f"^line 2: {key} cannot be set .*snapshots"):
+                           match=f"^line 2: {key} cannot be set .*snapshot$"):
             cli.parse_config(f"initial = file:/tmp/x\n{key} = 8\nalpha = 0.2\n")
 
     def test_file_initial_round_trip_omits_grid_keys(self):
@@ -212,7 +212,7 @@ _RULE_CASES = [
      "line 2: diag_every = 0 violates diag_every >= 1"),
     ("initial", "initial = vortex",
      "line 2: initial = 'vortex' must be one of equilibrium, "
-     "perturbed-equilibrium, shear-layer or file:<path prefix>"),
+     "perturbed-equilibrium, shear-layer or file:<path>"),
     ("rho_bar", "rho_bar = 0", "line 2: rho_bar = 0.0 violates rho_bar > 0"),
     ("eta_bar", "eta_bar = -1", "line 2: eta_bar = -1.0 violates eta_bar > 0"),
     ("amp", "amp = 1",
@@ -317,28 +317,21 @@ class TestPresets:
         assert np.all(st.u.y == 0.0)
 
     def test_file_preset_round_trips_bits(self, tmp_path):
-        cfg = cli.parse_config("nx = 8\nny = 8\ninitial = perturbed-equilibrium")
+        cfg = cli.parse_config("nx = 5\nny = 5\nlx = 0.9\nly = 0.9\n"
+                               "initial = perturbed-equilibrium")
         st = cli.build_initial(cfg)
-        cli._save_state(st, str(tmp_path / "snap"))
+        st.t = 0.1 + 0.2
+        save_state(st, tmp_path / "snap")
         back = cli.build_initial(
             cli.parse_config(f"initial = file:{tmp_path}/snap"))
         assert np.array_equal(back.rho.data, st.rho.data)
         assert np.array_equal(back.T.xy, st.T.xy)
         assert back.u.bc == st.u.bc
-
-    def test_file_preset_grid_mismatch_rejected(self, tmp_path):
-        a = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
-        b = cli.build_initial(cli.parse_config("nx = 16\nny = 16"))
-        cli._save_state(a, str(tmp_path / "mix"))
-        cli._save_state(b, str(tmp_path / "other"))
-        import shutil
-        shutil.copy(tmp_path / "other.T.snap", tmp_path / "mix.T.snap")
-        with pytest.raises(cli.ConfigError, match="does not match"):
-            cli.build_initial(cli.parse_config(f"initial = file:{tmp_path}/mix"))
+        assert back.t == st.t and back.rho.grid == cfg.grid
 
     def test_file_preset_with_grid_keys_exits_one(self, tmp_path):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
-        cli._save_state(st, str(tmp_path / "snap"))
+        save_state(st, tmp_path / "snap")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"initial = file:{tmp_path}/snap\nnx = 16\nny = 16\n"
                        "lx = 2.0\nt_end = 0.01\n")
@@ -351,41 +344,43 @@ class TestPresets:
         with pytest.raises(cli.ConfigError, match="cannot read snapshot"):
             cli.build_initial(cli.parse_config("initial = file:/nonexistent/x"))
 
-    @pytest.mark.parametrize("fault", ["header", "count", "payload", "kind",
-                                       "nonfinite", "spacing"])
+    @pytest.mark.parametrize("fault", ["header", "payload", "nonfinite", "spacing",
+                                       "tag", "time"])
     def test_malformed_snapshot_is_config_error(self, tmp_path, fault):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
-        cli._save_state(st, str(tmp_path / "bad"))
-        rho = tmp_path / "bad.rho.snap"
-        header, payload = rho.read_bytes().split(b"\n", 1)
+        path = tmp_path / "bad"
+        save_state(st, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        tag = _STATE_TAG.encode("ascii")
         if fault == "header":
-            rho.write_bytes(b"eight 8 0.125 0.125 rho 1\n" + payload)
-        elif fault == "count":
-            rho.write_bytes(header[:-1] + b"4\n" + payload * 4)
+            path.write_bytes(tag + b" eight 8 1.0 1.0 0.0\n" + payload)
         elif fault == "payload":
-            rho.write_bytes(header + b"\n" + payload[:-8])
+            path.write_bytes(header + b"\n" + payload[:-8])
         elif fault == "spacing":  # the square of the spacing underflows
-            rho.write_bytes(b"8 8 1e-300 1e-300 rho 1\n" + payload)
+            path.write_bytes(tag + b" 8 8 8e-300 8e-300 0.0\n" + payload)
         elif fault == "nonfinite":
             data = np.frombuffer(payload, dtype=np.float64).copy()
             data[3 * 8 + 5] = np.nan
-            rho.write_bytes(header + b"\n" + data.tobytes())
+            path.write_bytes(header + b"\n" + data.tobytes())
+        elif fault == "tag":  # another format version
+            path.write_bytes(tag[:-1] + b"0 8 8 1.0 1.0 0.0\n" + payload)
         else:
-            rho.write_bytes((tmp_path / "bad.u.snap").read_bytes())
+            path.write_bytes(tag + b" 8 8 1.0 1.0 inf\n" + payload)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"initial = file:{tmp_path}/bad\nt_end = 0.01\n")
+        cfg.write_text(f"initial = file:{path}\nt_end = 0.01\n")
         code, out, err = capture(cli.cmd_run, str(cfg))
         assert code == 1 and out == ""
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert str(rho) in err
+        assert err.startswith(f"config error: malformed snapshot {path}: ")
+        assert err.count("\n") == 1
         if fault == "nonfinite":
             assert err.endswith(": non-finite rho at cell (3, 5)\n")
 
 
-# Snapshot files for the loader fuzz: raw junk, or six header tokens
-# (well-formed or not) with a payload that either matches the length the
-# header names, is a few bytes off, or is arbitrary.
-_MAX_PAYLOAD = 8 * 16 * 16 * 3 + 8
+# State files for the loader fuzz: raw junk, or six header tokens (well-formed
+# or not, with the right tag or another) and a payload that either matches the
+# length the header names, is a few bytes off, or is arbitrary.  Well-formed
+# tokens are drawn more often than the others, so that some files load.
+_MAX_PAYLOAD = 8 * 16 * 16 * 7 + 8
 _int_tokens = st.one_of(
     st.integers(4, 12).map(str), st.integers(-10, 3).map(str),
     st.sampled_from(["10" * 200, "-0", "8.0", "", "x"]))
@@ -393,25 +388,27 @@ _float_tokens = st.one_of(
     st.floats(1e-3, 1e3).map(repr),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["1e308", "1e-320", "-0.125", "nan", "inf"]))
+_good_ints = st.integers(4, 12).map(str)
+_good_floats = st.floats(1e-3, 1e3).map(repr)
 
 
 @st.composite
 def _snapshot_files(draw):
-    fill = draw(st.sampled_from([1.0, np.nan, -np.inf]))
-    if draw(st.booleans()):
+    fill = draw(st.sampled_from([1.0, 1.0, 1.0, np.nan, -np.inf]))
+    if draw(st.integers(0, 3)) == 0:
         header = draw(st.binary(max_size=64))
         length = draw(st.integers(0, _MAX_PAYLOAD))
     else:
-        nx, ny, count = draw(_int_tokens), draw(_int_tokens), draw(
-            st.sampled_from(["1", "2", "3", "0", "4", "-1", "3 7"]))
-        tokens = [nx, ny, draw(_float_tokens), draw(_float_tokens),
-                  draw(st.sampled_from(["rho", "u", "T", "x" * 70])), count]
-        header = " ".join(tokens).encode("ascii")
+        nx, ny = (draw(st.one_of(_good_ints, _good_ints, _int_tokens)) for _ in range(2))
+        tag = draw(st.sampled_from([_STATE_TAG] * 4 + ["oldroyd2d-state-v0", "x" * 70]))
+        lx, ly, t = (draw(st.one_of(_good_floats, _good_floats, _float_tokens)) for _ in range(3))
+        extra = draw(st.sampled_from(["", "", "", " 7"]))
+        header = " ".join([tag, nx, ny, lx, ly, t + extra]).encode("ascii")
         try:
-            length = 8 * int(nx) * int(ny) * int(count)
+            length = 8 * int(nx) * int(ny) * 7
         except ValueError:
             length = 0
-        length += draw(st.sampled_from([0, 0, -8, 8, 3]))
+        length += draw(st.sampled_from([0, 0, 0, 0, -8, 8, 3]))
         if not 0 <= length <= _MAX_PAYLOAD:
             length = draw(st.integers(0, _MAX_PAYLOAD))
     payload = np.full(length // 8, fill).tobytes() + b"\0" * (length % 8)
@@ -419,37 +416,38 @@ def _snapshot_files(draw):
 
 
 class TestSnapshotFuzz:
-    """Arbitrary headers and payload lengths: a field or ValueError from the
-    loader, a state or ConfigError from the state loader, nothing else."""
+    """Arbitrary headers and payload lengths: a state or ValueError from the
+    loader, a state or ConfigError from a file: initial, nothing else."""
 
     @seed(20260817)
     @settings(max_examples=300, deadline=None)
     @given(data=_snapshot_files())
     def test_load_snapshot_returns_field_or_value_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "f.snap"
+            path = Path(tmp) / "s.state"
             path.write_bytes(data)
             try:
-                field = load_snapshot(str(path))
+                state = load_state(str(path))
             except ValueError:
                 return
-        comps = field.components()
-        assert all(c.shape == (field.grid.nx, field.grid.ny) for c in comps)
+        comps = (state.rho.data, state.u.x, state.u.y, state.eta.data,
+                 state.T.xx, state.T.xy, state.T.yy)
+        grid = state.rho.grid
+        assert all(c.shape == (grid.nx, grid.ny) for c in comps)
+        assert all(np.isfinite(c).all() for c in comps) and math.isfinite(state.t)
         assert 8 * comps[0].size * len(comps) == len(data.split(b"\n", 1)[1])
 
     @seed(20260817)
     @settings(max_examples=150, deadline=None)
     @given(data=_snapshot_files())
     def test_load_state_returns_state_or_config_error(self, data):
-        good = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
         with tempfile.TemporaryDirectory() as tmp:
-            cli._save_state(good, f"{tmp}/s")
-            Path(f"{tmp}/s.rho.snap").write_bytes(data)
+            Path(f"{tmp}/s").write_bytes(data)
             try:
-                state = cli._load_state(f"{tmp}/s")
+                state = cli.build_initial(cli.parse_config(f"initial = file:{tmp}/s"))
             except cli.ConfigError:
                 return
-        assert state.rho.data.shape == (8, 8)
+        assert state.rho.data.shape == (state.rho.grid.nx, state.rho.grid.ny)
 
 
 class TestRunCommand:
@@ -470,8 +468,36 @@ class TestRunCommand:
         cols = lines[0].split(",")
         ridx = cols.index("residual")
         assert all(float(row.split(",")[ridx]) <= 1e-10 for row in lines[1:])
-        final = load_snapshot(str(tmp_path / "final.T.snap"))
+        final = load_state(tmp_path / "final").T
         assert np.all(final.xx == pytest.approx(1.1))
+
+    def test_file_restart_continues_the_clock(self, tmp_path):
+        first = tmp_path / "first.cfg"
+        first.write_text("nx = 8\nny = 8\nmuS = 0.1\neps = 0.1\n"
+                         "initial = perturbed-equilibrium\ndt = 0.003\nt_end = 0.02\n"
+                         f"snapshot = {tmp_path}/mid\n")
+        code, out, err = capture(cli.cmd_run, str(first))
+        assert code == 0 and err == ""
+        saved = load_state(tmp_path / "mid")
+        assert saved.t == float(out.split("t_final=")[1].split()[0]) > 0.0
+        second = tmp_path / "second.cfg"
+        second.write_text(f"initial = file:{tmp_path}/mid\nmuS = 0.1\neps = 0.1\n"
+                          f"dt = 0.003\nt_end = 0.01\ncsv = {tmp_path}/rest.csv\n")
+        code, out, err = capture(cli.cmd_run, str(second))
+        assert code == 0 and err == ""
+        rows = (tmp_path / "rest.csv").read_text().splitlines()[1:]
+        assert float(rows[0].split(",")[0]) == saved.t
+        assert float(out.split("t_final=")[1].split()[0]) == saved.t + 0.01
+
+    @pytest.mark.parametrize("key", ["csv", "snapshot"])
+    def test_unwritable_output_exits_one(self, tmp_path, key):
+        path = tmp_path / "missing" / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nx = 8\nny = 8\nt_end = 0.01\n{key} = {path}\n")
+        code, out, err = capture(cli.cmd_run, str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith(f"config error: cannot write {key} {path}: ")
+        assert err.count("\n") == 1
 
     def test_summary_reports_floor_hits(self, tmp_path):
         path = self.equilibrium_config(tmp_path, "initial = perturbed-equilibrium\n")
@@ -533,7 +559,7 @@ class TestRunCommand:
     def test_indefinite_stress_exits_two_at_start(self, tmp_path):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
         st.T.xx[3, 4] = -0.5
-        cli._save_state(st, str(tmp_path / "bad"))
+        save_state(st, tmp_path / "bad")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"initial = file:{tmp_path}/bad\nalpha = 0.1\n"
                        "dt = 0.001\nt_end = 0.05\n")
@@ -644,6 +670,14 @@ class TestVerifyCommand:
         code, _, err = capture(cli.cmd_verify, "nonsense", 0)
         assert code == 1 and "unknown suite" in err
 
+    def test_run_abort_in_a_suite_exits_two(self, monkeypatch):
+        def abort(seed):
+            raise NotSPDError("stress lost positive definiteness at cell (1, 2)")
+        monkeypatch.setitem(cli._SUITE_FUNCS, "conservation", abort)
+        code, out, err = capture(cli.cmd_verify, "conservation", 0)
+        assert code == 2 and out == ""
+        assert err == "run aborted: stress lost positive definiteness at cell (1, 2)\n"
+
 
 SWEEP_BASE = ("nx = 16\nny = 16\nmuS = 0.1\neps = 0.1\nL = 1\n"
               "initial = perturbed-equilibrium\namp = 0.05\n"
@@ -739,10 +773,19 @@ class TestSweepCommand:
         assert code == 0 and err == ""
         assert out.count("\nrun alpha=") == 2
 
+    def test_unwritable_csv_exits_one(self, tmp_path):
+        path = tmp_path / "missing" / "sweep.txt"
+        text = SWEEP_BASE.replace("t_end = 0.1", "t_end = 0.01") + f"csv = {path}\n"
+        code, out, err = capture(
+            cli.cmd_sweep, self.write(tmp_path, text), "alpha", "0.1,0.05")
+        assert code == 1 and out.startswith("sweep knob=alpha ")
+        assert err.startswith(f"config error: cannot write csv {path}: ")
+        assert err.count("\n") == 1
+
     def test_failures_carry_knob_value(self, tmp_path):
         bad = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
         bad.T.xx[2, 2] = -4.0
-        cli._save_state(bad, str(tmp_path / "bad"))
+        save_state(bad, tmp_path / "bad")
         text = (f"initial = file:{tmp_path}/bad\ndt = 0.001\nt_end = 0.05\n")
         code, _, err = capture(
             cli.cmd_sweep, self.write(tmp_path, text), "alpha", "0.1,0.05")

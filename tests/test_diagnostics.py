@@ -48,12 +48,11 @@ def unit_state(n=8, rho=1.0, eta=1.0, t_diag=1.0):
     shape = (n, n)
     return SimState(
         t=0.0,
-        rho=ScalarField2D(g, np.full(shape, rho), name="rho"),
-        u=VectorField2D(g, np.zeros(shape), np.zeros(shape), name="u"),
-        eta=ScalarField2D(g, np.full(shape, eta), name="eta"),
+        rho=ScalarField2D(g, np.full(shape, rho)),
+        u=VectorField2D(g, np.zeros(shape), np.zeros(shape)),
+        eta=ScalarField2D(g, np.full(shape, eta)),
         T=SymTensorField2D(
             g, np.full(shape, t_diag), np.zeros(shape), np.full(shape, t_diag),
-            name="T",
         ),
     )
 
@@ -69,10 +68,10 @@ def perturbed_state(n, amp=0.08):
     txy = 0.1 * amp * np.cos(np.pi * X) * np.cos(np.pi * Y)
     return SimState(
         t=0.0,
-        rho=ScalarField2D(g, rho, name="rho"),
-        u=VectorField2D(g, ux, uy, name="u"),
-        eta=ScalarField2D(g, eta, name="eta"),
-        T=SymTensorField2D(g, txx, txy, np.ones_like(txx), name="T"),
+        rho=ScalarField2D(g, rho),
+        u=VectorField2D(g, ux, uy),
+        eta=ScalarField2D(g, eta),
+        T=SymTensorField2D(g, txx, txy, np.ones_like(txx)),
     )
 
 
@@ -130,8 +129,7 @@ class TestEnergyReport:
         data = state.T.xx.copy()
         yy = state.T.yy.copy()
         yy[3, 4] = -0.1
-        bad = SymTensorField2D(state.T.grid, data, state.T.xy.copy(), yy,
-                               name="T")
+        bad = SymTensorField2D(state.T.grid, data, state.T.xy.copy(), yy)
         bad_state = SimState(0.0, state.rho, state.u, state.eta, bad)
         with pytest.raises(NotSPDError):
             dg.energy(bad_state, PhysParams(), RegParams(alpha=0.1))
@@ -154,11 +152,10 @@ class TestEnergyReport:
             s2 = np.exp(0.8 * rng.normal() * np.cos(2 * np.pi * Y))
             state = SimState(
                 0.0,
-                ScalarField2D(g, rho, name="rho"),
-                VectorField2D(g, ux, 0.3 * ux, name="u"),
-                ScalarField2D(g, eta, name="eta"),
-                SymTensorField2D(g, s1, np.zeros_like(s1), s2,
-                                 name="T"),
+                ScalarField2D(g, rho),
+                VectorField2D(g, ux, 0.3 * ux),
+                ScalarField2D(g, eta),
+                SymTensorField2D(g, s1, np.zeros_like(s1), s2),
             )
             rep = dg.energy(state, phys, reg)
             assert rep.total >= 0.0
@@ -280,8 +277,7 @@ class TestSPDMonitor:
         state = unit_state()
         yy = state.T.yy.copy()
         yy[5, 2] = -0.1
-        T = SymTensorField2D(state.T.grid, state.T.xx.copy(), state.T.xy.copy(), yy,
-                             name="T")
+        T = SymTensorField2D(state.T.grid, state.T.xx.copy(), state.T.xy.copy(), yy)
         rep = dg.spd_monitor(T)
         assert rep.min_eig == pytest.approx(-0.1, rel=1e-13)
         assert rep.argmin == (5, 2)
@@ -297,7 +293,7 @@ class TestSPDMonitor:
         state = unit_state()
         xx, yy = state.T.xx.copy(), state.T.yy.copy()
         xx[2, 3], yy[2, 3] = 1e8, 1e-9
-        T = SymTensorField2D(state.T.grid, xx, state.T.xy.copy(), yy, name="T")
+        T = SymTensorField2D(state.T.grid, xx, state.T.xy.copy(), yy)
         assert np.all(np.isfinite(tr_log_field(T)))
         rep = dg.spd_monitor(T)
         assert rep.min_eig == 1e-9
@@ -342,8 +338,7 @@ class TestStressL2Monitor:
 
         def scaled(c):
             arr = np.full((8, 8), c)
-            return SymTensorField2D(g, arr, np.zeros_like(arr), arr.copy(),
-                                    name="T")
+            return SymTensorField2D(g, arr, np.zeros_like(arr), arr.copy())
 
         times = [0.0, 0.6, 1.2]
         growing = [scaled(1.0), scaled(1.3), scaled(1.7)]  # l2 ratio 2.89 over 1.2
@@ -361,7 +356,7 @@ class TestStressL2Monitor:
         xy = np.full((8, 8), 0.3)
         yy = np.full((8, 8), 0.8)
         state = SimState(0.0, state.rho, state.u, state.eta,
-                         SymTensorField2D(g, xx, xy, yy, name="T"))
+                         SymTensorField2D(g, xx, xy, yy))
         series = []
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=5e-3, t_end=1.0, scheme="rk2", diag_every=1),
@@ -414,9 +409,8 @@ def renormalization_residual(
 class TestRenormalization:
     def test_constant_state_exact_zero(self):
         g = Grid2D(8, 8, 1.0, 1.0)
-        rho = ScalarField2D(g, np.full((8, 8), 1.3), name="rho")
-        u = VectorField2D(g, np.zeros((8, 8)), np.zeros((8, 8)),
-                          name="u")
+        rho = ScalarField2D(g, np.full((8, 8), 1.3))
+        u = VectorField2D(g, np.zeros((8, 8)), np.zeros((8, 8)))
         res = renormalization_residual(lambda s: s * s, [rho, rho], [u, u],
                                           dt=0.1, b_prime=lambda s: 2.0 * s)
         assert res == 0.0
@@ -525,8 +519,7 @@ class TestFunctionalIneq:
     def test_korn_shear_frozen(self):
         state = unit_state(n=16)
         _, Y = state.rho.grid.cell_centers()
-        u = VectorField2D(state.rho.grid, 0.3 * Y * (1.0 - Y), np.zeros_like(Y),
-                          name="u")
+        u = VectorField2D(state.rho.grid, 0.3 * Y * (1.0 - Y), np.zeros_like(Y))
         rep = functional_ineq_checks(
             SimState(0.0, state.rho, u, state.eta, state.T))
         assert rep.korn.constant == pytest.approx(KORN_SHEAR, rel=1e-12)
@@ -544,8 +537,7 @@ class TestFunctionalIneq:
         X, Y = g.cell_centers()
         s = 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)
         es = np.exp(s)
-        T = SymTensorField2D(g, es, np.zeros_like(es), es.copy(),
-                             name="T")
+        T = SymTensorField2D(g, es, np.zeros_like(es), es.copy())
         res = dg.log_grad_bound(T)
         gx = g2.grad_x(s, NEUMANN, g.hx)
         gy = g2.grad_y(s, NEUMANN, g.hy)
@@ -580,7 +572,6 @@ class TestFunctionalIneq:
                 l1 * c * c + l2 * sn * sn,
                 (l1 - l2) * c * sn,
                 l1 * sn * sn + l2 * c * c,
-                name="T",
             )
             assert dg.log_grad_bound(T).holds
             assert dg.cutoff_log_grad_bound(T, 0.05).holds
@@ -590,7 +581,7 @@ class TestFunctionalIneq:
         xx = np.full((8, 8), 1.0)
         yy = xx.copy()
         yy[4, 4] = -0.2  # floored up to sigma3 by the cutoff
-        T = SymTensorField2D(g, xx, np.zeros_like(xx), yy, name="T")
+        T = SymTensorField2D(g, xx, np.zeros_like(xx), yy)
         rep = dg.cutoff_log_grad_bound(T, 0.3)
         assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
         with pytest.raises(NotSPDError):

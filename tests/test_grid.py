@@ -1,11 +1,11 @@
 """Grid operator tests: exactness on polynomials, adjointness, conservation,
-manufactured-solution orders, mollifier behavior, snapshot round-trips."""
+manufactured-solution orders, mollifier behavior, state-file round-trips."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,12 +23,11 @@ from oldroyd2d.grid import (
     grad_x,
     grad_y,
     lap,
-    load_snapshot,
     mollify_initial,
-    save_snapshot,
     tensor_divergence,
     upwind_div,
 )
+from oldroyd2d.model import SimState, load_state, save_state
 
 CONSERVE_TOL = 1e-12
 
@@ -468,7 +467,14 @@ class TestIntegrate:
         assert cell_sum(g, x) == pytest.approx(0.5, abs=1e-14)
 
 
+def _state_arrays(state):
+    return (state.rho.data, state.u.x, state.u.y, state.eta.data,
+            state.T.xx, state.T.xy, state.T.yy)
+
+
 class TestSnapshot:
+    """model.save_state / model.load_state: one file holds grid, time and fields."""
+
     @seed(20260817)
     @settings(max_examples=25, deadline=None)
     @given(
@@ -478,28 +484,35 @@ class TestSnapshot:
         st.floats(min_value=0.1, max_value=5.0),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
+    # 0.9 / 5 * 5 is 0.8999999999999999: a header of spacings lost this grid
+    @example(5, 5, 0.9, 0.9, 0)
     def test_round_trip_bit_exact(self, nx, ny, lx, ly, s):
         import tempfile, os
 
         g = Grid2D(nx, ny, lx, ly)
         rng = np.random.default_rng(s)
-        t = SymTensorField2D(
-            g,
-            rng.standard_normal((nx, ny)),
-            rng.standard_normal((nx, ny)),
-            rng.standard_normal((nx, ny)),
-            name="stress",
+        comps = [rng.standard_normal((nx, ny)) for _ in range(7)]
+        comps[0][0, 0] = -0.0  # the sign of zero and subnormals survive too
+        comps[6][-1, -1] = 5e-324
+        state = SimState(
+            t=float(rng.uniform(0.0, 10.0)),
+            rho=ScalarField2D(g, comps[0]),
+            u=VectorField2D(g, comps[1], comps[2]),
+            eta=ScalarField2D(g, comps[3]),
+            T=SymTensorField2D(g, comps[4], comps[5], comps[6]),
         )
         with tempfile.TemporaryDirectory() as d:
-            p1 = os.path.join(d, "a.snap")
-            p2 = os.path.join(d, "b.snap")
-            save_snapshot(t, p1)
-            loaded = load_snapshot(p1)
-            assert loaded.name == "stress"
-            assert loaded.grid.nx == nx and loaded.grid.ny == ny
-            for got, want in zip(loaded.components(), t.components()):
-                assert np.array_equal(got, want)
-            save_snapshot(loaded, p2)
+            p1 = os.path.join(d, "a.state")
+            p2 = os.path.join(d, "b.state")
+            save_state(state, p1)
+            loaded = load_state(p1)
+            assert loaded.t == state.t
+            for field in (loaded.rho, loaded.u, loaded.eta, loaded.T):
+                assert field.grid == g
+            assert loaded.rho.grid.area == g.area
+            for got, want in zip(_state_arrays(loaded), _state_arrays(state)):
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            save_state(loaded, p2)
             with open(p1, "rb") as fa, open(p2, "rb") as fb:
                 assert fa.read() == fb.read()
 
@@ -507,22 +520,11 @@ class TestSnapshot:
     def test_non_finite_payload_names_component_and_cell(self, tmp_path, bad):
         g = unit_grid(8)
         zero = np.zeros((8, 8))
-        t = SymTensorField2D(g, zero + 1.0, zero.copy(), zero + 1.0, name="T")
-        t.xy[3, 5] = bad
-        t.yy[6, 1] = bad  # a later component is not reported first
-        save_snapshot(t, tmp_path / "t.snap")
+        state = SimState(0.0, ScalarField2D(g, zero + 1.0), VectorField2D(g, zero, zero),
+                         ScalarField2D(g, zero + 1.0),
+                         SymTensorField2D(g, zero + 1.0, zero.copy(), zero + 1.0))
+        state.T.xy[3, 5] = bad
+        state.T.yy[6, 1] = bad  # a later component is not reported first
+        save_state(state, tmp_path / "t.state")
         with pytest.raises(ValueError, match=r"^non-finite T_xy at cell \(3, 5\)$"):
-            load_snapshot(tmp_path / "t.snap")
-
-    def test_scalar_and_vector_kinds(self, tmp_path):
-        g = unit_grid(4)
-        rng = np.random.default_rng(0)
-        s = ScalarField2D(g, rng.standard_normal((4, 4)), name="density")
-        v = VectorField2D(g, rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), name="vel")
-        ps, pv = tmp_path / "s.snap", tmp_path / "v.snap"
-        save_snapshot(s, ps)
-        save_snapshot(v, pv)
-        ls, lv = load_snapshot(ps), load_snapshot(pv)
-        assert isinstance(ls, ScalarField2D) and np.array_equal(ls.data, s.data)
-        assert isinstance(lv, VectorField2D) and np.array_equal(lv.x, v.x)
-        assert lv.bc == DIRICHLET
+            load_state(tmp_path / "t.state")

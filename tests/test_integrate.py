@@ -51,10 +51,10 @@ def perturbed_state(grid, amp=0.05, alpha=0.1, k=1.0, eta_bar=1.0):
     txy = 0.1 * amp * np.sin(np.pi * x) * np.sin(np.pi * y)
     return SimState(
         t=0.0,
-        rho=ScalarField2D(grid, rho, name="rho"),
-        u=VectorField2D(grid, ux, uy, name="u"),
-        eta=ScalarField2D(grid, eta, name="eta"),
-        T=SymTensorField2D(grid, txx, txy, tyy, name="T"),
+        rho=ScalarField2D(grid, rho),
+        u=VectorField2D(grid, ux, uy),
+        eta=ScalarField2D(grid, eta),
+        T=SymTensorField2D(grid, txx, txy, tyy),
     )
 
 

@@ -40,10 +40,10 @@ def unit_grid(n):
 def make_state(grid, rho, ux, uy, eta, txx, txy, tyy, t=0.0):
     return SimState(
         t=t,
-        rho=ScalarField2D(grid, rho, name="rho"),
-        u=VectorField2D(grid, ux, uy, name="u"),
-        eta=ScalarField2D(grid, eta, name="eta"),
-        T=SymTensorField2D(grid, txx, txy, tyy, name="T"),
+        rho=ScalarField2D(grid, rho),
+        u=VectorField2D(grid, ux, uy),
+        eta=ScalarField2D(grid, eta),
+        T=SymTensorField2D(grid, txx, txy, tyy),
     )
 
 
@@ -418,7 +418,6 @@ def kramers_tensor(state: SimState, phys: PhysParams) -> SymTensorField2D:
         state.T.xx - solvent,
         state.T.xy,
         state.T.yy - solvent,
-        name="kramers",
     )
 
 

@@ -17,7 +17,6 @@ from oldroyd2d.symcalc import (
     NotSPDError,
     SymMat2,
     apply_scalar,
-    _recombine,
     convexity_trace_ineq,
     cutoff_fields,
     eig,
@@ -60,6 +59,11 @@ def from_array(m: np.ndarray) -> SymMat2:
 def rotation(e: EigenPair2) -> np.ndarray:
     c, s = math.cos(e.angle), math.sin(e.angle)
     return np.array([[c, -s], [s, c]])
+
+
+def _recombine(g1: float, g2: float, angle: float) -> SymMat2:
+    """O diag(g1, g2) O^T on floats, as apply_scalar assembles it."""
+    return SymMat2(*recombine_fields(g1, g2, math.cos(angle), math.sin(angle)))
 
 
 def reconstruct(e: EigenPair2) -> SymMat2:
