@@ -270,13 +270,26 @@ def _read_config(path) -> RunConfig:
     return parse_config(text)
 
 
+def _check_output_dirs(cfg: RunConfig, keys: tuple[str, ...]) -> None:
+    """Fail before any work when the directory of an output named by keys does not exist."""
+    for key in keys:
+        path = getattr(cfg, key)
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"cannot write {key} {path}: no directory {Path(path).parent}")
+
+
 def _exit_codes(cmd: Callable[..., int]) -> Callable[..., int]:
-    """The subcommand cmd; a ConfigError exits 1, a run abort 2, each with one stderr line."""
+    """The subcommand cmd; a ConfigError exits 1, a run abort 2, each with one stderr line.
+
+    Floating-point warnings are silenced: a non-finite value is reported
+    by the abort or summary check it reaches, on that one line.
+    """
 
     @functools.wraps(cmd)
     def wrapped(*args, **kwargs) -> int:
         try:
-            return cmd(*args, **kwargs)
+            with np.errstate(all="ignore"):
+                return cmd(*args, **kwargs)
         except ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
@@ -304,6 +317,7 @@ def _non_finite(values: dict) -> list:
 @_exit_codes
 def cmd_run(config_path) -> int:
     cfg = _read_config(config_path)
+    _check_output_dirs(cfg, ("csv", "snapshot"))
     initial = build_initial(cfg)
     rec = dg.TimeseriesRecorder(cfg.phys, cfg.reg)
     result = run(initial, cfg.phys, cfg.reg, cfg.step,
@@ -607,8 +621,8 @@ def _field_distance(a: SimState, b: SimState) -> float:
     total = cell_sum(grid, (a.rho.data - b.rho.data) ** 2)
     total += cell_sum(grid, (a.u.x - b.u.x) ** 2 + (a.u.y - b.u.y) ** 2)
     total += cell_sum(grid, (a.eta.data - b.eta.data) ** 2)
-    total += dg.stress_l2(SymTensorField2D(grid, a.T.xx - b.T.xx, a.T.xy - b.T.xy,
-                                           a.T.yy - b.T.yy))
+    total += dg.stress_norms(SymTensorField2D(grid, a.T.xx - b.T.xx, a.T.xy - b.T.xy,
+                                              a.T.yy - b.T.yy))[1]
     return math.sqrt(total)
 
 
@@ -632,6 +646,7 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
             f"alpha sweep values must stay above sigma3 = "
             f"{cfg.reg.sigma3} (cutoff constraint sigma3 < min(alpha, "
             "theta))")
+    _check_output_dirs(cfg, ("csv",))  # a sweep writes no snapshot
     if knob == "alpha":
         # the base state ignores the cutoff, which alpha = 0 would violate
         base = build_initial(

@@ -17,8 +17,8 @@ second-order upwind for the velocity-gradient drift).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,6 +72,8 @@ class KineticDistribution:
     psi: np.ndarray
     nq: int
     Q: float
+    # fp_step's constants and scratch, shared along a chain of steps
+    work: Optional["_FpWork"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nq < 4:
@@ -126,37 +128,118 @@ def boundary_mass_fraction(psi: KineticDistribution) -> float:
     return ring / total
 
 
-def _slab(arr: np.ndarray, lo: int, hi: int, axis: int) -> np.ndarray:
-    """View of indices lo..hi-1 along axis 0 or 1."""
-    return arr[lo:hi] if axis == 0 else arr[:, lo:hi]
+class _AxisConstants(NamedTuple):
+    vel: np.ndarray  # drift velocity on the interior faces
+    up: np.ndarray  # vel >= 0.0: the face takes its left-cell reconstruction
 
 
-def _mc_slopes(psi: np.ndarray, axis: int) -> np.ndarray:
-    """Monotonized-central limited slopes; zero in the outermost cells."""
-    d = np.diff(psi, axis=axis)
-    m = d.shape[axis]
-    dm = _slab(d, 0, m - 1, axis)
-    dp = _slab(d, 1, m, axis)
-    same = dm * dp > 0.0
-    lim = np.sign(dm) * np.minimum(
-        np.minimum(2.0 * np.abs(dm), 2.0 * np.abs(dp)), 0.5 * np.abs(dm + dp)
-    )
-    inner = np.where(same, lim, 0.0)
-    slopes = np.zeros(psi.shape, dtype=inner.dtype)
-    _slab(slopes, 1, m, axis)[...] = inner
+class _FpWork:
+    """fp_step's constants for one (nq, Q, kappa, diff) and its scratch rows.
+
+    Both axes run one axis-0 code path: the y constants are stored
+    transposed, and the y pass reads a transposed copy of psi.  The scratch
+    holds no data between calls, so every distribution of one chain of
+    steps can share it.
+    """
+
+    def __init__(self, key: tuple, psi: KineticDistribution, kappa: GradU2, diff: float):
+        self.key = key
+        self.dq = dq = psi.dq
+        q = psi.centers()
+        qf = q[:-1] + 0.5 * dq  # interior face coordinates
+        m1 = np.exp(-0.5 * q**2)
+        self.m1 = m1[:, None]
+        self.neg_diff_eq = -diff * np.sqrt(m1[:-1] * m1[1:])[:, None]
+        vel_x = kappa.xx * qf[:, None] + kappa.xy * q[None, :]
+        vel_y = (kappa.yx * q[:, None] + kappa.yy * qf[None, :]).T.copy()
+        self.axes = (_AxisConstants(vel_x, vel_x >= 0.0), _AxisConstants(vel_y, vel_y >= 0.0))
+        n, m = psi.nq, psi.nq - 1
+        rows = np.empty((4, n, n))
+        self.mask = np.empty((n, n), dtype=bool)
+        self.transposed = rows[3]
+        self.cells = rows[2]
+        # rows 0 and 1 hold face values
+        self.faces = rows[:2, :m]
+
+
+def _fp_work(psi: KineticDistribution, kappa: GradU2, diff: float) -> _FpWork:
+    """psi's workspace if it was built for these inputs, else a new one.
+
+    The key compares float bits: -0.0 and 0.0 give face velocities of
+    different sign bits.
+    """
+    key = (psi.nq,) + tuple(float(v).hex() for v in
+                            (psi.Q, diff, kappa.xx, kappa.xy, kappa.yx, kappa.yy))
+    work = psi.work
+    return work if work is not None and work.key == key else _FpWork(key, psi, kappa, diff)
+
+
+def _mc_slopes(psi: np.ndarray, work: _FpWork) -> np.ndarray:
+    """Monotonized-central limited slopes along axis 0, into work.cells.
+
+    The outermost cells get zero slope.
+    """
+    d, tmp = work.faces
+    np.subtract(psi[1:], psi[:-1], out=d)
+    dm, dp = d[:-1], d[1:]
+    slopes = work.cells
+    lim = slopes[1:-1]
+    np.abs(d, out=tmp)
+    np.multiply(2.0, tmp, out=tmp)
+    np.minimum(tmp[:-1], tmp[1:], out=lim)
+    tmp = tmp[:-1]
+    np.add(dm, dp, out=tmp)
+    np.abs(tmp, out=tmp)
+    np.multiply(0.5, tmp, out=tmp)
+    np.minimum(lim, tmp, out=lim)
+    # copysign(lim, dm) is sign(dm) * lim wherever dm * dp > 0.0 keeps it
+    np.copysign(lim, dm, out=lim)
+    # where(dm * dp > 0.0, lim, 0.0)
+    np.multiply(dm, dp, out=tmp)
+    differ = work.mask[1:-1]
+    np.greater(tmp, 0.0, out=differ)
+    np.logical_not(differ, out=differ)
+    np.copyto(lim, 0.0, where=differ)
+    slopes[0] = 0.0
+    slopes[-1] = 0.0
     return slopes
 
 
-def _axis_flux(psi2d: np.ndarray, face_vel: np.ndarray, ratio: np.ndarray,
-               eq_face: np.ndarray, diff: float, dq: float, axis: int) -> np.ndarray:
-    """Interior-face flux along one axis: limited upwind drift + ratio diffusion."""
-    slopes = _mc_slopes(psi2d, axis)
-    n = psi2d.shape[axis]
-    left = _slab(psi2d, 0, n - 1, axis) + 0.5 * _slab(slopes, 0, n - 1, axis)
-    right = _slab(psi2d, 1, n, axis) - 0.5 * _slab(slopes, 1, n, axis)
-    drift = np.where(face_vel >= 0.0, face_vel * left, face_vel * right)
-    fp = -diff * eq_face * (_slab(ratio, 1, n, axis) - _slab(ratio, 0, n - 1, axis)) / dq
-    return drift + fp
+def _axis_flux(psi: np.ndarray, axis: _AxisConstants, work: _FpWork) -> np.ndarray:
+    """Interior-face flux along axis 0, into work.faces[1].
+
+    Limited upwind drift plus ratio diffusion.
+    """
+    half = _mc_slopes(psi, work)
+    np.multiply(0.5, half, out=half)
+    left, flux = work.faces
+    np.add(psi[:-1], half[:-1], out=left)
+    np.subtract(psi[1:], half[1:], out=flux)
+    np.copyto(flux, left, where=axis.up)
+    np.multiply(axis.vel, flux, out=flux)  # the drift
+    ratio = work.cells
+    np.divide(psi, work.m1, out=ratio)
+    fp = left
+    np.subtract(ratio[1:], ratio[:-1], out=fp)
+    np.multiply(work.neg_diff_eq, fp, out=fp)
+    np.divide(fp, work.dq, out=fp)
+    np.add(flux, fp, out=flux)
+    return flux
+
+
+def _flux_divergence(flux: np.ndarray, rate: float, work: _FpWork) -> np.ndarray:
+    """rate times the axis-0 divergence of the interior-face flux, into work.cells.
+
+    The walls carry no flux.  The last cell's term is stored negated, so
+    subtracting it adds rate * flux[-1] to the same bits.
+    """
+    div = work.cells
+    np.multiply(rate, flux[0], out=div[0])
+    np.subtract(flux[1:], flux[:-1], out=div[1:-1])
+    np.multiply(rate, div[1:-1], out=div[1:-1])
+    np.multiply(rate, flux[-1], out=div[-1])
+    np.negative(div[-1], out=div[-1])
+    return div
 
 
 def fp_step(psi: KineticDistribution, kappa: GradU2, phys: PhysParams,
@@ -167,36 +250,25 @@ def fp_step(psi: KineticDistribution, kappa: GradU2, phys: PhysParams,
     the right side is discretized through M grad(psi / M) with geometric-mean
     Maxwellian face factors, so the sampled Maxwellian is exactly stationary.
     Zero-flux walls keep the total mass constant in exact arithmetic.
+
+    The constants and scratch rows come from psi's workspace when it was
+    built for the same inputs, and travel with the returned distribution,
+    so a steady chain of steps allocates only each returned array.
     """
-    if not np.all(np.isfinite(psi.psi)):
-        raise BlowupError("kinetic distribution lost finiteness")
-    dq = psi.dq
-    q = psi.centers()
-    qf = q[:-1] + 0.5 * dq  # interior face coordinates
-    diff = phys.A0 / (4.0 * phys.lam)
-    m1 = np.exp(-0.5 * q**2)
-    eq_face = np.sqrt(m1[:-1] * m1[1:])
-
     with np.errstate(over="ignore"):  # overflow lands in the post-check
-        ratio_x = psi.psi / m1[:, None]
-        vel_x = kappa.xx * qf[:, None] + kappa.xy * q[None, :]
-        flux_x = _axis_flux(psi.psi, vel_x, ratio_x, eq_face[:, None], diff, dq, axis=0)
-
-        ratio_y = psi.psi / m1[None, :]
-        vel_y = kappa.yx * q[:, None] + kappa.yy * qf[None, :]
-        flux_y = _axis_flux(psi.psi, vel_y, ratio_y, eq_face[None, :], diff, dq, axis=1)
-
-    out = psi.psi.copy()
-    out[0, :] -= dt / dq * flux_x[0, :]
-    out[1:-1, :] -= dt / dq * np.diff(flux_x, axis=0)
-    out[-1, :] += dt / dq * flux_x[-1, :]
-    out[:, 0] -= dt / dq * flux_y[:, 0]
-    out[:, 1:-1] -= dt / dq * np.diff(flux_y, axis=1)
-    out[:, -1] += dt / dq * flux_y[:, -1]
-
-    if not np.all(np.isfinite(out)):
+        work = _fp_work(psi, kappa, phys.A0 / (4.0 * phys.lam))
+        if not np.isfinite(psi.psi, out=work.mask).all():
+            raise BlowupError("kinetic distribution lost finiteness")
+        rate = dt / work.dq
+        out = psi.psi - _flux_divergence(_axis_flux(psi.psi, work.axes[0], work), rate, work)
+        # the y pass reads the input, not the x-updated out
+        np.copyto(work.transposed, psi.psi.T)
+        div = _flux_divergence(_axis_flux(work.transposed, work.axes[1], work), rate, work)
+        np.copyto(work.transposed, div.T)
+        out -= work.transposed
+    if not np.isfinite(out, out=work.mask).all():
         raise BlowupError("kinetic distribution lost finiteness")
-    return KineticDistribution(out, psi.nq, psi.Q)
+    return KineticDistribution(out, psi.nq, psi.Q, work)
 
 
 def fp_cfl_dt(kappa: GradU2, phys: PhysParams, nq: int, Q: float,

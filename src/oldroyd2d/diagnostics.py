@@ -273,14 +273,13 @@ def spd_monitor(T: SymTensorField2D) -> SPDReport:
 # stress norms
 
 
-def stress_l2(T: SymTensorField2D) -> float:
-    """int |T|^2 with the off-diagonal counted twice."""
-    return cell_sum(T.grid, T.frobenius_sq())
+def stress_norms(T: SymTensorField2D) -> tuple[float, float]:
+    """(sup, l2): the largest pointwise Frobenius norm over cells and int |T|^2.
 
-
-def stress_sup(T: SymTensorField2D) -> float:
-    """Largest pointwise Frobenius norm over cells."""
-    return math.sqrt(float(np.max(T.frobenius_sq())))
+    Both count the off-diagonal twice and share one pointwise square.
+    """
+    sq = T.frobenius_sq()
+    return math.sqrt(float(np.max(sq))), cell_sum(T.grid, sq)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +385,7 @@ class TimeseriesRecorder:
             row[name] = getattr(rep, name)
         row["residual"] = 0.0
         row["min_eig"] = spd_monitor(state.T).min_eig
-        row["sup_T"] = stress_sup(state.T)
-        row["l2_T"] = stress_l2(state.T)
+        row["sup_T"], row["l2_T"] = stress_norms(state.T)
         self.reports.append(rep)
         self._rows.append(row)
 

@@ -40,7 +40,7 @@ class BlowupError(RuntimeError):
 
 
 class DegenerateStateError(RuntimeError):
-    """Density collapsed to the floor; the stability bound is meaningless."""
+    """No usable step: density at the floor, no finite stability bound, or dt too small for t."""
 
 
 @dataclass(frozen=True)
@@ -239,15 +239,16 @@ def run(
     state = initial.copy()
     steps = 0
     t_final = initial.t + cfg.t_end
-    if state.t >= t_final - 1e-14 * max(1.0, abs(t_final)):
-        return RunResult(final=state, steps=0, floor_hits=0)
     # every abort, whether from a hook, auto_dt or step, names the time of
-    # the last state that the run completed
+    # the last state that the run completed; a run that ends where it
+    # starts (t_end = 0, or t_end below the tolerance) records one row
     try:
         record(state)
         while state.t < t_final - 1e-14 * max(1.0, abs(t_final)):
             dt = cfg.dt if cfg.dt is not None else auto_dt(state, phys, reg, cfg)
             dt = min(dt, t_final - state.t)
+            if state.t + dt <= state.t:
+                raise DegenerateStateError(f"time step dt={dt!r} does not advance t={state.t!r}")
             state = step(state, phys, reg, cfg, dt=dt, floor_counter=floor_counter)
             steps += 1
             if steps % cfg.diag_every == 0:

@@ -4,7 +4,8 @@ The matrix-calculus references go through numpy.linalg / scipy rather
 than the closed-form 2x2 formulas in the package, so a bug in the
 package cannot hide in the expected values.  The ghost-padding and
 kinetic-flux references are the plain np.pad / np.take formulations the
-package's slice-based versions must reproduce bit for bit, and
+package's slice-based versions must reproduce bit for bit (fp_step_np is
+the whole kinetic step built from them with fresh temporaries), and
 eig_fields_np is the nested np.where eigendecomposition the package's
 masked-divide eig_fields / rotation_fields must reproduce bit for bit.
 convolve_direct is the tap-by-tap kernel sum the package's FFT mollifier
@@ -28,8 +29,9 @@ import scipy.fft
 import scipy.linalg
 
 from oldroyd2d import grid as g2
-from oldroyd2d.diagnostics import stress_l2
+from oldroyd2d.diagnostics import stress_norms
 from oldroyd2d.grid import SymTensorField2D, cell_sum
+from oldroyd2d.integrate import BlowupError
 from oldroyd2d.model import PhysParams
 from oldroyd2d.symcalc import (NotSPDError, SymMat2, apply_scalar, eig, eig_fields,
                                 recombine_fields, rotation_fields)
@@ -144,6 +146,39 @@ def axis_flux_np(psi2d, face_vel, ratio, eq_face, diff, dq, axis):
     return drift + fp
 
 
+def fp_step_np(psi, kappa, phys, dt) -> np.ndarray:
+    """The kinetic step built from axis_flux_np with fresh temporaries.
+
+    Every flux and update is the expression closure.fp_step evaluates in
+    its reused workspace, so the two must agree bit for bit.
+    """
+    if not np.all(np.isfinite(psi.psi)):
+        raise BlowupError("kinetic distribution lost finiteness")
+    dq = psi.dq
+    q = psi.centers()
+    qf = q[:-1] + 0.5 * dq
+    diff = phys.A0 / (4.0 * phys.lam)
+    m1 = np.exp(-0.5 * q**2)
+    eq_face = np.sqrt(m1[:-1] * m1[1:])
+    with np.errstate(over="ignore"):
+        vel_x = kappa.xx * qf[:, None] + kappa.xy * q[None, :]
+        flux_x = axis_flux_np(psi.psi, vel_x, psi.psi / m1[:, None], eq_face[:, None],
+                              diff, dq, 0)
+        vel_y = kappa.yx * q[:, None] + kappa.yy * qf[None, :]
+        flux_y = axis_flux_np(psi.psi, vel_y, psi.psi / m1[None, :], eq_face[None, :],
+                              diff, dq, 1)
+        out = psi.psi.copy()
+        out[0, :] -= dt / dq * flux_x[0, :]
+        out[1:-1, :] -= dt / dq * np.diff(flux_x, axis=0)
+        out[-1, :] += dt / dq * flux_x[-1, :]
+        out[:, 0] -= dt / dq * flux_y[:, 0]
+        out[:, 1:-1] -= dt / dq * np.diff(flux_y, axis=1)
+        out[:, -1] += dt / dq * flux_y[:, -1]
+    if not np.all(np.isfinite(out)):
+        raise BlowupError("kinetic distribution lost finiteness")
+    return out
+
+
 def convolve_direct(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Kernel sweep with edge-replicated padding (constants preserved)."""
     rx = kernel.shape[0] // 2
@@ -241,7 +276,7 @@ def stress_l2_monitor(
     """Accumulate the stress norm bound over a sampled run and flag blowup."""
     if len(times) != len(stresses):
         raise ValueError("times and stress snapshots must pair up")
-    l2_vals = [stress_l2(T) for T in stresses]
+    l2_vals = [stress_norms(T)[1] for T in stresses]
     grad_vals = [stress_grad_l2(T) for T in stresses]
     grad_accum = 0.0
     relax_accum = 0.0

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oldroyd2d import cli
+from oldroyd2d import cli, integrate
 from oldroyd2d import diagnostics as dg
 from oldroyd2d.grid import Grid2D, ParamError, cell_sum
 from oldroyd2d.integrate import StepConfig
@@ -499,6 +500,63 @@ class TestRunCommand:
         assert err.startswith(f"config error: cannot write {key} {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["csv", "snapshot"])
+    def test_missing_output_dir_fails_before_the_run(self, tmp_path, monkeypatch, key):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "missing" / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nx = 64\nny = 64\ninitial = perturbed-equilibrium\nt_end = 0.1\n"
+                       f"{key} = {path}\n")
+        code, out, err = capture(cli.cmd_run, str(cfg))
+        assert calls == []
+        assert code == 1 and out == ""
+        assert err == f"config error: cannot write {key} {path}: no directory {path.parent}\n"
+
+    def test_zero_t_end_prints_summary(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nx = 8\nny = 8\nt_end = 0\n")
+        code, out, err = capture(cli.cmd_run, str(cfg))
+        assert code == 0 and err == ""
+        assert out.startswith("completed: steps=0 t_final=0 residual_max=0.000000e+00 ")
+
+    def test_step_that_cannot_advance_t_exits_two(self, tmp_path, monkeypatch):
+        state = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
+        state.t = 1e17
+        save_state(state, tmp_path / "late")
+        steps = []
+        real_step = integrate.step
+
+        def bounded(*args, **kwargs):
+            steps.append(args[0].t)
+            assert len(steps) <= 3, "the run kept stepping without advancing t"
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "step", bounded)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"initial = file:{tmp_path}/late\ndt = 0.001\nt_end = 1e4\n")
+        code, out, err = capture(cli.cmd_run, str(cfg))
+        assert code == 2 and out == "" and steps == []
+        assert err == ("run aborted: time step dt=0.001 does not advance t=1e+17"
+                       " (run failed at t=1e+17)\n")
+
+    @pytest.mark.parametrize("line, code", [("gamma = 1e308", 2), ("theta = 1e-200", 0)])
+    def test_float_warnings_stay_off_stderr(self, tmp_path, line, code):
+        # gamma overflows the pressure (an abort); theta squares to 0 in the
+        # mollifier kernel (a run that succeeds)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nx = 8\nny = 8\n{line}\ninitial = perturbed-equilibrium\n"
+                       "t_end = 0.01\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = capture(cli.cmd_run, str(cfg))
+        assert [str(w.message) for w in caught] == []
+        assert got == code
+        if code == 0:
+            assert err == "" and out.startswith("completed: ")
+        else:
+            assert out == "" and err.startswith("run aborted: ") and err.count("\n") == 1
+
     def test_summary_reports_floor_hits(self, tmp_path):
         path = self.equilibrium_config(tmp_path, "initial = perturbed-equilibrium\n")
         code, out, err = capture(cli.cmd_run, str(path))
@@ -774,13 +832,33 @@ class TestSweepCommand:
         assert out.count("\nrun alpha=") == 2
 
     def test_unwritable_csv_exits_one(self, tmp_path):
-        path = tmp_path / "missing" / "sweep.txt"
+        # the directory exists, so the sweep runs; writing to a directory fails
+        path = tmp_path / "taken"
+        path.mkdir()
         text = SWEEP_BASE.replace("t_end = 0.1", "t_end = 0.01") + f"csv = {path}\n"
         code, out, err = capture(
             cli.cmd_sweep, self.write(tmp_path, text), "alpha", "0.1,0.05")
         assert code == 1 and out.startswith("sweep knob=alpha ")
         assert err.startswith(f"config error: cannot write csv {path}: ")
         assert err.count("\n") == 1
+
+    def test_missing_csv_dir_fails_before_the_runs(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "missing" / "sweep.txt"
+        text = SWEEP_BASE + f"csv = {path}\n"
+        code, out, err = capture(
+            cli.cmd_sweep, self.write(tmp_path, text), "alpha", "0.1,0.05")
+        assert calls == []
+        assert code == 1 and out == ""
+        assert err == f"config error: cannot write csv {path}: no directory {path.parent}\n"
+
+    def test_zero_t_end_prints_report(self, tmp_path):
+        text = SWEEP_BASE.replace("dt = 0.002\nt_end = 0.1", "dt = 0.001\nt_end = 0")
+        code, out, err = capture(
+            cli.cmd_sweep, self.write(tmp_path, text), "alpha", "0.1,0.05")
+        assert code == 0 and err == ""
+        assert "run alpha=0.1: steps=0 residual_max=0.0 " in out
 
     def test_failures_carry_knob_value(self, tmp_path):
         bad = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))

@@ -1,6 +1,7 @@
 """Tests for the kinetic oracle and the macroscopic moment closure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,15 +151,26 @@ class TestFpStep:
         assert abs(C.xy) <= 1e-10
 
 
+STRETCH = cl.GradU2(xx=0.2, xy=0.7, yx=-0.3, yy=-0.2)  # sheared stretching flow
+
+
+def rough_distribution(nq, seed, Q=8.0):
+    """Random density with hard-zero patches, so every limiter branch runs."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0.05, 1.0, (nq, nq))
+    data[rng.uniform(size=data.shape) < 0.2] = 0.0
+    return cl.KineticDistribution(data, nq, Q)
+
+
 class TestSlabFlux:
-    """The slice-based slopes and fluxes reproduce np.take / np.pad bit for bit."""
+    """The workspace slopes and fluxes reproduce np.take / np.pad bit for bit."""
 
     @staticmethod
     def flux_inputs(nq, axis):
-        """fp_step's arguments to _axis_flux for a sheared, stretching flow and random psi."""
+        """The reference flux's arguments for a sheared, stretching flow and random psi."""
         rng = np.random.default_rng(nq)
         psi = cl.KineticDistribution(rng.uniform(0.05, 1.0, (nq, nq)), nq, 8.0)
-        kappa = cl.GradU2(xx=0.2, xy=0.7, yx=-0.3, yy=-0.2)
+        kappa = STRETCH
         dq = psi.dq
         q = psi.centers()
         qf = q[:-1] + 0.5 * dq
@@ -166,9 +178,9 @@ class TestSlabFlux:
         eq_face = np.sqrt(m1[:-1] * m1[1:])
         if axis == 0:
             vel = kappa.xx * qf[:, None] + kappa.xy * q[None, :]
-            return psi.psi, vel, psi.psi / m1[:, None], eq_face[:, None], dq
+            return psi, vel, psi.psi / m1[:, None], eq_face[:, None], dq
         vel = kappa.yx * q[:, None] + kappa.yy * qf[None, :]
-        return psi.psi, vel, psi.psi / m1[None, :], eq_face[None, :], dq
+        return psi, vel, psi.psi / m1[None, :], eq_face[None, :], dq
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("nq", [8, 64, 128])
@@ -176,12 +188,97 @@ class TestSlabFlux:
         psi, vel, ratio, eq_face, dq = self.flux_inputs(nq, axis)
         assert np.any(vel > 0.0) and np.any(vel < 0.0)  # both upwind branches
         diff = PHYS.A0 / (4.0 * PHYS.lam)
-        got = cl._mc_slopes(psi, axis)
-        ref = oracles.mc_slopes_np(psi, axis)
+        work = cl._fp_work(psi, STRETCH, diff)
+        # the workspace runs the y axis as axis 0 of the transposed density
+        data = psi.psi if axis == 0 else np.ascontiguousarray(psi.psi.T)
+
+        def frame(arr):
+            return arr if axis == 0 else arr.T
+
+        got = cl._mc_slopes(data, work)
+        ref = frame(oracles.mc_slopes_np(psi.psi, axis))
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-        got = cl._axis_flux(psi, vel, ratio, eq_face, diff, dq, axis)
-        ref = oracles.axis_flux_np(psi, vel, ratio, eq_face, diff, dq, axis)
+        got = cl._axis_flux(data, work.axes[axis], work)
+        ref = frame(oracles.axis_flux_np(psi.psi, vel, ratio, eq_face, diff, dq, axis))
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestFpStepWorkspace:
+    """fp_step against the fresh-temporary reference step, and its memory contract."""
+
+    @pytest.mark.parametrize("kappa", [cl.GradU2.shear(0.3), cl.GradU2.rotation(0.2), STRETCH],
+                             ids=["shear", "rotation", "stretch"])
+    @pytest.mark.parametrize("nq", [8, 64, 128])
+    def test_matches_reference_step_bitwise(self, nq, kappa):
+        psi = rough_distribution(nq, seed=nq)
+        ref = psi.psi
+        dt = cl.fp_cfl_dt(kappa, PHYS, nq, 8.0)
+        for _ in range(100):
+            psi = cl.fp_step(psi, kappa, PHYS, dt)
+            ref = oracles.fp_step_np(cl.KineticDistribution(ref, nq, 8.0), kappa, PHYS, dt)
+            assert psi.psi.tobytes() == ref.tobytes()
+
+    def test_signed_zeros_and_subnormals_bitwise(self):
+        psi = rough_distribution(16, seed=3)
+        psi.psi[psi.psi == 0.0] = -0.0
+        psi.psi[3, :] = 5e-324
+        psi.psi[:, 5] = 2.2e-308
+        psi.psi[8:, :] = -0.0
+        dt = cl.fp_cfl_dt(STRETCH, PHYS, 16, 8.0)
+        # kappa entries equal as floats but not as bits give face velocities
+        # of opposite zero sign, which reach the -0.0 cells of the result
+        plus, minus = cl.GradU2(), cl.GradU2(-0.0, -0.0, -0.0, -0.0)
+        chain = psi
+        for kappa in (plus, minus, plus, cl.GradU2(xx=-0.0, xy=0.5), STRETCH):
+            ref = oracles.fp_step_np(psi, kappa, PHYS, dt)
+            got = cl.fp_step(chain, kappa, PHYS, dt)
+            chain = cl.KineticDistribution(psi.psi, 16, 8.0, got.work)
+            assert got.psi.tobytes() == ref.tobytes()
+
+    def test_input_untouched_and_results_fresh(self):
+        kappa = cl.GradU2.shear(0.5)
+        psi0 = rough_distribution(32, seed=5)
+        before = psi0.psi.tobytes()
+        dt = cl.fp_cfl_dt(kappa, PHYS, 32, 8.0)
+        psi1 = cl.fp_step(psi0, kappa, PHYS, dt)
+        kept = psi1.psi.tobytes()
+        psi2 = cl.fp_step(psi1, kappa, PHYS, dt)
+        cl.fp_step(psi2, kappa, PHYS, dt)
+        assert psi0.psi.tobytes() == before and psi1.psi.tobytes() == kept
+        assert psi0.work is None
+        for a, b in ((psi0, psi1), (psi1, psi2), (psi0, psi2)):
+            assert not np.shares_memory(a.psi, b.psi)
+        assert psi1.work is psi2.work
+        assert not any(np.shares_memory(psi2.psi, row) for row in
+                       (psi2.work.faces, psi2.work.cells, psi2.work.transposed))
+
+    def test_constants_built_once_per_comparison(self, monkeypatch):
+        built = []
+
+        class Counted(cl._FpWork):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(cl, "_FpWork", Counted)
+        cl.closure_compare(cl.GradU2.shear(0.1), 1.0, PHYS, t_end=0.2, nq=32)
+        cl.closure_compare(cl.GradU2.rotation(0.1), 1.0, PHYS, t_end=0.2, nq=32)
+        assert len(built) == 2 and built[0] != built[1]
+
+    def test_warm_step_allocates_only_its_result(self):
+        nq = 128
+        kappa = STRETCH
+        dt = cl.fp_cfl_dt(kappa, PHYS, nq, 8.0)
+        psi = cl.fp_step(rough_distribution(nq, seed=1), kappa, PHYS, dt)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cl.fp_step(psi, kappa, PHYS, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3.5 * nq * nq * 8
 
 
 class TestMacroMomentStep:

@@ -260,8 +260,37 @@ class TestRun:
         calls = []
         result = run(state, phys, reg, StepConfig(t_end=0.0), diag_hooks=[calls.append])
         assert result.steps == 0
-        assert calls == []
+        # the hooks still see the initial state, so a summary has one row
+        assert [s.t for s in calls] == [0.0]
         assert np.array_equal(result.final.rho.data, state.rho.data)
+
+    def test_t_end_inside_restart_tolerance_records_once(self):
+        g = unit_grid(8)
+        phys = PhysParams()
+        reg = RegParams()
+        state = equilibrium_state(g, phys, reg)
+        state.t = 1e17  # t + 0.01 rounds back to t
+        calls = []
+        result = run(state, phys, reg, StepConfig(t_end=0.01), diag_hooks=[calls.append])
+        assert result.steps == 0 and [s.t for s in calls] == [1e17]
+
+    def test_step_that_cannot_advance_t_aborts(self):
+        g = unit_grid(8)
+        phys = PhysParams()
+        reg = RegParams()
+        state = equilibrium_state(g, phys, reg)
+        state.t = 1e17  # t + dt == t for dt = 0.001
+        calls = []
+
+        def bounded(s):
+            calls.append(s.t)
+            assert len(calls) <= 3, "the run kept stepping without advancing t"
+
+        with pytest.raises(DegenerateStateError) as err:
+            run(state, phys, reg, StepConfig(dt=0.001, t_end=1e4), diag_hooks=[bounded])
+        assert calls == [1e17]
+        assert str(err.value) == ("time step dt=0.001 does not advance t=1e+17"
+                                  " (run failed at t=1e+17)")
 
     def test_diag_cadence_and_hooks(self):
         g = unit_grid(8)
