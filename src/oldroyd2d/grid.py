@@ -165,6 +165,11 @@ class SymTensorField2D:
 
 # ---------------------------------------------------------------------------
 # Ghost-cell padding and array-level stencils.  Axis 0 is x, axis 1 is y.
+# The stencils apply the operations of their plain expressions in the same
+# order (tests/oracles.py keeps those forms), but in place and into out=
+# arrays, and each drops a ghost buffer before it makes the next: fewer and
+# shorter-lived temporaries let a step reuse freed heap blocks instead of
+# growing the heap and faulting in fresh pages.
 
 
 def _pad(arr: np.ndarray, bc: str, axis: int) -> np.ndarray:
@@ -197,20 +202,47 @@ def _pad(arr: np.ndarray, bc: str, axis: int) -> np.ndarray:
 
 def grad_x(arr: np.ndarray, bc: str, hx: float) -> np.ndarray:
     p = _pad(arr, bc, 0)
-    return (p[2:, :] - p[:-2, :]) / (2.0 * hx)
+    out = np.subtract(p[2:, :], p[:-2, :])
+    out /= 2.0 * hx
+    return out
 
 
 def grad_y(arr: np.ndarray, bc: str, hy: float) -> np.ndarray:
     p = _pad(arr, bc, 1)
-    return (p[:, 2:] - p[:, :-2]) / (2.0 * hy)
+    out = np.subtract(p[:, 2:], p[:, :-2])
+    out /= 2.0 * hy
+    return out
 
 
 def lap(arr: np.ndarray, bc: str, hx: float, hy: float) -> np.ndarray:
-    px = _pad(arr, bc, 0)
-    py = _pad(arr, bc, 1)
-    ddx = (px[2:, :] - 2.0 * arr + px[:-2, :]) / (hx * hx)
-    ddy = (py[:, 2:] - 2.0 * arr + py[:, :-2]) / (hy * hy)
+    two = 2.0 * arr
+    p = _pad(arr, bc, 0)
+    ddx = np.subtract(p[2:, :], two)
+    ddx += p[:-2, :]
+    ddx /= hx * hx
+    del p
+    p = _pad(arr, bc, 1)
+    ddy = np.subtract(p[:, 2:], two, out=two)
+    ddy += p[:, :-2]
+    ddy /= hy * hy
+    del p
     return ddx + ddy
+
+
+def _upwind_flux(u: np.ndarray, arr: np.ndarray, arr_bc: str, axis: int) -> np.ndarray:
+    """Face velocity times the upwind value on the faces across the axis.
+
+    The face velocity averages the two cells beside the face; the upwind
+    value is arr in the cell the face velocity comes from.  The result
+    has one more entry along the axis than arr.
+    """
+    pu = _pad(u, DIRICHLET, axis).swapaxes(0, axis)
+    flux = np.add(pu[:-1], pu[1:])
+    flux *= 0.5
+    del pu
+    pa = _pad(arr, arr_bc, axis).swapaxes(0, axis)
+    flux *= np.where(flux > 0.0, pa[:-1], pa[1:])
+    return flux.swapaxes(0, axis)
 
 
 def upwind_div(ux: np.ndarray, uy: np.ndarray,
@@ -222,26 +254,22 @@ def upwind_div(ux: np.ndarray, uy: np.ndarray,
     exactly zero, so the total flux telescopes to zero and cell sums are
     conserved.
     """
-    pux = _pad(ux, DIRICHLET, 0)
-    fx_vel = 0.5 * (pux[:-1, :] + pux[1:, :])  # x-faces, shape (nx+1, ny)
-    pa = _pad(arr, arr_bc, 0)
-    up = np.where(fx_vel > 0.0, pa[:-1, :], pa[1:, :])
-    flux_x = fx_vel * up
-
-    puy = _pad(uy, DIRICHLET, 1)
-    fy_vel = 0.5 * (puy[:, :-1] + puy[:, 1:])  # y-faces, shape (nx, ny+1)
-    pa = _pad(arr, arr_bc, 1)
-    up = np.where(fy_vel > 0.0, pa[:, :-1], pa[:, 1:])
-    flux_y = fy_vel * up
-
-    return (flux_x[1:, :] - flux_x[:-1, :]) / hx + (flux_y[:, 1:] - flux_y[:, :-1]) / hy
+    flux_x = _upwind_flux(ux, arr, arr_bc, 0)  # x-faces, shape (nx+1, ny)
+    flux_y = _upwind_flux(uy, arr, arr_bc, 1)  # y-faces, shape (nx, ny+1)
+    dx = np.subtract(flux_x[1:, :], flux_x[:-1, :])
+    dx /= hx
+    dy = np.subtract(flux_y[:, 1:], flux_y[:, :-1])
+    dy /= hy
+    return dx + dy
 
 
 def tensor_divergence(t: SymTensorField2D) -> VectorField2D:
     """Row-wise divergence (Div T)_k = sum_l d_l T_kl."""
     g = t.grid
-    vx = grad_x(t.xx, t.bc, g.hx) + grad_y(t.xy, t.bc, g.hy)
-    vy = grad_x(t.xy, t.bc, g.hx) + grad_y(t.yy, t.bc, g.hy)
+    vx = grad_x(t.xx, t.bc, g.hx)
+    vx += grad_y(t.xy, t.bc, g.hy)
+    vy = grad_x(t.xy, t.bc, g.hx)
+    vy += grad_y(t.yy, t.bc, g.hy)
     return VectorField2D(g, vx, vy)
 
 

@@ -40,7 +40,8 @@ class BlowupError(RuntimeError):
 
 
 class DegenerateStateError(RuntimeError):
-    """No usable step: density at the floor, no finite stability bound, or dt too small for t."""
+    """No usable step: density at the floor, a stability bound that is not finite
+    or not positive, or dt too small for t."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,15 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
     dt = min(dt_diff, dt_adv, dt_relax)
     if not math.isfinite(dt):
         raise DegenerateStateError(f"stability bound dt = {dt} is not finite")
+    if dt <= 0.0:
+        # a rate overflowed: name the bound it zeroed and the rate itself
+        if dt_diff <= 0.0:
+            cause = f"diffusive bound: diffusivity {diffusive:.3e} over h^2 = {h * h:.3e}"
+        elif dt_adv <= 0.0:
+            cause = f"advective bound: max |u| = {u_max:.3e}, sound speed c = {c_max:.3e}"
+        else:
+            cause = f"relaxation bound: rate A0 / (2 lambda) = {phys.A0 / (2.0 * phys.lam):.3e}"
+        raise DegenerateStateError(f"stability bound dt = {dt!r} vanished in the {cause}")
     return dt
 
 
@@ -126,7 +136,10 @@ def _unpack(y, grid: g2.Grid2D, t: float, floor_counter) -> SimState:
     safe = np.maximum(rho, RHO_FLOOR)
     if floor_counter is not None and np.any(rho < RHO_FLOOR):
         floor_counter[0] += int(np.count_nonzero(rho < RHO_FLOOR))
-    return state_from_components(t, grid, rho, mx / safe, my / safe, eta, txx, txy, tyy)
+    # the momenta are left intact: step still reads the first stage's y
+    ux = mx / safe
+    uy = np.divide(my, safe, out=safe)
+    return state_from_components(t, grid, rho, ux, uy, eta, txx, txy, tyy)
 
 
 def _rhs(state: SimState, phys: PhysParams, reg: RegParams):
@@ -140,25 +153,24 @@ def _rhs(state: SimState, phys: PhysParams, reg: RegParams):
 def _diffusion_only(state: SimState, phys: PhysParams, reg: RegParams):
     """The linear diffusion the IMEX scheme treats implicitly."""
     g = state.rho.grid
+
+    def diffusion(kappa, comp, bc):
+        out = g2.lap(comp, bc, g.hx, g.hy)
+        out *= kappa
+        return out
+
     zero = np.zeros_like(state.rho.data)
-    drho = (
-        reg.sigma2 * g2.lap(state.rho.data, state.rho.bc, g.hx, g.hy)
-        if reg.sigma2 != 0.0
-        else zero
-    )
-    deta = phys.eps * g2.lap(state.eta.data, state.eta.bc, g.hx, g.hy)
-    dts = [
-        phys.eps * g2.lap(comp, state.T.bc, g.hx, g.hy)
-        for comp in (state.T.xx, state.T.xy, state.T.yy)
-    ]
-    return [drho, zero, zero, deta, dts[0], dts[1], dts[2]]
+    drho = diffusion(reg.sigma2, state.rho.data, state.rho.bc) if reg.sigma2 != 0.0 else zero
+    return [drho, zero, zero, diffusion(phys.eps, state.eta.data, state.eta.bc),
+            *(diffusion(phys.eps, comp, state.T.bc) for comp in state.T.components())]
 
 
 def _explicit_rhs(state: SimState, phys: PhysParams, reg: RegParams):
     """The IMEX scheme's explicit part: everything but the stiff diffusion."""
     full = _rhs(state, phys, reg)
-    diff = _diffusion_only(state, phys, reg)
-    return [a - b for a, b in zip(full, diff)]
+    for a, b in zip(full, _diffusion_only(state, phys, reg)):
+        a -= b
+    return full
 
 
 def _neumann_symbol(grid: g2.Grid2D) -> np.ndarray:
@@ -185,7 +197,8 @@ _COMPONENTS = ("rho", "rho*u_x", "rho*u_y", "eta", "T_xx", "T_xy", "T_yy")
 
 def _check_finite(y, t: float) -> None:
     for name, comp in zip(_COMPONENTS, y):
-        m = np.abs(comp).max()
+        # max |comp| without an |comp| array; NaN propagates through both
+        m = np.maximum(comp.max(), -comp.min())
         if not np.isfinite(m) or m > BLOWUP_LIMIT:
             # argmax picks the first NaN if there is one, else the largest |value|
             idx = np.unravel_index(np.argmax(np.abs(comp)), comp.shape)
@@ -195,20 +208,37 @@ def _check_finite(y, t: float) -> None:
             )
 
 
-def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
-         dt: Optional[float] = None, floor_counter=None) -> SimState:
-    """One SSP-RK2 (or IMEX) step; returns a fresh state at t + dt."""
-    if dt is None:
-        dt = cfg.dt if cfg.dt is not None else auto_dt(state, phys, reg, cfg)
+def _euler_stage(y0, f, dt: float):
+    """y0 + dt * f per component, built in the right-hand side f's own arrays."""
+    for a, b in zip(y0, f):
+        b *= dt
+        np.add(a, b, out=b)
+    return f
 
+
+def _heun_stage(y0, y1, f, dt: float):
+    """0.5 * (y0 + y1 + dt * f) per component, built in f's own arrays."""
+    for a, b, c in zip(y0, y1, f):
+        c *= dt
+        np.add(np.add(a, b), c, out=c)
+        c *= 0.5
+    return f
+
+
+def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
+         dt: float, floor_counter=None) -> SimState:
+    """One SSP-RK2 (or IMEX) step of size dt.
+
+    Returns a fresh state at t + dt that shares no memory with state;
+    no input array is modified.
+    """
     # SSP-RK2 stages; IMEX runs them on everything but the stiff diffusion ...
     rhs = _rhs if cfg.scheme == "rk2" else _explicit_rhs
     y0 = _pack(state)
-    f0 = rhs(state, phys, reg)
-    y1 = [a + dt * b for a, b in zip(y0, f0)]
+    y1 = _euler_stage(y0, rhs(state, phys, reg), dt)
     s1 = _unpack(y1, state.rho.grid, state.t + dt, floor_counter)
-    f1 = rhs(s1, phys, reg)
-    y2 = [0.5 * (a + b + dt * c) for a, b, c in zip(y0, y1, f1)]
+    y2 = _heun_stage(y0, y1, rhs(s1, phys, reg), dt)
+    del s1, y1  # the first stage is dead before the implicit solves
     if cfg.scheme == "imex":
         # ... then one implicit Euler solve per diffused component
         symbol = _neumann_symbol(state.rho.grid)

@@ -157,12 +157,19 @@ def load_state(path) -> SimState:
     return state_from_components(t, grid, *(c.copy() for c in comps))
 
 
+def _scaled(c: float, arr: np.ndarray) -> np.ndarray:
+    """c * arr, computed in arr's own storage."""
+    arr *= c
+    return arr
+
+
 def pressure(rho: ScalarField2D, phys: PhysParams, reg: RegParams) -> ScalarField2D:
     """a rho^gamma plus the artificial sigma1 rho^Gamma term."""
     base = np.maximum(rho.data, 0.0)  # 0^gamma := 0, tolerate advection undershoot
-    p = phys.a * base**phys.gamma
+    p = _scaled(phys.a, base**phys.gamma)
     if reg.sigma1 != 0.0:
-        p = p + reg.sigma1 * base**reg.Gamma
+        base **= reg.Gamma
+        p += _scaled(reg.sigma1, base)
     return ScalarField2D(rho.grid, p)
 
 
@@ -170,7 +177,7 @@ def polymer_pressure(eta: np.ndarray, phys: PhysParams) -> np.ndarray:
     """k L eta + delta eta^2; the delta term is skipped, not multiplied by 0."""
     out = phys.k * phys.L * eta
     if phys.delta != 0.0:
-        out = out + phys.delta * eta**2
+        out += _scaled(phys.delta, eta**2)
     return out
 
 
@@ -186,32 +193,39 @@ def velocity_jacobian(u: VectorField2D):
 
 def newtonian_stress(u: VectorField2D, phys: PhysParams) -> SymTensorField2D:
     """muS (sym grad u - (div u / 2) I) + muB (div u) I, d = 2."""
-    jxx, jxy, jyx, jyy = velocity_jacobian(u)
-    div_u = jxx + jyy
-    sym_xy = 0.5 * (jxy + jyx)
-    half_div = 0.5 * div_u
-    sxx = phys.muS * (jxx - half_div)
-    syy = phys.muS * (jyy - half_div)
-    sxy = phys.muS * sym_xy
+    # the Jacobian arrays are this call's own, so the stress is built in them
+    sxx, sxy, jyx, syy = velocity_jacobian(u)
+    div_u = sxx + syy
+    half_div = div_u * 0.5
+    sxy += jyx
+    sxy *= 0.5
+    sxy *= phys.muS
+    sxx -= half_div
+    sxx *= phys.muS
+    syy -= half_div
+    syy *= phys.muS
     if phys.muB != 0.0:
-        sxx = sxx + phys.muB * div_u
-        syy = syy + phys.muB * div_u
+        div_u *= phys.muB
+        sxx += div_u
+        syy += div_u
     return SymTensorField2D(u.grid, sxx, sxy, syy)
 
 
 def rhs_continuity(state: SimState, phys: PhysParams, reg: RegParams) -> ScalarField2D:
     """-div(rho u) with conservative upwind flux, plus sigma2 diffusion."""
     g = state.rho.grid
-    out = -g2.upwind_div(state.u.x, state.u.y, state.rho.data, state.rho.bc, g.hx, g.hy)
+    out = g2.upwind_div(state.u.x, state.u.y, state.rho.data, state.rho.bc, g.hx, g.hy)
+    np.negative(out, out=out)
     if reg.sigma2 != 0.0:
-        out = out + reg.sigma2 * g2.lap(state.rho.data, state.rho.bc, g.hx, g.hy)
+        out += _scaled(reg.sigma2, g2.lap(state.rho.data, state.rho.bc, g.hx, g.hy))
     return ScalarField2D(g, out)
 
 
 def rhs_eta(state: SimState, phys: PhysParams) -> ScalarField2D:
     g = state.eta.grid
-    out = -g2.upwind_div(state.u.x, state.u.y, state.eta.data, state.eta.bc, g.hx, g.hy)
-    out = out + phys.eps * g2.lap(state.eta.data, state.eta.bc, g.hx, g.hy)
+    out = g2.upwind_div(state.u.x, state.u.y, state.eta.data, state.eta.bc, g.hx, g.hy)
+    np.negative(out, out=out)
+    out += _scaled(phys.eps, g2.lap(state.eta.data, state.eta.bc, g.hx, g.hy))
     return ScalarField2D(g, out)
 
 
@@ -232,7 +246,9 @@ def tr_log_field(T: SymTensorField2D, context: str = "") -> np.ndarray:
             f"stress lost positive definiteness at cell {tuple(int(v) for v in idx)}"
             f" (min eigenvalue {lam2[idx]:.3e}){where}"
         )
-    return np.log(lam1) + np.log(lam2)
+    out = np.log(lam1, out=lam1)
+    out += np.log(lam2, out=lam2)
+    return out
 
 
 def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorField2D:
@@ -240,40 +256,50 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
     g = state.rho.grid
     rho, u, eta, T = state.rho, state.u, state.eta, state.T
 
-    # transport of momentum components by the same upwind flux as mass
-    mx = rho.data * u.x
-    my = rho.data * u.y
-    out_x = -g2.upwind_div(u.x, u.y, mx, u.bc, g.hx, g.hy)
-    out_y = -g2.upwind_div(u.x, u.y, my, u.bc, g.hx, g.hy)
+    # transport of momentum components by the same upwind flux as mass;
+    # each temporary below is released right after its last use, so the
+    # assembly holds few arrays at once
+    out_x = g2.upwind_div(u.x, u.y, rho.data * u.x, u.bc, g.hx, g.hy)
+    out_y = g2.upwind_div(u.x, u.y, rho.data * u.y, u.bc, g.hx, g.hy)
+    np.negative(out_x, out=out_x)
+    np.negative(out_y, out=out_y)
 
     p = pressure(rho, phys, reg)
     out_x -= g2.grad_x(p.data, p.bc, g.hx)
     out_y -= g2.grad_y(p.data, p.bc, g.hy)
+    del p
 
     solvent = polymer_pressure(eta.data, phys)
     out_x -= g2.grad_x(solvent, eta.bc, g.hx)
     out_y -= g2.grad_y(solvent, eta.bc, g.hy)
+    del solvent
 
-    s = newtonian_stress(u, phys)
-    div_s = g2.tensor_divergence(s)
-    out_x += div_s.x
-    out_y += div_s.y
+    div = g2.tensor_divergence(newtonian_stress(u, phys))
+    out_x += div.x
+    out_y += div.y
+    del div
 
-    div_t = g2.tensor_divergence(T)
-    out_x += div_t.x
-    out_y += div_t.y
+    div = g2.tensor_divergence(T)
+    out_x += div.x
+    out_y += div.y
+    del div
 
     if reg.alpha != 0.0:
         trlog = tr_log_field(T, context="momentum assembly")
-        out_x -= 0.5 * reg.alpha * g2.grad_x(trlog, T.bc, g.hx)
-        out_y -= 0.5 * reg.alpha * g2.grad_y(trlog, T.bc, g.hy)
+        out_x -= _scaled(0.5 * reg.alpha, g2.grad_x(trlog, T.bc, g.hx))
+        out_y -= _scaled(0.5 * reg.alpha, g2.grad_y(trlog, T.bc, g.hy))
+        del trlog
 
     if reg.sigma2 != 0.0:
         jxx, jxy, jyx, jyy = velocity_jacobian(u)
         drho_x = g2.grad_x(rho.data, rho.bc, g.hx)
         drho_y = g2.grad_y(rho.data, rho.bc, g.hy)
-        out_x -= reg.sigma2 * (jxx * drho_x + jxy * drho_y)
-        out_y -= reg.sigma2 * (jyx * drho_x + jyy * drho_y)
+        jxx *= drho_x
+        jxx += np.multiply(jxy, drho_y, out=jxy)
+        out_x -= _scaled(reg.sigma2, jxx)
+        jyx *= drho_x
+        jyx += np.multiply(jyy, drho_y, out=jyy)
+        out_y -= _scaled(reg.sigma2, jyx)
 
     if phys.f is not None:
         out_x += rho.data * phys.f.x
@@ -297,13 +323,14 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
         txx, txy, tyy = T.xx, T.xy, T.yy
 
     out = [
-        -g2.upwind_div(u.x, u.y, comp, T.bc, g.hx, g.hy)
+        g2.upwind_div(u.x, u.y, comp, T.bc, g.hx, g.hy)
         for comp in (txx, txy, tyy)
     ]
-    jxx, jxy, jyx, jyy = velocity_jacobian(u)
-    add_stretching(out, jxx, jxy, jyx, jyy, txx, txy, tyy)
+    for comp in out:
+        np.negative(comp, out=comp)
+    add_stretching(out, *velocity_jacobian(u), txx, txy, tyy)
     for i, comp in enumerate((T.xx, T.xy, T.yy)):
-        out[i] += phys.eps * g2.lap(comp, T.bc, g.hx, g.hy)
+        out[i] += _scaled(phys.eps, g2.lap(comp, T.bc, g.hx, g.hy))
     add_relaxation(out, txx, txy, tyy, eta.data + reg.alpha, phys)
 
     return SymTensorField2D(g, out[0], out[1], out[2])

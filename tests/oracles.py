@@ -5,7 +5,10 @@ than the closed-form 2x2 formulas in the package, so a bug in the
 package cannot hide in the expected values.  The ghost-padding and
 kinetic-flux references are the plain np.pad / np.take formulations the
 package's slice-based versions must reproduce bit for bit (fp_step_np is
-the whole kinetic step built from them with fresh temporaries), and
+the whole kinetic step built from them with fresh temporaries); the
+stencils, the Newtonian stress and the two SSP-RK2 stage updates are the
+plain expressions (grad_x_np ... heun_stage_np) that the package's
+in-place versions must reproduce bit for bit; and
 eig_fields_np is the nested np.where eigendecomposition the package's
 masked-divide eig_fields / rotation_fields must reproduce bit for bit.
 convolve_direct is the tap-by-tap kernel sum the package's FFT mollifier
@@ -114,6 +117,70 @@ def pad_np(arr: np.ndarray, odd: bool, axis: int) -> np.ndarray:
         padded[tuple(first)] *= -1.0
         padded[tuple(last)] *= -1.0
     return padded
+
+
+def grad_x_np(arr: np.ndarray, bc: str, hx: float) -> np.ndarray:
+    p = pad_np(arr, bc == g2.DIRICHLET, 0)
+    return (p[2:, :] - p[:-2, :]) / (2.0 * hx)
+
+
+def grad_y_np(arr: np.ndarray, bc: str, hy: float) -> np.ndarray:
+    p = pad_np(arr, bc == g2.DIRICHLET, 1)
+    return (p[:, 2:] - p[:, :-2]) / (2.0 * hy)
+
+
+def lap_np(arr: np.ndarray, bc: str, hx: float, hy: float) -> np.ndarray:
+    px = pad_np(arr, bc == g2.DIRICHLET, 0)
+    py = pad_np(arr, bc == g2.DIRICHLET, 1)
+    ddx = (px[2:, :] - 2.0 * arr + px[:-2, :]) / (hx * hx)
+    ddy = (py[:, 2:] - 2.0 * arr + py[:, :-2]) / (hy * hy)
+    return ddx + ddy
+
+
+def upwind_div_np(ux, uy, arr, arr_bc: str, hx: float, hy: float) -> np.ndarray:
+    """Upwind div(u * arr): face velocity times the upwind cell, differenced."""
+    odd = arr_bc == g2.DIRICHLET
+    pux = pad_np(ux, True, 0)
+    fx_vel = 0.5 * (pux[:-1, :] + pux[1:, :])
+    pa = pad_np(arr, odd, 0)
+    flux_x = fx_vel * np.where(fx_vel > 0.0, pa[:-1, :], pa[1:, :])
+    puy = pad_np(uy, True, 1)
+    fy_vel = 0.5 * (puy[:, :-1] + puy[:, 1:])
+    pa = pad_np(arr, odd, 1)
+    flux_y = fy_vel * np.where(fy_vel > 0.0, pa[:, :-1], pa[:, 1:])
+    return (flux_x[1:, :] - flux_x[:-1, :]) / hx + (flux_y[:, 1:] - flux_y[:, :-1]) / hy
+
+
+def tensor_divergence_np(xx, xy, yy, hx: float, hy: float):
+    """Row-wise divergence of a mirror-ghost symmetric tensor, as (vx, vy)."""
+    bc = g2.NEUMANN
+    return (grad_x_np(xx, bc, hx) + grad_y_np(xy, bc, hy),
+            grad_x_np(xy, bc, hx) + grad_y_np(yy, bc, hy))
+
+
+def newtonian_stress_np(ux, uy, hx: float, hy: float, muS: float, muB: float):
+    """muS (sym grad u - (div u / 2) I) + muB (div u) I as (xx, xy, yy)."""
+    bc = g2.DIRICHLET
+    jxx, jxy = grad_x_np(ux, bc, hx), grad_y_np(ux, bc, hy)
+    jyx, jyy = grad_x_np(uy, bc, hx), grad_y_np(uy, bc, hy)
+    div_u = jxx + jyy
+    sym_xy = 0.5 * (jxy + jyx)
+    half_div = 0.5 * div_u
+    sxx = muS * (jxx - half_div)
+    syy = muS * (jyy - half_div)
+    sxy = muS * sym_xy
+    if muB != 0.0:
+        sxx = sxx + muB * div_u
+        syy = syy + muB * div_u
+    return sxx, sxy, syy
+
+
+def euler_stage_np(y0, f, dt: float):
+    return [a + dt * b for a, b in zip(y0, f)]
+
+
+def heun_stage_np(y0, y1, f, dt: float):
+    return [0.5 * (a + b + dt * c) for a, b, c in zip(y0, y1, f)]
 
 
 def mc_slopes_np(psi: np.ndarray, axis: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import contextlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -539,6 +540,17 @@ class TestRunCommand:
         assert code == 2 and out == "" and steps == []
         assert err == ("run aborted: time step dt=0.001 does not advance t=1e+17"
                        " (run failed at t=1e+17)\n")
+
+    def test_overflowed_sound_speed_names_the_bound(self, tmp_path):
+        # gamma = 1e308 overflows the pressure law, so auto dt would be 0.0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nx = 8\nny = 8\ngamma = 1e308\ninitial = perturbed-equilibrium\n"
+                       "t_end = 0.01\n")
+        code, out, err = capture(cli.cmd_run, str(cfg))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"run aborted: stability bound dt = 0\.0 vanished in the advective"
+                            r" bound: max \|u\| = \S+, sound speed c = inf"
+                            r" \(run failed at t=0\)\n", err)
 
     @pytest.mark.parametrize("line, code", [("gamma = 1e308", 2), ("theta = 1e-200", 0)])
     def test_float_warnings_stay_off_stderr(self, tmp_path, line, code):

@@ -2,6 +2,7 @@
 blowup reporting, IMEX diffusion solves, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,25 @@ class TestAutoDt:
         with pytest.raises(DegenerateStateError):
             auto_dt(state, phys, reg, StepConfig())
 
+    @pytest.mark.parametrize("kwargs, rho_bar, cause", [
+        # (muS + muB) / rho_min overflows 4 * diffusivity
+        (dict(muS=1e308), 1.0, r"diffusive bound: diffusivity 1\.0+e\+308 over h\^2 = \S+"),
+        # 1.5 ** gamma overflows the pressure derivative, so the sound speed
+        (dict(gamma=1e308), 1.5, r"advective bound: max \|u\| = 0\.000e\+00, "
+                                 r"sound speed c = inf"),
+        # A0 / (2 lambda) overflows and 2 lambda / A0 underflows to zero
+        (dict(A0=1e308, lam=1e-300), 1.0, r"relaxation bound: rate A0 / \(2 lambda\) = inf"),
+    ])
+    def test_vanished_bound_names_itself(self, kwargs, rho_bar, cause):
+        g = unit_grid(8)
+        phys = PhysParams(**kwargs)
+        reg = RegParams()
+        state = equilibrium_state(g, phys, reg, rho_bar=rho_bar)
+        with np.errstate(all="ignore"), pytest.raises(DegenerateStateError) as err:
+            auto_dt(state, phys, reg, StepConfig())
+        assert re.fullmatch(r"stability bound dt = 0\.0 vanished in the " + cause,
+                            str(err.value))
+
     def test_relaxation_limit_governs_stiff_relaxation(self):
         g = unit_grid(16)
         phys = PhysParams(eps=0.01, muS=0.01, lam=1e-3, A0=2.0)
@@ -170,7 +190,7 @@ class TestEquilibriumFixedPoint:
         reg = RegParams(alpha=0.1)
         state = equilibrium_state(g, phys, reg, rho_bar=1.2, eta_bar=0.9)
         cfg = StepConfig(dt=1e-3, scheme=scheme)
-        out = step(state, phys, reg, cfg)
+        out = step(state, phys, reg, cfg, dt=cfg.dt)
         assert np.abs(out.rho.data - state.rho.data).max() <= 1e-12
         assert np.abs(out.u.x).max() <= 1e-12
         assert np.abs(out.eta.data - state.eta.data).max() <= 1e-12
@@ -194,7 +214,7 @@ class TestRelaxationAccuracy:
         )
         cfg = StepConfig(dt=dt)
         for _ in range(n_steps):
-            state = step(state, phys, reg, cfg)
+            state = step(state, phys, reg, cfg, dt=cfg.dt)
         rate = phys.A0 / (2 * phys.lam)
         t_eq = phys.k * (1.0 + reg.alpha)
         exact = t_eq + (t0 - t_eq) * math.exp(-rate * n_steps * dt)
@@ -220,7 +240,7 @@ class TestRelaxationAccuracy:
             s = base.copy()
             cfg = StepConfig(dt=dt)
             for _ in range(n):
-                s = step(s, phys, reg, cfg)
+                s = step(s, phys, reg, cfg, dt=cfg.dt)
             return s
 
         ref = final_state(2.5e-4, 64)
@@ -374,7 +394,7 @@ class TestBlowup:
         state.T.xx += 1e11 * rng.random((8, 8))
         with pytest.raises(BlowupError):
             # dt far above the diffusive limit amplifies the noise at once
-            step(state, phys, reg, StepConfig(dt=10.0))
+            step(state, phys, reg, StepConfig(dt=10.0), dt=10.0)
 
     def test_error_names_component_and_cell(self):
         g = unit_grid(8)
@@ -384,7 +404,7 @@ class TestBlowup:
         rng = np.random.default_rng(1)
         state.T.xx += 1e11 * rng.random((8, 8))
         with pytest.raises(BlowupError) as err:
-            step(state, phys, reg, StepConfig(dt=10.0))
+            step(state, phys, reg, StepConfig(dt=10.0), dt=10.0)
         # the density is checked first and is already out of range
         assert str(err.value).startswith("field magnitude ")
         assert str(err.value).endswith(" at t=10 in rho at cell (1, 1)")
@@ -438,7 +458,7 @@ class TestImex:
         cfg = StepConfig(dt=20 * explicit_limit, scheme="imex")
         s = state
         for _ in range(20):
-            s = step(s, phys, reg, cfg)
+            s = step(s, phys, reg, cfg, dt=cfg.dt)
         assert np.abs(s.eta.data).max() < 10.0
         assert np.abs(s.T.xx).max() < 10.0
 
