@@ -30,7 +30,6 @@ from oldroyd2d.diagnostics import (
     conservation,
     energy,
     energy_budget_gap,
-    energy_inequality_residual,
     spd_monitor,
 )
 from oldroyd2d.closure import GradU2, KineticDistribution, closure_compare
@@ -57,7 +56,6 @@ __all__ = [
     "EnergyReport",
     "TimeseriesRecorder",
     "energy",
-    "energy_inequality_residual",
     "energy_budget_gap",
     "conservation",
     "spd_monitor",

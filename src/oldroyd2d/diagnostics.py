@@ -213,13 +213,6 @@ def energy_residual_series(reports: Sequence[EnergyReport]) -> list[float]:
     return [0.0] + [max(m, 0.0) / scale for m in _budget_mismatch(reports)]
 
 
-def energy_inequality_residual(reports: Sequence[EnergyReport]) -> float:
-    """Max over report times of the one-sided budget residual; 0 if empty."""
-    series = energy_residual_series(reports)
-    # np.max, unlike max, lets a NaN report through
-    return float(np.max(series)) if series else 0.0
-
-
 def energy_budget_gap(reports: Sequence[EnergyReport]) -> float:
     """Max absolute two-sided budget mismatch, normalized by E0 + 1.
 

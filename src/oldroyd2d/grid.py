@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.fft
 
 # The two ghost rules: DIRICHLET is the odd reflection of velocity,
 # NEUMANN the mirror of every other field.  The odd reflection makes every
@@ -298,50 +297,39 @@ def _bump_kernel(grid: Grid2D, theta: float) -> np.ndarray:
     return w / total
 
 
-def _fft_shape(nx: int, ny: int, rx: int, ry: int):
-    """Transform sizes no shorter than the padded array.
-
-    The linear convolution of the padded array with the kernel is
-    nonzero on [0, nx + 4 rx); a circular one of length L >= nx + 2 rx
-    folds only indices >= L back, and those land below 2 rx, outside the
-    valid window [2 rx, 2 rx + nx).
-    """
-    return (scipy.fft.next_fast_len(nx + 2 * rx, real=True),
-            scipy.fft.next_fast_len(ny + 2 * ry, real=True))
-
-
-def _convolve_component(arr: np.ndarray, kernel_hat: np.ndarray, rx: int, ry: int) -> np.ndarray:
-    """Kernel correlation with edge-replicated padding (constants preserved).
-
-    kernel_hat is the real FFT of the flipped (2 rx + 1) x (2 ry + 1)
-    kernel at _fft_shape(nx, ny, rx, ry); one convolution with it is the
-    correlation with the kernel.
-    """
-    nx, ny = arr.shape
-    shape = _fft_shape(nx, ny, rx, ry)
-    padded = np.pad(arr, ((rx, rx), (ry, ry)), mode="edge")
-    full = scipy.fft.irfft2(scipy.fft.rfft2(padded, shape) * kernel_hat, shape)
-    return full[2 * rx : 2 * rx + nx, 2 * ry : 2 * ry + ny].copy()
-
-
 def mollify_initial(data, theta: float):
     """Smooth raw initial data and lift it off the degenerate set.
 
-    Convolves each component with the unit-mass bump of radius theta,
+    Correlates each component with the unit-mass bump of radius theta,
     then applies the positivity shift: + theta for scalars, + theta on
     the diagonal for tensors (min eigenvalue >= theta afterwards).
     Vectors are smoothed without a shift.
+
+    Each component is edge-replicated by the kernel radius (constants are
+    preserved) and convolved with the flipped kernel by one real FFT pair.
+    The transform sizes are no shorter than the padded array: the linear
+    convolution is nonzero on [0, nx + 4 rx), a circular one of length
+    L >= nx + 2 rx folds only indices >= L back, and those land below
+    2 rx, outside the valid window [2 rx, 2 rx + nx).
     """
+    # imported here, not with the module: only mollified presets load the FFT
+    import scipy.fft
+
     if theta <= 0.0:
         raise ValueError("mollifier radius must be positive")
     grid = data.grid
+    nx, ny = grid.nx, grid.ny
     kernel = _bump_kernel(grid, theta)
     rx, ry = kernel.shape[0] // 2, kernel.shape[1] // 2
+    shape = (scipy.fft.next_fast_len(nx + 2 * rx, real=True),
+             scipy.fft.next_fast_len(ny + 2 * ry, real=True))
     # one kernel spectrum for all components of the field
-    kernel_hat = scipy.fft.rfft2(kernel[::-1, ::-1], _fft_shape(grid.nx, grid.ny, rx, ry))
+    kernel_hat = scipy.fft.rfft2(kernel[::-1, ::-1], shape)
 
     def smooth(arr):
-        return _convolve_component(arr, kernel_hat, rx, ry)
+        padded = np.pad(arr, ((rx, rx), (ry, ry)), mode="edge")
+        full = scipy.fft.irfft2(scipy.fft.rfft2(padded, shape) * kernel_hat, shape)
+        return full[2 * rx : 2 * rx + nx, 2 * ry : 2 * ry + ny].copy()
 
     if isinstance(data, ScalarField2D):
         out = smooth(data.data) + theta

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from oldroyd2d import grid as g2
 from oldroyd2d.grid import require
@@ -186,6 +185,9 @@ def _neumann_heat_solve(arr: np.ndarray, denom: np.ndarray) -> np.ndarray:
     denom is 1 - kappa_dt * _neumann_symbol(grid), shared by every
     component diffused at the same kappa_dt.
     """
+    # imported here, not with the module: only scheme = imex loads the FFT
+    import scipy.fft
+
     spec = scipy.fft.dctn(arr, type=2, norm="ortho")
     spec /= denom
     return scipy.fft.idctn(spec, type=2, norm="ortho", overwrite_x=True)

@@ -338,24 +338,41 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
 
 # The two stress source terms below are shared by rhs_stress (on arrays) and
 # the kinetic oracle's moment equation (on floats).  Each adds in place to
-# out = [xx, xy, yy], one component at a time: building the terms as new
-# arrays first costs page faults on the solver's grids.
+# out = [xx, xy, yy], one component at a time, and builds each term by
+# augmented assignment in its plain expression's operation order: on the
+# solver's grids every expression temporary costs page faults, and on
+# floats the same statements simply rebind.
 
 
 def add_stretching(out, jxx, jxy, jyx, jyy, txx, txy, tyy) -> None:
     """Add the upper-convected stretching J T + T J^T, with J_ij = d_j u_i."""
-    out[0] += 2.0 * (jxx * txx + jxy * txy)
-    out[1] += jxx * txy + jxy * tyy + txx * jyx + txy * jyy
-    out[2] += 2.0 * (jyx * txy + jyy * tyy)
+    t = jxx * txx
+    t += jxy * txy
+    t *= 2.0
+    out[0] += t
+    t = jxx * txy
+    t += jxy * tyy
+    t += txx * jyx
+    t += txy * jyy
+    out[1] += t
+    t = jyx * txy
+    t += jyy * tyy
+    t *= 2.0
+    out[2] += t
 
 
 def add_relaxation(out, txx, txy, tyy, eta, phys: PhysParams) -> None:
     """Add the Maxwell relaxation (A0 / 2 lambda) (k eta I - T)."""
     relax = phys.A0 / (2.0 * phys.lam)
-    source = phys.k * relax * eta
-    out[0] += source - relax * txx
+    rate = phys.k * relax
+    # the source rate * eta is built twice, once as each diagonal term
+    t = rate * eta
+    t -= relax * txx
+    out[0] += t
     out[1] += -relax * txy
-    out[2] += source - relax * tyy
+    t = rate * eta
+    t -= relax * tyy
+    out[2] += t
 
 
 def equilibrium_state(

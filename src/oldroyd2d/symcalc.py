@@ -71,6 +71,10 @@ class EigenPair2:
     lam2: float
     angle: float
 
+    def tr_log(self) -> float:
+        """tr log of the matrix, for positive eigenvalues."""
+        return math.log(self.lam1) + math.log(self.lam2)
+
 
 def eig(p: SymMat2) -> EigenPair2:
     """Closed-form eigendecomposition via the characteristic quadratic.
@@ -97,9 +101,8 @@ def eig(p: SymMat2) -> EigenPair2:
     return EigenPair2(lam1, lam2, angle)
 
 
-def apply_scalar(g: Callable[[float], float], p: SymMat2) -> SymMat2:
-    """Lift the scalar function g to p through its eigendecomposition."""
-    e = eig(p)
+def lift(g: Callable[[float], float], e: EigenPair2) -> SymMat2:
+    """The scalar function g lifted to the matrix whose eigendecomposition is e."""
     return SymMat2(*recombine_fields(g(e.lam1), g(e.lam2), math.cos(e.angle), math.sin(e.angle)))
 
 
@@ -107,7 +110,7 @@ def tr_log(p: SymMat2) -> float:
     e = eig(p)
     if e.lam2 <= 0.0:
         raise NotSPDError(f"tr log needs eigenvalues > 0, got min {e.lam2}")
-    return math.log(e.lam1) + math.log(e.lam2)
+    return e.tr_log()
 
 
 class IneqResult(NamedTuple):
@@ -137,9 +140,10 @@ def matrix_log_diff_ineq(a: SymMat2, b: SymMat2) -> IneqResult:
     ea, eb = eig(a), eig(b)
     if ea.lam2 <= 0.0 or eb.lam2 <= 0.0:
         raise NotSPDError("both arguments must be positive definite")
-    lhs = (tr_log(a) - tr_log(b)) ** 2
-    inv_a = apply_scalar(lambda s: 1.0 / s, a)
-    inv_b = apply_scalar(lambda s: 1.0 / s, b)
+    # one decomposition per matrix serves tr log and the inverse
+    lhs = (ea.tr_log() - eb.tr_log()) ** 2
+    inv_a = lift(lambda s: 1.0 / s, ea)
+    inv_b = lift(lambda s: 1.0 / s, eb)
     rhs = -DIM * a.sub(b).inner(inv_a.sub(inv_b))
     scale = 1.0 + abs(lhs) + abs(rhs)
     return IneqResult(lhs, rhs, lhs <= rhs + _MATRIX_LOG_SLACK * scale)
@@ -159,9 +163,10 @@ def convexity_trace_ineq(
     if kind not in ("concave", "convex"):
         raise ValueError("kind must be 'concave' or 'convex'")
     diff = a.sub(b)
-    left = diff.inner(apply_scalar(g_prime, b))
-    mid = apply_scalar(g, a).trace() - apply_scalar(g, b).trace()
-    right = diff.inner(apply_scalar(g_prime, a))
+    ea, eb = eig(a), eig(b)
+    left = diff.inner(lift(g_prime, eb))
+    mid = lift(g, ea).trace() - lift(g, eb).trace()
+    right = diff.inner(lift(g_prime, ea))
     scale = 1.0 + abs(left) + abs(mid) + abs(right)
     slack = _CONVEXITY_SLACK * scale
     if kind == "concave":
@@ -179,9 +184,11 @@ def convexity_trace_ineq(
 # adds the rotation (arctan2, the tie mask, cos and sin) to recombine chi(T).
 #
 # eig() keeps its own scalar code: it takes about 1.5 us per matrix, the
-# same formulas as numpy calls on 0-d arrays about 40 us (call overhead),
-# so the 150,000 eig() calls of the matrix-inequalities suite take 1 s, not
-# 6 s.  recombine_fields() is plain arithmetic; apply_scalar() calls it too.
+# same formulas as numpy calls on 0-d arrays about 40 us (call overhead).
+# The checkers decompose each matrix once and lift() every function from
+# that one EigenPair2, so a matrix-inequalities sample makes 7 eig() calls
+# and the suite's 70,000 take about 0.1 s, not 3 s.  recombine_fields() is
+# plain arithmetic; lift() calls it too.
 
 
 def eig_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
@@ -190,17 +197,32 @@ def eig_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
     Mirrors eig(): the smaller-magnitude eigenvalue comes from det/lam
     to avoid subtraction cancellation.  Each branch is one masked divide,
     so a cell pays only for the quotient it keeps.
+
+    Three arrays and one mask hold every intermediate (the plain-expression
+    form is tests/oracles.eig_fields_np).  A cell with mean >= 0 needs only
+    big = mean + radius, any other cell only big = mean - radius, so one
+    array holds big.  Where mean >= 0 and big = 0, mean and radius are
+    zeros, and lam2 = mean - radius is mean itself, sign of zero included.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mean = 0.5 * (xx + yy)
-        half_gap = 0.5 * (xx - yy)
-        radius = np.hypot(half_gap, xy)
-        det = xx * yy - xy * xy
-        big_pos = mean + radius
-        big_neg = mean - radius
-        nonneg = mean >= 0.0
-        lam1 = np.divide(det, big_neg, out=big_pos.copy(), where=~nonneg)
-        lam2 = np.divide(det, big_pos, out=big_neg, where=nonneg & (big_pos != 0.0))
+        det = np.multiply(xx, yy)
+        big = np.multiply(xy, xy)
+        det -= big
+        mean = np.add(xx, yy)
+        mean *= 0.5
+        np.subtract(xx, yy, out=big)
+        big *= 0.5
+        np.hypot(big, xy, out=big)  # the radius
+        mask = mean >= 0.0
+        np.add(mean, big, out=big, where=mask)
+        np.logical_not(mask, out=mask)  # mean < 0 or NaN
+        np.subtract(mean, big, out=big, where=mask)
+        # lam2 is built in mean's array: big_neg here, det / big_pos below
+        np.copyto(mean, big, where=mask)
+        lam1 = np.divide(det, big, out=big, where=mask)
+        np.logical_not(mask, out=mask)
+        np.not_equal(lam1, 0.0, out=mask, where=mask)
+        lam2 = np.divide(det, lam1, out=mean, where=mask)
     return lam1, lam2
 
 

@@ -6,22 +6,29 @@ package cannot hide in the expected values.  The ghost-padding and
 kinetic-flux references are the plain np.pad / np.take formulations the
 package's slice-based versions must reproduce bit for bit (fp_step_np is
 the whole kinetic step built from them with fresh temporaries); the
-stencils, the Newtonian stress and the two SSP-RK2 stage updates are the
-plain expressions (grad_x_np ... heun_stage_np) that the package's
+stencils, the Newtonian stress, the two stress source terms and the two
+SSP-RK2 stage updates are the plain expressions (grad_x_np ...
+heun_stage_np) that the package's
 in-place versions must reproduce bit for bit; and
 eig_fields_np is the nested np.where eigendecomposition the package's
 masked-divide eig_fields / rotation_fields must reproduce bit for bit.
 convolve_direct is the tap-by-tap kernel sum the package's FFT mollifier
 must match to rounding, and neumann_heat_solve_np the per-call DCT heat
 solve its shared-denominator version must reproduce bit for bit.
+matrix_log_diff_ineq_per_call and convexity_trace_ineq_per_call are the
+inequality checkers with every term decomposing its matrix again (through
+apply_scalar and tr_log_per_call); the package's one-decomposition
+checkers must reproduce them bit for bit.
 
 The rest are checks that more than one test module runs and the solver
 never does, built on the package's closed-form 2x2 calculus: the lift of
-a scalar function over component arrays (apply_scalar_fields), the
-eigenvalue cutoff chi (chi_scalar, chi_cutoff), the centered-difference
-residual of Jacobi's formula along a matrix path (jacobi_residual, with
-sym_scale), and the stress norm bound accumulated over a sampled run
-(stress_l2_monitor, StressL2Report, stress_grad_l2).
+a scalar function to one matrix (apply_scalar) and over component arrays
+(apply_scalar_fields), the eigenvalue cutoff chi (chi_scalar,
+chi_cutoff), the centered-difference residual of Jacobi's formula along
+a matrix path (jacobi_residual, with sym_scale), the largest one-sided
+energy budget residual of a run (energy_inequality_residual), and the
+stress norm bound accumulated over a sampled run (stress_l2_monitor,
+StressL2Report, stress_grad_l2).
 """
 
 import math
@@ -32,11 +39,12 @@ import scipy.fft
 import scipy.linalg
 
 from oldroyd2d import grid as g2
-from oldroyd2d.diagnostics import stress_norms
+from oldroyd2d.diagnostics import energy_residual_series, stress_norms
 from oldroyd2d.grid import SymTensorField2D, cell_sum
 from oldroyd2d.integrate import BlowupError
 from oldroyd2d.model import PhysParams
-from oldroyd2d.symcalc import (NotSPDError, SymMat2, apply_scalar, eig, eig_fields,
+from oldroyd2d.symcalc import (_CONVEXITY_SLACK, _MATRIX_LOG_SLACK, DIM, ChainResult,
+                                IneqResult, NotSPDError, SymMat2, eig, eig_fields,
                                 recombine_fields, rotation_fields)
 
 
@@ -175,6 +183,22 @@ def newtonian_stress_np(ux, uy, hx: float, hy: float, muS: float, muB: float):
     return sxx, sxy, syy
 
 
+def stretching_np(out, jxx, jxy, jyx, jyy, txx, txy, tyy):
+    """out + (J T + T J^T) as a new list, one plain expression per component."""
+    return [out[0] + 2.0 * (jxx * txx + jxy * txy),
+            out[1] + (jxx * txy + jxy * tyy + txx * jyx + txy * jyy),
+            out[2] + 2.0 * (jyx * txy + jyy * tyy)]
+
+
+def relaxation_np(out, txx, txy, tyy, eta, phys: PhysParams):
+    """out + (A0 / 2 lambda) (k eta I - T) as a new list, one plain expression per component."""
+    relax = phys.A0 / (2.0 * phys.lam)
+    source = phys.k * relax * eta
+    return [out[0] + (source - relax * txx),
+            out[1] + -relax * txy,
+            out[2] + (source - relax * tyy)]
+
+
 def euler_stage_np(y0, f, dt: float):
     return [a + dt * b for a, b in zip(y0, f)]
 
@@ -271,6 +295,49 @@ def neumann_heat_solve_np(arr: np.ndarray, kappa_dt: float, hx: float, hy: float
     return scipy.fft.idctn(spec / denom, type=2, norm="ortho")
 
 
+def apply_scalar(g, p: SymMat2) -> SymMat2:
+    """Lift the scalar function g to p through its own eigendecomposition."""
+    e = eig(p)
+    return SymMat2(*recombine_fields(g(e.lam1), g(e.lam2), math.cos(e.angle), math.sin(e.angle)))
+
+
+def tr_log_per_call(p: SymMat2) -> float:
+    e = eig(p)
+    if e.lam2 <= 0.0:
+        raise NotSPDError(f"tr log needs eigenvalues > 0, got min {e.lam2}")
+    return math.log(e.lam1) + math.log(e.lam2)
+
+
+def matrix_log_diff_ineq_per_call(a: SymMat2, b: SymMat2) -> IneqResult:
+    """matrix_log_diff_ineq with every term decomposing its matrix again."""
+    ea, eb = eig(a), eig(b)
+    if ea.lam2 <= 0.0 or eb.lam2 <= 0.0:
+        raise NotSPDError("both arguments must be positive definite")
+    lhs = (tr_log_per_call(a) - tr_log_per_call(b)) ** 2
+    inv_a = apply_scalar(lambda s: 1.0 / s, a)
+    inv_b = apply_scalar(lambda s: 1.0 / s, b)
+    rhs = -DIM * a.sub(b).inner(inv_a.sub(inv_b))
+    scale = 1.0 + abs(lhs) + abs(rhs)
+    return IneqResult(lhs, rhs, lhs <= rhs + _MATRIX_LOG_SLACK * scale)
+
+
+def convexity_trace_ineq_per_call(g, g_prime, kind: str, a: SymMat2, b: SymMat2) -> ChainResult:
+    """convexity_trace_ineq with every lift decomposing its matrix again."""
+    if kind not in ("concave", "convex"):
+        raise ValueError("kind must be 'concave' or 'convex'")
+    diff = a.sub(b)
+    left = diff.inner(apply_scalar(g_prime, b))
+    mid = apply_scalar(g, a).trace() - apply_scalar(g, b).trace()
+    right = diff.inner(apply_scalar(g_prime, a))
+    scale = 1.0 + abs(left) + abs(mid) + abs(right)
+    slack = _CONVEXITY_SLACK * scale
+    if kind == "concave":
+        holds = (left >= mid - slack) and (mid >= right - slack)
+    else:
+        holds = (left <= mid + slack) and (mid <= right + slack)
+    return ChainResult(left, mid, right, holds)
+
+
 def apply_scalar_fields(g, xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
     """Lift a numpy-vectorized scalar g over component arrays."""
     lam1, lam2 = eig_fields(xx, xy, yy)
@@ -313,6 +380,17 @@ def jacobi_residual(path: Sequence[SymMat2], dt: float) -> float:
         inv_p = apply_scalar(lambda s: 1.0 / s, path[i])
         worst = max(worst, abs(d_logdet - inv_p.inner(dp)))
     return worst
+
+
+def energy_inequality_residual(reports) -> float:
+    """Max over report times of the one-sided budget residual; 0 if empty.
+
+    The residual_max that run and sweep print is the same np.max over the
+    recorder's residual column (cli._row_summary).
+    """
+    series = energy_residual_series(reports)
+    # np.max, unlike max, lets a NaN report through
+    return float(np.max(series)) if series else 0.0
 
 
 def stress_grad_l2(T: SymTensorField2D) -> float:

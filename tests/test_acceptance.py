@@ -168,7 +168,7 @@ def test_criterion_05_equilibrium_fixed_point():
     )
     rec = dg.TimeseriesRecorder(phys, reg)
     result = run(state, phys, reg, cfg, diag_hooks=(rec.hook,))
-    residual = dg.energy_inequality_residual(rec.reports)
+    residual = oracles.energy_inequality_residual(rec.reports)
     ok = change <= 1e-12 and result.steps == 1000 and residual <= 1e-10
     verdict(5, ok,
             f"equilibrium is a discrete fixed point: per-step change "

@@ -20,7 +20,8 @@ from oldroyd2d import cli, integrate
 from oldroyd2d import diagnostics as dg
 from oldroyd2d.grid import Grid2D, ParamError, cell_sum
 from oldroyd2d.integrate import StepConfig
-from oldroyd2d.model import _STATE_TAG, PhysParams, RegParams, load_state, save_state
+from oldroyd2d.model import (_STATE_TAG, PhysParams, RegParams, equilibrium_state, load_state,
+                             save_state)
 from oldroyd2d.symcalc import IneqResult, NotSPDError, SymMat2
 
 
@@ -884,6 +885,16 @@ class TestSweepCommand:
         assert "positive definiteness" in err
 
 
+def fresh_python(*args):
+    """A new interpreter, given this checkout's package first on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
 class TestMain:
     def test_run_dispatch(self, tmp_path):
         path = tmp_path / "m.cfg"
@@ -916,11 +927,76 @@ class TestMain:
 
     @pytest.mark.parametrize("module", ["oldroyd2d", "oldroyd2d.cli"])
     def test_module_entry_points_run_clean(self, module):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-        proc = subprocess.run([sys.executable, "-m", module, "--help"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = fresh_python("-m", module, "--help")
         assert proc.returncode == 0 and "usage: oldroyd2d" in proc.stdout
         assert proc.stderr == ""
+
+
+class TestColdStart:
+    """A fresh interpreter loads scipy.fft only where a transform runs.
+
+    The test process has scipy.fft loaded already (tests/oracles.py uses
+    it), so every case starts its own interpreter.  The probe runs
+    ``python -m oldroyd2d`` with the given arguments and, at exit, prints
+    whether scipy.fft was loaded as its last stderr line.
+    """
+
+    PROBE = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: print('scipy.fft loaded:', 'scipy.fft' in sys.modules,"
+             " file=sys.stderr))\n"
+             "sys.argv = ['oldroyd2d'] + sys.argv[1:]\n"
+             "runpy.run_module('oldroyd2d', run_name='__main__', alter_sys=True)\n")
+    RUN = "nx = 8\nny = 8\nmuS = 0.1\neps = 0.1\ndt = 0.002\nt_end = 0.01\n"
+
+    def _cli(self, *args):
+        """(exit code, stdout, stderr lines before the probe's, scipy.fft loaded)."""
+        proc = fresh_python("-c", self.PROBE, *args)
+        *lines, last = proc.stderr.splitlines() or [""]
+        assert last in ("scipy.fft loaded: True", "scipy.fft loaded: False"), proc.stderr
+        return proc.returncode, proc.stdout, lines, last.endswith("True")
+
+    def _config(self, tmp_path, text):
+        path = tmp_path / "cold.cfg"
+        path.write_text(text)
+        return str(path)
+
+    def test_import_cli(self):
+        proc = fresh_python("-c", "import sys, oldroyd2d.cli; print('scipy.fft' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout == "False\n"
+
+    def test_help(self):
+        code, out, err, loaded = self._cli("--help")
+        assert code == 0 and "usage: oldroyd2d" in out and err == []
+        assert not loaded
+
+    def test_bad_config(self, tmp_path):
+        code, _, err, loaded = self._cli("run", self._config(tmp_path, "nx = 2\n"))
+        assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
+        assert not loaded
+
+    @pytest.mark.parametrize("args", [["verify", "matrix-inequalities"],
+                                      ["verify", "closure"],
+                                      ["verify", "field-inequalities"]],
+                             ids=lambda a: a[1])
+    def test_verify_suites_without_transforms(self, args):
+        code, out, _, loaded = self._cli(*args)
+        assert code == 0 and "result: PASS" in out
+        assert not loaded
+
+    @pytest.mark.parametrize("restart", [False, True], ids=["equilibrium", "file"])
+    def test_unmollified_rk2_run(self, tmp_path, restart):
+        text = self.RUN
+        if restart:
+            snap = tmp_path / "start.snap"
+            save_state(equilibrium_state(Grid2D(8, 8), PhysParams(), RegParams()), snap)
+            text = f"muS = 0.1\neps = 0.1\ndt = 0.002\nt_end = 0.01\ninitial = file:{snap}\n"
+        code, out, _, loaded = self._cli("run", self._config(tmp_path, text))
+        assert code == 0 and "completed:" in out
+        assert not loaded
+
+    @pytest.mark.parametrize("extra", ["initial = perturbed-equilibrium\namp = 0.05\n",
+                                       "scheme = imex\n"], ids=["mollified", "imex"])
+    def test_transforms_load_the_fft(self, tmp_path, extra):
+        code, out, err, loaded = self._cli("run", self._config(tmp_path, self.RUN + extra))
+        assert code == 0 and "completed:" in out and err == []
+        assert loaded

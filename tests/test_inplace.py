@@ -1,8 +1,9 @@
 """The in-place stencils, right-hand sides and stage updates.
 
 Bitwise oracles: grid.grad_x/grad_y/lap/upwind_div/tensor_divergence,
-model.newtonian_stress and the two SSP-RK2 stage updates of integrate
-must reproduce the plain expressions kept in tests/oracles.py byte for
+model.newtonian_stress, model.add_stretching/add_relaxation (on arrays
+and on floats) and the two SSP-RK2 stage updates of integrate must
+reproduce the plain expressions kept in tests/oracles.py byte for
 byte, memory order included, on C, Fortran and strided inputs holding
 signed zeros, NaNs of both signs, infinities, values near 1e+-300 and
 1e+-308, and subnormals.
@@ -122,6 +123,54 @@ class TestBitwiseOracles:
             want = oracles.newtonian_stress_np(ux, uy, grid.hx, grid.hy, phys.muS, muB)
             for name, g, w in zip(("xx", "xy", "yy"), got.components(), want):
                 assert_same_bits(g, w, name)
+
+    @pytest.mark.parametrize("shape, layout", cases())
+    def test_stress_sources(self, shape, layout):
+        rng = np.random.default_rng(17)
+        phys = PhysParams(k=0.9, A0=1.3, lam=0.7)
+        for scale in SCALES:
+            jac = [special_array(shape, rng, layout, scale) for _ in range(4)]
+            t = [special_array(shape, rng, layout, scale) for _ in range(3)]
+            eta = special_array(shape, rng, layout, scale)
+            out = [special_array(shape, rng, layout, scale) for _ in range(3)]
+            # a sum or product of two NaNs keeps its first operand's: cells
+            # holding NaNs of random sign in random operands pin the order
+            for cell in range(32):
+                idx = np.unravel_index(cell % (shape[0] * shape[1]), shape)
+                for a in (*jac, *t, eta, *out):
+                    if rng.random() < 0.5:
+                        a[idx] = -np.nan if rng.random() < 0.5 else np.nan
+            got = [a.copy(order="K") for a in out]
+            model.add_stretching(got, *jac, *t)
+            for name, g, w in zip(("xx", "xy", "yy"), got, oracles.stretching_np(out, *jac, *t)):
+                assert_same_bits(g, w, "stretching " + name)
+            got = [a.copy(order="K") for a in out]
+            model.add_relaxation(got, *t, eta, phys)
+            for name, g, w in zip(("xx", "xy", "yy"), got,
+                                  oracles.relaxation_np(out, *t, eta, phys)):
+                assert_same_bits(g, w, "relaxation " + name)
+
+    def test_stress_sources_on_floats(self):
+        # the kinetic oracle's moment equation passes Python floats.  The
+        # interpreter's generic and specialized float adds may order their
+        # operands differently, so which NaN a NaN + NaN keeps depends on
+        # the call history: NaNs compare as NaNs, every other value by bits
+        rng = np.random.default_rng(18)
+        phys = PhysParams(k=0.9, A0=1.3, lam=0.7)
+        values = [float(v) for v in SPECIALS] + [float(v) for v in rng.standard_normal(6)]
+        for _ in range(2000):
+            args = [values[i] for i in rng.integers(len(values), size=8)]
+            out = [values[i] for i in rng.integers(len(values), size=3)]
+            want = oracles.relaxation_np(oracles.stretching_np(out, *args[:7]),
+                                         *args[4:7], args[7], phys)
+            got = list(out)
+            model.add_stretching(got, *args[:7])
+            model.add_relaxation(got, *args[4:7], args[7], phys)
+            assert all(type(g) is float for g in got)
+            got, want = np.array(got), np.array(want)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), args
+            assert got[~nan].tobytes() == want[~nan].tobytes(), args
 
     @pytest.mark.parametrize("shape, layout", cases())
     @pytest.mark.parametrize("dt", [1e-3, 0.37, 1e300])

@@ -10,17 +10,18 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import apply_scalar_fields, chi_cutoff, chi_scalar, jacobi_residual, sym_scale
+from oracles import (apply_scalar, apply_scalar_fields, chi_cutoff, chi_scalar,
+                     jacobi_residual, sym_scale)
 from oldroyd2d.symcalc import (
     DIM,
     EigenPair2,
     NotSPDError,
     SymMat2,
-    apply_scalar,
     convexity_trace_ineq,
     cutoff_fields,
     eig,
     eig_fields,
+    lift,
     matrix_log_diff_ineq,
     recombine_fields,
     rotation_fields,
@@ -400,6 +401,55 @@ class TestConvexityChain:
             b,
         )
         assert r.holds
+
+
+class TestOneDecompositionPerMatrix:
+    """The checkers decompose each matrix once and match the per-call forms
+    of tests/oracles.py bit for bit, exceptions included."""
+
+    CHAINS = (
+        (math.log, lambda s: 1.0 / s, "concave"),
+        (lambda s: s * s, lambda s: 2.0 * s, "convex"),
+        (lambda s: g_cutoff_scalar(0.5, s), lambda s: 1.0 / max(0.5, s), "concave"),
+    )
+    EDGE = (identity(), sym(2, 0, 2), sym(2, 0, 3), sym(3, 0, 2), sym(2, 1, 2),
+            sym(1e-3, 0, 1e3), sym(1, 1e-17, 1), sym(1, 0, -1), sym(0, 0, 0),
+            sym(-2, 1, -3), sym(1e300, 0, 1e-300))
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except (ArithmeticError, ValueError) as err:
+            return f"{type(err).__name__}: {err}"
+
+    def _check(self, a, b):
+        assert (self._outcome(matrix_log_diff_ineq, a, b)
+                == self._outcome(oracles.matrix_log_diff_ineq_per_call, a, b))
+        for g, g_prime, kind in self.CHAINS:
+            assert (self._outcome(convexity_trace_ineq, g, g_prime, kind, a, b)
+                    == self._outcome(oracles.convexity_trace_ineq_per_call,
+                                     g, g_prime, kind, a, b))
+
+    def test_edge_pairs(self):
+        for a, b in itertools.product(self.EDGE, repeat=2):
+            self._check(a, b)
+
+    def test_verify_draws(self):
+        rng = np.random.default_rng(20260817)
+        for _ in range(2000):
+            self._check(from_array(oracles.random_spd(rng)), from_array(oracles.random_spd(rng)))
+
+    @seed(20260817)
+    @settings(max_examples=300, deadline=None)
+    @given(sym_matrices, sym_matrices)
+    def test_symmetric_pairs(self, a, b):
+        self._check(a, b)
+
+    def test_lift_is_apply_scalar(self):
+        p = sym(2, 1, 2)
+        assert repr(lift(math.exp, eig(p))) == repr(apply_scalar(math.exp, p))
+        assert eig(p).tr_log() == tr_log(p)
 
 
 class TestPathChecks:
