@@ -6,9 +6,10 @@ parameter dataclass, which states its default and constraints; the
 parser reports a violation with the line that caused it instead of a
 bare traceback.
 
-Exit code contract: 0 success, 1 unusable configuration, 2 run aborted
-(blowup, vacuum, loss of stress positivity, or a summary quantity that is
-not finite), 3 verification suite found a counterexample.
+Exit code contract: 0 success, 1 unusable configuration (one that does
+not fit in memory included), 2 run aborted (blowup, vacuum, loss of
+stress positivity, or a summary quantity that is not finite),
+3 verification suite found a counterexample.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def _check_output_dirs(cfg: RunConfig, keys: tuple[str, ...]) -> None:
 
 
 def _exit_codes(cmd: Callable[..., int]) -> Callable[..., int]:
-    """The subcommand cmd; a ConfigError exits 1, a run abort 2, each with one stderr line.
+    """The subcommand cmd; ConfigError or MemoryError exit 1, a run abort 2, each on one line.
 
     Floating-point warnings are silenced: a non-finite value is reported
     by the abort or summary check it reaches, on that one line.
@@ -292,6 +293,9 @@ def _exit_codes(cmd: Callable[..., int]) -> Callable[..., int]:
                 return cmd(*args, **kwargs)
         except ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+        except MemoryError as err:
+            print(f"out of memory: {err}", file=sys.stderr)
             return EXIT_CONFIG
         except (BlowupError, DegenerateStateError, NotSPDError) as err:
             print(f"run aborted: {err}", file=sys.stderr)
@@ -568,6 +572,8 @@ def verify_report(suite: str, seed: int = DEFAULT_SEED) -> tuple[str, int]:
     if suite not in _SUITE_FUNCS:
         raise ConfigError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if seed < 0:
+        raise ConfigError(f"seed = {seed} violates seed >= 0")
     return _SUITE_FUNCS[suite](seed).render()
 
 

@@ -49,7 +49,6 @@ class EnergyReport:
     stress_relax: float
     inverse_term: float
     log_grad: float
-    force_work: float
     eta_source: float
     const_source: float
 
@@ -76,7 +75,7 @@ class EnergyReport:
 
     @property
     def sources(self) -> float:
-        return self.force_work + self.eta_source + self.const_source
+        return self.eta_source + self.const_source
 
 
 def _xlogx(arr: np.ndarray) -> np.ndarray:
@@ -128,14 +127,14 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
     dex = g2.grad_x(eta.data, eta.bc, grid.hx)
     dey = g2.grad_y(eta.data, eta.bc, grid.hy)
     grad_eta2 = dex**2 + dey**2
+    eta_diss_density = 2.0 * phys.delta * grad_eta2
     if phys.L != 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             entropic = np.where(
                 grad_eta2 == 0.0, 0.0, phys.k * phys.L * grad_eta2 / eta.data
             )
-    else:
-        entropic = np.zeros_like(grad_eta2)
-    eta_diss = phys.eps * cell_sum(grid, entropic + 2.0 * phys.delta * grad_eta2)
+        eta_diss_density = entropic + eta_diss_density
+    eta_diss = phys.eps * cell_sum(grid, eta_diss_density)
 
     div_u, dev2 = _div_and_dev2(*velocity_jacobian(u))
     newtonian_diss = cell_sum(grid, phys.muS * dev2 + phys.muB * div_u**2)
@@ -156,9 +155,6 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
         log_grad = 0.0
         const_source = 0.0
 
-    force_work = 0.0
-    if phys.f is not None:
-        force_work = cell_sum(grid, rho.data * (phys.f.x * u.x + phys.f.y * u.y))
     eta_source = (phys.k * phys.A0 * DIM / (4.0 * phys.lam)) * cell_sum(
         grid, eta.data + alpha
     )
@@ -176,7 +172,6 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
         stress_relax=stress_relax,
         inverse_term=inverse_term,
         log_grad=log_grad,
-        force_work=force_work,
         eta_source=eta_source,
         const_source=const_source,
     )

@@ -22,6 +22,7 @@ from oldroyd2d.model import (
     PhysParams,
     RegParams,
     SimState,
+    _scaled,
     rhs_continuity,
     rhs_eta,
     rhs_momentum,
@@ -118,16 +119,8 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
 
 def _pack(state: SimState):
     """Conservative components; all but the momenta are the state's own arrays."""
-    rho = state.rho.data
-    return [
-        rho,
-        rho * state.u.x,
-        rho * state.u.y,
-        state.eta.data,
-        state.T.xx,
-        state.T.xy,
-        state.T.yy,
-    ]
+    rho, ux, uy, *rest = state.components()
+    return [rho, rho * ux, rho * uy, *rest]
 
 
 def _unpack(y, grid: g2.Grid2D, t: float, floor_counter) -> SimState:
@@ -149,26 +142,25 @@ def _rhs(state: SimState, phys: PhysParams, reg: RegParams):
     return [drho.data, dm.x, dm.y, deta.data, dT.xx, dT.xy, dT.yy]
 
 
+def _implicit_terms(phys: PhysParams, reg: RegParams):
+    """(kappa, packed indices) of each diffusion of a Neumann field that IMEX solves implicitly."""
+    eps_term = (phys.eps, (3, 4, 5, 6))
+    return ((reg.sigma2, (0,)), eps_term) if reg.sigma2 != 0.0 else (eps_term,)
+
+
 def _diffusion_only(state: SimState, phys: PhysParams, reg: RegParams):
-    """The linear diffusion the IMEX scheme treats implicitly."""
+    """(packed index, kappa * laplacian) of each implicitly treated component."""
     g = state.rho.grid
-
-    def diffusion(kappa, comp, bc):
-        out = g2.lap(comp, bc, g.hx, g.hy)
-        out *= kappa
-        return out
-
-    zero = np.zeros_like(state.rho.data)
-    drho = diffusion(reg.sigma2, state.rho.data, state.rho.bc) if reg.sigma2 != 0.0 else zero
-    return [drho, zero, zero, diffusion(phys.eps, state.eta.data, state.eta.bc),
-            *(diffusion(phys.eps, comp, state.T.bc) for comp in state.T.components())]
+    comps = state.components()
+    return [(i, _scaled(kappa, g2.lap(comps[i], g2.NEUMANN, g.hx, g.hy)))
+            for kappa, indices in _implicit_terms(phys, reg) for i in indices]
 
 
 def _explicit_rhs(state: SimState, phys: PhysParams, reg: RegParams):
     """The IMEX scheme's explicit part: everything but the stiff diffusion."""
     full = _rhs(state, phys, reg)
-    for a, b in zip(full, _diffusion_only(state, phys, reg)):
-        a -= b
+    for i, diffusion in _diffusion_only(state, phys, reg):
+        full[i] -= diffusion
     return full
 
 
@@ -244,11 +236,11 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
     if cfg.scheme == "imex":
         # ... then one implicit Euler solve per diffused component
         symbol = _neumann_symbol(state.rho.grid)
-        if reg.sigma2 != 0.0:
-            y2[0] = _neumann_heat_solve(y2[0], 1.0 - reg.sigma2 * dt * symbol)
-        eps_denom = 1.0 - phys.eps * dt * symbol
-        for i in (3, 4, 5, 6):
-            y2[i] = _neumann_heat_solve(y2[i], eps_denom)
+        for kappa, indices in _implicit_terms(phys, reg):
+            denom = 1.0 - kappa * dt * symbol
+            for i in indices:
+                y2[i] = _neumann_heat_solve(y2[i], denom)
+            del denom  # one live denominator at a time: fewer pages to fault in
 
     _check_finite(y2, state.t + dt)
     return _unpack(y2, state.rho.grid, state.t + dt, floor_counter)

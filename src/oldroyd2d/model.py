@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -49,7 +48,6 @@ class PhysParams:
     delta: float = 0.0      # interaction coefficient
     lam: float = 1.0        # relaxation (Deborah) parameter
     A0: float = 1.0         # Rouse eigenvalue
-    f: Optional[VectorField2D] = None  # static body force; None means zero
 
     def __post_init__(self):
         require(self.a > 0.0, f"a = {self.a} violates a > 0 (pressure coefficient)", "a")
@@ -102,8 +100,14 @@ class SimState:
     eta: ScalarField2D
     T: SymTensorField2D
 
+    def components(self) -> tuple:
+        """The seven component arrays: rho, u_x, u_y, eta, T_xx, T_xy, T_yy."""
+        return (self.rho.data, self.u.x, self.u.y, self.eta.data,
+                self.T.xx, self.T.xy, self.T.yy)
+
     def copy(self) -> "SimState":
-        return SimState(self.t, self.rho.copy(), self.u.copy(), self.eta.copy(), self.T.copy())
+        return state_from_components(self.t, self.rho.grid,
+                                     *(comp.copy() for comp in self.components()))
 
 
 def state_from_components(t: float, grid: Grid2D, rho, ux, uy, eta, txx, txy, tyy) -> SimState:
@@ -129,9 +133,8 @@ def save_state(state: SimState, path) -> None:
     header = f"{_STATE_TAG} {g.nx} {g.ny} {g.lx!r} {g.ly!r} {state.t!r}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for field in (state.rho, state.u, state.eta, state.T):
-            for comp in field.components():
-                fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
+        for comp in state.components():
+            fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
 
 
 def load_state(path) -> SimState:
@@ -300,10 +303,6 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
         jyx *= drho_x
         jyx += np.multiply(jyy, drho_y, out=jyy)
         out_y -= _scaled(reg.sigma2, jyx)
-
-    if phys.f is not None:
-        out_x += rho.data * phys.f.x
-        out_y += rho.data * phys.f.y
 
     return VectorField2D(g, out_x, out_y)
 

@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import dataclasses
 import math
 import os
 import re
@@ -276,6 +277,17 @@ class TestConfigRules:
         assert isinstance(err.value, ValueError)
         assert err.value.keys == keys
         assert set(keys) <= set(cli._KEY_TABLE)
+
+    def test_every_parameter_field_has_a_config_key(self):
+        # a field that no key reaches could be set only through the library
+        keyed = set(cli._KEY_TABLE.values())
+        sections = {"grid", "phys", "reg", "step"}
+        missing = [f"{owner.__name__}.{field.name}"
+                   for owner in (Grid2D, PhysParams, RegParams, StepConfig, cli.RunConfig)
+                   for field in dataclasses.fields(owner)
+                   if (owner, field.name) not in keyed
+                   and not (owner is cli.RunConfig and field.name in sections)]
+        assert missing == []
 
     def test_readme_key_table_matches_parser(self):
         # the README's config key table lists every key with the default the
@@ -627,6 +639,17 @@ class TestRunCommand:
         assert err.startswith(f"config error: line {grid.count(chr(10)) + 1}: grid nx * ny = ")
         assert err.count("\n") == 1 and "is too large" in err
 
+    def test_out_of_memory_exits_one(self, tmp_path, monkeypatch):
+        # numpy raises a MemoryError subclass when an array cannot be allocated
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(100000, 100000) and data type float64")
+        monkeypatch.setattr(cli, "build_initial", no_memory)
+        code, out, err = capture(cli.cmd_run, str(self.equilibrium_config(tmp_path)))
+        assert code == 1 and out == ""
+        assert err == ("out of memory: Unable to allocate 74.5 GiB for an array with "
+                       "shape (100000, 100000) and data type float64\n")
+
     def test_indefinite_stress_exits_two_at_start(self, tmp_path):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
         st.T.xx[3, 4] = -0.5
@@ -740,6 +763,14 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_one(self):
         code, _, err = capture(cli.cmd_verify, "nonsense", 0)
         assert code == 1 and "unknown suite" in err
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_negative_seed_exits_one_before_any_work(self, monkeypatch, suite):
+        monkeypatch.setitem(cli._SUITE_FUNCS, suite,
+                            lambda seed: pytest.fail("a suite ran with a negative seed"))
+        code, out, err = capture(cli.main, ["verify", suite, "--seed", "-1"])
+        assert code == 1 and out == ""
+        assert err == "config error: seed = -1 violates seed >= 0\n"
 
     def test_run_abort_in_a_suite_exits_two(self, monkeypatch):
         def abort(seed):

@@ -80,7 +80,7 @@ def report_with(t, total, rate):
     zero = dict.fromkeys(
         ("pressure_pot", "artificial_pot", "polymer_entropy", "polymer_quad",
          "stress_trace", "eta_diss", "newtonian_diss", "inverse_term",
-         "log_grad", "force_work", "eta_source", "const_source"), 0.0,
+         "log_grad", "eta_source", "const_source"), 0.0,
     )
     return dg.EnergyReport(t=t, kinetic=total, stress_relax=rate, **zero)
 
@@ -117,6 +117,17 @@ class TestEnergyReport:
         assert rep.polymer_entropy == pytest.approx(1.0, rel=1e-13)
         assert rep.eta_diss == 0.0
         assert math.isfinite(rep.total)
+
+    @pytest.mark.parametrize("L", [0.0, 1.1])
+    def test_eta_dissipation_bits(self, L):
+        # eps int (k L |grad eta|^2 / eta + 2 delta |grad eta|^2); L = 0 drops the first term
+        state = perturbed_state(8)
+        phys = PhysParams(k=0.9, L=L, delta=0.3, eps=0.2)
+        eta, g = state.eta.data, state.eta.grid
+        grad2 = g2.grad_x(eta, NEUMANN, g.hx) ** 2 + g2.grad_y(eta, NEUMANN, g.hy) ** 2
+        entropic = np.where(grad2 == 0.0, 0.0, phys.k * L * grad2 / eta)
+        want = phys.eps * cell_sum(g, entropic + 2.0 * phys.delta * grad2)
+        assert dg.energy(state, phys, RegParams(alpha=0.0)).eta_diss == want
 
     def test_artificial_pressure_term(self):
         state = unit_state(rho=2.0)
@@ -595,7 +606,7 @@ class TestTimeseriesCSV:
             "kinetic", "pressure_pot", "artificial_pot", "polymer_entropy",
             "polymer_quad", "stress_trace",
             "eta_diss", "newtonian_diss", "stress_relax", "inverse_term",
-            "log_grad", "force_work", "eta_source", "const_source",
+            "log_grad", "eta_source", "const_source",
             "residual", "min_eig", "sup_T", "l2_T",
         )
 

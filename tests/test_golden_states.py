@@ -1,4 +1,4 @@
-"""Golden final-state digests: four short runs must reproduce their stored bits.
+"""Golden final-state digests: five short runs must reproduce their stored bits.
 
 Each digest is the sha256 of the final state's seven component arrays
 (rho, u_x, u_y, eta, T_xx, T_xy, T_yy) as contiguous float64 bytes, the
@@ -29,6 +29,10 @@ CONFIGS = {
     "imex-sigma2-alpha-16": (
         "nx = 16\nny = 16\nmuS = 0.01\neps = 0.05\nalpha = 0.1\nsigma2 = 0.01\n"
         "scheme = imex\ninitial = shear-layer\namp = 0.05\nt_end = 1.0\n"),
+    # IMEX with no density diffusion: rho takes no implicit solve
+    "imex-alpha-16": (
+        "nx = 16\nny = 16\nmuS = 0.05\neps = 0.05\nalpha = 0.1\nscheme = imex\n"
+        "initial = perturbed-equilibrium\namp = 0.05\nt_end = 1.0\n"),
     "sigma1-sigma3-muB-delta-16": (
         "nx = 16\nny = 16\nmuS = 0.1\nmuB = 0.05\neps = 0.1\nalpha = 0.1\n"
         "sigma1 = 0.01\nsigma3 = 0.05\ndelta = 0.5\n"

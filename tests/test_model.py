@@ -203,17 +203,6 @@ class TestEquilibrium:
         with pytest.raises(ValueError):
             equilibrium_state(g, PhysParams(), RegParams(), rho_bar=0.0)
 
-    def test_constant_force_rest_state(self):
-        g = unit_grid(8)
-        shape = (8, 8)
-        f = VectorField2D(g, np.full(shape, 0.3), np.full(shape, -0.2))
-        phys = PhysParams(f=f)
-        reg = RegParams(alpha=0.1)
-        state = equilibrium_state(g, phys, reg, rho_bar=1.4, eta_bar=1.0)
-        m = rhs_momentum(state, phys, reg)
-        assert np.allclose(m.x, 1.4 * 0.3, atol=1e-13)
-        assert np.allclose(m.y, 1.4 * -0.2, atol=1e-13)
-
     def test_perturbed_stress_pure_relaxation(self):
         g = unit_grid(8)
         phys = PhysParams(A0=1.5, lam=0.75)
