@@ -48,6 +48,7 @@ from oldroyd2d.model import (
     equilibrium_state,
     load_state,
     save_state,
+    state_from_components,
 )
 from oldroyd2d.symcalc import NotSPDError, SymMat2
 
@@ -227,9 +228,10 @@ def build_initial(cfg: RunConfig) -> SimState:
 
     The equilibrium preset is returned exactly (the mollifier's positivity
     shift would detune the stress from its relaxation target); the other
-    presets are mollified at radius theta, which also lifts eta and the
-    stress eigenvalues by theta.  file:<path> loads the state file a
-    previous run wrote as its snapshot and uses it verbatim, time included.
+    presets are mollified at radius theta, all seven components in one
+    pass, and then the components in SimState.LIFTED are lifted by theta.
+    file:<path> loads the state file a previous run wrote as its snapshot
+    and uses it verbatim, time included.
     """
     if cfg.initial.startswith("file:"):
         path = cfg.initial[5:]
@@ -245,13 +247,10 @@ def build_initial(cfg: RunConfig) -> SimState:
         return raw
     _perturb_preset(raw, cfg)
     th = cfg.reg.theta
-    return SimState(
-        t=0.0,
-        rho=mollify_initial(raw.rho, th),
-        u=mollify_initial(raw.u, th),
-        eta=mollify_initial(raw.eta, th),
-        T=mollify_initial(raw.T, th),
-    )
+    comps = mollify_initial(cfg.grid, raw.components(), th)
+    for i in SimState.LIFTED:
+        comps[i] += th
+    return state_from_components(0.0, cfg.grid, *comps)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +258,11 @@ def build_initial(cfg: RunConfig) -> SimState:
 
 
 def _file_io(action: str, path, op: Callable):
-    """op(path); an OSError becomes the ConfigError 'cannot <action> <path>: <reason>'."""
+    """op(path); an OSError, or text that is not UTF-8, becomes the ConfigError
+    'cannot <action> <path>: <reason>' (a decode reason names the byte offset)."""
     try:
         return op(path)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot {action} {path}: {err}") from err
 
 
@@ -642,6 +642,9 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
         raise ConfigError(
             "sweep requires an explicit dt: auto step sizes differ "
             "across knob values and would confound the comparison")
+    if cfg.snapshot:
+        raise ConfigError(
+            f"sweep writes no snapshot: remove snapshot = {cfg.snapshot} from the config")
     if knob == "delta" and cfg.phys.L == 0.0:
         raise ConfigError(
             "delta sweep requires L > 0: with L = 0 the polymer "
@@ -652,7 +655,7 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
             f"alpha sweep values must stay above sigma3 = "
             f"{cfg.reg.sigma3} (cutoff constraint sigma3 < min(alpha, "
             "theta))")
-    _check_output_dirs(cfg, ("csv",))  # a sweep writes no snapshot
+    _check_output_dirs(cfg, ("csv",))
     if knob == "alpha":
         # the base state ignores the cutoff, which alpha = 0 would violate
         base = build_initial(

@@ -102,12 +102,6 @@ class ScalarField2D:
         if self.data.shape != (self.grid.nx, self.grid.ny):
             raise ValueError("scalar data must have shape (nx, ny)")
 
-    def copy(self) -> "ScalarField2D":
-        return ScalarField2D(self.grid, self.data.copy())
-
-    def components(self):
-        return (self.data,)
-
 
 @dataclass
 class VectorField2D:
@@ -122,12 +116,6 @@ class VectorField2D:
         shape = (self.grid.nx, self.grid.ny)
         if self.x.shape != shape or self.y.shape != shape:
             raise ValueError("vector components must have shape (nx, ny)")
-
-    def copy(self) -> "VectorField2D":
-        return VectorField2D(self.grid, self.x.copy(), self.y.copy())
-
-    def components(self):
-        return (self.x, self.y)
 
 
 @dataclass
@@ -148,14 +136,6 @@ class SymTensorField2D:
         for comp in (self.xx, self.xy, self.yy):
             if comp.shape != shape:
                 raise ValueError("tensor components must have shape (nx, ny)")
-
-    def copy(self) -> "SymTensorField2D":
-        return SymTensorField2D(
-            self.grid, self.xx.copy(), self.xy.copy(), self.yy.copy()
-        )
-
-    def components(self):
-        return (self.xx, self.xy, self.yy)
 
     def frobenius_sq(self) -> np.ndarray:
         """Pointwise squared Frobenius norm, the off-diagonal counted twice."""
@@ -297,13 +277,12 @@ def _bump_kernel(grid: Grid2D, theta: float) -> np.ndarray:
     return w / total
 
 
-def mollify_initial(data, theta: float):
-    """Smooth raw initial data and lift it off the degenerate set.
+def mollify_initial(grid: Grid2D, comps, theta: float) -> list:
+    """Smooth each raw initial component array on grid at radius theta.
 
-    Correlates each component with the unit-mass bump of radius theta,
-    then applies the positivity shift: + theta for scalars, + theta on
-    the diagonal for tensors (min eigenvalue >= theta afterwards).
-    Vectors are smoothed without a shift.
+    Correlates each array with the unit-mass bump of radius theta and
+    returns the results as fresh arrays, in the order of comps.  The
+    positivity lift that follows the smoothing is the caller's.
 
     Each component is edge-replicated by the kernel radius (constants are
     preserved) and convolved with the flipped kernel by one real FFT pair.
@@ -317,13 +296,12 @@ def mollify_initial(data, theta: float):
 
     if theta <= 0.0:
         raise ValueError("mollifier radius must be positive")
-    grid = data.grid
     nx, ny = grid.nx, grid.ny
     kernel = _bump_kernel(grid, theta)
     rx, ry = kernel.shape[0] // 2, kernel.shape[1] // 2
     shape = (scipy.fft.next_fast_len(nx + 2 * rx, real=True),
              scipy.fft.next_fast_len(ny + 2 * ry, real=True))
-    # one kernel spectrum for all components of the field
+    # one kernel spectrum for all components
     kernel_hat = scipy.fft.rfft2(kernel[::-1, ::-1], shape)
 
     def smooth(arr):
@@ -331,17 +309,4 @@ def mollify_initial(data, theta: float):
         full = scipy.fft.irfft2(scipy.fft.rfft2(padded, shape) * kernel_hat, shape)
         return full[2 * rx : 2 * rx + nx, 2 * ry : 2 * ry + ny].copy()
 
-    if isinstance(data, ScalarField2D):
-        out = smooth(data.data) + theta
-        return ScalarField2D(grid, out)
-    if isinstance(data, VectorField2D):
-        return VectorField2D(grid, smooth(data.x), smooth(data.y))
-    if isinstance(data, SymTensorField2D):
-        return SymTensorField2D(
-            grid,
-            smooth(data.xx) + theta,
-            smooth(data.xy),
-            smooth(data.yy) + theta,
-        )
-    raise TypeError(f"unsupported field type {type(data).__name__}")
-
+    return [smooth(arr) for arr in comps]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -99,6 +100,10 @@ class SimState:
     u: VectorField2D
     eta: ScalarField2D
     T: SymTensorField2D
+    # Indices into components() that the mollified presets lift by theta:
+    # rho, eta and the diagonal of T, so that rho, eta and both eigenvalues
+    # of T are >= theta afterwards; the velocity and T_xy are not lifted.
+    LIFTED: ClassVar[tuple[int, ...]] = (0, 3, 4, 6)
 
     def components(self) -> tuple:
         """The seven component arrays: rho, u_x, u_y, eta, T_xx, T_xy, T_yy."""

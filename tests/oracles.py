@@ -20,6 +20,9 @@ inequality checkers with every term decomposing its matrix again (through
 apply_scalar and tr_log_per_call); the package's one-decomposition
 checkers must reproduce them bit for bit.
 
+field_arrays lists a field's component arrays for the tests that loop over
+them; the solver itself loops only over SimState.components().
+
 The rest are checks that more than one test module runs and the solver
 never does, built on the package's closed-form 2x2 calculus: the lift of
 a scalar function to one matrix (apply_scalar) and over component arrays
@@ -31,6 +34,7 @@ stress norm bound accumulated over a sampled run (stress_l2_monitor,
 StressL2Report, stress_grad_l2).
 """
 
+import dataclasses
 import math
 from typing import NamedTuple, Sequence
 
@@ -46,6 +50,11 @@ from oldroyd2d.model import PhysParams
 from oldroyd2d.symcalc import (_CONVEXITY_SLACK, _MATRIX_LOG_SLACK, DIM, ChainResult,
                                 IneqResult, NotSPDError, SymMat2, eig, eig_fields,
                                 recombine_fields, rotation_fields)
+
+
+def field_arrays(field) -> tuple:
+    """The component arrays of a scalar, vector or tensor field, in declaration order."""
+    return tuple(getattr(field, f.name) for f in dataclasses.fields(field) if f.name != "grid")
 
 
 def eig_np(mat: np.ndarray):

@@ -287,7 +287,7 @@ def stress_monitor_for(text):
 
     def hook(s):
         times.append(s.t)
-        stresses.append(s.T.copy())
+        stresses.append(s.copy().T)
 
     run(initial, cfg.phys, cfg.reg, cfg.step, diag_hooks=(hook,))
     return oracles.stress_l2_monitor(times, stresses, cfg.phys)

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from oldroyd2d import cli, integrate
 from oldroyd2d import diagnostics as dg
-from oldroyd2d.grid import Grid2D, ParamError, cell_sum
+from oldroyd2d import grid as g2
+from oldroyd2d.grid import Grid2D, ParamError, cell_sum, mollify_initial
 from oldroyd2d.integrate import StepConfig
 from oldroyd2d.model import (_STATE_TAG, PhysParams, RegParams, equilibrium_state, load_state,
                              save_state)
-from oldroyd2d.symcalc import IneqResult, NotSPDError, SymMat2
+from oldroyd2d.symcalc import IneqResult, NotSPDError, SymMat2, eig_fields
 
 
 def serialize(cfg: cli.RunConfig) -> str:
@@ -322,6 +323,41 @@ class TestPresets:
         assert cell_sum(st.rho.grid, st.rho.data) == pytest.approx(1.1, abs=1e-12)
         assert st.eta.data.min() >= 0.1
         assert st.u.x.max() > 0.0
+
+    def test_mollified_preset_lifts_rho_eta_and_the_stress_diagonal(self, monkeypatch):
+        def rank_one(state, cfg):
+            """Raw data whose stress has one eigenvalue identically zero."""
+            x, y = cfg.grid.cell_centers()
+            state.u.x = x * y
+            state.T.xx, state.T.xy, state.T.yy = x * x, x * np.sin(y), np.sin(y) ** 2
+
+        monkeypatch.setattr(cli, "_perturb_preset", rank_one)
+        theta = 0.05
+        cfg = cli.parse_config(
+            f"nx = 16\nny = 16\ninitial = perturbed-equilibrium\ntheta = {theta}")
+        raw = equilibrium_state(cfg.grid, cfg.phys, cfg.reg)
+        rank_one(raw, cfg)
+        smooth = mollify_initial(cfg.grid, raw.components(), theta)
+        st = cli.build_initial(cfg)
+        # rho, eta, T_xx and T_yy get + theta on the smoothed bits; u and T_xy do not
+        lifted = (True, False, False, True, True, False, True)
+        for got, arr, lift in zip(st.components(), smooth, lifted):
+            assert np.array_equal(got, arr + theta if lift else arr)
+        assert st.rho.data.min() >= theta and st.eta.data.min() >= theta
+        assert eig_fields(st.T.xx, st.T.xy, st.T.yy)[1].min() >= theta - 1e-12
+
+    @pytest.mark.parametrize("initial", ["perturbed-equilibrium", "shear-layer"])
+    def test_one_kernel_per_initial_state(self, monkeypatch, initial):
+        calls = []
+        real = g2._bump_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(g2, "_bump_kernel", counted)
+        cli.build_initial(cli.parse_config(f"nx = 8\nny = 8\ninitial = {initial}"))
+        assert len(calls) == 1
 
     def test_shear_layer_moves_only_velocity(self):
         cfg = cli.parse_config("nx = 16\nny = 16\ninitial = shear-layer\namp = 0.2")
@@ -875,6 +911,19 @@ class TestSweepCommand:
         assert code == 0 and err == ""
         assert out.count("\nrun alpha=") == 2
 
+    def test_snapshot_key_is_rejected_before_the_runs(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "build_initial", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "final"
+        code, out, err = capture(
+            cli.cmd_sweep, self.write(tmp_path, SWEEP_BASE + f"snapshot = {path}\n"),
+            "alpha", "0.1,0.05")
+        assert calls == [] and not path.exists()
+        assert code == 1 and out == ""
+        assert err == (f"config error: sweep writes no snapshot: remove snapshot = {path}"
+                       " from the config\n")
+
     def test_unwritable_csv_exits_one(self, tmp_path):
         # the directory exists, so the sweep runs; writing to a directory fails
         path = tmp_path / "taken"
@@ -946,6 +995,15 @@ class TestMain:
             cli.main, ["sweep", str(path), "--knob", "alpha",
                        "--values", "0.1,0.05"])
         assert code == 0 and "sweep knob=alpha" in out
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--knob", "alpha", "--values", "0.1"]])
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, command):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"nx = 8\xff\n")
+        code, out, err = capture(cli.main, [command[0], str(path), *command[1:]])
+        assert code == 1 and out == ""
+        assert err.startswith(f"config error: cannot read config {path}: ")
+        assert "byte 0xff in position 6" in err and err.count("\n") == 1
 
     def test_usage_errors_exit_one(self):
         assert capture(cli.main, ["sweep"])[0] == 1

@@ -433,8 +433,9 @@ class TestRenormalization:
         rhos, us = [], []
 
         def collect(s):
-            rhos.append(s.rho.copy())
-            us.append(s.u.copy())
+            kept = s.copy()
+            rhos.append(kept.rho)
+            us.append(kept.u)
 
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=dt, t_end=t_end, scheme="rk2", diag_every=1),

@@ -1,4 +1,4 @@
-"""Golden final-state digests: five short runs must reproduce their stored bits.
+"""Golden final-state digests: six short runs must reproduce their stored bits.
 
 Each digest is the sha256 of the final state's seven component arrays
 (rho, u_x, u_y, eta, T_xx, T_xy, T_yy) as contiguous float64 bytes, the
@@ -38,6 +38,10 @@ CONFIGS = {
         "sigma1 = 0.01\nsigma3 = 0.05\ndelta = 0.5\n"
         "initial = perturbed-equilibrium\namp = 0.05\nt_end = 0.5\n"),
     "equilibrium-fixed-dt-8": "nx = 8\nny = 8\ndt = 0.001\nt_end = 0.05\n",
+    # mollified on a non-square grid: a 7 x 5 kernel (rx != ry), 29 steps
+    "nonsquare-mollified-12x20": (
+        "nx = 12\nny = 20\nlx = 1.0\nly = 3.0\ntheta = 0.2\nmuS = 0.1\neps = 0.1\n"
+        "alpha = 0.1\ninitial = perturbed-equilibrium\namp = 0.05\nt_end = 0.2\n"),
 }
 
 

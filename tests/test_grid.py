@@ -119,7 +119,7 @@ class TestWallRule:
         g = Grid2D(8, 8, 1.0, 2.0)
         one = np.full((8, 8), 0.75)
         for f in (ScalarField2D(g, one), SymTensorField2D(g, one, one, one)):
-            for comp in f.components():
+            for comp in oracles.field_arrays(f):
                 assert np.all(grad_x(comp, f.bc, g.hx) == 0.0)
                 assert np.all(grad_y(comp, f.bc, g.hy) == 0.0)
 
@@ -335,7 +335,7 @@ class TestAdvection:
             rng.standard_normal((8, 8)),
         )
         u = VectorField2D(g, np.zeros((8, 8)), np.zeros((8, 8)))
-        out = [upwind_div(u.x, u.y, comp, t.bc, g.hx, g.hy) for comp in t.components()]
+        out = [upwind_div(u.x, u.y, comp, t.bc, g.hx, g.hy) for comp in (t.xx, t.xy, t.yy)]
         assert np.all(out[0] == 0.0) and np.all(out[1] == 0.0) and np.all(out[2] == 0.0)
 
     def test_constant_tensor_linear_velocity(self):
@@ -349,7 +349,7 @@ class TestAdvection:
             np.full_like(x, -1.0),
             np.full_like(x, 0.5),
         )
-        out = [upwind_div(u.x, u.y, comp, t.bc, g.hx, g.hy) for comp in t.components()]
+        out = [upwind_div(u.x, u.y, comp, t.bc, g.hx, g.hy) for comp in (t.xx, t.xy, t.yy)]
         assert np.allclose(out[0][1:-1, 1:-1], 2.0, atol=1e-13)
         assert np.allclose(out[1][1:-1, 1:-1], -1.0, atol=1e-13)
         assert np.allclose(out[2][1:-1, 1:-1], 0.5, atol=1e-13)
@@ -376,44 +376,46 @@ class TestAdvection:
 
 
 class TestMollifier:
-    def test_constant_gets_shift(self):
+    """grid.mollify_initial smooths arrays only; the theta lift that follows is
+    build_initial's (tests/test_cli.py, TestPresets)."""
+
+    def test_constant_is_kept(self):
         g = unit_grid(16)
-        f = ScalarField2D(g, np.full((16, 16), 2.0))
-        out = mollify_initial(f, theta=0.1)
-        assert np.allclose(out.data, 2.1, atol=1e-14)
+        (out,) = mollify_initial(g, [np.full((16, 16), 2.0)], theta=0.1)
+        assert np.allclose(out, 2.0, atol=1e-14)
 
     def test_vector_unshifted(self):
         g = unit_grid(16)
-        v = VectorField2D(g, np.full((16, 16), 1.5), np.zeros((16, 16)))
-        out = mollify_initial(v, theta=0.1)
-        assert np.allclose(out.x, 1.5, atol=1e-14)
-        assert np.allclose(out.y, 0.0, atol=1e-14)
+        out_x, out_y = mollify_initial(g, [np.full((16, 16), 1.5), np.zeros((16, 16))],
+                                       theta=0.1)
+        assert np.allclose(out_x, 1.5, atol=1e-14)
+        assert np.allclose(out_y, 0.0, atol=1e-14)
 
     def test_tensor_min_eig_floor(self):
         from oldroyd2d.symcalc import eig_fields
 
         g = unit_grid(16)
         x, y = g.cell_centers()
-        # rank-one data: one eigenvalue identically zero before the shift
-        t = SymTensorField2D(g, x * x, x * np.sin(y), np.sin(y) ** 2)
-        out = mollify_initial(t, theta=0.05)
-        assert eig_fields(out.xx, out.xy, out.yy)[1].min() >= 0.05 - 1e-12
+        # rank-one data: one eigenvalue identically zero; the kernel's
+        # weights are nonnegative, so the smoothed tensor stays semidefinite
+        xx, xy, yy = mollify_initial(g, [x * x, x * np.sin(y), np.sin(y) ** 2], theta=0.05)
+        assert eig_fields(xx, xy, yy)[1].min() >= -1e-12
 
     def test_l1_distance_shrinks_dyadically(self):
         g = unit_grid(64)
         x, y = g.cell_centers()
-        f = ScalarField2D(g, np.sin(2 * np.pi * x) * np.cos(np.pi * y))
+        f = np.sin(2 * np.pi * x) * np.cos(np.pi * y)
         dists = []
         for k in range(4):
             theta = 0.2 / 2**k
-            out = mollify_initial(f, theta)
-            dists.append(cell_sum(g, np.abs(out.data - f.data)))
+            (out,) = mollify_initial(g, [f], theta)
+            dists.append(cell_sum(g, np.abs(out - f)))
         assert all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
 
     def test_rejects_nonpositive_radius(self):
         g = unit_grid(8)
         with pytest.raises(ValueError):
-            mollify_initial(ScalarField2D(g, np.zeros((8, 8))), 0.0)
+            mollify_initial(g, [np.zeros((8, 8))], 0.0)
 
     # (nx, ny, lx, ly, theta): radii from below one cell (a one-tap
     # kernel) to wider than the domain (rx > nx, ry > ny)
@@ -443,8 +445,8 @@ class TestMollifier:
                 x = raw[:nx, :ny].copy()
             y = scale * np.cos(7.0 * raw[nx:, ny : 2 * ny])
             keep = x.copy(), y.copy()
-            out = mollify_initial(VectorField2D(g, x, y), theta)
-            for got, arr in ((out.x, x), (out.y, y)):
+            out = mollify_initial(g, [x, y], theta)
+            for got, arr in zip(out, (x, y)):
                 assert got.shape == (nx, ny) and got.dtype == np.float64
                 ref = oracles.convolve_direct(arr, kernel)
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(arr).max()
