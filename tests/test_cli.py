@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import oracles
 from oldroyd2d import cli, integrate
 from oldroyd2d import diagnostics as dg
 from oldroyd2d import grid as g2
@@ -765,14 +766,63 @@ class TestVerifyCommand:
     def test_later_check_fails_alone(self, monkeypatch):
         chain = cli.sc.convexity_trace_ineq
 
-        def convex_fails(phi, dphi, kind, A, B):
-            res = chain(phi, dphi, kind, A, B)
+        def convex_fails(phi, dphi, kind, A, B, eA, eB):
+            res = chain(phi, dphi, kind, A, B, eA, eB)
+            assert repr(res) == repr(oracles.convexity_trace_ineq_per_call(phi, dphi, kind, A, B))
             return res._replace(holds=False) if kind == "convex" else res
         monkeypatch.setattr(cli.sc, "convexity_trace_ineq", convex_fails)
         text, code = cli.verify_report("matrix-inequalities", 5)
         assert code == 3
         assert "concave-chain: 10000/10000\nconvex-chain: 0/10000\n" in text
         assert "counterexample: convex-chain: A=SymMat2(" in text
+
+    def test_two_decompositions_per_matrix_sample(self, monkeypatch):
+        calls = [0]
+        real = cli.sc.eig
+
+        def counted(p):
+            calls[0] += 1
+            return real(p)
+        monkeypatch.setattr(cli.sc, "eig", counted)
+        text, code = cli.verify_report("matrix-inequalities", 5)
+        assert code == 0 and "trlog-logdet: 10000/10000\n" in text
+        assert calls[0] == 2 * 10_000
+
+    def test_matrix_samples_follow_the_scalar_draw_stream(self, monkeypatch):
+        # a passing report holds counts only; this pins the sampled values to
+        # those of 8 scalar rng.uniform draws per sample, in sample order
+        seen = []
+        scalar, log_diff = cli.sc.scalar_log_ineq, cli.sc.matrix_log_diff_ineq
+
+        def scalar_seen(a, b):
+            seen.append((a, b))
+            return scalar(a, b)
+
+        def log_diff_seen(A, B, eA, eB):
+            seen.append((A, B))
+            return log_diff(A, B, eA, eB)
+        monkeypatch.setattr(cli.sc, "scalar_log_ineq", scalar_seen)
+        monkeypatch.setattr(cli.sc, "matrix_log_diff_ineq", log_diff_seen)
+        cli.verify_report("matrix-inequalities", 7)
+
+        rng = np.random.default_rng(7)
+
+        def spd():
+            lam1 = 10.0 ** rng.uniform(-3.0, 3.0)
+            lam2 = 10.0 ** rng.uniform(-3.0, 3.0)
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            c, s = math.cos(ang), math.sin(ang)
+            return SymMat2(lam1 * c * c + lam2 * s * s, (lam1 - lam2) * c * s,
+                           lam1 * s * s + lam2 * c * c)
+        expected = []
+        for _ in range(10_000):
+            a = 10.0 ** rng.uniform(-3.0, 3.0)
+            b = 10.0 ** rng.uniform(-3.0, 3.0)
+            expected += [(a, b), (spd(), spd())]
+        # reprs compare bits and types; report only the first mismatch
+        mismatch = next((i for i, (x, y) in enumerate(zip(seen, expected))
+                         if repr(x) != repr(y)), None)
+        assert len(seen) == len(expected) and mismatch is None, mismatch
 
     def test_field_check_failure_names_first_field(self, monkeypatch):
         bound = dg.cutoff_log_grad_bound
@@ -795,6 +845,20 @@ class TestVerifyCommand:
         text, code = cli.verify_report("convergence")
         assert code == 3
         assert "budget-gap-refinement: 0/1\nresult: FAIL\n" in text
+
+    def test_nan_closure_gap_fails_the_suite(self, monkeypatch):
+        # the gap is finite at t = 0 and NaN at every later sample
+        calls = [0]
+        real = cli.cl.macro_moment_step
+
+        def poisoned(*args):
+            calls[0] += 1
+            return real(*args) if calls[0] < 2 else SymMat2(math.nan, math.nan, math.nan)
+        monkeypatch.setattr(cli.cl, "macro_moment_step", poisoned)
+        text, code = cli.verify_report("closure")
+        assert code == 3
+        assert "shear: 0/1\nkappa-zero: 0/1\nrotation: 0/1\nresult: FAIL\n" in text
+        assert "counterexample: shear: rate=" in text and "max_error=nan" in text
 
     def test_unknown_suite_exits_one(self):
         code, _, err = capture(cli.cmd_verify, "nonsense", 0)
@@ -1022,27 +1086,30 @@ class TestMain:
 
 
 class TestColdStart:
-    """A fresh interpreter loads scipy.fft only where a transform runs.
+    """A fresh interpreter loads scipy only where a DCT runs: scipy.fft, for
+    the implicit diffusion solves of scheme = imex.
 
-    The test process has scipy.fft loaded already (tests/oracles.py uses
-    it), so every case starts its own interpreter.  The probe runs
+    The test process has scipy loaded already (tests/oracles.py uses it),
+    so every case starts its own interpreter.  The probe runs
     ``python -m oldroyd2d`` with the given arguments and, at exit, prints
-    whether scipy.fft was loaded as its last stderr line.
+    which of scipy and scipy.fft were loaded as its last stderr line.
     """
 
     PROBE = ("import atexit, runpy, sys\n"
-             "atexit.register(lambda: print('scipy.fft loaded:', 'scipy.fft' in sys.modules,"
-             " file=sys.stderr))\n"
+             "atexit.register(lambda: print('loaded:', 'scipy' in sys.modules,"
+             " 'scipy.fft' in sys.modules, file=sys.stderr))\n"
              "sys.argv = ['oldroyd2d'] + sys.argv[1:]\n"
              "runpy.run_module('oldroyd2d', run_name='__main__', alter_sys=True)\n")
     RUN = "nx = 8\nny = 8\nmuS = 0.1\neps = 0.1\ndt = 0.002\nt_end = 0.01\n"
 
     def _cli(self, *args):
-        """(exit code, stdout, stderr lines before the probe's, scipy.fft loaded)."""
+        """(exit code, stdout, stderr lines before the probe's, (scipy, scipy.fft) loaded)."""
         proc = fresh_python("-c", self.PROBE, *args)
         *lines, last = proc.stderr.splitlines() or [""]
-        assert last in ("scipy.fft loaded: True", "scipy.fft loaded: False"), proc.stderr
-        return proc.returncode, proc.stdout, lines, last.endswith("True")
+        words = last.split()
+        assert len(words) == 3 and words[0] == "loaded:", proc.stderr
+        assert set(words[1:]) <= {"True", "False"}, proc.stderr
+        return proc.returncode, proc.stdout, lines, (words[1] == "True", words[2] == "True")
 
     def _config(self, tmp_path, text):
         path = tmp_path / "cold.cfg"
@@ -1050,18 +1117,18 @@ class TestColdStart:
         return str(path)
 
     def test_import_cli(self):
-        proc = fresh_python("-c", "import sys, oldroyd2d.cli; print('scipy.fft' in sys.modules)")
+        proc = fresh_python("-c", "import sys, oldroyd2d.cli; print('scipy' in sys.modules)")
         assert proc.returncode == 0 and proc.stdout == "False\n"
 
     def test_help(self):
         code, out, err, loaded = self._cli("--help")
         assert code == 0 and "usage: oldroyd2d" in out and err == []
-        assert not loaded
+        assert loaded == (False, False)
 
     def test_bad_config(self, tmp_path):
         code, _, err, loaded = self._cli("run", self._config(tmp_path, "nx = 2\n"))
         assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
-        assert not loaded
+        assert loaded == (False, False)
 
     @pytest.mark.parametrize("args", [["verify", "matrix-inequalities"],
                                       ["verify", "closure"],
@@ -1070,7 +1137,13 @@ class TestColdStart:
     def test_verify_suites_without_transforms(self, args):
         code, out, _, loaded = self._cli(*args)
         assert code == 0 and "result: PASS" in out
-        assert not loaded
+        assert loaded == (False, False)
+
+    @pytest.mark.parametrize("suite", ["conservation", "convergence"])
+    def test_mollified_verify_suites_never_load_scipy(self, suite):
+        code, out, _, loaded = self._cli("verify", suite)
+        assert code == 0 and "result: PASS" in out
+        assert loaded == (False, False)
 
     @pytest.mark.parametrize("restart", [False, True], ids=["equilibrium", "file"])
     def test_unmollified_rk2_run(self, tmp_path, restart):
@@ -1081,11 +1154,24 @@ class TestColdStart:
             text = f"muS = 0.1\neps = 0.1\ndt = 0.002\nt_end = 0.01\ninitial = file:{snap}\n"
         code, out, _, loaded = self._cli("run", self._config(tmp_path, text))
         assert code == 0 and "completed:" in out
-        assert not loaded
+        assert loaded == (False, False)
 
-    @pytest.mark.parametrize("extra", ["initial = perturbed-equilibrium\namp = 0.05\n",
-                                       "scheme = imex\n"], ids=["mollified", "imex"])
+    @pytest.mark.parametrize("preset", ["perturbed-equilibrium", "shear-layer"])
+    def test_mollified_rk2_run_never_loads_scipy(self, tmp_path, preset):
+        text = self.RUN + f"initial = {preset}\namp = 0.05\n"
+        code, out, err, loaded = self._cli("run", self._config(tmp_path, text))
+        assert code == 0 and "completed:" in out and err == []
+        assert loaded == (False, False)
+
+    def test_mollified_sweep_never_loads_scipy(self, tmp_path):
+        text = self.RUN + "initial = perturbed-equilibrium\namp = 0.05\n"
+        code, out, err, loaded = self._cli("sweep", self._config(tmp_path, text),
+                                           "--knob", "alpha", "--values", "0.1,0.05")
+        assert code == 0 and "sweep knob=alpha" in out and err == []
+        assert loaded == (False, False)
+
+    @pytest.mark.parametrize("extra", ["scheme = imex\n"], ids=["imex"])
     def test_transforms_load_the_fft(self, tmp_path, extra):
         code, out, err, loaded = self._cli("run", self._config(tmp_path, self.RUN + extra))
         assert code == 0 and "completed:" in out and err == []
-        assert loaded
+        assert loaded == (True, True)

@@ -18,6 +18,7 @@ from oldroyd2d.grid import (
     SymTensorField2D,
     VectorField2D,
     _bump_kernel,
+    _fast_len,
     _pad,
     cell_sum,
     grad_x,
@@ -451,6 +452,44 @@ class TestMollifier:
                 ref = oracles.convolve_direct(arr, kernel)
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(arr).max()
             assert np.array_equal(x, keep[0]) and np.array_equal(y, keep[1])
+
+    # (nx, ny, lx, ly, theta): the benchmark's 128^2 and 256^2 radius, a
+    # non-square kernel (12 x 20 on 1 x 3), a radius below one cell (a
+    # 3 x 3 kernel with one tap) and one whose square underflows (the
+    # 1 x 1 identity kernel of _bump_kernel's zero-mass branch)
+    @pytest.mark.parametrize("nx, ny, lx, ly, theta", [
+        (8, 8, 1.0, 1.0, 0.3),
+        (12, 20, 1.0, 3.0, 0.2),
+        (16, 16, 1.0, 1.0, 0.1),
+        (64, 48, 2.0, 1.0, 0.1),
+        (128, 128, 1.0, 1.0, 0.1),
+        (256, 256, 1.0, 1.0, 0.1),
+        (16, 16, 1.0, 1.0, 0.01),
+        (16, 16, 1.0, 1.0, 1e-200),
+    ])
+    def test_matches_scipy_form_bit_for_bit(self, nx, ny, lx, ly, theta):
+        g = Grid2D(nx, ny, lx, ly)
+        rng = np.random.default_rng(nx * ny)
+        raw = rng.standard_normal((2 * nx, 3 * ny))
+        comps = [1.0 + 0.05 * raw[:nx, :ny], 1e-8 * raw[nx:, :ny], 1e8 * raw[:nx, ny:2 * ny],
+                 np.full((nx, ny), 2.0), np.asfortranarray(raw[nx:, ny:2 * ny]),
+                 raw[::2, ::3], np.cos(7.0 * raw[:nx, 2 * ny:])]
+        keep = [c.copy() for c in comps]
+        # theta = 1e-200 divides r^2 by theta^2 = 0 inside _bump_kernel
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = mollify_initial(g, comps, theta)
+            ref = oracles.mollify_scipy(g, comps, theta)
+        assert len(got) == len(comps)
+        for a, b in zip(got, ref):
+            assert a.shape == (nx, ny) and a.dtype == np.float64 and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+        assert all(np.array_equal(c, k) for c, k in zip(comps, keep))
+
+    def test_fast_len_is_scipys_real_next_fast_len(self):
+        import scipy.fft
+
+        for n in range(1, 5000):
+            assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
 class TestIntegrate:

@@ -49,6 +49,16 @@ def identity() -> SymMat2:
     return SymMat2(1.0, 0.0, 1.0)
 
 
+def log_diff(a, b):
+    """matrix_log_diff_ineq with each matrix's own decomposition."""
+    return matrix_log_diff_ineq(a, b, eig(a), eig(b))
+
+
+def chain(g, g_prime, kind, a, b):
+    """convexity_trace_ineq with each matrix's own decomposition."""
+    return convexity_trace_ineq(g, g_prime, kind, a, b, eig(a), eig(b))
+
+
 def to_array(p: SymMat2) -> np.ndarray:
     return np.array([[p.xx, p.xy], [p.xy, p.yy]])
 
@@ -336,36 +346,36 @@ class TestScalarLogIneq:
 class TestMatrixLogDiffIneq:
     def test_equal_matrices(self):
         p = sym(2, 1, 2)
-        r = matrix_log_diff_ineq(p, p)
+        r = log_diff(p, p)
         assert r.lhs == 0.0 and abs(r.rhs) < 1e-15 and r.holds
 
     def test_frozen_2i_i(self):
-        r = matrix_log_diff_ineq(sym(2, 0, 2), identity())
+        r = log_diff(sym(2, 0, 2), identity())
         assert r.lhs == pytest.approx(MATRIX_INEQ_2I_I[0], abs=1e-12)
         assert r.rhs == pytest.approx(MATRIX_INEQ_2I_I[1], abs=1e-15)
         assert r.holds
 
     def test_rejects_non_spd(self):
         with pytest.raises(NotSPDError):
-            matrix_log_diff_ineq(sym(1, 0, -1), identity())
+            log_diff(sym(1, 0, -1), identity())
 
     @seed(20260817)
     @settings(max_examples=500, deadline=None)
     @given(spd_matrices, spd_matrices)
     def test_universal(self, a, b):
-        assert matrix_log_diff_ineq(a, b).holds
+        assert log_diff(a, b).holds
 
 
 class TestConvexityChain:
     def test_equal_matrices_collapse(self):
         p = sym(2, 1, 2)
-        r = convexity_trace_ineq(math.log, lambda s: 1.0 / s, "concave", p, p)
+        r = chain(math.log, lambda s: 1.0 / s, "concave", p, p)
         assert r.left == pytest.approx(r.mid, abs=1e-14)
         assert r.mid == pytest.approx(r.right, abs=1e-14)
         assert r.holds
 
     def test_frozen_g_cutoff_chain(self):
-        r = convexity_trace_ineq(
+        r = chain(
             lambda s: g_cutoff_scalar(0.5, s),
             lambda s: 1.0 / max(0.5, s),
             "concave",
@@ -379,21 +389,20 @@ class TestConvexityChain:
 
     def test_rejects_bad_tag(self):
         with pytest.raises(ValueError):
-            convexity_trace_ineq(math.log, lambda s: 1.0 / s, "linear",
-                                 identity(), identity())
+            chain(math.log, lambda s: 1.0 / s, "linear", identity(), identity())
 
     @seed(20260817)
     @settings(max_examples=300, deadline=None)
     @given(sym_matrices, sym_matrices)
     def test_square_convex_reversed_chain(self, a, b):
-        r = convexity_trace_ineq(lambda s: s * s, lambda s: 2.0 * s, "convex", a, b)
+        r = chain(lambda s: s * s, lambda s: 2.0 * s, "convex", a, b)
         assert r.holds
 
     @seed(20260817)
     @settings(max_examples=300, deadline=None)
     @given(spd_matrices, spd_matrices, st.floats(min_value=1e-2, max_value=2.0))
     def test_g_cutoff_concave_chain(self, a, b, s3):
-        r = convexity_trace_ineq(
+        r = chain(
             lambda s: g_cutoff_scalar(s3, s),
             lambda s: 1.0 / max(s3, s),
             "concave",
@@ -404,8 +413,8 @@ class TestConvexityChain:
 
 
 class TestOneDecompositionPerMatrix:
-    """The checkers decompose each matrix once and match the per-call forms
-    of tests/oracles.py bit for bit, exceptions included."""
+    """The checkers, given one decomposition per matrix, match the per-call
+    forms of tests/oracles.py bit for bit, exceptions included."""
 
     CHAINS = (
         (math.log, lambda s: 1.0 / s, "concave"),
@@ -424,10 +433,11 @@ class TestOneDecompositionPerMatrix:
             return f"{type(err).__name__}: {err}"
 
     def _check(self, a, b):
-        assert (self._outcome(matrix_log_diff_ineq, a, b)
+        ea, eb = eig(a), eig(b)
+        assert (self._outcome(matrix_log_diff_ineq, a, b, ea, eb)
                 == self._outcome(oracles.matrix_log_diff_ineq_per_call, a, b))
         for g, g_prime, kind in self.CHAINS:
-            assert (self._outcome(convexity_trace_ineq, g, g_prime, kind, a, b)
+            assert (self._outcome(convexity_trace_ineq, g, g_prime, kind, a, b, ea, eb)
                     == self._outcome(oracles.convexity_trace_ineq_per_call,
                                      g, g_prime, kind, a, b))
 
