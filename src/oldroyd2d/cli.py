@@ -30,7 +30,6 @@ from oldroyd2d import symcalc as sc
 from oldroyd2d.grid import (
     Grid2D,
     ParamError,
-    SymTensorField2D,
     cell_sum,
     mollify_initial,
     require,
@@ -377,13 +376,12 @@ def _smooth_random(grid: Grid2D, rng: np.random.Generator,
 
 
 def _random_spd_field(grid: Grid2D, rng: np.random.Generator,
-                      floor_scale: float = 1.0) -> SymTensorField2D:
-    """Smooth SPD field with eigenvalues floor_scale * exp(smooth)."""
+                      floor_scale: float = 1.0):
+    """Smooth SPD field (xx, xy, yy) with eigenvalues floor_scale * exp(smooth)."""
     g1 = floor_scale * np.exp(_smooth_random(grid, rng, scale=0.8))
     g2 = floor_scale * np.exp(_smooth_random(grid, rng, scale=0.8))
     ang = _smooth_random(grid, rng, scale=1.2)
-    xx, xy, yy = sc.recombine_fields(g1, g2, np.cos(ang), np.sin(ang))
-    return SymTensorField2D(grid, xx, xy, yy)
+    return sc.recombine_fields(g1, g2, np.cos(ang), np.sin(ang))
 
 
 class _SuiteReport:
@@ -469,17 +467,15 @@ def _suite_field(seed: int) -> _SuiteReport:
         # half the draws dip below the cutoff so both branches are hit
         scale = 1.0 if i % 2 == 0 else 0.02
         T = _random_spd_field(grid, rng, floor_scale=scale)
-        for name, r in (("log-grad-bound", dg.log_grad_bound(T)),
-                        ("cutoff-log-grad-bound", dg.cutoff_log_grad_bound(T, sigma3))):
+        for name, r in (("log-grad-bound", dg.log_grad_bound(grid, *T)),
+                        ("cutoff-log-grad-bound", dg.cutoff_log_grad_bound(grid, *T, sigma3))):
             rep.check(name, r.holds,
                       lambda: f"field #{i}: lhs={r.lhs!r} rhs={r.rhs!r} margin={r.margin!r}")
     # scalar-exponent family T = exp(s) I: the two sides coincide, so the
     # discrete ratio must sit within a factor 2 of equality
     s = 0.4 * _smooth_random(grid, rng, scale=1.0)
     e = np.exp(s)
-    zero = np.zeros_like(e)
-    T = SymTensorField2D(grid, e, zero, e)
-    r = dg.log_grad_bound(T)
+    r = dg.log_grad_bound(grid, e, np.zeros_like(e), e)
     ratio = r.rhs / r.lhs if r.lhs > 0.0 else 1.0
     rep.check("scalar-exponent-ratio", 0.5 <= ratio <= 2.0,
               lambda: f"lhs={r.lhs!r} rhs={r.rhs!r} ratio={ratio!r}")
@@ -640,12 +636,11 @@ def _delta_variant(base: SimState, cfg: RunConfig, delta: float):
 
 
 def _field_distance(a: SimState, b: SimState) -> float:
-    grid = a.rho.grid
+    grid = a.grid
     total = cell_sum(grid, (a.rho.data - b.rho.data) ** 2)
     total += cell_sum(grid, (a.u.x - b.u.x) ** 2 + (a.u.y - b.u.y) ** 2)
     total += cell_sum(grid, (a.eta.data - b.eta.data) ** 2)
-    total += dg.stress_norms(SymTensorField2D(grid, a.T.xx - b.T.xx, a.T.xy - b.T.xy,
-                                              a.T.yy - b.T.yy))[1]
+    total += dg.stress_norms(grid, a.T.xx - b.T.xx, a.T.xy - b.T.xy, a.T.yy - b.T.yy)[1]
     return math.sqrt(total)
 
 
@@ -683,9 +678,9 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
     make = _alpha_variant if knob == "alpha" else _delta_variant
     bound_rows = []
     if knob == "delta":
-        eta0_mass = cell_sum(base.eta.grid, base.eta.data)
+        eta0_mass = cell_sum(base.grid, base.eta.data)
         for v in values:
-            lhs = v * cell_sum(base.eta.grid, _delta_scaled_eta(base.eta.data, v) ** 2)
+            lhs = v * cell_sum(base.grid, _delta_scaled_eta(base.eta.data, v) ** 2)
             rhs = math.sqrt(v) * eta0_mass
             bound_rows.append((v, lhs, rhs))
 

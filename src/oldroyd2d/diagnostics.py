@@ -21,7 +21,7 @@ import numpy as np
 
 from . import grid as g2
 from . import symcalc
-from .grid import SymTensorField2D, cell_sum
+from .grid import NEUMANN, Grid2D, cell_sum
 from .model import PhysParams, RegParams, SimState, tr_log_field, velocity_jacobian
 from .symcalc import DIM
 
@@ -99,7 +99,7 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
     the alpha = 0 variant keeps plain 1/2 tr T and drops every log-derived
     rate.  Raises NotSPDError if alpha > 0 and T is not positive definite.
     """
-    grid = state.rho.grid
+    grid = state.grid
     rho, u, eta, T = state.rho, state.u, state.eta, state.T
     alpha = reg.alpha
 
@@ -117,7 +117,7 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
 
     tr_t = T.xx + T.yy
     if alpha != 0.0:
-        trlog = tr_log_field(T, context="energy report")
+        trlog = tr_log_field(T.xx, T.xy, T.yy, context="energy report")
         stress_trace = 0.5 * cell_sum(grid, tr_t - alpha * trlog) + grid.area * (
             alpha * math.log(alpha) - alpha
         )
@@ -136,7 +136,7 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
         eta_diss_density = entropic + eta_diss_density
     eta_diss = phys.eps * cell_sum(grid, eta_diss_density)
 
-    div_u, dev2 = _div_and_dev2(*velocity_jacobian(u))
+    div_u, dev2 = _div_and_dev2(*velocity_jacobian(grid, u.x, u.y))
     newtonian_diss = cell_sum(grid, phys.muS * dev2 + phys.muB * div_u**2)
 
     rate = phys.A0 / (4.0 * phys.lam)
@@ -233,10 +233,10 @@ def conservation(state: SimState, initial: SimState) -> tuple[float, float]:
         return abs(now - ref) / den
 
     return (
-        rel_drift(cell_sum(state.rho.grid, state.rho.data),
-                  cell_sum(initial.rho.grid, initial.rho.data)),
-        rel_drift(cell_sum(state.eta.grid, state.eta.data),
-                  cell_sum(initial.eta.grid, initial.eta.data)),
+        rel_drift(cell_sum(state.grid, state.rho.data),
+                  cell_sum(initial.grid, initial.rho.data)),
+        rel_drift(cell_sum(state.grid, state.eta.data),
+                  cell_sum(initial.grid, initial.eta.data)),
     )
 
 
@@ -245,14 +245,14 @@ class SPDReport(NamedTuple):
     argmin: tuple[int, int]
 
 
-def spd_monitor(T: SymTensorField2D) -> SPDReport:
+def spd_monitor(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray) -> SPDReport:
     """Pointwise minimum stress eigenvalue and its cell.
 
     Uses the solver's eigenvalues (symcalc.eig_fields), so the monitor and
     the solver's positivity check agree on every cell.  Reports a
     nonpositive minimum instead of raising.
     """
-    lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)[1]
+    lam2 = symcalc.eig_fields(xx, xy, yy)[1]
     idx = np.unravel_index(np.argmin(lam2), lam2.shape)
     return SPDReport(float(lam2[idx]), (int(idx[0]), int(idx[1])))
 
@@ -261,13 +261,14 @@ def spd_monitor(T: SymTensorField2D) -> SPDReport:
 # stress norms
 
 
-def stress_norms(T: SymTensorField2D) -> tuple[float, float]:
+def stress_norms(grid: Grid2D, xx: np.ndarray, xy: np.ndarray,
+                 yy: np.ndarray) -> tuple[float, float]:
     """(sup, l2): the largest pointwise Frobenius norm over cells and int |T|^2.
 
     Both count the off-diagonal twice and share one pointwise square.
     """
-    sq = T.frobenius_sq()
-    return math.sqrt(float(np.max(sq))), cell_sum(T.grid, sq)
+    sq = xx**2 + 2.0 * xy**2 + yy**2
+    return math.sqrt(float(np.max(sq))), cell_sum(grid, sq)
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +288,24 @@ def _field_ineq(lhs: float, rhs: float) -> FieldIneq:
     return FieldIneq(lhs, rhs, margin, holds)
 
 
-def _tensor_grads(grid, bc, xx, xy, yy):
+def _tensor_grads(grid, xx, xy, yy):
     for deriv, h in ((g2.grad_x, grid.hx), (g2.grad_y, grid.hy)):
-        yield deriv(xx, bc, h), deriv(xy, bc, h), deriv(yy, bc, h)
+        yield deriv(xx, NEUMANN, h), deriv(xy, NEUMANN, h), deriv(yy, NEUMANN, h)
 
 
-def log_grad_bound(T: SymTensorField2D) -> FieldIneq:
+def log_grad_bound(grid: Grid2D, xx: np.ndarray, xy: np.ndarray, yy: np.ndarray) -> FieldIneq:
     """(1/2) int |grad tr log T|^2 <= sum_j int tr(((d_j T) T^-1)^2).
 
     Raises NotSPDError when T has a nonpositive eigenvalue.
     """
-    grid = T.grid
-    trlog = tr_log_field(T, context="log-gradient inequality")
-    gx = g2.grad_x(trlog, T.bc, grid.hx)
-    gy = g2.grad_y(trlog, T.bc, grid.hy)
+    trlog = tr_log_field(xx, xy, yy, context="log-gradient inequality")
+    gx = g2.grad_x(trlog, NEUMANN, grid.hx)
+    gy = g2.grad_y(trlog, NEUMANN, grid.hy)
     lhs = 0.5 * cell_sum(grid, gx**2 + gy**2)
 
-    ixx, ixy, iyy = symcalc.inverse_fields(T.xx, T.xy, T.yy)
+    ixx, ixy, iyy = symcalc.inverse_fields(xx, xy, yy)
     rhs = 0.0
-    for dxx, dxy, dyy in _tensor_grads(grid, T.bc, T.xx, T.xy, T.yy):
+    for dxx, dxy, dyy in _tensor_grads(grid, xx, xy, yy):
         m11 = dxx * ixx + dxy * ixy
         m12 = dxx * ixy + dxy * iyy
         m21 = dxy * ixx + dyy * ixy
@@ -314,23 +314,23 @@ def log_grad_bound(T: SymTensorField2D) -> FieldIneq:
     return _field_ineq(lhs, rhs)
 
 
-def cutoff_log_grad_bound(T: SymTensorField2D, sigma3: float) -> FieldIneq:
+def cutoff_log_grad_bound(grid: Grid2D, xx: np.ndarray, xy: np.ndarray, yy: np.ndarray,
+                          sigma3: float) -> FieldIneq:
     """(1/2) int |grad tr log chi(T)|^2 <= -int grad T :: grad chi(T)^-1.
 
     chi floors the eigenvalues at sigma3, so this version tolerates stress
     fields that have lost definiteness as long as sigma3 > 0.
     """
-    grid = T.grid
-    (chi1, chi2), (cxx, cxy, cyy) = symcalc.cutoff_fields(T.xx, T.xy, T.yy, sigma3)
+    (chi1, chi2), (cxx, cxy, cyy) = symcalc.cutoff_fields(xx, xy, yy, sigma3)
     trlog_chi = np.log(chi1) + np.log(chi2)
-    gx = g2.grad_x(trlog_chi, T.bc, grid.hx)
-    gy = g2.grad_y(trlog_chi, T.bc, grid.hy)
+    gx = g2.grad_x(trlog_chi, NEUMANN, grid.hx)
+    gy = g2.grad_y(trlog_chi, NEUMANN, grid.hy)
     lhs = 0.5 * cell_sum(grid, gx**2 + gy**2)
 
     inv_xx, inv_xy, inv_yy = symcalc.inverse_fields(cxx, cxy, cyy)
     rhs = 0.0
-    t_grads = _tensor_grads(grid, T.bc, T.xx, T.xy, T.yy)
-    inv_grads = _tensor_grads(grid, T.bc, inv_xx, inv_xy, inv_yy)
+    t_grads = _tensor_grads(grid, xx, xy, yy)
+    inv_grads = _tensor_grads(grid, inv_xx, inv_xy, inv_yy)
     for (txx, txy, tyy), (vxx, vxy, vyy) in zip(t_grads, inv_grads):
         rhs -= cell_sum(grid, txx * vxx + 2.0 * txy * vxy + tyy * vyy)
     return _field_ineq(lhs, rhs)
@@ -366,14 +366,15 @@ class TimeseriesRecorder:
     def hook(self, state: SimState) -> None:
         rep = energy(state, self.phys, self.reg)
         row = {"t": state.t,
-               "mass": cell_sum(state.rho.grid, state.rho.data),
-               "eta_mass": cell_sum(state.eta.grid, state.eta.data),
+               "mass": cell_sum(state.grid, state.rho.data),
+               "eta_mass": cell_sum(state.grid, state.eta.data),
                "E_total": rep.total}
         for name in _ENERGY_FIELDS:
             row[name] = getattr(rep, name)
         row["residual"] = 0.0
-        row["min_eig"] = spd_monitor(state.T).min_eig
-        row["sup_T"], row["l2_T"] = stress_norms(state.T)
+        T = state.T
+        row["min_eig"] = spd_monitor(T.xx, T.xy, T.yy).min_eig
+        row["sup_T"], row["l2_T"] = stress_norms(state.grid, T.xx, T.xy, T.yy)
         self.reports.append(rep)
         self._rows.append(row)
 

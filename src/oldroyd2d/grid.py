@@ -1,12 +1,14 @@
-"""Structured cell-centered grid, field containers, and stencil operators.
+"""Structured cell-centered grid, field component bundles, and stencil operators.
 
 The domain is the rectangle (0, lx) x (0, ly) split into nx x ny cells
 with samples at cell centers.  Boundary handling goes through one layer
 of ghost cells, and each field kind has one fixed ghost rule: odd
 reflection realizes the no-slip (homogeneous Dirichlet) condition for
 velocity, mirror ghosts realize homogeneous Neumann conditions for
-scalars and tensors.  All operators are linear stencils acting on whole
-component arrays; nothing here mutates its inputs.
+scalars and tensors.  The field classes only name component arrays and
+carry that rule; the grid belongs to the state (model.SimState).  All
+operators take plain (nx, ny) arrays with the spacings or the grid and
+return new arrays; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -93,53 +95,25 @@ class Grid2D:
 
 @dataclass
 class ScalarField2D:
-    grid: Grid2D
     data: np.ndarray
     bc: ClassVar[str] = NEUMANN
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError("scalar data must have shape (nx, ny)")
 
 
 @dataclass
 class VectorField2D:
-    grid: Grid2D
     x: np.ndarray
     y: np.ndarray
     bc: ClassVar[str] = DIRICHLET
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        shape = (self.grid.nx, self.grid.ny)
-        if self.x.shape != shape or self.y.shape != shape:
-            raise ValueError("vector components must have shape (nx, ny)")
 
 
 @dataclass
 class SymTensorField2D:
     """Symmetric tensor field storing (xx, xy, yy) per cell."""
 
-    grid: Grid2D
     xx: np.ndarray
     xy: np.ndarray
     yy: np.ndarray
     bc: ClassVar[str] = NEUMANN
-
-    def __post_init__(self):
-        self.xx = np.asarray(self.xx, dtype=np.float64)
-        self.xy = np.asarray(self.xy, dtype=np.float64)
-        self.yy = np.asarray(self.yy, dtype=np.float64)
-        shape = (self.grid.nx, self.grid.ny)
-        for comp in (self.xx, self.xy, self.yy):
-            if comp.shape != shape:
-                raise ValueError("tensor components must have shape (nx, ny)")
-
-    def frobenius_sq(self) -> np.ndarray:
-        """Pointwise squared Frobenius norm, the off-diagonal counted twice."""
-        return self.xx**2 + 2.0 * self.xy**2 + self.yy**2
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +216,13 @@ def upwind_div(ux: np.ndarray, uy: np.ndarray,
     return dx + dy
 
 
-def tensor_divergence(t: SymTensorField2D) -> VectorField2D:
-    """Row-wise divergence (Div T)_k = sum_l d_l T_kl."""
-    g = t.grid
-    vx = grad_x(t.xx, t.bc, g.hx)
-    vx += grad_y(t.xy, t.bc, g.hy)
-    vy = grad_x(t.xy, t.bc, g.hx)
-    vy += grad_y(t.yy, t.bc, g.hy)
-    return VectorField2D(g, vx, vy)
+def tensor_divergence(xx, xy, yy, hx: float, hy: float):
+    """Row-wise divergence (Div T)_k = sum_l d_l T_kl of a mirror-ghost tensor, as (vx, vy)."""
+    vx = grad_x(xx, NEUMANN, hx)
+    vx += grad_y(xy, NEUMANN, hy)
+    vy = grad_x(xy, NEUMANN, hx)
+    vy += grad_y(yy, NEUMANN, hy)
+    return vx, vy
 
 
 def cell_sum(grid: Grid2D, arr: np.ndarray) -> float:
@@ -268,7 +241,10 @@ def _bump_kernel(grid: Grid2D, theta: float) -> np.ndarray:
     dx = np.arange(-rx, rx + 1) * grid.hx
     dy = np.arange(-ry, ry + 1) * grid.hy
     r2 = dx[:, None] ** 2 + dy[None, :] ** 2
-    w = np.where(r2 < theta * theta, (1.0 - r2 / (theta * theta)) ** 2, 0.0)
+    # only cells inside the support divide by theta^2, which may underflow to 0
+    inside = r2 < theta * theta
+    w = np.zeros_like(r2)
+    w[inside] = (1.0 - r2[inside] / (theta * theta)) ** 2
     total = w.sum()
     if total == 0.0:  # support smaller than one cell: identity kernel
         w = np.zeros((1, 1))

@@ -81,7 +81,7 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
         raise DegenerateStateError(
             f"density minimum {rho_min:.3e} at or below floor {RHO_FLOOR:.1e}"
         )
-    g = state.rho.grid
+    g = state.grid
     h = min(g.hx, g.hy)
 
     nu_eff = (phys.muS + phys.muB) / rho_min
@@ -135,11 +135,8 @@ def _unpack(y, grid: g2.Grid2D, t: float, floor_counter) -> SimState:
 
 
 def _rhs(state: SimState, phys: PhysParams, reg: RegParams):
-    drho = rhs_continuity(state, phys, reg)
-    dm = rhs_momentum(state, phys, reg)
-    deta = rhs_eta(state, phys)
-    dT = rhs_stress(state, phys, reg)
-    return [drho.data, dm.x, dm.y, deta.data, dT.xx, dT.xy, dT.yy]
+    return [rhs_continuity(state, phys, reg), *rhs_momentum(state, phys, reg),
+            rhs_eta(state, phys), *rhs_stress(state, phys, reg)]
 
 
 def _implicit_terms(phys: PhysParams, reg: RegParams):
@@ -150,7 +147,7 @@ def _implicit_terms(phys: PhysParams, reg: RegParams):
 
 def _diffusion_only(state: SimState, phys: PhysParams, reg: RegParams):
     """(packed index, kappa * laplacian) of each implicitly treated component."""
-    g = state.rho.grid
+    g = state.grid
     comps = state.components()
     return [(i, _scaled(kappa, g2.lap(comps[i], g2.NEUMANN, g.hx, g.hy)))
             for kappa, indices in _implicit_terms(phys, reg) for i in indices]
@@ -230,12 +227,12 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
     rhs = _rhs if cfg.scheme == "rk2" else _explicit_rhs
     y0 = _pack(state)
     y1 = _euler_stage(y0, rhs(state, phys, reg), dt)
-    s1 = _unpack(y1, state.rho.grid, state.t + dt, floor_counter)
+    s1 = _unpack(y1, state.grid, state.t + dt, floor_counter)
     y2 = _heun_stage(y0, y1, rhs(s1, phys, reg), dt)
     del s1, y1  # the first stage is dead before the implicit solves
     if cfg.scheme == "imex":
         # ... then one implicit Euler solve per diffused component
-        symbol = _neumann_symbol(state.rho.grid)
+        symbol = _neumann_symbol(state.grid)
         for kappa, indices in _implicit_terms(phys, reg):
             denom = 1.0 - kappa * dt * symbol
             for i in indices:
@@ -243,7 +240,7 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
             del denom  # one live denominator at a time: fewer pages to fault in
 
     _check_finite(y2, state.t + dt)
-    return _unpack(y2, state.rho.grid, state.t + dt, floor_counter)
+    return _unpack(y2, state.grid, state.t + dt, floor_counter)
 
 
 def run(

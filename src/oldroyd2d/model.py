@@ -13,6 +13,10 @@ extra stress T (symmetric, diffusive).  The regularization knobs are
 
 With every knob at zero the assembled right-hand sides coincide with
 the base model bit for bit: knob terms are skipped, not multiplied by 0.
+
+SimState holds t, the grid and the four fields, which only
+state_from_components builds.  Every function below the state takes and
+returns plain arrays; rhs_momentum returns (x, y), rhs_stress [xx, xy, yy].
 """
 
 from __future__ import annotations
@@ -96,6 +100,7 @@ class RegParams:
 @dataclass
 class SimState:
     t: float
+    grid: Grid2D
     rho: ScalarField2D
     u: VectorField2D
     eta: ScalarField2D
@@ -111,19 +116,23 @@ class SimState:
                 self.T.xx, self.T.xy, self.T.yy)
 
     def copy(self) -> "SimState":
-        return state_from_components(self.t, self.rho.grid,
+        return state_from_components(self.t, self.grid,
                                      *(comp.copy() for comp in self.components()))
 
 
 def state_from_components(t: float, grid: Grid2D, rho, ux, uy, eta, txx, txy, tyy) -> SimState:
-    """The state at time t whose fields hold the seven component arrays."""
-    return SimState(
-        t=t,
-        rho=ScalarField2D(grid, rho),
-        u=VectorField2D(grid, ux, uy),
-        eta=ScalarField2D(grid, eta),
-        T=SymTensorField2D(grid, txx, txy, tyy),
-    )
+    """The state at time t on grid whose fields hold the seven component arrays.
+
+    Each is converted to float64 (a float64 array is kept, not copied); ValueError
+    names the first one whose shape is not (nx, ny)."""
+    shape = (grid.nx, grid.ny)
+    comps = [np.asarray(c, dtype=np.float64) for c in (rho, ux, uy, eta, txx, txy, tyy)]
+    for name, comp in zip(_STATE_COMPONENTS, comps):
+        if comp.shape != shape:
+            raise ValueError(f"component {name} has shape {comp.shape}, not (nx, ny) = {shape}")
+    rho, ux, uy, eta, txx, txy, tyy = comps
+    return SimState(t, grid, ScalarField2D(rho), VectorField2D(ux, uy), ScalarField2D(eta),
+                    SymTensorField2D(txx, txy, tyy))
 
 
 # A state file is one ASCII line "<tag> nx ny lx ly t", its floats written by repr so
@@ -134,7 +143,7 @@ _STATE_TAG = "oldroyd2d-state-v1"
 
 def save_state(state: SimState, path) -> None:
     """Write state to one file that load_state reads back bit for bit."""
-    g = state.rho.grid
+    g = state.grid
     header = f"{_STATE_TAG} {g.nx} {g.ny} {g.lx!r} {g.ly!r} {state.t!r}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -171,14 +180,14 @@ def _scaled(c: float, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def pressure(rho: ScalarField2D, phys: PhysParams, reg: RegParams) -> ScalarField2D:
+def pressure(rho: np.ndarray, phys: PhysParams, reg: RegParams) -> np.ndarray:
     """a rho^gamma plus the artificial sigma1 rho^Gamma term."""
-    base = np.maximum(rho.data, 0.0)  # 0^gamma := 0, tolerate advection undershoot
+    base = np.maximum(rho, 0.0)  # 0^gamma := 0, tolerate advection undershoot
     p = _scaled(phys.a, base**phys.gamma)
     if reg.sigma1 != 0.0:
         base **= reg.Gamma
         p += _scaled(reg.sigma1, base)
-    return ScalarField2D(rho.grid, p)
+    return p
 
 
 def polymer_pressure(eta: np.ndarray, phys: PhysParams) -> np.ndarray:
@@ -189,20 +198,19 @@ def polymer_pressure(eta: np.ndarray, phys: PhysParams) -> np.ndarray:
     return out
 
 
-def velocity_jacobian(u: VectorField2D):
-    """Jacobian arrays (J_ij = d_j u_i) with the field's own ghost rule."""
-    g = u.grid
-    jxx = g2.grad_x(u.x, u.bc, g.hx)
-    jxy = g2.grad_y(u.x, u.bc, g.hy)
-    jyx = g2.grad_x(u.y, u.bc, g.hx)
-    jyy = g2.grad_y(u.y, u.bc, g.hy)
+def velocity_jacobian(grid: Grid2D, ux: np.ndarray, uy: np.ndarray):
+    """Jacobian arrays (J_ij = d_j u_i) of the no-slip velocity (ux, uy)."""
+    jxx = g2.grad_x(ux, g2.DIRICHLET, grid.hx)
+    jxy = g2.grad_y(ux, g2.DIRICHLET, grid.hy)
+    jyx = g2.grad_x(uy, g2.DIRICHLET, grid.hx)
+    jyy = g2.grad_y(uy, g2.DIRICHLET, grid.hy)
     return jxx, jxy, jyx, jyy
 
 
-def newtonian_stress(u: VectorField2D, phys: PhysParams) -> SymTensorField2D:
-    """muS (sym grad u - (div u / 2) I) + muB (div u) I, d = 2."""
+def newtonian_stress(grid: Grid2D, ux: np.ndarray, uy: np.ndarray, phys: PhysParams):
+    """muS (sym grad u - (div u / 2) I) + muB (div u) I, d = 2, as (xx, xy, yy)."""
     # the Jacobian arrays are this call's own, so the stress is built in them
-    sxx, sxy, jyx, syy = velocity_jacobian(u)
+    sxx, sxy, jyx, syy = velocity_jacobian(grid, ux, uy)
     div_u = sxx + syy
     half_div = div_u * 0.5
     sxy += jyx
@@ -216,33 +224,33 @@ def newtonian_stress(u: VectorField2D, phys: PhysParams) -> SymTensorField2D:
         div_u *= phys.muB
         sxx += div_u
         syy += div_u
-    return SymTensorField2D(u.grid, sxx, sxy, syy)
+    return sxx, sxy, syy
 
 
-def rhs_continuity(state: SimState, phys: PhysParams, reg: RegParams) -> ScalarField2D:
+def rhs_continuity(state: SimState, phys: PhysParams, reg: RegParams) -> np.ndarray:
     """-div(rho u) with conservative upwind flux, plus sigma2 diffusion."""
-    g = state.rho.grid
+    g = state.grid
     out = g2.upwind_div(state.u.x, state.u.y, state.rho.data, state.rho.bc, g.hx, g.hy)
     np.negative(out, out=out)
     if reg.sigma2 != 0.0:
         out += _scaled(reg.sigma2, g2.lap(state.rho.data, state.rho.bc, g.hx, g.hy))
-    return ScalarField2D(g, out)
+    return out
 
 
-def rhs_eta(state: SimState, phys: PhysParams) -> ScalarField2D:
-    g = state.eta.grid
+def rhs_eta(state: SimState, phys: PhysParams) -> np.ndarray:
+    g = state.grid
     out = g2.upwind_div(state.u.x, state.u.y, state.eta.data, state.eta.bc, g.hx, g.hy)
     np.negative(out, out=out)
     out += _scaled(phys.eps, g2.lap(state.eta.data, state.eta.bc, g.hx, g.hy))
-    return ScalarField2D(g, out)
+    return out
 
 
-def tr_log_field(T: SymTensorField2D, context: str = "") -> np.ndarray:
+def tr_log_field(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -> np.ndarray:
     """Pointwise tr log T; aborts naming the first non-finite cell, else the
-    worst cell, if T is not SPD."""
-    lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
+    worst cell, and the context, if T is not SPD."""
+    lam1, lam2 = symcalc.eig_fields(xx, xy, yy)
     if np.any(lam2 <= 0.0) or not np.all(np.isfinite(lam2)):
-        where = f" in {context}" if context else ""
+        where = f" in {context}"
         finite = np.isfinite(lam2)
         if not finite.all():
             idx = np.unravel_index(np.argmin(finite), lam2.shape)
@@ -259,9 +267,9 @@ def tr_log_field(T: SymTensorField2D, context: str = "") -> np.ndarray:
     return out
 
 
-def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorField2D:
-    """Right-hand side for the conservative momentum density rho u."""
-    g = state.rho.grid
+def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams):
+    """Right-hand side (x, y) for the conservative momentum density rho u."""
+    g = state.grid
     rho, u, eta, T = state.rho, state.u, state.eta, state.T
 
     # transport of momentum components by the same upwind flux as mass;
@@ -272,9 +280,9 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
     np.negative(out_x, out=out_x)
     np.negative(out_y, out=out_y)
 
-    p = pressure(rho, phys, reg)
-    out_x -= g2.grad_x(p.data, p.bc, g.hx)
-    out_y -= g2.grad_y(p.data, p.bc, g.hy)
+    p = pressure(rho.data, phys, reg)
+    out_x -= g2.grad_x(p, rho.bc, g.hx)
+    out_y -= g2.grad_y(p, rho.bc, g.hy)
     del p
 
     solvent = polymer_pressure(eta.data, phys)
@@ -282,24 +290,24 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
     out_y -= g2.grad_y(solvent, eta.bc, g.hy)
     del solvent
 
-    div = g2.tensor_divergence(newtonian_stress(u, phys))
-    out_x += div.x
-    out_y += div.y
-    del div
+    div_x, div_y = g2.tensor_divergence(*newtonian_stress(g, u.x, u.y, phys), g.hx, g.hy)
+    out_x += div_x
+    out_y += div_y
+    del div_x, div_y
 
-    div = g2.tensor_divergence(T)
-    out_x += div.x
-    out_y += div.y
-    del div
+    div_x, div_y = g2.tensor_divergence(T.xx, T.xy, T.yy, g.hx, g.hy)
+    out_x += div_x
+    out_y += div_y
+    del div_x, div_y
 
     if reg.alpha != 0.0:
-        trlog = tr_log_field(T, context="momentum assembly")
+        trlog = tr_log_field(T.xx, T.xy, T.yy, context="momentum assembly")
         out_x -= _scaled(0.5 * reg.alpha, g2.grad_x(trlog, T.bc, g.hx))
         out_y -= _scaled(0.5 * reg.alpha, g2.grad_y(trlog, T.bc, g.hy))
         del trlog
 
     if reg.sigma2 != 0.0:
-        jxx, jxy, jyx, jyy = velocity_jacobian(u)
+        jxx, jxy, jyx, jyy = velocity_jacobian(g, u.x, u.y)
         drho_x = g2.grad_x(rho.data, rho.bc, g.hx)
         drho_y = g2.grad_y(rho.data, rho.bc, g.hy)
         jxx *= drho_x
@@ -309,16 +317,16 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams) -> VectorFie
         jyx += np.multiply(jyy, drho_y, out=jyy)
         out_y -= _scaled(reg.sigma2, jyx)
 
-    return VectorField2D(g, out_x, out_y)
+    return out_x, out_y
 
 
-def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorField2D:
-    """Stress transport, stretching, diffusion, and Maxwell relaxation.
+def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> list:
+    """Stress transport, stretching, diffusion, and Maxwell relaxation, as [xx, xy, yy].
 
     With sigma3 active the cutoff tensor enters transport, stretching,
     and relaxation; the diffusion keeps acting on T itself.
     """
-    g = state.T.grid
+    g = state.grid
     u, eta, T = state.u, state.eta, state.T
 
     if reg.sigma3 != 0.0:
@@ -332,12 +340,12 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> SymTensorFi
     ]
     for comp in out:
         np.negative(comp, out=comp)
-    add_stretching(out, *velocity_jacobian(u), txx, txy, tyy)
+    add_stretching(out, *velocity_jacobian(g, u.x, u.y), txx, txy, tyy)
     for i, comp in enumerate((T.xx, T.xy, T.yy)):
         out[i] += _scaled(phys.eps, g2.lap(comp, T.bc, g.hx, g.hy))
     add_relaxation(out, txx, txy, tyy, eta.data + reg.alpha, phys)
 
-    return SymTensorField2D(g, out[0], out[1], out[2])
+    return out
 
 
 # The two stress source terms below are shared by rhs_stress (on arrays) and

@@ -106,13 +106,6 @@ def lift(g: Callable[[float], float], e: EigenPair2) -> SymMat2:
     return SymMat2(*recombine_fields(g(e.lam1), g(e.lam2), math.cos(e.angle), math.sin(e.angle)))
 
 
-def tr_log(p: SymMat2) -> float:
-    e = eig(p)
-    if e.lam2 <= 0.0:
-        raise NotSPDError(f"tr log needs eigenvalues > 0, got min {e.lam2}")
-    return e.tr_log()
-
-
 class IneqResult(NamedTuple):
     lhs: float
     rhs: float

@@ -19,24 +19,21 @@ neumann_heat_solve_np the per-call DCT heat solve its shared-denominator
 version must reproduce bit for bit.
 matrix_log_diff_ineq_per_call and convexity_trace_ineq_per_call are the
 inequality checkers with every term decomposing its matrix again (through
-apply_scalar and tr_log_per_call); the package's one-decomposition
-checkers must reproduce them bit for bit.
-
-field_arrays lists a field's component arrays for the tests that loop over
-them; the solver itself loops only over SimState.components().
+apply_scalar and tr_log); the package's one-decomposition checkers must
+reproduce them bit for bit.
 
 The rest are checks that more than one test module runs and the solver
-never does, built on the package's closed-form 2x2 calculus: the lift of
-a scalar function to one matrix (apply_scalar) and over component arrays
-(apply_scalar_fields), the eigenvalue cutoff chi (chi_scalar,
-chi_cutoff), the centered-difference residual of Jacobi's formula along
-a matrix path (jacobi_residual, with sym_scale), the largest one-sided
-energy budget residual of a run (energy_inequality_residual), and the
-stress norm bound accumulated over a sampled run (stress_l2_monitor,
-StressL2Report, stress_grad_l2).
+never does, built on the package's closed-form 2x2 calculus: tr log of
+one matrix (tr_log), the lift of a scalar function to one matrix
+(apply_scalar) and over component arrays (apply_scalar_fields), the
+eigenvalue cutoff chi (chi_scalar, chi_cutoff), the centered-difference
+residual of Jacobi's formula along a matrix path (jacobi_residual, with
+sym_scale), the largest one-sided energy budget residual of a run
+(energy_inequality_residual), and the stress norm bound accumulated over
+a sampled run of (xx, xy, yy) arrays (stress_l2_monitor, StressL2Report,
+stress_grad_l2).
 """
 
-import dataclasses
 import math
 from typing import NamedTuple, Sequence
 
@@ -46,17 +43,12 @@ import scipy.linalg
 
 from oldroyd2d import grid as g2
 from oldroyd2d.diagnostics import energy_residual_series, stress_norms
-from oldroyd2d.grid import SymTensorField2D, cell_sum
+from oldroyd2d.grid import cell_sum
 from oldroyd2d.integrate import BlowupError
 from oldroyd2d.model import PhysParams
 from oldroyd2d.symcalc import (_CONVEXITY_SLACK, _MATRIX_LOG_SLACK, DIM, ChainResult,
                                 IneqResult, NotSPDError, SymMat2, eig, eig_fields,
                                 recombine_fields, rotation_fields)
-
-
-def field_arrays(field) -> tuple:
-    """The component arrays of a scalar, vector or tensor field, in declaration order."""
-    return tuple(getattr(field, f.name) for f in dataclasses.fields(field) if f.name != "grid")
 
 
 def eig_np(mat: np.ndarray):
@@ -329,7 +321,8 @@ def apply_scalar(g, p: SymMat2) -> SymMat2:
     return SymMat2(*recombine_fields(g(e.lam1), g(e.lam2), math.cos(e.angle), math.sin(e.angle)))
 
 
-def tr_log_per_call(p: SymMat2) -> float:
+def tr_log(p: SymMat2) -> float:
+    """tr log of an SPD matrix through its own eigendecomposition."""
     e = eig(p)
     if e.lam2 <= 0.0:
         raise NotSPDError(f"tr log needs eigenvalues > 0, got min {e.lam2}")
@@ -341,7 +334,7 @@ def matrix_log_diff_ineq_per_call(a: SymMat2, b: SymMat2) -> IneqResult:
     ea, eb = eig(a), eig(b)
     if ea.lam2 <= 0.0 or eb.lam2 <= 0.0:
         raise NotSPDError("both arguments must be positive definite")
-    lhs = (tr_log_per_call(a) - tr_log_per_call(b)) ** 2
+    lhs = (tr_log(a) - tr_log(b)) ** 2
     inv_a = apply_scalar(lambda s: 1.0 / s, a)
     inv_b = apply_scalar(lambda s: 1.0 / s, b)
     rhs = -DIM * a.sub(b).inner(inv_a.sub(inv_b))
@@ -421,13 +414,12 @@ def energy_inequality_residual(reports) -> float:
     return float(np.max(series)) if series else 0.0
 
 
-def stress_grad_l2(T: SymTensorField2D) -> float:
+def stress_grad_l2(grid, xx, xy, yy) -> float:
     """int |grad T|^2, summed over both derivative directions."""
-    grid = T.grid
     total = 0.0
-    for comp, weight in ((T.xx, 1.0), (T.xy, 2.0), (T.yy, 1.0)):
-        dx = g2.grad_x(comp, T.bc, grid.hx)
-        dy = g2.grad_y(comp, T.bc, grid.hy)
+    for comp, weight in ((xx, 1.0), (xy, 2.0), (yy, 1.0)):
+        dx = g2.grad_x(comp, g2.NEUMANN, grid.hx)
+        dy = g2.grad_y(comp, g2.NEUMANN, grid.hy)
         total += weight * cell_sum(grid, dx**2 + dy**2)
     return total
 
@@ -442,15 +434,16 @@ class StressL2Report(NamedTuple):
 
 
 def stress_l2_monitor(
+    grid,
     times: Sequence[float],
-    stresses: Sequence[SymTensorField2D],
+    stresses: Sequence[tuple],
     phys: PhysParams,
 ) -> StressL2Report:
-    """Accumulate the stress norm bound over a sampled run and flag blowup."""
+    """Accumulate the stress norm bound over a run's (xx, xy, yy) samples on grid; flag blowup."""
     if len(times) != len(stresses):
         raise ValueError("times and stress snapshots must pair up")
-    l2_vals = [stress_norms(T)[1] for T in stresses]
-    grad_vals = [stress_grad_l2(T) for T in stresses]
+    l2_vals = [stress_norms(grid, *T)[1] for T in stresses]
+    grad_vals = [stress_grad_l2(grid, *T) for T in stresses]
     grad_accum = 0.0
     relax_accum = 0.0
     for i in range(1, len(times)):

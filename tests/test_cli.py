@@ -321,7 +321,7 @@ class TestPresets:
         st = cli.build_initial(cfg)
         # the cosine perturbations integrate to zero on the symmetric grid,
         # so total mass is (rho_bar + theta) * area up to roundoff
-        assert cell_sum(st.rho.grid, st.rho.data) == pytest.approx(1.1, abs=1e-12)
+        assert cell_sum(st.grid, st.rho.data) == pytest.approx(1.1, abs=1e-12)
         assert st.eta.data.min() >= 0.1
         assert st.u.x.max() > 0.0
 
@@ -379,7 +379,7 @@ class TestPresets:
         assert np.array_equal(back.rho.data, st.rho.data)
         assert np.array_equal(back.T.xy, st.T.xy)
         assert back.u.bc == st.u.bc
-        assert back.t == st.t and back.rho.grid == cfg.grid
+        assert back.t == st.t and back.grid == cfg.grid
 
     def test_file_preset_with_grid_keys_exits_one(self, tmp_path):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
@@ -484,7 +484,7 @@ class TestSnapshotFuzz:
                 return
         comps = (state.rho.data, state.u.x, state.u.y, state.eta.data,
                  state.T.xx, state.T.xy, state.T.yy)
-        grid = state.rho.grid
+        grid = state.grid
         assert all(c.shape == (grid.nx, grid.ny) for c in comps)
         assert all(np.isfinite(c).all() for c in comps) and math.isfinite(state.t)
         assert 8 * comps[0].size * len(comps) == len(data.split(b"\n", 1)[1])
@@ -499,7 +499,7 @@ class TestSnapshotFuzz:
                 state = cli.build_initial(cli.parse_config(f"initial = file:{tmp}/s"))
             except cli.ConfigError:
                 return
-        assert state.rho.data.shape == (state.rho.grid.nx, state.rho.grid.ny)
+        assert state.rho.data.shape == (state.grid.nx, state.grid.ny)
 
 
 class TestRunCommand:
@@ -827,7 +827,8 @@ class TestVerifyCommand:
     def test_field_check_failure_names_first_field(self, monkeypatch):
         bound = dg.cutoff_log_grad_bound
         monkeypatch.setattr(dg, "cutoff_log_grad_bound",
-                            lambda T, sigma3: bound(T, sigma3)._replace(holds=False))
+                            lambda grid, xx, xy, yy, sigma3:
+                            bound(grid, xx, xy, yy, sigma3)._replace(holds=False))
         text, code = cli.verify_report("field-inequalities", 5)
         assert code == 3
         assert "log-grad-bound: 100/100\ncutoff-log-grad-bound: 0/100\n" in text

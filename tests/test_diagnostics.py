@@ -12,19 +12,13 @@ from oldroyd2d import diagnostics as dg
 from oldroyd2d import grid as g2
 from oldroyd2d import integrate as itg
 from oldroyd2d import symcalc
-from oldroyd2d.grid import (
-    NEUMANN,
-    Grid2D,
-    ScalarField2D,
-    SymTensorField2D,
-    VectorField2D,
-    cell_sum,
-)
+from oldroyd2d.grid import DIRICHLET, NEUMANN, Grid2D, cell_sum
 from oldroyd2d.model import (
     PhysParams,
     RegParams,
     SimState,
     equilibrium_state,
+    state_from_components,
     tr_log_field,
     velocity_jacobian,
 )
@@ -46,14 +40,9 @@ KORN_SHEAR = 1.4142135623730951
 def unit_state(n=8, rho=1.0, eta=1.0, t_diag=1.0):
     g = Grid2D(n, n, 1.0, 1.0)
     shape = (n, n)
-    return SimState(
-        t=0.0,
-        rho=ScalarField2D(g, np.full(shape, rho)),
-        u=VectorField2D(g, np.zeros(shape), np.zeros(shape)),
-        eta=ScalarField2D(g, np.full(shape, eta)),
-        T=SymTensorField2D(
-            g, np.full(shape, t_diag), np.zeros(shape), np.full(shape, t_diag),
-        ),
+    return state_from_components(
+        0.0, g, np.full(shape, rho), np.zeros(shape), np.zeros(shape), np.full(shape, eta),
+        np.full(shape, t_diag), np.zeros(shape), np.full(shape, t_diag),
     )
 
 
@@ -66,13 +55,7 @@ def perturbed_state(n, amp=0.08):
     uy = -amp * np.sin(2 * np.pi * X) * np.sin(np.pi * Y) ** 2
     txx = 1.0 + 0.3 * amp * np.cos(np.pi * Y)
     txy = 0.1 * amp * np.cos(np.pi * X) * np.cos(np.pi * Y)
-    return SimState(
-        t=0.0,
-        rho=ScalarField2D(g, rho),
-        u=VectorField2D(g, ux, uy),
-        eta=ScalarField2D(g, eta),
-        T=SymTensorField2D(g, txx, txy, np.ones_like(txx)),
-    )
+    return state_from_components(0.0, g, rho, ux, uy, eta, txx, txy, np.ones_like(txx))
 
 
 def report_with(t, total, rate):
@@ -123,7 +106,7 @@ class TestEnergyReport:
         # eps int (k L |grad eta|^2 / eta + 2 delta |grad eta|^2); L = 0 drops the first term
         state = perturbed_state(8)
         phys = PhysParams(k=0.9, L=L, delta=0.3, eps=0.2)
-        eta, g = state.eta.data, state.eta.grid
+        eta, g = state.eta.data, state.grid
         grad2 = g2.grad_x(eta, NEUMANN, g.hx) ** 2 + g2.grad_y(eta, NEUMANN, g.hy) ** 2
         entropic = np.where(grad2 == 0.0, 0.0, phys.k * L * grad2 / eta)
         want = phys.eps * cell_sum(g, entropic + 2.0 * phys.delta * grad2)
@@ -140,8 +123,8 @@ class TestEnergyReport:
         data = state.T.xx.copy()
         yy = state.T.yy.copy()
         yy[3, 4] = -0.1
-        bad = SymTensorField2D(state.T.grid, data, state.T.xy.copy(), yy)
-        bad_state = SimState(0.0, state.rho, state.u, state.eta, bad)
+        bad_state = state_from_components(0.0, state.grid, state.rho.data, state.u.x, state.u.y,
+                                          state.eta.data, data, state.T.xy.copy(), yy)
         with pytest.raises(NotSPDError):
             dg.energy(bad_state, PhysParams(), RegParams(alpha=0.1))
         # without the log terms the same field is merely reported, not fatal
@@ -161,13 +144,8 @@ class TestEnergyReport:
             ux = rng.normal() * np.sin(np.pi * X) * np.sin(np.pi * Y)
             s1 = np.exp(0.8 * rng.normal() * np.cos(np.pi * X))
             s2 = np.exp(0.8 * rng.normal() * np.cos(2 * np.pi * Y))
-            state = SimState(
-                0.0,
-                ScalarField2D(g, rho),
-                VectorField2D(g, ux, 0.3 * ux),
-                ScalarField2D(g, eta),
-                SymTensorField2D(g, s1, np.zeros_like(s1), s2),
-            )
+            state = state_from_components(0.0, g, rho, ux, 0.3 * ux, eta,
+                                          s1, np.zeros_like(s1), s2)
             rep = dg.energy(state, phys, reg)
             assert rep.total >= 0.0
             for name in ("eta_diss", "newtonian_diss", "stress_relax",
@@ -254,13 +232,12 @@ class TraceStats(NamedTuple):
     entropy_trace: float  # int tr(T - alpha log T); nan when alpha > 0 and not SPD
 
 
-def trace_stats(T: SymTensorField2D, alpha: float = 0.0) -> TraceStats:
+def trace_stats(grid, xx, xy, yy, alpha: float = 0.0) -> TraceStats:
     """The trace integrals a run must bound; nan where they need an SPD T."""
-    grid = T.grid
-    lam1, lam2 = symcalc.eig_fields(T.xx, T.xy, T.yy)
-    tr_t = T.xx + T.yy
+    lam1, lam2 = symcalc.eig_fields(xx, xy, yy)
+    tr_t = xx + yy
     if np.all(lam2 > 0.0) and np.all(np.isfinite(lam2)):
-        det = T.xx * T.yy - T.xy**2
+        det = xx * yy - xy**2
         inv_trace = cell_sum(grid, tr_t / det)
         if alpha != 0.0:
             entropy_trace = cell_sum(grid, tr_t - alpha * (np.log(lam1) + np.log(lam2)))
@@ -275,28 +252,29 @@ def trace_stats(T: SymTensorField2D, alpha: float = 0.0) -> TraceStats:
 class TestSPDMonitor:
     def test_identity_tensor(self):
         state = unit_state()
-        rep = dg.spd_monitor(state.T)
+        T = (state.T.xx, state.T.xy, state.T.yy)
+        rep = dg.spd_monitor(*T)
         assert rep.min_eig == 1.0
-        stats = trace_stats(state.T)
+        stats = trace_stats(state.grid, *T)
         assert stats.inv_trace == pytest.approx(2.0, rel=1e-13)
         assert stats.entropy_trace == pytest.approx(2.0, rel=1e-13)
         # tr log I = 0: the alpha-weighted integral is unchanged
-        stats_a = trace_stats(state.T, alpha=0.3)
+        stats_a = trace_stats(state.grid, *T, alpha=0.3)
         assert stats_a.entropy_trace == pytest.approx(2.0, rel=1e-13)
 
     def test_indefinite_cell_located(self):
         state = unit_state()
         yy = state.T.yy.copy()
         yy[5, 2] = -0.1
-        T = SymTensorField2D(state.T.grid, state.T.xx.copy(), state.T.xy.copy(), yy)
-        rep = dg.spd_monitor(T)
+        T = (state.T.xx.copy(), state.T.xy.copy(), yy)
+        rep = dg.spd_monitor(*T)
         assert rep.min_eig == pytest.approx(-0.1, rel=1e-13)
         assert rep.argmin == (5, 2)
-        stats = trace_stats(T, alpha=0.1)
+        stats = trace_stats(state.grid, *T, alpha=0.1)
         assert math.isnan(stats.inv_trace)
         assert math.isnan(stats.entropy_trace)
         # with alpha = 0 the plain trace integral is still reported
-        stats0 = trace_stats(T, alpha=0.0)
+        stats0 = trace_stats(state.grid, *T, alpha=0.0)
         assert math.isfinite(stats0.entropy_trace)
 
     def test_agrees_with_solver_on_far_apart_eigenvalues(self):
@@ -304,9 +282,9 @@ class TestSPDMonitor:
         state = unit_state()
         xx, yy = state.T.xx.copy(), state.T.yy.copy()
         xx[2, 3], yy[2, 3] = 1e8, 1e-9
-        T = SymTensorField2D(state.T.grid, xx, state.T.xy.copy(), yy)
-        assert np.all(np.isfinite(tr_log_field(T)))
-        rep = dg.spd_monitor(T)
+        T = (xx, state.T.xy.copy(), yy)
+        assert np.all(np.isfinite(tr_log_field(*T, context="probe")))
+        rep = dg.spd_monitor(*T)
         assert rep.min_eig == 1e-9
         assert rep.argmin == (2, 3)
 
@@ -317,7 +295,8 @@ class TestSPDMonitor:
         minima = []
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=1e-3, t_end=0.05, scheme="rk2", diag_every=5),
-                diag_hooks=[lambda s: minima.append(dg.spd_monitor(s.T).min_eig)])
+                diag_hooks=[lambda s: minima.append(
+                    dg.spd_monitor(s.T.xx, s.T.xy, s.T.yy).min_eig)])
         assert minima
         assert min(minima) > 0.0
 
@@ -327,7 +306,7 @@ def relaxation_distance(state: SimState, phys: PhysParams, reg: RegParams) -> fl
     target = phys.k * (state.eta.data + reg.alpha)
     dxx = state.T.xx - target
     dyy = state.T.yy - target
-    return cell_sum(state.rho.grid, dxx**2 + 2.0 * state.T.xy**2 + dyy**2)
+    return cell_sum(state.grid, dxx**2 + 2.0 * state.T.xy**2 + dyy**2)
 
 
 class TestStressL2Monitor:
@@ -337,7 +316,7 @@ class TestStressL2Monitor:
         g = Grid2D(8, 8, 1.0, 1.0)
         state = equilibrium_state(g, phys, reg)
         times = [0.0, 0.5, 1.0, 1.5]
-        rep = stress_l2_monitor(times, [state.T] * 4, phys)
+        rep = stress_l2_monitor(g, times, [(state.T.xx, state.T.xy, state.T.yy)] * 4, phys)
         assert not rep.doubled
         assert rep.l2_series == pytest.approx([rep.sup_l2] * 4, rel=1e-13)
         expected = rep.sup_l2 * (1.0 + phys.A0 / (4.0 * phys.lam) * 1.5)
@@ -349,13 +328,13 @@ class TestStressL2Monitor:
 
         def scaled(c):
             arr = np.full((8, 8), c)
-            return SymTensorField2D(g, arr, np.zeros_like(arr), arr.copy())
+            return arr, np.zeros_like(arr), arr.copy()
 
         times = [0.0, 0.6, 1.2]
         growing = [scaled(1.0), scaled(1.3), scaled(1.7)]  # l2 ratio 2.89 over 1.2
-        assert stress_l2_monitor(times, growing, phys).doubled
+        assert stress_l2_monitor(g, times, growing, phys).doubled
         tame = [scaled(1.0), scaled(1.1), scaled(1.2)]  # l2 ratio 1.44
-        assert not stress_l2_monitor(times, tame, phys).doubled
+        assert not stress_l2_monitor(g, times, tame, phys).doubled
 
     def test_pure_relaxation_monotone(self):
         # constant-in-space fields: the stress follows the relaxation flow
@@ -366,8 +345,8 @@ class TestStressL2Monitor:
         xx = np.full((8, 8), 2.5)
         xy = np.full((8, 8), 0.3)
         yy = np.full((8, 8), 0.8)
-        state = SimState(0.0, state.rho, state.u, state.eta,
-                         SymTensorField2D(g, xx, xy, yy))
+        state = state_from_components(0.0, g, state.rho.data, state.u.x, state.u.y,
+                                      state.eta.data, xx, xy, yy)
         series = []
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=5e-3, t_end=1.0, scheme="rk2", diag_every=1),
@@ -379,38 +358,40 @@ class TestStressL2Monitor:
 
 def renormalization_residual(
     b: Callable[[np.ndarray], np.ndarray],
-    rho_series: Sequence[ScalarField2D],
-    u_series: Sequence[VectorField2D],
+    grid: Grid2D,
+    rho_series: Sequence[np.ndarray],
+    u_series: Sequence[tuple],
     dt: float,
     b_prime: Callable[[np.ndarray], np.ndarray],
 ) -> float:
     """Max residual of d/dt int b(rho) + int (b'(rho) rho - b(rho)) div u.
 
-    The transport term int div(b(rho) u) is included as well; it telescopes
-    to zero under no-slip and costs nothing.  b must be C^1 on (0, inf) and
-    continuous at 0, with derivative b_prime.
+    rho_series holds density arrays and u_series velocity pairs (ux, uy)
+    on grid.  The transport term int div(b(rho) u) is included as well; it
+    telescopes to zero under no-slip and costs nothing.  b must be C^1 on
+    (0, inf) and continuous at 0, with derivative b_prime.
     """
     if len(rho_series) != len(u_series):
         raise ValueError("rho and velocity series must pair up")
     if len(rho_series) < 2:
         return 0.0
-    grid = rho_series[0].grid
 
-    def spatial(rho: ScalarField2D, u: VectorField2D) -> float:
-        brho = b(rho.data)
+    def spatial(rho: np.ndarray, u: tuple) -> float:
+        ux, uy = u
+        brho = b(rho)
         transport = cell_sum(
-            grid, g2.upwind_div(u.x, u.y, brho, rho.bc, grid.hx, grid.hy)
+            grid, g2.upwind_div(ux, uy, brho, NEUMANN, grid.hx, grid.hy)
         )
-        div_u = g2.grad_x(u.x, u.bc, grid.hx) + g2.grad_y(u.y, u.bc, grid.hy)
-        compress = cell_sum(grid, (b_prime(rho.data) * rho.data - brho) * div_u)
+        div_u = g2.grad_x(ux, DIRICHLET, grid.hx) + g2.grad_y(uy, DIRICHLET, grid.hy)
+        compress = cell_sum(grid, (b_prime(rho) * rho - brho) * div_u)
         return transport + compress
 
     worst = 0.0
     spatial_prev = spatial(rho_series[0], u_series[0])
-    mass_prev = cell_sum(grid, b(rho_series[0].data))
+    mass_prev = cell_sum(grid, b(rho_series[0]))
     for rho, u in zip(rho_series[1:], u_series[1:]):
         spatial_next = spatial(rho, u)
-        mass_next = cell_sum(grid, b(rho.data))
+        mass_next = cell_sum(grid, b(rho))
         residual = (mass_next - mass_prev) / dt + 0.5 * (spatial_prev + spatial_next)
         worst = max(worst, abs(residual))
         spatial_prev, mass_prev = spatial_next, mass_next
@@ -420,9 +401,9 @@ def renormalization_residual(
 class TestRenormalization:
     def test_constant_state_exact_zero(self):
         g = Grid2D(8, 8, 1.0, 1.0)
-        rho = ScalarField2D(g, np.full((8, 8), 1.3))
-        u = VectorField2D(g, np.zeros((8, 8)), np.zeros((8, 8)))
-        res = renormalization_residual(lambda s: s * s, [rho, rho], [u, u],
+        rho = np.full((8, 8), 1.3)
+        u = (np.zeros((8, 8)), np.zeros((8, 8)))
+        res = renormalization_residual(lambda s: s * s, g, [rho, rho], [u, u],
                                           dt=0.1, b_prime=lambda s: 2.0 * s)
         assert res == 0.0
 
@@ -434,17 +415,17 @@ class TestRenormalization:
 
         def collect(s):
             kept = s.copy()
-            rhos.append(kept.rho)
-            us.append(kept.u)
+            rhos.append(kept.rho.data)
+            us.append((kept.u.x, kept.u.y))
 
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=dt, t_end=t_end, scheme="rk2", diag_every=1),
                 diag_hooks=[collect])
-        return rhos, us
+        return state.grid, rhos, us
 
     def test_identity_matches_continuity(self):
-        rhos, us = self._run_series(16, 2e-3, 0.04)
-        res = renormalization_residual(lambda s: s, rhos, us, dt=2e-3,
+        grid, rhos, us = self._run_series(16, 2e-3, 0.04)
+        res = renormalization_residual(lambda s: s, grid, rhos, us, dt=2e-3,
                                           b_prime=np.ones_like)
         assert res <= 1e-11
 
@@ -465,10 +446,10 @@ class TestRenormalization:
             h = 1e-6 * (1.0 + np.abs(s))
             return (b(s + h) - b(s - h)) / (2.0 * h)
 
-        rhos, us = self._run_series(12, 2e-3, 0.02)
-        exact = renormalization_residual(b, rhos, us, dt=2e-3,
+        grid, rhos, us = self._run_series(12, 2e-3, 0.02)
+        exact = renormalization_residual(b, grid, rhos, us, dt=2e-3,
                                             b_prime=lambda s: 2.0 * s)
-        approx = renormalization_residual(b, rhos, us, dt=2e-3, b_prime=central)
+        approx = renormalization_residual(b, grid, rhos, us, dt=2e-3, b_prime=central)
         assert approx == pytest.approx(exact, rel=1e-6, abs=1e-12)
 
 
@@ -496,8 +477,8 @@ def functional_ineq_checks(state: SimState, sigma3: float = 0.0) -> FieldIneqRep
     Korn and Gagliardo-Nirenberg come back with fitted constants (reported,
     not asserted); the two log-gradient bounds come back with margins.
     """
-    grid = state.rho.grid
-    jxx, jxy, jyx, jyy = velocity_jacobian(state.u)
+    grid = state.grid
+    jxx, jxy, jyx, jyy = velocity_jacobian(grid, state.u.x, state.u.y)
     grad_norm = math.sqrt(cell_sum(grid, jxx**2 + jxy**2 + jyx**2 + jyy**2))
     dev_norm = math.sqrt(cell_sum(grid, dg._div_and_dev2(jxx, jxy, jyx, jyy)[1]))
     korn = _fitted(grad_norm, dev_norm)
@@ -513,8 +494,9 @@ def functional_ineq_checks(state: SimState, sigma3: float = 0.0) -> FieldIneqRep
     return FieldIneqReport(
         korn=korn,
         gagliardo_nirenberg=gn,
-        log_grad_bound=dg.log_grad_bound(state.T),
-        cutoff_log_grad_bound=dg.cutoff_log_grad_bound(state.T, sigma3),
+        log_grad_bound=dg.log_grad_bound(grid, state.T.xx, state.T.xy, state.T.yy),
+        cutoff_log_grad_bound=dg.cutoff_log_grad_bound(grid, state.T.xx, state.T.xy,
+                                                       state.T.yy, sigma3),
     )
 
 
@@ -530,10 +512,10 @@ class TestFunctionalIneq:
 
     def test_korn_shear_frozen(self):
         state = unit_state(n=16)
-        _, Y = state.rho.grid.cell_centers()
-        u = VectorField2D(state.rho.grid, 0.3 * Y * (1.0 - Y), np.zeros_like(Y))
-        rep = functional_ineq_checks(
-            SimState(0.0, state.rho, u, state.eta, state.T))
+        _, Y = state.grid.cell_centers()
+        rep = functional_ineq_checks(state_from_components(
+            0.0, state.grid, state.rho.data, 0.3 * Y * (1.0 - Y), np.zeros_like(Y),
+            state.eta.data, state.T.xx, state.T.xy, state.T.yy))
         assert rep.korn.constant == pytest.approx(KORN_SHEAR, rel=1e-12)
 
     def test_gn_constant_field(self):
@@ -549,8 +531,7 @@ class TestFunctionalIneq:
         X, Y = g.cell_centers()
         s = 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)
         es = np.exp(s)
-        T = SymTensorField2D(g, es, np.zeros_like(es), es.copy())
-        res = dg.log_grad_bound(T)
+        res = dg.log_grad_bound(g, es, np.zeros_like(es), es.copy())
         gx = g2.grad_x(s, NEUMANN, g.hx)
         gy = g2.grad_y(s, NEUMANN, g.hy)
         hand_lhs = 2.0 * g2.cell_sum(g, gx**2 + gy**2)
@@ -579,25 +560,20 @@ class TestFunctionalIneq:
             l1, l2 = np.exp(smooth(0.6)), np.exp(smooth(0.6))
             phi = smooth(0.8)
             c, sn = np.cos(phi), np.sin(phi)
-            T = SymTensorField2D(
-                g,
-                l1 * c * c + l2 * sn * sn,
-                (l1 - l2) * c * sn,
-                l1 * sn * sn + l2 * c * c,
-            )
-            assert dg.log_grad_bound(T).holds
-            assert dg.cutoff_log_grad_bound(T, 0.05).holds
+            T = (l1 * c * c + l2 * sn * sn, (l1 - l2) * c * sn, l1 * sn * sn + l2 * c * c)
+            assert dg.log_grad_bound(g, *T).holds
+            assert dg.cutoff_log_grad_bound(g, *T, 0.05).holds
 
     def test_cutoff_tolerates_indefinite(self):
         g = Grid2D(8, 8, 1.0, 1.0)
         xx = np.full((8, 8), 1.0)
         yy = xx.copy()
         yy[4, 4] = -0.2  # floored up to sigma3 by the cutoff
-        T = SymTensorField2D(g, xx, np.zeros_like(xx), yy)
-        rep = dg.cutoff_log_grad_bound(T, 0.3)
+        T = (xx, np.zeros_like(xx), yy)
+        rep = dg.cutoff_log_grad_bound(g, *T, 0.3)
         assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
         with pytest.raises(NotSPDError):
-            dg.log_grad_bound(T)
+            dg.log_grad_bound(g, *T)
 
 
 class TestTimeseriesCSV:

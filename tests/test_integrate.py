@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oldroyd2d.grid import Grid2D, ScalarField2D, SymTensorField2D, VectorField2D
+from oldroyd2d.grid import Grid2D
 from oldroyd2d.integrate import (
     BLOWUP_LIMIT,
     BlowupError,
@@ -25,8 +25,8 @@ from oldroyd2d.integrate import (
 from oldroyd2d.model import (
     PhysParams,
     RegParams,
-    SimState,
     equilibrium_state,
+    state_from_components,
 )
 from oldroyd2d.symcalc import NotSPDError
 from oldroyd2d import cli, integrate
@@ -50,13 +50,7 @@ def perturbed_state(grid, amp=0.05, alpha=0.1, k=1.0, eta_bar=1.0):
     txx = t_eq + amp * np.cos(np.pi * y)
     tyy = t_eq - amp * np.cos(np.pi * y)
     txy = 0.1 * amp * np.sin(np.pi * x) * np.sin(np.pi * y)
-    return SimState(
-        t=0.0,
-        rho=ScalarField2D(grid, rho),
-        u=VectorField2D(grid, ux, uy),
-        eta=ScalarField2D(grid, eta),
-        T=SymTensorField2D(grid, txx, txy, tyy),
-    )
+    return state_from_components(0.0, grid, rho, ux, uy, eta, txx, txy, tyy)
 
 
 class TestStepConfig:
@@ -205,13 +199,9 @@ class TestRelaxationAccuracy:
         reg = RegParams(alpha=0.1)
         shape = (4, 4)
         t0 = 3.0
-        state = SimState(
-            t=0.0,
-            rho=ScalarField2D(g, np.ones(shape)),
-            u=VectorField2D(g, np.zeros(shape), np.zeros(shape)),
-            eta=ScalarField2D(g, np.ones(shape)),
-            T=SymTensorField2D(g, np.full(shape, t0), np.zeros(shape), np.full(shape, t0)),
-        )
+        state = state_from_components(
+            0.0, g, np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape),
+            np.full(shape, t0), np.zeros(shape), np.full(shape, t0))
         cfg = StepConfig(dt=dt)
         for _ in range(n_steps):
             state = step(state, phys, reg, cfg, dt=cfg.dt)
@@ -260,12 +250,12 @@ class TestConservation:
         phys = PhysParams(eps=0.1, muS=0.05)
         reg = RegParams(alpha=0.1, sigma2=0.02 if scheme == "rk2" else 0.0)
         state = perturbed_state(g)
-        mass0 = g2.cell_sum(state.rho.grid, state.rho.data)
-        eta0 = g2.cell_sum(state.eta.grid, state.eta.data)
+        mass0 = g2.cell_sum(state.grid, state.rho.data)
+        eta0 = g2.cell_sum(state.grid, state.eta.data)
         cfg = StepConfig(t_end=0.1, scheme=scheme)
         result = run(state, phys, reg, cfg)
-        mass1 = g2.cell_sum(result.final.rho.grid, result.final.rho.data)
-        eta1 = g2.cell_sum(result.final.eta.grid, result.final.eta.data)
+        mass1 = g2.cell_sum(result.final.grid, result.final.rho.data)
+        eta1 = g2.cell_sum(result.final.grid, result.final.eta.data)
         assert abs(mass1 - mass0) <= 1e-11 * abs(mass0)
         assert abs(eta1 - eta0) <= 1e-11 * abs(eta0)
         assert result.steps > 0

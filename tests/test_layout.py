@@ -1,13 +1,21 @@
-"""Layout guard: every function, class and method in src/ has a caller there.
+"""Layout guards over the AST of src/.
 
-A definition counts as used when a name or attribute of that spelling is
+Every function, class and method in src/ has a caller there.  A
+definition counts as used when a name or attribute of that spelling is
 read in src/oldroyd2d or perfbench/*.py outside the definition's own
 body, and the code holding that reference is itself used (module-level
-code always is).  Names listed in oldroyd2d.__all__ count as used.  The
+code always is).  For a module-level function an attribute read x.name
+counts only when x is bound by an import to the module defining it, so a
+method of the same spelling (EigenPair2.tr_log) cannot keep an unused
+function alive.  Names listed in oldroyd2d.__all__ count as used.  The
 scan iterates to a fixed point, so helpers that only unused definitions
 call are reported too.  Dunder methods are called by Python itself and
 count as used whenever their class is.  Code only the tests need
 belongs in tests/.
+
+The field classes are named component bundles: model.state_from_components
+is the only place in src/ that builds one, and none carries a grid, a
+__post_init__ or a method.
 """
 
 import ast
@@ -20,24 +28,47 @@ PACKAGE = ROOT / "src" / "oldroyd2d"
 BENCH = ROOT / "perfbench"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _module_bindings(tree) -> dict:
+    """Local name -> package module stem, for each import that binds a module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "oldroyd2d"):
+            # from . import grid as g2, from oldroyd2d import cli
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.name
+    return bound
 
 
 def _scan(path: Path, defs: list, refs: dict, owned: bool) -> None:
     """Collect the definitions of an owned file and the references of any file.
 
-    A reference is recorded under its name with the index of the innermost
-    owned definition around it, or None at module level and in unowned files.
+    A definition is (label, name, index of the enclosing definition or None,
+    the file's module stem if it is a module-level function else None).
+    A reference is recorded under its name as (index of the innermost owned
+    definition around it or None, module), where module is None for a bare
+    name and, for an attribute read x.name, the module stem x is bound to by
+    an import, or "" when x is anything else.
     """
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = _module_bindings(tree)
 
     def visit(node, owner):
         if owned and isinstance(node, _DEFS):
-            defs.append((f"{path.name}:{node.lineno} {node.name}", node.name, owner))
+            stem = path.stem if owner is None and isinstance(node, _FUNCS) else None
+            defs.append((f"{path.name}:{node.lineno} {node.name}", node.name, owner, stem))
             owner = len(defs) - 1
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.setdefault(node.id, []).append(owner)
+            refs.setdefault(node.id, []).append((owner, None))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            refs.setdefault(node.attr, []).append(owner)
+            base = bound.get(node.value.id, "") if isinstance(node.value, ast.Name) else ""
+            refs.setdefault(node.attr, []).append((owner, base))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -45,8 +76,8 @@ def _scan(path: Path, defs: list, refs: dict, owned: bool) -> None:
 
 
 def unused_definitions() -> list[str]:
-    defs: list = []  # (label, name, index of the enclosing definition or None)
-    refs: dict = {}  # name -> [index of the innermost enclosing definition or None]
+    defs: list = []  # (label, name, enclosing definition, module stem of a module-level function)
+    refs: dict = {}  # name -> [(innermost enclosing definition, module of an attribute base)]
     for path in sorted(PACKAGE.glob("*.py")):
         _scan(path, defs, refs, owned=True)
     for path in sorted(BENCH.glob("*.py")):
@@ -57,12 +88,16 @@ def unused_definitions() -> list[str]:
             yield index
             index = defs[index][2]
 
+    def reaches(stem, module):
+        # a module-level function is reached by its bare name or through its module
+        return stem is None or module is None or module == stem
+
     live: set = set()
     exported = set(oldroyd2d.__all__)
     changed = True
     while changed:
         changed = False
-        for i, (_, name, owner) in enumerate(defs):
+        for i, (_, name, owner, stem) in enumerate(defs):
             if i in live:
                 continue
             if name.startswith("__") and name.endswith("__"):
@@ -70,12 +105,53 @@ def unused_definitions() -> list[str]:
             else:
                 used = name in exported or any(
                     (where is None or where in live) and i not in ancestors(where)
-                    for where in refs.get(name, ()))
+                    and reaches(stem, module)
+                    for where, module in refs.get(name, ()))
             if used:
                 live.add(i)
                 changed = True
-    return [label for i, (label, _, _) in enumerate(defs) if i not in live]
+    return [label for i, (label, _, _, _) in enumerate(defs) if i not in live]
 
 
 def test_every_definition_in_src_is_used_by_src():
     assert unused_definitions() == []
+
+
+def field_constructions() -> list[str]:
+    """Each *Field2D(...) call in src/ outside model.state_from_components."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+        def visit(node, func):
+            if isinstance(node, _FUNCS):
+                func = node.name
+            elif isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "id", None) or getattr(callee, "attr", "")
+                if name.endswith("Field2D") and \
+                        (path.name, func) != ("model.py", "state_from_components"):
+                    found.append(f"{path.name}:{node.lineno} {name}(...) in {func}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(tree, None)
+    return found
+
+
+def test_fields_are_built_only_by_state_from_components():
+    assert field_constructions() == []
+
+
+def test_field_classes_hold_only_component_arrays():
+    tree = ast.parse((PACKAGE / "grid.py").read_text(encoding="utf-8"))
+    classes = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name.endswith("Field2D")]
+    assert sorted(c.name for c in classes) == [
+        "ScalarField2D", "SymTensorField2D", "VectorField2D"]
+    for cls in classes:
+        for stmt in cls.body:
+            docstring = isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            assert docstring or isinstance(stmt, ast.AnnAssign), (cls.name, stmt.lineno)
+            if isinstance(stmt, ast.AnnAssign):
+                assert stmt.target.id != "grid", cls.name

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oldroyd2d.grid import (
-    Grid2D,
-    ScalarField2D,
-    SymTensorField2D,
-    VectorField2D,
-    cell_sum,
-)
+from oldroyd2d.grid import Grid2D, cell_sum
 from oldroyd2d.model import (
     PhysParams,
     RegParams,
@@ -26,6 +20,7 @@ from oldroyd2d.model import (
     rhs_eta,
     rhs_momentum,
     rhs_stress,
+    state_from_components,
     tr_log_field,
 )
 from oldroyd2d.symcalc import NotSPDError
@@ -38,13 +33,7 @@ def unit_grid(n):
 
 
 def make_state(grid, rho, ux, uy, eta, txx, txy, tyy, t=0.0):
-    return SimState(
-        t=t,
-        rho=ScalarField2D(grid, rho),
-        u=VectorField2D(grid, ux, uy),
-        eta=ScalarField2D(grid, eta),
-        T=SymTensorField2D(grid, txx, txy, tyy),
-    )
+    return state_from_components(t, grid, rho, ux, uy, eta, txx, txy, tyy)
 
 
 def random_state(grid, seed, spd_shift=3.0):
@@ -106,53 +95,44 @@ class TestParams:
 
 class TestPressure:
     def test_power_law(self):
-        g = unit_grid(4)
-        rho = ScalarField2D(g, np.full((4, 4), 3.0))
-        p = pressure(rho, PhysParams(a=1.0, gamma=2.0), RegParams())
-        assert np.allclose(p.data, 9.0, atol=0.0)
+        p = pressure(np.full((4, 4), 3.0), PhysParams(a=1.0, gamma=2.0), RegParams())
+        assert np.allclose(p, 9.0, atol=0.0)
 
     def test_vacuum(self):
-        g = unit_grid(4)
-        rho = ScalarField2D(g, np.zeros((4, 4)))
-        p = pressure(rho, PhysParams(gamma=1.4), RegParams())
-        assert np.all(p.data == 0.0)
+        p = pressure(np.zeros((4, 4)), PhysParams(gamma=1.4), RegParams())
+        assert np.all(p == 0.0)
 
     def test_artificial_component_frozen(self):
-        g = unit_grid(4)
-        rho = ScalarField2D(g, np.full((4, 4), 2.0))
-        p = pressure(rho, PhysParams(a=1.0, gamma=2.0),
+        p = pressure(np.full((4, 4), 2.0), PhysParams(a=1.0, gamma=2.0),
                      RegParams(sigma1=0.1, Gamma=4.0))
-        assert np.allclose(p.data, PRESSURE_2_WITH_ART, atol=1e-14)
+        assert np.allclose(p, PRESSURE_2_WITH_ART, atol=1e-14)
 
 
 class TestNewtonianStress:
     def test_zero_velocity(self):
         g = unit_grid(8)
-        u = VectorField2D(g, np.zeros((8, 8)), np.zeros((8, 8)))
-        s = newtonian_stress(u, PhysParams())
-        assert np.all(s.xx == 0.0) and np.all(s.xy == 0.0) and np.all(s.yy == 0.0)
+        sxx, sxy, syy = newtonian_stress(g, np.zeros((8, 8)), np.zeros((8, 8)), PhysParams())
+        assert np.all(sxx == 0.0) and np.all(sxy == 0.0) and np.all(syy == 0.0)
 
     def test_dilation_gives_bulk_only(self):
         # u = (x, y) has grad u = I on the interior: deviatoric part drops out
         g = unit_grid(16)
         x, y = g.cell_centers()
-        u = VectorField2D(g, x, y)
-        s = newtonian_stress(u, PhysParams(muS=0.7, muB=0.3))
+        sxx, sxy, syy = newtonian_stress(g, x, y, PhysParams(muS=0.7, muB=0.3))
         inner = slice(1, -1)
-        assert np.allclose(s.xx[inner, inner], 2 * 0.3, atol=1e-13)
-        assert np.allclose(s.xy[inner, inner], 0.0, atol=1e-13)
-        assert np.allclose(s.yy[inner, inner], 2 * 0.3, atol=1e-13)
+        assert np.allclose(sxx[inner, inner], 2 * 0.3, atol=1e-13)
+        assert np.allclose(sxy[inner, inner], 0.0, atol=1e-13)
+        assert np.allclose(syy[inner, inner], 2 * 0.3, atol=1e-13)
 
     def test_shear_symmetrizes(self):
         # u = (y, 0): grad u = [[0,1],[0,0]], S = muS [[0, 1/2], [1/2, 0]]
         g = unit_grid(16)
         _, y = g.cell_centers()
-        u = VectorField2D(g, y, np.zeros_like(y))
-        s = newtonian_stress(u, PhysParams(muS=2.0, muB=0.0))
+        sxx, sxy, syy = newtonian_stress(g, y, np.zeros_like(y), PhysParams(muS=2.0, muB=0.0))
         inner = slice(1, -1)
-        assert np.allclose(s.xx[inner, inner], 0.0, atol=1e-13)
-        assert np.allclose(s.xy[inner, inner], 1.0, atol=1e-13)
-        assert np.allclose(s.yy[inner, inner], 0.0, atol=1e-13)
+        assert np.allclose(sxx[inner, inner], 0.0, atol=1e-13)
+        assert np.allclose(sxy[inner, inner], 1.0, atol=1e-13)
+        assert np.allclose(syy[inner, inner], 0.0, atol=1e-13)
 
 
 class TestConservation:
@@ -161,14 +141,14 @@ class TestConservation:
         g = unit_grid(12)
         state = random_state(g, seed)
         for reg in (RegParams(), RegParams(sigma2=0.3)):
-            total = cell_sum(state.rho.grid, rhs_continuity(state, PhysParams(), reg).data)
+            total = cell_sum(state.grid, rhs_continuity(state, PhysParams(), reg))
             assert abs(total) <= 1e-12 * (1.0 + np.abs(state.rho.data).max() / g.hx)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_eta_integral_zero(self, seed):
         g = unit_grid(12)
         state = random_state(g, seed)
-        total = cell_sum(state.eta.grid, rhs_eta(state, PhysParams()).data)
+        total = cell_sum(state.grid, rhs_eta(state, PhysParams()))
         assert abs(total) <= 1e-12 * (1.0 + np.abs(state.eta.data).max() / g.hx)
 
     def test_continuity_zero_velocity_no_diffusion(self):
@@ -177,7 +157,7 @@ class TestConservation:
         state.u.x[:] = 0.0
         state.u.y[:] = 0.0
         out = rhs_continuity(state, PhysParams(), RegParams())
-        assert np.all(out.data == 0.0)
+        assert np.all(out == 0.0)
 
 
 class TestEquilibrium:
@@ -189,13 +169,14 @@ class TestEquilibrium:
             reg = RegParams(alpha=alpha)
             state = equilibrium_state(g, phys, reg, rho_bar=1.4, eta_bar=0.8)
             assert np.allclose(state.T.xx, phys.k * (0.8 + alpha), atol=0.0)
-            assert np.abs(rhs_continuity(state, phys, reg).data).max() == 0.0
-            assert np.abs(rhs_eta(state, phys).data).max() == 0.0
-            m = rhs_momentum(state, phys, reg)
-            assert np.abs(m.x).max() <= 1e-13
-            assert np.abs(m.y).max() <= 1e-13
+            assert np.abs(rhs_continuity(state, phys, reg)).max() == 0.0
+            assert np.abs(rhs_eta(state, phys)).max() == 0.0
+            mx, my = rhs_momentum(state, phys, reg)
+            assert np.abs(mx).max() <= 1e-13
+            assert np.abs(my).max() <= 1e-13
             s = rhs_stress(state, phys, reg)
-            for comp in oracles.field_arrays(s):
+            assert len(s) == 3
+            for comp in s:
                 assert np.abs(comp).max() <= 1e-13
 
     def test_rejects_nonpositive_means(self):
@@ -212,9 +193,9 @@ class TestEquilibrium:
         state.T.yy += 0.01
         out = rhs_stress(state, phys, reg)
         rate = phys.A0 / (2 * phys.lam)  # = 1.0 here
-        assert np.allclose(out.xx, -rate * 0.01, atol=1e-14)
-        assert np.allclose(out.xy, 0.0, atol=1e-14)
-        assert np.allclose(out.yy, -rate * 0.01, atol=1e-14)
+        assert np.allclose(out[0], -rate * 0.01, atol=1e-14)
+        assert np.allclose(out[1], 0.0, atol=1e-14)
+        assert np.allclose(out[2], -rate * 0.01, atol=1e-14)
 
 
 class TestStressRelaxationODE:
@@ -239,9 +220,9 @@ class TestStressRelaxationODE:
         t_eq = phys.k * (1.5 + reg.alpha)
         exact = -rate * (t0 - t_eq * np.eye(2))
         out = rhs_stress(state, phys, reg)
-        assert np.allclose(out.xx, exact[0, 0], atol=1e-12)
-        assert np.allclose(out.xy, exact[0, 1], atol=1e-12)
-        assert np.allclose(out.yy, exact[1, 1], atol=1e-12)
+        assert np.allclose(out[0], exact[0, 0], atol=1e-12)
+        assert np.allclose(out[1], exact[0, 1], atol=1e-12)
+        assert np.allclose(out[2], exact[1, 1], atol=1e-12)
 
     def test_exact_solution_over_interval(self):
         # integrate the uniform relaxation exactly and check the rhs along it
@@ -268,9 +249,9 @@ class TestStressRelaxationODE:
             )
             out = rhs_stress(state, phys, reg)
             exact = -rate * (tt - t_eq * np.eye(2))
-            assert np.allclose(out.xx, exact[0, 0], atol=1e-12)
-            assert np.allclose(out.xy, exact[0, 1], atol=1e-12)
-            assert np.allclose(out.yy, exact[1, 1], atol=1e-12)
+            assert np.allclose(out[0], exact[0, 0], atol=1e-12)
+            assert np.allclose(out[1], exact[0, 1], atol=1e-12)
+            assert np.allclose(out[2], exact[1, 1], atol=1e-12)
 
 
 class TestHeatKernelDecay:
@@ -288,7 +269,7 @@ class TestHeatKernelDecay:
             phys = PhysParams(eps=0.7)
             out = rhs_eta(state, phys)
             want = -phys.eps * np.pi**2 * (eta - 1.0)
-            errs.append(np.abs(out.data - want).max())
+            errs.append(np.abs(out - want).max())
         assert math.log2(errs[0] / errs[1]) >= 1.9
 
 
@@ -307,25 +288,24 @@ class TestMomentum:
         g = unit_grid(4)
         xx = np.full((4, 4), 2.0)
         xx[1, 2] = np.nan
-        T = SymTensorField2D(g, xx, np.zeros((4, 4)), np.full((4, 4), 2.0))
+        T = (xx, np.zeros((4, 4)), np.full((4, 4), 2.0))
         with pytest.raises(NotSPDError, match=r"^stress is not finite at cell \(1, 2\) "
                            r"\(eigenvalue nan\) in probe$"):
-            tr_log_field(T, context="probe")
+            tr_log_field(*T, context="probe")
         # an indefinite cell earlier in the array does not take precedence
         xx[0, 0] = -1.0
         with pytest.raises(NotSPDError, match=r"not finite at cell \(1, 2\)"):
-            tr_log_field(T)
+            tr_log_field(*T, context="probe")
         xx[1, 2] = 2.0
         with pytest.raises(NotSPDError, match=r"^stress lost positive definiteness at "
-                           r"cell \(0, 0\) \(min eigenvalue -1.000e\+00\)$"):
-            tr_log_field(T)
+                           r"cell \(0, 0\) \(min eigenvalue -1.000e\+00\) in probe$"):
+            tr_log_field(*T, context="probe")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_all_non_finite_stress_is_not_spd_error(self, bad):
-        g = unit_grid(4)
         full = np.full((4, 4), bad)
         with pytest.raises(NotSPDError, match=r"not finite at cell \(0, 0\)"):
-            tr_log_field(SymTensorField2D(g, full, np.zeros((4, 4)), full))
+            tr_log_field(full, np.zeros((4, 4)), full, context="probe")
 
     def test_alpha_zero_tolerates_indefinite_stress(self):
         g = unit_grid(8)
@@ -343,11 +323,10 @@ class TestMomentum:
         reg_b = RegParams(alpha=0.0, sigma1=0.0, Gamma=7.0, sigma2=0.0,
                           sigma3=0.0, theta=0.9)
         for op in (rhs_continuity, rhs_momentum, rhs_stress):
+            out_a, out_b = op(state, phys, reg_a), op(state, phys, reg_b)
             if op is rhs_continuity:
-                out_a, out_b = op(state, phys, reg_a), op(state, phys, reg_b)
-            else:
-                out_a, out_b = op(state, phys, reg_a), op(state, phys, reg_b)
-            for ca, cb in zip(oracles.field_arrays(out_a), oracles.field_arrays(out_b)):
+                out_a, out_b = [out_a], [out_b]
+            for ca, cb in zip(out_a, out_b):
                 assert np.array_equal(ca, cb)
 
     def test_sigma2_coupling_matches_manufactured(self):
@@ -365,7 +344,7 @@ class TestMomentum:
             phys = PhysParams()
             with_term = rhs_momentum(state, phys, RegParams(sigma2=sigma2))
             without = rhs_momentum(state, phys, RegParams())
-            got_x = with_term.x - without.x
+            got_x = with_term[0] - without[0]
             # minus sigma2 * sum_j d_j u_x d_j rho, evaluated analytically
             dux_dx = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
             dux_dy = np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
@@ -394,20 +373,15 @@ class TestMomentum:
                 np.pi * np.sin(2 * np.pi * x) * np.cos(np.pi * y)
             want = -(ux * drho_dx + uy * drho_dy + rho * div_u)
             inner = slice(2, -2)
-            errs.append(np.abs(out.data[inner, inner] - want[inner, inner]).max())
+            errs.append(np.abs(out[inner, inner] - want[inner, inner]).max())
         order = math.log2(errs[0] / errs[1])
         assert order >= 0.8
 
 
-def kramers_tensor(state: SimState, phys: PhysParams) -> SymTensorField2D:
-    """Elastic extra stress K = T - (k L eta + delta eta^2) I."""
+def kramers_tensor(state: SimState, phys: PhysParams):
+    """Elastic extra stress K = T - (k L eta + delta eta^2) I, as (xx, xy, yy)."""
     solvent = polymer_pressure(state.eta.data, phys)
-    return SymTensorField2D(
-        state.T.grid,
-        state.T.xx - solvent,
-        state.T.xy,
-        state.T.yy - solvent,
-    )
+    return state.T.xx - solvent, state.T.xy, state.T.yy - solvent
 
 
 class TestKramersSplit:
@@ -418,15 +392,14 @@ class TestKramersSplit:
         g = unit_grid(12)
         state = random_state(g, seed)
         phys = PhysParams(k=0.9, L=1.1, delta=0.25)
-        kr = kramers_tensor(state, phys)
-        div_k = g2.tensor_divergence(kr)
-        div_t = g2.tensor_divergence(state.T)
+        kx, ky = g2.tensor_divergence(*kramers_tensor(state, phys), g.hx, g.hy)
+        tx, ty = g2.tensor_divergence(state.T.xx, state.T.xy, state.T.yy, g.hx, g.hy)
         solvent = phys.k * phys.L * state.eta.data + phys.delta * state.eta.data**2
         gx = g2.grad_x(solvent, state.eta.bc, g.hx)
         gy = g2.grad_y(solvent, state.eta.bc, g.hy)
-        scale = 1.0 + np.abs(div_t.x).max() + np.abs(gx).max()
-        assert np.abs(div_k.x - (div_t.x - gx)).max() <= 1e-12 * scale
-        assert np.abs(div_k.y - (div_t.y - gy)).max() <= 1e-12 * scale
+        scale = 1.0 + np.abs(tx).max() + np.abs(gx).max()
+        assert np.abs(kx - (tx - gx)).max() <= 1e-12 * scale
+        assert np.abs(ky - (ty - gy)).max() <= 1e-12 * scale
 
 
 def brute_force_stress_rhs(state, phys, reg):
@@ -437,7 +410,7 @@ def brute_force_stress_rhs(state, phys, reg):
     """
     from oldroyd2d.symcalc import SymMat2
 
-    g = state.T.grid
+    g = state.grid
     nx, ny = g.nx, g.ny
     hx, hy = g.hx, g.hy
 
@@ -536,9 +509,9 @@ class TestSigma3BruteForce:
         reg = RegParams(alpha=0.1, sigma3=0.05, theta=0.2)
         got = rhs_stress(state, phys, reg)
         want = brute_force_stress_rhs(state, phys, reg)
-        assert np.abs(got.xx - want[:, :, 0]).max() <= 1e-12
-        assert np.abs(got.xy - want[:, :, 1]).max() <= 1e-12
-        assert np.abs(got.yy - want[:, :, 2]).max() <= 1e-12
+        assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12
+        assert np.abs(got[1] - want[:, :, 1]).max() <= 1e-12
+        assert np.abs(got[2] - want[:, :, 2]).max() <= 1e-12
 
     def test_generic_state_agrees(self):
         g = unit_grid(4)
@@ -548,9 +521,9 @@ class TestSigma3BruteForce:
         got = rhs_stress(state, phys, reg)
         want = brute_force_stress_rhs(state, phys, reg)
         scale = 1.0 + np.abs(want).max()
-        assert np.abs(got.xx - want[:, :, 0]).max() <= 1e-12 * scale
-        assert np.abs(got.xy - want[:, :, 1]).max() <= 1e-12 * scale
-        assert np.abs(got.yy - want[:, :, 2]).max() <= 1e-12 * scale
+        assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12 * scale
+        assert np.abs(got[1] - want[:, :, 1]).max() <= 1e-12 * scale
+        assert np.abs(got[2] - want[:, :, 2]).max() <= 1e-12 * scale
 
     def test_sigma3_zero_agrees_too(self):
         g = unit_grid(4)
@@ -560,6 +533,6 @@ class TestSigma3BruteForce:
         got = rhs_stress(state, phys, reg)
         want = brute_force_stress_rhs(state, phys, reg)
         scale = 1.0 + np.abs(want).max()
-        assert np.abs(got.xx - want[:, :, 0]).max() <= 1e-12 * scale
-        assert np.abs(got.xy - want[:, :, 1]).max() <= 1e-12 * scale
-        assert np.abs(got.yy - want[:, :, 2]).max() <= 1e-12 * scale
+        assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12 * scale
+        assert np.abs(got[1] - want[:, :, 1]).max() <= 1e-12 * scale
+        assert np.abs(got[2] - want[:, :, 2]).max() <= 1e-12 * scale

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (apply_scalar, apply_scalar_fields, chi_cutoff, chi_scalar,
-                     jacobi_residual, sym_scale)
+                     jacobi_residual, sym_scale, tr_log)
 from oldroyd2d.symcalc import (
     DIM,
     EigenPair2,
@@ -26,7 +26,6 @@ from oldroyd2d.symcalc import (
     recombine_fields,
     rotation_fields,
     scalar_log_ineq,
-    tr_log,
 )
 
 RECON_TOL = 1e-12
