@@ -32,7 +32,7 @@ from oldroyd2d.diagnostics import (
     energy_budget_gap,
     spd_monitor,
 )
-from oldroyd2d.closure import GradU2, KineticDistribution, closure_compare
+from oldroyd2d.closure import GradU2, closure_compare
 
 __all__ = [
     "SymMat2",
@@ -60,7 +60,6 @@ __all__ = [
     "conservation",
     "spd_monitor",
     "GradU2",
-    "KineticDistribution",
     "closure_compare",
 ]
 

@@ -5,7 +5,8 @@ truncated configuration square and compares its Kramers stress moments
 against the closed macroscopic moment equation, built from the solver's
 own stretching and relaxation terms (model.add_stretching, add_relaxation).
 For Hookean springs the closure is exact, so any mismatch measures
-configuration-grid discretization and truncation only.
+configuration-grid discretization and truncation only.  A density is a
+plain (nq, nq) array of samples on the cell centers of [-Q, Q]^2.
 
 The drift-diffusion update keeps three structural properties on purpose:
 mass is conserved in exact flux form, the discrete Maxwellian is an exact
@@ -17,8 +18,8 @@ second-order upwind for the velocity-gradient drift).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,8 @@ TWO_PI = 2.0 * math.pi
 BOUNDARY_MASS_LIMIT = 1e-6
 # closure_compare samples the gap every steps // SAMPLES steps (every step if fewer)
 SAMPLES = 50
+# fraction of the positivity-preserving step bound that fp_cfl_dt returns
+CFL = 0.8
 
 
 class TruncationBreach(RuntimeError):
@@ -65,30 +68,9 @@ class GradU2:
         return abs(self.xx) + abs(self.xy), abs(self.yx) + abs(self.yy)
 
 
-@dataclass
-class KineticDistribution:
-    """Density samples on the cell centers of [-Q, Q]^2."""
-
-    psi: np.ndarray
-    nq: int
-    Q: float
-    # fp_step's constants and scratch, shared along a chain of steps
-    work: Optional["_FpWork"] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.nq < 4:
-            raise ValueError("need at least 4 configuration cells per axis")
-        if self.Q <= 0.0:
-            raise ValueError("truncation radius must be positive")
-        if self.psi.shape != (self.nq, self.nq):
-            raise ValueError("psi shape does not match nq")
-
-    @property
-    def dq(self) -> float:
-        return 2.0 * self.Q / self.nq
-
-    def centers(self) -> np.ndarray:
-        return -self.Q + (np.arange(self.nq) + 0.5) * self.dq
+def centers(nq: int, Q: float) -> np.ndarray:
+    """Cell centers of [-Q, Q] split into nq cells of width 2 Q / nq."""
+    return -Q + (np.arange(nq) + 0.5) * (2.0 * Q / nq)
 
 
 def maxwellian(qx, qy):
@@ -96,34 +78,32 @@ def maxwellian(qx, qy):
     return np.exp(-0.5 * (np.asarray(qx) ** 2 + np.asarray(qy) ** 2)) / TWO_PI
 
 
-def equilibrium_distribution(eta_bar: float, nq: int = 128, Q: float = 8.0) -> KineticDistribution:
+def equilibrium_distribution(eta_bar: float, nq: int, Q: float) -> np.ndarray:
     """eta_bar times the Maxwellian, sampled at cell centers."""
-    psi = KineticDistribution(np.zeros((nq, nq)), nq, Q)
-    q = psi.centers()
-    psi.psi = eta_bar * maxwellian(q[:, None], q[None, :])
-    return psi
+    q = centers(nq, Q)
+    return eta_bar * maxwellian(q[:, None], q[None, :])
 
 
-def kramers_stress(psi: KineticDistribution, k: float) -> SymMat2:
-    """k times the second moment of psi; symmetric by construction."""
-    q = psi.centers()
-    w = psi.psi * psi.dq**2
+def kramers_stress(psi: np.ndarray, Q: float, k: float) -> SymMat2:
+    """k times the second moment of psi on [-Q, Q]^2; symmetric by construction."""
+    q = centers(len(psi), Q)
+    w = psi * (2.0 * Q / len(psi)) ** 2
     xx = float(np.sum(w * q[:, None] ** 2))
     yy = float(np.sum(w * q[None, :] ** 2))
     xy = float(np.sum(w * q[:, None] * q[None, :]))
     return SymMat2(k * xx, k * xy, k * yy)
 
 
-def boundary_mass_fraction(psi: KineticDistribution) -> float:
+def boundary_mass_fraction(psi: np.ndarray) -> float:
     """Mass on the outermost cell ring relative to the total."""
-    total = float(np.sum(psi.psi))
+    total = float(np.sum(psi))
     if total <= 0.0:
         return 0.0
     ring = (
-        float(np.sum(psi.psi[0, :]))
-        + float(np.sum(psi.psi[-1, :]))
-        + float(np.sum(psi.psi[1:-1, 0]))
-        + float(np.sum(psi.psi[1:-1, -1]))
+        float(np.sum(psi[0, :]))
+        + float(np.sum(psi[-1, :]))
+        + float(np.sum(psi[1:-1, 0]))
+        + float(np.sum(psi[1:-1, -1]))
     )
     return ring / total
 
@@ -134,18 +114,21 @@ class _AxisConstants(NamedTuple):
 
 
 class _FpWork:
-    """fp_step's constants for one (nq, Q, kappa, diff) and its scratch rows.
+    """fp_step's constants for one (nq, Q, kappa, phys) and its scratch rows.
 
     Both axes run one axis-0 code path: the y constants are stored
     transposed, and the y pass reads a transposed copy of psi.  The scratch
-    holds no data between calls, so every distribution of one chain of
-    steps can share it.
+    holds no data between calls, so every step of a comparison shares it.
     """
 
-    def __init__(self, key: tuple, psi: KineticDistribution, kappa: GradU2, diff: float):
-        self.key = key
-        self.dq = dq = psi.dq
-        q = psi.centers()
+    def __init__(self, nq: int, Q: float, kappa: GradU2, phys: PhysParams):
+        if nq < 4:
+            raise ValueError("need at least 4 configuration cells per axis")
+        if Q <= 0.0:
+            raise ValueError("truncation radius must be positive")
+        self.dq = dq = 2.0 * Q / nq
+        diff = phys.A0 / (4.0 * phys.lam)
+        q = centers(nq, Q)
         qf = q[:-1] + 0.5 * dq  # interior face coordinates
         m1 = np.exp(-0.5 * q**2)
         self.m1 = m1[:, None]
@@ -153,25 +136,12 @@ class _FpWork:
         vel_x = kappa.xx * qf[:, None] + kappa.xy * q[None, :]
         vel_y = (kappa.yx * q[:, None] + kappa.yy * qf[None, :]).T.copy()
         self.axes = (_AxisConstants(vel_x, vel_x >= 0.0), _AxisConstants(vel_y, vel_y >= 0.0))
-        n, m = psi.nq, psi.nq - 1
-        rows = np.empty((4, n, n))
-        self.mask = np.empty((n, n), dtype=bool)
+        rows = np.empty((4, nq, nq))
+        self.mask = np.empty((nq, nq), dtype=bool)
         self.transposed = rows[3]
         self.cells = rows[2]
         # rows 0 and 1 hold face values
-        self.faces = rows[:2, :m]
-
-
-def _fp_work(psi: KineticDistribution, kappa: GradU2, diff: float) -> _FpWork:
-    """psi's workspace if it was built for these inputs, else a new one.
-
-    The key compares float bits: -0.0 and 0.0 give face velocities of
-    different sign bits.
-    """
-    key = (psi.nq,) + tuple(float(v).hex() for v in
-                            (psi.Q, diff, kappa.xx, kappa.xy, kappa.yx, kappa.yy))
-    work = psi.work
-    return work if work is not None and work.key == key else _FpWork(key, psi, kappa, diff)
+        self.faces = rows[:2, :-1]
 
 
 def _mc_slopes(psi: np.ndarray, work: _FpWork) -> np.ndarray:
@@ -242,8 +212,7 @@ def _flux_divergence(flux: np.ndarray, rate: float, work: _FpWork) -> np.ndarray
     return div
 
 
-def fp_step(psi: KineticDistribution, kappa: GradU2, phys: PhysParams,
-            dt: float) -> KineticDistribution:
+def fp_step(psi: np.ndarray, work: _FpWork, dt: float) -> np.ndarray:
     """One conservative explicit step of the drift-relaxation-diffusion flow.
 
     d psi/dt + div(kappa q psi) = (A0 / 4 lambda) div(grad psi + q psi);
@@ -251,28 +220,25 @@ def fp_step(psi: KineticDistribution, kappa: GradU2, phys: PhysParams,
     Maxwellian face factors, so the sampled Maxwellian is exactly stationary.
     Zero-flux walls keep the total mass constant in exact arithmetic.
 
-    The constants and scratch rows come from psi's workspace when it was
-    built for the same inputs, and travel with the returned distribution,
-    so a steady chain of steps allocates only each returned array.
+    The constants and scratch rows come from work, built once per
+    comparison, so a warm step allocates only the array it returns.
     """
     with np.errstate(over="ignore"):  # overflow lands in the post-check
-        work = _fp_work(psi, kappa, phys.A0 / (4.0 * phys.lam))
-        if not np.isfinite(psi.psi, out=work.mask).all():
+        if not np.isfinite(psi, out=work.mask).all():
             raise BlowupError("kinetic distribution lost finiteness")
         rate = dt / work.dq
-        out = psi.psi - _flux_divergence(_axis_flux(psi.psi, work.axes[0], work), rate, work)
+        out = psi - _flux_divergence(_axis_flux(psi, work.axes[0], work), rate, work)
         # the y pass reads the input, not the x-updated out
-        np.copyto(work.transposed, psi.psi.T)
+        np.copyto(work.transposed, psi.T)
         div = _flux_divergence(_axis_flux(work.transposed, work.axes[1], work), rate, work)
         np.copyto(work.transposed, div.T)
         out -= work.transposed
     if not np.isfinite(out, out=work.mask).all():
         raise BlowupError("kinetic distribution lost finiteness")
-    return KineticDistribution(out, psi.nq, psi.Q, work)
+    return out
 
 
-def fp_cfl_dt(kappa: GradU2, phys: PhysParams, nq: int, Q: float,
-              cfl: float = 0.8) -> float:
+def fp_cfl_dt(kappa: GradU2, phys: PhysParams, nq: int, Q: float) -> float:
     """Time step keeping the explicit update positivity-preserving.
 
     The diffusion bound carries the worst-case Maxwellian face ratio
@@ -284,7 +250,7 @@ def fp_cfl_dt(kappa: GradU2, phys: PhysParams, nq: int, Q: float,
     diff_rate = 4.0 * diff * math.exp(0.5 * Q * dq) / dq**2
     ax, ay = kappa.max_row_sums()
     drift_rate = 2.0 * (ax + ay) * Q / dq
-    return cfl / (diff_rate + drift_rate)
+    return CFL / (diff_rate + drift_rate)
 
 
 def _moment_rhs(txx: float, txy: float, tyy: float, eta: float,
@@ -347,6 +313,9 @@ def closure_compare(
     """
     if eta_bar <= 0.0:
         raise ValueError("eta_bar must be positive")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be a finite positive number, not {t_end!r}")
+    work = _FpWork(nq, Q, kappa, phys)
     psi = equilibrium_distribution(eta_bar, nq, Q)
     T = SymMat2(phys.k * eta_bar, 0.0, phys.k * eta_bar)
     dt = fp_cfl_dt(kappa, phys, nq, Q)
@@ -358,13 +327,13 @@ def closure_compare(
     worst_boundary = boundary_mass_fraction(psi)
 
     def sample(t: float) -> ClosureSample:
-        kin = kramers_stress(psi, phys.k)
+        kin = kramers_stress(psi, Q, phys.k)
         gap = kin.sub(T).frobenius() / scale
         return ClosureSample(t, kin, T, gap)
 
     out = [sample(0.0)]
     for n in range(1, steps + 1):
-        psi = fp_step(psi, kappa, phys, dt)
+        psi = fp_step(psi, work, dt)
         T = macro_moment_step(T, eta_bar, kappa, phys, dt)
         frac = boundary_mass_fraction(psi)
         worst_boundary = max(worst_boundary, frac)

@@ -254,9 +254,14 @@ def tr_log_field(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -
         finite = np.isfinite(lam2)
         if not finite.all():
             idx = np.unravel_index(np.argmin(finite), lam2.shape)
+            cell = tuple(int(v) for v in idx)
+            if np.isfinite(xx[idx]) and np.isfinite(xy[idx]) and np.isfinite(yy[idx]):
+                # eig_fields' determinant overflows once |T| passes about 1.3e154
+                raise NotSPDError(
+                    f"stress eigenvalue overflowed at cell {cell} (T_xx = {xx[idx]:.3e},"
+                    f" T_xy = {xy[idx]:.3e}, T_yy = {yy[idx]:.3e}){where}")
             raise NotSPDError(
-                f"stress is not finite at cell {tuple(int(v) for v in idx)}"
-                f" (eigenvalue {lam2[idx]:.3e}){where}")
+                f"stress is not finite at cell {cell} (eigenvalue {lam2[idx]:.3e}){where}")
         idx = np.unravel_index(np.argmin(lam2), lam2.shape)
         raise NotSPDError(
             f"stress lost positive definiteness at cell {tuple(int(v) for v in idx)}"

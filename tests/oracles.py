@@ -240,28 +240,30 @@ def axis_flux_np(psi2d, face_vel, ratio, eq_face, diff, dq, axis):
     return drift + fp
 
 
-def fp_step_np(psi, kappa, phys, dt) -> np.ndarray:
-    """The kinetic step built from axis_flux_np with fresh temporaries.
+def fp_step_np(psi, Q, kappa, phys, dt) -> np.ndarray:
+    """The kinetic step of density psi on [-Q, Q]^2 built from axis_flux_np
+    with fresh temporaries.
 
     Every flux and update is the expression closure.fp_step evaluates in
     its reused workspace, so the two must agree bit for bit.
     """
-    if not np.all(np.isfinite(psi.psi)):
+    if not np.all(np.isfinite(psi)):
         raise BlowupError("kinetic distribution lost finiteness")
-    dq = psi.dq
-    q = psi.centers()
+    nq = psi.shape[0]
+    dq = 2.0 * Q / nq
+    q = -Q + (np.arange(nq) + 0.5) * dq
     qf = q[:-1] + 0.5 * dq
     diff = phys.A0 / (4.0 * phys.lam)
     m1 = np.exp(-0.5 * q**2)
     eq_face = np.sqrt(m1[:-1] * m1[1:])
     with np.errstate(over="ignore"):
         vel_x = kappa.xx * qf[:, None] + kappa.xy * q[None, :]
-        flux_x = axis_flux_np(psi.psi, vel_x, psi.psi / m1[:, None], eq_face[:, None],
+        flux_x = axis_flux_np(psi, vel_x, psi / m1[:, None], eq_face[:, None],
                               diff, dq, 0)
         vel_y = kappa.yx * q[:, None] + kappa.yy * qf[None, :]
-        flux_y = axis_flux_np(psi.psi, vel_y, psi.psi / m1[None, :], eq_face[None, :],
+        flux_y = axis_flux_np(psi, vel_y, psi / m1[None, :], eq_face[None, :],
                               diff, dq, 1)
-        out = psi.psi.copy()
+        out = psi.copy()
         out[0, :] -= dt / dq * flux_x[0, :]
         out[1:-1, :] -= dt / dq * np.diff(flux_x, axis=0)
         out[-1, :] += dt / dq * flux_x[-1, :]

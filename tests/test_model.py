@@ -307,6 +307,14 @@ class TestMomentum:
         with pytest.raises(NotSPDError, match=r"not finite at cell \(0, 0\)"):
             tr_log_field(full, np.zeros((4, 4)), full, context="probe")
 
+    def test_overflowing_eigenvalue_of_finite_stress_is_named(self):
+        # 1e300 I is finite, but its eigenvalue overflows inside eig_fields
+        full = np.full((4, 4), 1e300)
+        with pytest.raises(NotSPDError, match=r"^stress eigenvalue overflowed at cell \(0, 0\) "
+                           r"\(T_xx = 1.000e\+300, T_xy = 0.000e\+00, T_yy = 1.000e\+300\) "
+                           r"in probe$"):
+            tr_log_field(full, np.zeros((4, 4)), full, context="probe")
+
     def test_alpha_zero_tolerates_indefinite_stress(self):
         g = unit_grid(8)
         state = random_state(g, 2)
