@@ -35,8 +35,7 @@ from oldroyd2d.grid import (
     require,
 )
 from oldroyd2d.integrate import (
-    BlowupError,
-    DegenerateStateError,
+    RUN_ABORTS,
     StepConfig,
     run,
 )
@@ -49,7 +48,7 @@ from oldroyd2d.model import (
     save_state,
     state_from_components,
 )
-from oldroyd2d.symcalc import NotSPDError, SymMat2
+from oldroyd2d.symcalc import SymMat2
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -296,7 +295,7 @@ def _exit_codes(cmd: Callable[..., int]) -> Callable[..., int]:
         except MemoryError as err:
             print(f"out of memory: {err}", file=sys.stderr)
             return EXIT_CONFIG
-        except (BlowupError, DegenerateStateError, NotSPDError) as err:
+        except RUN_ABORTS as err:
             print(f"run aborted: {err}", file=sys.stderr)
             return EXIT_RUNTIME
 
@@ -484,15 +483,8 @@ def _suite_field(seed: int) -> _SuiteReport:
 
 def _verify_run_config(nx: int, amp: float, alpha: float = 0.1) -> RunConfig:
     """Shared small perturbed run used by the runtime suites."""
-    text = "\n".join([
-        f"nx = {nx}", f"ny = {nx}",
-        "muS = 0.1", "eps = 0.1",
-        f"alpha = {alpha!r}",
-        "initial = perturbed-equilibrium",
-        f"amp = {amp!r}",
-        "t_end = 0.3",
-    ])
-    return parse_config(text)
+    return RunConfig(Grid2D(nx, nx), PhysParams(muS=0.1, eps=0.1), RegParams(alpha=alpha),
+                     StepConfig(t_end=0.3), initial="perturbed-equilibrium", amp=amp)
 
 
 def _suite_conservation(seed: int) -> _SuiteReport:
@@ -676,65 +668,50 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
         base = build_initial(cfg)
 
     make = _alpha_variant if knob == "alpha" else _delta_variant
-    bound_rows = []
-    if knob == "delta":
-        eta0_mass = cell_sum(base.grid, base.eta.data)
-        for v in values:
-            lhs = v * cell_sum(base.grid, _delta_scaled_eta(base.eta.data, v) ** 2)
-            rhs = math.sqrt(v) * eta0_mass
-            bound_rows.append((v, lhs, rhs))
-
-    def one(v: float):
+    # every value runs before any summary is checked, so every failing value is listed
+    runs, aborted = [], []
+    for v in values:
         state, phys, reg = make(base, cfg, v)
         rec = dg.TimeseriesRecorder(phys, reg)
         try:
             result = run(state, phys, reg, cfg.step, diag_hooks=(rec.hook,))
-        except (BlowupError, DegenerateStateError, NotSPDError) as err:
-            return v, None, None, str(err)
-        return v, result, rec.rows(), None
-
-    outcomes = [one(v) for v in values]
-
-    failures = [(v, err) for v, _, _, err in outcomes if err is not None]
-    if failures:
-        for v, err in failures:
-            print(f"{knob}={v!r}: run aborted: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-
-    summaries = [_row_summary(rows) for _, _, rows, _ in outcomes]
-    pairs = list(zip(outcomes, outcomes[1:]))
-    field_l2 = [_field_distance(ra.final, rb.final) for (_, ra, *_), (_, rb, *_) in pairs]
-    broken = [(repr(v), name) for (v, *_), summary in zip(outcomes, summaries)
-              for name in _non_finite(summary)]
-    broken += [(f"{va!r}->{vb!r}", "field_l2")
-               for ((va, *_), (vb, *_)), fdist in zip(pairs, field_l2)
-               if not math.isfinite(fdist)]
-    if broken:
-        for label, name in broken:
-            print(f"{knob}={label}: run aborted: {name} is not finite", file=sys.stderr)
-        return EXIT_RUNTIME
+        except RUN_ABORTS as err:
+            aborted.append(f"{knob}={v!r}: run aborted: {err}")
+        else:
+            runs.append((v, result, rec.rows()))
 
     lines = [f"sweep knob={knob} values={','.join(repr(v) for v in values)} "
              f"t_end={cfg.step.t_end!r} dt={cfg.step.dt!r}"]
-    for (v, result, _, _), summary in zip(outcomes, summaries):
-        lines.append(
-            "run {}={!r}: steps={} residual_max={!r} min_eig_final={!r}".format(
+    if not aborted:
+        field_l2 = []
+        for v, result, rows in runs:
+            summary = _row_summary(rows)
+            aborted += [f"{knob}={v!r}: run aborted: {name} is not finite"
+                        for name in _non_finite(summary)]
+            lines.append("run {}={!r}: steps={} residual_max={!r} min_eig_final={!r}".format(
                 knob, v, result.steps, *summary.values()))
-    for v, lhs, rhs in bound_rows:
-        ok = lhs <= rhs * (1.0 + 1e-12)
-        lines.append(f"bound delta={v!r}: delta*l2_sq(eta0_delta)={lhs!r} "
-                     f"<= sqrt(delta)*mass(eta0)={rhs!r} {'ok' if ok else 'VIOLATED'}")
-    for ((va, _, rowa, _), (vb, _, rowb, _)), fdist in zip(pairs, field_l2):
-        n = min(len(rowa), len(rowb))
-        edist = max(abs(rowa[i]["E_total"] - rowb[i]["E_total"])
-                    for i in range(n))
-        lines.append(f"pair {knob}={va!r}->{vb!r}: field_l2={fdist!r} "
-                     f"energy_dist={edist!r}")
-    if len(field_l2) >= 2:
+        if knob == "delta":
+            eta0_mass = cell_sum(base.grid, base.eta.data)
+            for v in values:
+                lhs = v * cell_sum(base.grid, _delta_scaled_eta(base.eta.data, v) ** 2)
+                rhs = math.sqrt(v) * eta0_mass
+                ok = lhs <= rhs * (1.0 + 1e-12)
+                lines.append(f"bound delta={v!r}: delta*l2_sq(eta0_delta)={lhs!r} "
+                             f"<= sqrt(delta)*mass(eta0)={rhs!r} {'ok' if ok else 'VIOLATED'}")
+        for (va, ra, rowa), (vb, rb, rowb) in zip(runs, runs[1:]):
+            fdist = _field_distance(ra.final, rb.final)
+            if not math.isfinite(fdist):
+                aborted.append(f"{knob}={va!r}->{vb!r}: run aborted: field_l2 is not finite")
+            field_l2.append(fdist)
+            edist = max(abs(x["E_total"] - y["E_total"]) for x, y in zip(rowa, rowb))
+            lines.append(f"pair {knob}={va!r}->{vb!r}: field_l2={fdist!r} "
+                         f"energy_dist={edist!r}")
         dec = all(b < a for a, b in zip(field_l2, field_l2[1:]))
-        lines.append(f"cauchy_decreasing: {'yes' if dec else 'no'}")
-    else:
-        lines.append("cauchy_decreasing: n/a")
+        verdict = "n/a" if len(field_l2) < 2 else "yes" if dec else "no"
+        lines.append(f"cauchy_decreasing: {verdict}")
+    if aborted:
+        print("\n".join(aborted), file=sys.stderr)
+        return EXIT_RUNTIME
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if cfg.csv:

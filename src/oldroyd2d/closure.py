@@ -311,8 +311,8 @@ def closure_compare(
     every steps // SAMPLES steps.  Raises TruncationBreach as soon as the
     outer cell ring holds more than BOUNDARY_MASS_LIMIT of the mass.
     """
-    if eta_bar <= 0.0:
-        raise ValueError("eta_bar must be positive")
+    if not (math.isfinite(eta_bar) and eta_bar > 0.0):
+        raise ValueError(f"eta_bar must be a finite positive number, not {eta_bar!r}")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be a finite positive number, not {t_end!r}")
     work = _FpWork(nq, Q, kappa, phys)

@@ -44,6 +44,10 @@ class DegenerateStateError(RuntimeError):
     or not positive, or dt too small for t."""
 
 
+# the errors that abort a run; run() names the time it failed at on each
+RUN_ABORTS = (BlowupError, DegenerateStateError, NotSPDError)
+
+
 @dataclass(frozen=True)
 class StepConfig:
     dt: Optional[float] = None  # None means auto (stability bound each step)
@@ -276,6 +280,6 @@ def run(
                 record(state)
         if steps % cfg.diag_every != 0:
             record(state)
-    except (BlowupError, DegenerateStateError, NotSPDError) as err:
+    except RUN_ABORTS as err:
         raise type(err)(f"{err} (run failed at t={state.t:.6g})") from err
     return RunResult(final=state, steps=steps, floor_hits=floor_counter[0])

@@ -908,6 +908,18 @@ class TestSweepCommand:
         assert len(diffs) == 2 and diffs[1] < diffs[0]
         assert "cauchy_decreasing: yes" in out
 
+    @pytest.mark.parametrize("knob, values", [("alpha", "0.1,0.05,0.025"),
+                                              ("delta", "0.1,0.01,0.001")])
+    def test_report_and_csv_match_golden(self, tmp_path, knob, values):
+        path = tmp_path / "sweep.txt"
+        text = SWEEP_BASE.replace("t_end = 0.1", "t_end = 0.02").replace(
+            "diag_every = 10", "diag_every = 5") + f"csv = {path}\n"
+        code, out, err = capture(cli.cmd_sweep, self.write(tmp_path, text), knob, values)
+        golden = (GOLDEN / f"sweep-{knob}.txt").read_bytes()
+        assert code == 0 and err == ""
+        assert out.encode("ascii") == golden
+        assert path.read_bytes() == golden
+
     def test_delta_sweep_checks_initial_data_bound(self, tmp_path):
         code, out, _ = capture(
             cli.cmd_sweep, self.write(tmp_path), "delta", "0.1,0.01")
@@ -1018,16 +1030,34 @@ class TestSweepCommand:
         assert code == 0 and err == ""
         assert "run alpha=0.1: steps=0 residual_max=0.0 " in out
 
-    def test_failures_carry_knob_value(self, tmp_path):
+    def write_dented(self, tmp_path, txx, t_end):
+        """A sweep config starting from the 8x8 equilibrium with T_xx[2, 2] = txx."""
         bad = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
-        bad.T.xx[2, 2] = -4.0
+        bad.T.xx[2, 2] = txx
         save_state(bad, tmp_path / "bad")
-        text = (f"initial = file:{tmp_path}/bad\ndt = 0.001\nt_end = 0.05\n")
+        text = f"initial = file:{tmp_path}/bad\ndt = 0.001\nt_end = {t_end}\n"
+        return self.write(tmp_path, text)
+
+    def test_failures_carry_knob_value(self, tmp_path):
         code, _, err = capture(
-            cli.cmd_sweep, self.write(tmp_path, text), "alpha", "0.1,0.05")
+            cli.cmd_sweep, self.write_dented(tmp_path, -4.0, 0.05), "alpha", "0.1,0.05")
         assert code == 2
         assert "alpha=0.1" in err and "alpha=0.05" in err
         assert "positive definiteness" in err
+
+    def test_one_aborted_value_leaves_stdout_empty(self, tmp_path):
+        # alpha = 0.1 lifts the dented cell back to positive; alpha = 0.05 does not
+        code, out, err = capture(
+            cli.cmd_sweep, self.write_dented(tmp_path, -0.05, 0.01), "alpha", "0.1,0.05")
+        assert code == 2 and out == ""
+        assert err == ("alpha=0.05: run aborted: stress lost positive definiteness at cell "
+                       "(2, 2) (min eigenvalue 0.000e+00) in energy report (run failed at t=0)\n")
+
+    def test_unknown_knob_exits_one(self, tmp_path):
+        # argparse's choices stop this knob before cmd_sweep; the command checks it too
+        code, out, err = capture(cli.cmd_sweep, self.write(tmp_path), "gamma", "0.1")
+        assert code == 1 and out == ""
+        assert err == "config error: unknown sweep knob 'gamma'\n"
 
 
 def fresh_python(*args):

@@ -398,3 +398,8 @@ class TestClosureCompare:
     def test_horizon_must_be_finite_and_positive(self, t_end):
         with pytest.raises(ValueError, match="t_end must be a finite positive number"):
             cl.closure_compare(cl.GradU2.shear(0.1), 1.0, PHYS, t_end=t_end, nq=32)
+
+    @pytest.mark.parametrize("eta_bar", [-1.0, 0.0, math.nan, math.inf])
+    def test_eta_bar_must_be_finite_and_positive(self, eta_bar):
+        with pytest.raises(ValueError, match="eta_bar must be a finite positive number"):
+            cl.closure_compare(cl.GradU2.shear(0.1), eta_bar, PHYS, t_end=0.1, nq=16)

@@ -13,6 +13,9 @@ call are reported too.  Dunder methods are called by Python itself and
 count as used whenever their class is.  Code only the tests need
 belongs in tests/.
 
+No line in src/oldroyd2d is longer than MAX_LINE characters, so a line
+count of src/ cannot drop by joining lines.
+
 The field classes are named component bundles: model.state_from_components
 is the only place in src/ that builds one, and none carries a grid, a
 __post_init__ or a method.
@@ -26,6 +29,8 @@ import oldroyd2d
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oldroyd2d"
 BENCH = ROOT / "perfbench"
+
+MAX_LINE = 99
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -155,3 +160,11 @@ def test_field_classes_hold_only_component_arrays():
             assert docstring or isinstance(stmt, ast.AnnAssign), (cls.name, stmt.lineno)
             if isinstance(stmt, ast.AnnAssign):
                 assert stmt.target.id != "grid", cls.name
+
+
+def test_no_line_in_src_is_longer_than_max_line():
+    long = [f"{path.name}:{lineno} has {len(line)} characters"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert long == []
