@@ -1,11 +1,14 @@
 """Time advancement in conservative variables (rho, rho*u, eta, T).
 
-Default scheme is SSP-RK2 (Heun).  The IMEX variant runs the same
-explicit update with the linear diffusion removed, then applies one
-implicit Euler diffusion solve; the mirror-ghost Neumann laplacian is
-exactly diagonalized by the type-II cosine transform, so the solve is
-direct.  No positivity projection is ever applied to the stress: loss
-of positive definiteness is a reportable failure, not a repairable one.
+Default scheme is SSP-RK2 (Heun), second order in time.  The IMEX variant
+runs the same explicit update with the linear diffusion removed, then
+applies one implicit Euler diffusion solve: a Lie splitting, first order
+in time.  The mirror-ghost Neumann laplacian is exactly diagonalized by
+the type-II cosine transform, so the solve is direct; the transform runs
+on numpy.fft, as an even/odd reorder, a real FFT and a quarter-wave
+twiddle along each axis (Makhoul 1980).  No positivity projection is ever
+applied to the stress: loss of positive definiteness is a reportable
+failure, not a repairable one.
 """
 
 from __future__ import annotations
@@ -166,24 +169,80 @@ def _explicit_rhs(state: SimState, phys: PhysParams, reg: RegParams):
 
 
 def _neumann_symbol(grid: g2.Grid2D) -> np.ndarray:
-    """Eigenvalues of the mirror-ghost Neumann laplacian on the DCT-II modes."""
+    """Eigenvalues of the mirror-ghost Neumann laplacian, in the heat solve's spectral layout.
+
+    Row k is x-mode k.  The half spectrum's column l holds y-mode l in its
+    real part and y-mode (ny - l) % ny in its imaginary part; viewed as
+    real numbers, those are columns 2 l and 2 l + 1 here.
+    """
     lam_x = (2.0 * np.cos(np.pi * np.arange(grid.nx) / grid.nx) - 2.0) / (grid.hx * grid.hx)
     lam_y = (2.0 * np.cos(np.pi * np.arange(grid.ny) / grid.ny) - 2.0) / (grid.hy * grid.hy)
-    return lam_x[:, None] + lam_y[None, :]
+    modes = np.arange(grid.ny // 2 + 1)
+    packed = np.stack([lam_y[modes], lam_y[-modes]], axis=1).ravel()
+    return lam_x[:, None] + packed[None, :]
+
+
+def _even_odd_blocks(nx: int, ny: int):
+    """(reordered, natural) index pairs: per axis, even samples ascending, then odd descending."""
+    def axis(n):
+        half = (n + 1) // 2
+        return ((slice(None, half), slice(None, None, 2)),
+                (slice(half, None), slice(n - 1 - n % 2, None, -2)))
+
+    return [((rx, ry), (sx, sy)) for rx, sx in axis(nx) for ry, sy in axis(ny)]
 
 
 def _neumann_heat_solve(arr: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Solve (I - kappa_dt * lap_neumann) x = arr via DCT-II diagonalization.
+    """Solve (I - kappa_dt * lap_neumann) x = arr by a DCT-II computed on numpy.fft.
 
     denom is 1 - kappa_dt * _neumann_symbol(grid), shared by every
     component diffused at the same kappa_dt.
-    """
-    # imported here, not with the module: only scheme = imex loads the FFT
-    import scipy.fft
 
-    spec = scipy.fft.dctn(arr, type=2, norm="ortho")
-    spec /= denom
-    return scipy.fft.idctn(spec, type=2, norm="ortho", overwrite_x=True)
+    Along one axis of n samples, the unnormalized DCT-II at mode k is
+    Re(t_k w_k): w is the FFT of the samples reordered even indices
+    ascending, then odd indices descending, and t_k = exp(-i pi k / 2 n) is
+    the quarter-wave twiddle (J. Makhoul, IEEE Trans. ASSP 28, 27-34, 1980).
+    In 2D, with w the real FFT of the reordered array along y and its FFT
+    along x, g_k = ty (tx_k w_k + conj(tx_k) w_{-k}) / 2 holds mode (k, l)
+    in its real part and mode (k, ny - l), negated, in its imaginary part:
+    the layout of denom.  The inverse of that map is
+    conj(ty) conj(tx_k) (g_k - i g_{nx-k}) with g_nx = 0, then come the
+    inverse FFTs, whose 1/(nx ny) and the 1/2 in g are the whole
+    normalization, and the inverse reorder.
+    """
+    nx, ny = arr.shape
+    hy = ny // 2 + 1
+    tx = np.exp(-0.5j * np.pi / nx * np.arange(nx))[:, None]
+    ty = np.exp(-0.5j * np.pi / ny * np.arange(hy))
+    half = 0.5 * tx
+    blocks = _even_odd_blocks(nx, ny)
+    # the reordered samples in the first ny columns; viewed as complex,
+    # the same bytes later hold the row-flipped term of each map
+    work = np.empty((nx, 2 * hy))
+    v = work[:, :ny]
+    flip = work.view(np.complex128)
+    for r, s in blocks:
+        v[r] = arr[s]
+    w = np.fft.rfft(v, axis=1)
+    np.fft.fft(w, axis=0, out=w)
+    w *= ty
+    np.multiply(w[0], half[0].conj(), out=flip[0])
+    np.multiply(w[:0:-1], half[1:].conj(), out=flip[1:])
+    w *= half
+    w += flip
+    spec = w.view(np.float64)
+    np.divide(spec, denom, out=spec)
+    flip[0] = 0.0
+    np.multiply(w[:0:-1], -1j, out=flip[1:])
+    w += flip
+    w *= tx.conj()
+    w *= ty.conj()
+    np.fft.ifft(w, axis=0, out=w)
+    np.fft.irfft(w, ny, axis=1, out=v)
+    out = np.empty_like(arr)
+    for r, s in blocks:
+        out[s] = v[r]
+    return out
 
 
 # names of the packed conservative components, in _pack order

@@ -14,9 +14,11 @@ eig_fields_np is the nested np.where eigendecomposition the package's
 masked-divide eig_fields / rotation_fields must reproduce bit for bit.
 convolve_direct is the tap-by-tap kernel sum the package's FFT mollifier
 must match to rounding, mollify_scipy the scipy.fft form of that mollifier
-that the package's numpy.fft one must reproduce bit for bit, and
-neumann_heat_solve_np the per-call DCT heat solve its shared-denominator
-version must reproduce bit for bit.
+that the package's numpy.fft one must reproduce bit for bit,
+neumann_heat_solve_fft the plain-expression numpy.fft form of the DCT heat
+solve, with its own per-call denominator, that the package's in-place
+version must reproduce bit for bit, and neumann_heat_solve_np the
+scipy.fft DCT form of the same solve, which it must match to rounding.
 matrix_log_diff_ineq_per_call and convexity_trace_ineq_per_call are the
 inequality checkers with every term decomposing its matrix again (through
 apply_scalar and tr_log); the package's one-decomposition checkers must
@@ -307,14 +309,45 @@ def mollify_scipy(grid, comps, theta: float) -> list:
     return [smooth(arr) for arr in comps]
 
 
-def neumann_heat_solve_np(arr: np.ndarray, kappa_dt: float, hx: float, hy: float) -> np.ndarray:
-    """Solve (I - kappa_dt * lap_neumann) x = arr via DCT-II diagonalization."""
-    nx, ny = arr.shape
+def neumann_symbol_np(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
+    """Eigenvalues of the mirror-ghost Neumann laplacian on the DCT-II modes (k, l)."""
     lam_x = (2.0 * np.cos(np.pi * np.arange(nx) / nx) - 2.0) / (hx * hx)
     lam_y = (2.0 * np.cos(np.pi * np.arange(ny) / ny) - 2.0) / (hy * hy)
-    denom = 1.0 - kappa_dt * (lam_x[:, None] + lam_y[None, :])
+    return lam_x[:, None] + lam_y[None, :]
+
+
+def neumann_heat_solve_np(arr: np.ndarray, kappa_dt: float, hx: float, hy: float) -> np.ndarray:
+    """Solve (I - kappa_dt * lap_neumann) x = arr via scipy.fft's DCT-II."""
+    denom = 1.0 - kappa_dt * neumann_symbol_np(*arr.shape, hx, hy)
     spec = scipy.fft.dctn(arr, type=2, norm="ortho")
     return scipy.fft.idctn(spec / denom, type=2, norm="ortho")
+
+
+def neumann_heat_solve_fft(arr: np.ndarray, kappa_dt: float, hx: float, hy: float) -> np.ndarray:
+    """The same solve through numpy.fft, in fresh arrays: Makhoul's reorder, the 2D real FFT,
+    the quarter-wave twiddles and their inverses, with fancy indexing for each permutation."""
+    nx, ny = arr.shape
+    hy_modes = ny // 2 + 1
+    sym = neumann_symbol_np(nx, ny, hx, hy)
+    modes = np.arange(hy_modes)
+    # half-spectrum column l: real part y-mode l, imaginary part y-mode (ny - l) % ny
+    denom = 1.0 - kappa_dt * np.stack([sym[:, modes], sym[:, (ny - modes) % ny]],
+                                      axis=2).reshape(nx, -1)
+    px = np.concatenate([np.arange(0, nx, 2), np.arange(nx - 1 - nx % 2, 0, -2)])
+    py = np.concatenate([np.arange(0, ny, 2), np.arange(ny - 1 - ny % 2, 0, -2)])
+    rev = (nx - np.arange(nx)) % nx  # row k -> row -k
+    tx = np.exp(-0.5j * np.pi / nx * np.arange(nx))[:, None]
+    ty = np.exp(-0.5j * np.pi / ny * np.arange(hy_modes))
+    half = 0.5 * tx
+    w = np.fft.fft(np.fft.rfft(arr[px][:, py], axis=1), axis=0) * ty
+    g = w * half + w[rev] * half.conj()
+    g = (np.ascontiguousarray(g).view(np.float64) / denom).view(np.complex128)
+    g_rev = np.where(np.arange(nx)[:, None] == 0, 0.0, g[rev])  # g_nx = 0
+    w = (g + g_rev * -1j) * tx.conj() * ty.conj()
+    x = np.fft.irfft(np.fft.ifft(w, axis=0), ny, axis=1)
+    out = np.empty_like(x)
+    out[np.ix_(px, py)] = x
+    return out
 
 
 def apply_scalar(g, p: SymMat2) -> SymMat2:

@@ -1117,8 +1117,8 @@ class TestMain:
 
 
 class TestColdStart:
-    """A fresh interpreter loads scipy only where a DCT runs: scipy.fft, for
-    the implicit diffusion solves of scheme = imex.
+    """No command loads scipy: the mollifier and the implicit diffusion
+    solves of scheme = imex both run on numpy.fft.
 
     The test process has scipy loaded already (tests/oracles.py uses it),
     so every case starts its own interpreter.  The probe runs
@@ -1201,8 +1201,8 @@ class TestColdStart:
         assert code == 0 and "sweep knob=alpha" in out and err == []
         assert loaded == (False, False)
 
-    @pytest.mark.parametrize("extra", ["scheme = imex\n"], ids=["imex"])
-    def test_transforms_load_the_fft(self, tmp_path, extra):
-        code, out, err, loaded = self._cli("run", self._config(tmp_path, self.RUN + extra))
+    def test_imex_run_never_loads_scipy(self, tmp_path):
+        text = self.RUN + "scheme = imex\nsigma2 = 0.01\n"
+        code, out, err, loaded = self._cli("run", self._config(tmp_path, text))
         assert code == 0 and "completed:" in out and err == []
-        assert loaded == (True, True)
+        assert loaded == (False, False)

@@ -8,8 +8,9 @@ change that moves one must say so and regenerate the file:
 
     PYTHONPATH=src python tests/test_golden_states.py > tests/golden/state-digests.txt
 
-The digests pin the bits of one numpy/scipy build on one CPU family: the
-log, power and DCT kernels are free to round differently elsewhere.
+The digests pin the bits of one numpy build on one CPU family: its log,
+power and FFT kernels are free to round differently elsewhere.  No run
+here calls scipy.
 """
 
 import hashlib

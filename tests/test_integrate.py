@@ -260,6 +260,17 @@ class TestConservation:
         assert abs(eta1 - eta0) <= 1e-11 * abs(eta0)
         assert result.steps > 0
 
+    def test_imex_density_diffusion_on_odd_grid(self):
+        # sigma2 > 0: rho takes the implicit solve too, on odd sizes in both axes
+        g = Grid2D(9, 13, 1.0, 1.3)
+        phys = PhysParams(eps=0.1, muS=0.05)
+        reg = RegParams(alpha=0.1, sigma2=0.02)
+        state = perturbed_state(g)
+        result = run(state, phys, reg, StepConfig(t_end=0.1, scheme="imex"))
+        mass_drift, eta_drift = dg.conservation(result.final, state)
+        assert mass_drift <= 1e-11 and eta_drift <= 1e-11
+        assert result.steps > 0
+
 
 class TestRun:
     def test_zero_t_end_returns_initial(self):
@@ -414,30 +425,53 @@ class TestBlowup:
         assert str(err.value).endswith(f" at t=0.5 in {name} at cell (4, 2)")
 
 
+# the implicit solve's grids: square, then odd and non-square sizes with
+# anisotropic spacing, where the transform's DC row, Nyquist column and
+# unpaired middle rows differ from the even square case
+SOLVE_GRIDS = [
+    (16, 16, 1.0, 1.0, 0.37),
+    (12, 40, 2.0, 0.5, 1e-3),
+    (256, 256, 1.0, 1.0, 2.5e-6),
+    (5, 7, 1.0, 1.0, 0.2),
+    (9, 12, 1.3, 0.7, 0.05),
+]
+
+
 class TestImex:
-    def test_heat_solve_algebraic_identity(self):
+    @pytest.mark.parametrize("nx, ny, lx, ly, kappa_dt", [
+        (16, 16, 1.0, 1.0, 0.37),
+        (5, 7, 1.0, 1.0, 0.2),
+        (9, 12, 1.3, 0.7, 0.05),
+        (9, 13, 0.6, 1.7, 0.01),
+    ])
+    def test_heat_solve_algebraic_identity(self, nx, ny, lx, ly, kappa_dt):
         # x - kappa*lap(x) must reproduce the right-hand side exactly
-        g = unit_grid(16)
+        g = Grid2D(nx, ny, lx, ly)
         rng = np.random.default_rng(3)
-        b = rng.standard_normal((16, 16))
-        kappa_dt = 0.37
+        b = rng.standard_normal((nx, ny))
         x = _neumann_heat_solve(b, 1.0 - kappa_dt * _neumann_symbol(g))
         recon = x - kappa_dt * g2.lap(x, "scalar-Neumann", g.hx, g.hy)
         assert np.abs(recon - b).max() <= 1e-11 * (1.0 + np.abs(b).max())
 
-    @pytest.mark.parametrize("nx, ny, lx, ly, kappa_dt", [
-        (16, 16, 1.0, 1.0, 0.37),
-        (12, 40, 2.0, 0.5, 1e-3),
-        (256, 256, 1.0, 1.0, 2.5e-6),
-    ])
+    @pytest.mark.parametrize("nx, ny, lx, ly, kappa_dt", SOLVE_GRIDS)
     def test_shared_denominator_matches_per_call_solve_bitwise(self, nx, ny, lx, ly,
                                                                 kappa_dt):
         g = Grid2D(nx, ny, lx, ly)
         b = np.random.default_rng(nx + ny).standard_normal((nx, ny))
         keep = b.copy()
         x = _neumann_heat_solve(b, 1.0 - kappa_dt * _neumann_symbol(g))
-        assert np.array_equal(x, oracles.neumann_heat_solve_np(keep, kappa_dt, g.hx, g.hy))
+        assert np.array_equal(x, oracles.neumann_heat_solve_fft(keep, kappa_dt, g.hx, g.hy))
         assert np.array_equal(b, keep)
+
+    @pytest.mark.parametrize("nx, ny, lx, ly, kappa_dt", SOLVE_GRIDS)
+    def test_matches_scipy_dct_solve_to_rounding(self, nx, ny, lx, ly, kappa_dt):
+        # the numpy.fft route and scipy.fft's DCT round differently; both are
+        # within a few ulp of max|b| (at most 2.2 measured over these grids)
+        g = Grid2D(nx, ny, lx, ly)
+        b = np.random.default_rng(nx + ny).standard_normal((nx, ny))
+        x = _neumann_heat_solve(b, 1.0 - kappa_dt * _neumann_symbol(g))
+        ref = oracles.neumann_heat_solve_np(b, kappa_dt, g.hx, g.hy)
+        assert np.abs(x - ref).max() <= 8 * np.finfo(float).eps * np.abs(b).max()
 
     def test_large_dt_stays_bounded(self):
         g = unit_grid(16)

@@ -16,6 +16,9 @@ belongs in tests/.
 No line in src/oldroyd2d is longer than MAX_LINE characters, so a line
 count of src/ cannot drop by joining lines.
 
+No module in src/oldroyd2d imports scipy: numpy is the only runtime
+dependency, and scipy serves the tests' reference routes alone.
+
 The field classes are named component bundles: model.state_from_components
 is the only place in src/ that builds one, and none carries a grid, a
 __post_init__ or a method.
@@ -168,3 +171,24 @@ def test_no_line_in_src_is_longer_than_max_line():
             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > MAX_LINE]
     assert long == []
+
+
+def scipy_imports() -> list[str]:
+    """Each import statement in src/ that names scipy or one of its submodules."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    return found
+
+
+def test_no_module_in_src_imports_scipy():
+    assert scipy_imports() == []
