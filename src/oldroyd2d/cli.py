@@ -203,22 +203,25 @@ def parse_config(text: str) -> RunConfig:
 # Initial data.
 
 
-def _perturb_preset(state: SimState, cfg: RunConfig) -> None:
-    """Turn the equilibrium state into a mollified preset's raw initial data."""
+def _perturb_preset(cfg: RunConfig) -> list:
+    """A mollified preset's raw initial data: the equilibrium components, perturbed."""
+    rho, ux, uy, eta, txx, txy, tyy = equilibrium_state(
+        cfg.grid, cfg.phys, cfg.reg, rho_bar=cfg.rho_bar, eta_bar=cfg.eta_bar).components()
     x, y = cfg.grid.cell_centers()
     px, py = np.pi * x / cfg.grid.lx, np.pi * y / cfg.grid.ly
-    amp, T = cfg.amp, state.T
-    # Each perturbed component replaces its equilibrium array: writing into
-    # the zero-filled arrays instead costs about 300 more page faults per
-    # 256^2 setup.  sin^2 factors keep the velocity compatible with no-slip walls.
-    state.u.x = amp * np.sin(px) ** 2 * np.sin(2.0 * py)
+    amp = cfg.amp
+    # Each perturbed component replaces its equilibrium array and frees it: writing
+    # into the zero-filled arrays instead costs about 300 more page faults per 256^2
+    # setup.  sin^2 factors keep the velocity compatible with no-slip walls.
+    ux = amp * np.sin(px) ** 2 * np.sin(2.0 * py)
     if cfg.initial == "perturbed-equilibrium":
-        state.rho.data = state.rho.data * (1.0 + amp * np.cos(px) * np.cos(py))
-        state.eta.data = state.eta.data * (1.0 + 0.5 * amp * np.cos(px))
-        state.u.y = -amp * np.sin(2.0 * px) * np.sin(py) ** 2
-        T.xy = 0.1 * amp * T.xx * np.cos(px) * np.cos(py)
-        T.xx = T.xx * (1.0 + 0.3 * amp * np.cos(py))
-        T.yy = T.yy * (1.0 + 0.2 * amp * np.cos(px))
+        rho = rho * (1.0 + amp * np.cos(px) * np.cos(py))
+        eta = eta * (1.0 + 0.5 * amp * np.cos(px))
+        uy = -amp * np.sin(2.0 * px) * np.sin(py) ** 2
+        txy = 0.1 * amp * txx * np.cos(px) * np.cos(py)
+        txx = txx * (1.0 + 0.3 * amp * np.cos(py))
+        tyy = tyy * (1.0 + 0.2 * amp * np.cos(px))
+    return [rho, ux, uy, eta, txx, txy, tyy]
 
 
 def build_initial(cfg: RunConfig) -> SimState:
@@ -239,13 +242,11 @@ def build_initial(cfg: RunConfig) -> SimState:
             raise ConfigError(f"cannot read snapshot {path}: {err}") from err
         except ValueError as err:
             raise ConfigError(f"malformed snapshot {path}: {err}") from err
-    raw = equilibrium_state(cfg.grid, cfg.phys, cfg.reg,
-                            rho_bar=cfg.rho_bar, eta_bar=cfg.eta_bar)
     if cfg.initial == "equilibrium":
-        return raw
-    _perturb_preset(raw, cfg)
+        return equilibrium_state(cfg.grid, cfg.phys, cfg.reg,
+                                 rho_bar=cfg.rho_bar, eta_bar=cfg.eta_bar)
     th = cfg.reg.theta
-    comps = mollify_initial(cfg.grid, raw.components(), th)
+    comps = mollify_initial(cfg.grid, _perturb_preset(cfg), th)
     for i in SimState.LIFTED:
         comps[i] += th
     return state_from_components(0.0, cfg.grid, *comps)
@@ -525,19 +526,18 @@ def _suite_convergence(seed: int) -> _SuiteReport:
     phys = PhysParams(muS=0.1, eps=0.1)
     reg = RegParams(alpha=0.1)
     grid = Grid2D(8, 8)
-    base = equilibrium_state(grid, phys, reg)
+    rho, ux, uy, eta, txx, txy, tyy = equilibrium_state(grid, phys, reg).components()
     errs = []
-    t_eq = float(base.T.xx[0, 0])
+    t_eq = float(txx[0, 0])
     rate = phys.A0 / (2.0 * phys.lam)
     t_end = 0.5
     exact = t_eq + (3.0 - t_eq) * math.exp(-rate * t_end)
+    stressed = state_from_components(0.0, grid, rho, ux, uy, eta,
+                                     np.full_like(txx, 3.0), txy, np.full_like(tyy, 3.0))
     for dt in (2e-2, 1e-2):
-        state = base.copy()
-        state.T.xx[...] = 3.0
-        state.T.yy[...] = 3.0
         cfg = StepConfig(dt=dt, t_end=t_end, diag_every=10 ** 9)
-        out = run(state, phys, reg, cfg, diag_hooks=())
-        errs.append(abs(float(out.final.T.xx[0, 0]) - exact))
+        out = run(stressed, phys, reg, cfg, diag_hooks=())
+        errs.append(abs(float(out.final.components()[4][0, 0]) - exact))
     order_ratio = errs[0] / errs[1] if errs[1] > 0.0 else math.inf
     rep.check("dt-order", order_ratio >= 3.0, lambda: f"errors={errs!r} ratio={order_ratio!r}")
 
@@ -609,10 +609,11 @@ def parse_values(text: str) -> list[float]:
     return vals
 
 
+# The variants share the base arrays they leave unchanged: run copies its initial state.
 def _alpha_variant(base: SimState, cfg: RunConfig, alpha: float):
-    state = base.copy()
-    state.T.xx[...] += alpha
-    state.T.yy[...] += alpha
+    rho, ux, uy, eta, txx, txy, tyy = base.components()
+    state = state_from_components(base.t, base.grid, rho, ux, uy, eta,
+                                  txx + alpha, txy, tyy + alpha)
     return state, cfg.phys, replace(cfg.reg, alpha=alpha)
 
 
@@ -622,17 +623,18 @@ def _delta_scaled_eta(eta: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _delta_variant(base: SimState, cfg: RunConfig, delta: float):
-    state = base.copy()
-    state.eta.data[...] = _delta_scaled_eta(base.eta.data, delta)
+    rho, ux, uy, eta, *T = base.components()
+    eta = _delta_scaled_eta(eta, delta)
+    state = state_from_components(base.t, base.grid, rho, ux, uy, eta, *T)
     return state, replace(cfg.phys, delta=delta), cfg.reg
 
 
 def _field_distance(a: SimState, b: SimState) -> float:
-    grid = a.grid
-    total = cell_sum(grid, (a.rho.data - b.rho.data) ** 2)
-    total += cell_sum(grid, (a.u.x - b.u.x) ** 2 + (a.u.y - b.u.y) ** 2)
-    total += cell_sum(grid, (a.eta.data - b.eta.data) ** 2)
-    total += dg.stress_norms(grid, a.T.xx - b.T.xx, a.T.xy - b.T.xy, a.T.yy - b.T.yy)[1]
+    rho, ux, uy, eta, *T = (p - q for p, q in zip(a.components(), b.components()))
+    total = cell_sum(a.grid, rho ** 2)
+    total += cell_sum(a.grid, ux ** 2 + uy ** 2)
+    total += cell_sum(a.grid, eta ** 2)
+    total += dg.stress_norms(a.grid, *T)[1]
     return math.sqrt(total)
 
 
@@ -691,9 +693,10 @@ def cmd_sweep(config_path, knob: str, values_text: str) -> int:
             lines.append("run {}={!r}: steps={} residual_max={!r} min_eig_final={!r}".format(
                 knob, v, result.steps, *summary.values()))
         if knob == "delta":
-            eta0_mass = cell_sum(base.grid, base.eta.data)
+            _, _, _, eta0, *_ = base.components()
+            eta0_mass = cell_sum(base.grid, eta0)
             for v in values:
-                lhs = v * cell_sum(base.grid, _delta_scaled_eta(base.eta.data, v) ** 2)
+                lhs = v * cell_sum(base.grid, _delta_scaled_eta(eta0, v) ** 2)
                 rhs = math.sqrt(v) * eta0_mass
                 ok = lhs <= rhs * (1.0 + 1e-12)
                 lines.append(f"bound delta={v!r}: delta*l2_sq(eta0_delta)={lhs!r} "

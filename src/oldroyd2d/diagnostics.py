@@ -100,54 +100,54 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
     rate.  Raises NotSPDError if alpha > 0 and T is not positive definite.
     """
     grid = state.grid
-    rho, u, eta, T = state.rho, state.u, state.eta, state.T
+    rho, ux, uy, eta, txx, txy, tyy = state.components()
     alpha = reg.alpha
 
-    kinetic = 0.5 * cell_sum(grid, rho.data * (u.x**2 + u.y**2))
+    kinetic = 0.5 * cell_sum(grid, rho * (ux**2 + uy**2))
     pressure_pot = (phys.a / (phys.gamma - 1.0)) * cell_sum(
-        grid, np.maximum(rho.data, 0.0) ** phys.gamma
+        grid, np.maximum(rho, 0.0) ** phys.gamma
     )
     artificial_pot = 0.0
     if reg.sigma1 != 0.0:
         artificial_pot = (reg.sigma1 / (reg.Gamma - 1.0)) * cell_sum(
-            grid, np.maximum(rho.data, 0.0) ** reg.Gamma
+            grid, np.maximum(rho, 0.0) ** reg.Gamma
         )
-    polymer_entropy = phys.k * phys.L * cell_sum(grid, _xlogx(eta.data) + 1.0)
-    polymer_quad = phys.delta * cell_sum(grid, eta.data**2)
+    polymer_entropy = phys.k * phys.L * cell_sum(grid, _xlogx(eta) + 1.0)
+    polymer_quad = phys.delta * cell_sum(grid, eta**2)
 
-    tr_t = T.xx + T.yy
+    tr_t = txx + tyy
     if alpha != 0.0:
-        trlog = tr_log_field(T.xx, T.xy, T.yy, context="energy report")
+        trlog = tr_log_field(txx, txy, tyy, context="energy report")
         stress_trace = 0.5 * cell_sum(grid, tr_t - alpha * trlog) + grid.area * (
             alpha * math.log(alpha) - alpha
         )
     else:
         stress_trace = 0.5 * cell_sum(grid, tr_t)
 
-    dex = g2.grad_x(eta.data, eta.bc, grid.hx)
-    dey = g2.grad_y(eta.data, eta.bc, grid.hy)
+    dex = g2.grad_x(eta, NEUMANN, grid.hx)
+    dey = g2.grad_y(eta, NEUMANN, grid.hy)
     grad_eta2 = dex**2 + dey**2
     eta_diss_density = 2.0 * phys.delta * grad_eta2
     if phys.L != 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             entropic = np.where(
-                grad_eta2 == 0.0, 0.0, phys.k * phys.L * grad_eta2 / eta.data
+                grad_eta2 == 0.0, 0.0, phys.k * phys.L * grad_eta2 / eta
             )
         eta_diss_density = entropic + eta_diss_density
     eta_diss = phys.eps * cell_sum(grid, eta_diss_density)
 
-    div_u, dev2 = _div_and_dev2(*velocity_jacobian(grid, u.x, u.y))
+    div_u, dev2 = _div_and_dev2(*velocity_jacobian(grid, ux, uy))
     newtonian_diss = cell_sum(grid, phys.muS * dev2 + phys.muB * div_u**2)
 
     rate = phys.A0 / (4.0 * phys.lam)
     stress_relax = rate * cell_sum(grid, tr_t)
     if alpha != 0.0:
-        det = T.xx * T.yy - T.xy**2
+        det = txx * tyy - txy**2
         inverse_term = alpha * phys.k * rate * cell_sum(
-            grid, (eta.data + alpha) * tr_t / det
+            grid, (eta + alpha) * tr_t / det
         )
-        gx = g2.grad_x(trlog, T.bc, grid.hx)
-        gy = g2.grad_y(trlog, T.bc, grid.hy)
+        gx = g2.grad_x(trlog, NEUMANN, grid.hx)
+        gy = g2.grad_y(trlog, NEUMANN, grid.hy)
         log_grad = (alpha * phys.eps / (2.0 * DIM)) * cell_sum(grid, gx**2 + gy**2)
         const_source = alpha * DIM * phys.A0 / (4.0 * phys.lam) * grid.area
     else:
@@ -156,7 +156,7 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
         const_source = 0.0
 
     eta_source = (phys.k * phys.A0 * DIM / (4.0 * phys.lam)) * cell_sum(
-        grid, eta.data + alpha
+        grid, eta + alpha
     )
 
     return EnergyReport(
@@ -232,11 +232,11 @@ def conservation(state: SimState, initial: SimState) -> tuple[float, float]:
         den = abs(ref) if ref != 0.0 else 1.0
         return abs(now - ref) / den
 
+    rho, _, _, eta, *_ = state.components()
+    rho0, _, _, eta0, *_ = initial.components()
     return (
-        rel_drift(cell_sum(state.grid, state.rho.data),
-                  cell_sum(initial.grid, initial.rho.data)),
-        rel_drift(cell_sum(state.grid, state.eta.data),
-                  cell_sum(initial.grid, initial.eta.data)),
+        rel_drift(cell_sum(state.grid, rho), cell_sum(initial.grid, rho0)),
+        rel_drift(cell_sum(state.grid, eta), cell_sum(initial.grid, eta0)),
     )
 
 
@@ -365,16 +365,14 @@ class TimeseriesRecorder:
 
     def hook(self, state: SimState) -> None:
         rep = energy(state, self.phys, self.reg)
-        row = {"t": state.t,
-               "mass": cell_sum(state.grid, state.rho.data),
-               "eta_mass": cell_sum(state.grid, state.eta.data),
-               "E_total": rep.total}
+        rho, _, _, eta, *T = state.components()
+        row = {"t": state.t, "mass": cell_sum(state.grid, rho),
+               "eta_mass": cell_sum(state.grid, eta), "E_total": rep.total}
         for name in _ENERGY_FIELDS:
             row[name] = getattr(rep, name)
         row["residual"] = 0.0
-        T = state.T
-        row["min_eig"] = spd_monitor(T.xx, T.xy, T.yy).min_eig
-        row["sup_T"], row["l2_T"] = stress_norms(state.grid, T.xx, T.xy, T.yy)
+        row["min_eig"] = spd_monitor(*T).min_eig
+        row["sup_T"], row["l2_T"] = stress_norms(state.grid, *T)
         self.reports.append(rep)
         self._rows.append(row)
 

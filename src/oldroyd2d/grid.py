@@ -5,10 +5,10 @@ with samples at cell centers.  Boundary handling goes through one layer
 of ghost cells, and each field kind has one fixed ghost rule: odd
 reflection realizes the no-slip (homogeneous Dirichlet) condition for
 velocity, mirror ghosts realize homogeneous Neumann conditions for
-scalars and tensors.  The field classes only name component arrays and
-carry that rule; the grid belongs to the state (model.SimState).  All
-operators take plain (nx, ny) arrays with the spacings or the grid and
-return new arrays; nothing here mutates its inputs.
+scalars and tensors; each stencil call names its rule.  The field classes
+only name component arrays, which model.SimState.components() alone reads;
+the grid belongs to the state.  All operators take plain (nx, ny) arrays with
+the spacings or the grid and return new arrays; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -96,14 +95,12 @@ class Grid2D:
 @dataclass
 class ScalarField2D:
     data: np.ndarray
-    bc: ClassVar[str] = NEUMANN
 
 
 @dataclass
 class VectorField2D:
     x: np.ndarray
     y: np.ndarray
-    bc: ClassVar[str] = DIRICHLET
 
 
 @dataclass
@@ -113,7 +110,6 @@ class SymTensorField2D:
     xx: np.ndarray
     xy: np.ndarray
     yy: np.ndarray
-    bc: ClassVar[str] = NEUMANN
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +285,8 @@ def mollify_initial(grid: Grid2D, comps, theta: float) -> list:
     1/(P Q) scale of the inverse are those of scipy.fft's rfft2/irfft2,
     so the output is bit for bit that of tests/oracles.mollify_scipy.
     """
-    if theta <= 0.0:
-        raise ValueError("mollifier radius must be positive")
+    if not 0.0 < theta < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"mollifier radius theta = {theta!r} must be finite and positive")
     nx, ny = grid.nx, grid.ny
     kernel = _bump_kernel(grid, theta)
     rx, ry = kernel.shape[0] // 2, kernel.shape[1] // 2

@@ -83,7 +83,8 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
     The relaxation bound keeps (A0 / 2 lam) * dt <= cfl <= 1, so every
     explicit Maxwell relaxation stage is monotone.
     """
-    rho_min = float(state.rho.data.min())
+    rho, ux, uy, *_ = state.components()
+    rho_min = float(rho.min())
     if rho_min <= RHO_FLOOR:
         raise DegenerateStateError(
             f"density minimum {rho_min:.3e} at or below floor {RHO_FLOOR:.1e}"
@@ -98,12 +99,12 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
         diffusive = max(phys.eps, reg.sigma2, nu_eff)
     dt_diff = cfg.cfl * h * h / (4.0 * diffusive) if diffusive > 0.0 else math.inf
 
-    rho = np.maximum(state.rho.data, 0.0)
+    rho = np.maximum(rho, 0.0)
     dp = phys.a * phys.gamma * rho ** (phys.gamma - 1.0)
     if reg.sigma1 != 0.0:
         dp = dp + reg.sigma1 * reg.Gamma * rho ** (reg.Gamma - 1.0)
     c_max = math.sqrt(float(dp.max()))
-    u_max = float(np.sqrt(state.u.x**2 + state.u.y**2).max())
+    u_max = float(np.sqrt(ux**2 + uy**2).max())
     speed = u_max + c_max
     dt_adv = cfg.cfl * h / speed if speed > 0.0 else math.inf
 

@@ -14,8 +14,8 @@ extra stress T (symmetric, diffusive).  The regularization knobs are
 With every knob at zero the assembled right-hand sides coincide with
 the base model bit for bit: knob terms are skipped, not multiplied by 0.
 
-SimState holds t, the grid and the four fields, which only
-state_from_components builds.  Every function below the state takes and
+SimState holds t, the grid and four fields that only state_from_components builds
+and only SimState.components() reads.  Every function below the state takes and
 returns plain arrays; rhs_momentum returns (x, y), rhs_stress [xx, xy, yy].
 """
 
@@ -230,18 +230,20 @@ def newtonian_stress(grid: Grid2D, ux: np.ndarray, uy: np.ndarray, phys: PhysPar
 def rhs_continuity(state: SimState, phys: PhysParams, reg: RegParams) -> np.ndarray:
     """-div(rho u) with conservative upwind flux, plus sigma2 diffusion."""
     g = state.grid
-    out = g2.upwind_div(state.u.x, state.u.y, state.rho.data, state.rho.bc, g.hx, g.hy)
+    rho, ux, uy, *_ = state.components()
+    out = g2.upwind_div(ux, uy, rho, g2.NEUMANN, g.hx, g.hy)
     np.negative(out, out=out)
     if reg.sigma2 != 0.0:
-        out += _scaled(reg.sigma2, g2.lap(state.rho.data, state.rho.bc, g.hx, g.hy))
+        out += _scaled(reg.sigma2, g2.lap(rho, g2.NEUMANN, g.hx, g.hy))
     return out
 
 
 def rhs_eta(state: SimState, phys: PhysParams) -> np.ndarray:
     g = state.grid
-    out = g2.upwind_div(state.u.x, state.u.y, state.eta.data, state.eta.bc, g.hx, g.hy)
+    _, ux, uy, eta, *_ = state.components()
+    out = g2.upwind_div(ux, uy, eta, g2.NEUMANN, g.hx, g.hy)
     np.negative(out, out=out)
-    out += _scaled(phys.eps, g2.lap(state.eta.data, state.eta.bc, g.hx, g.hy))
+    out += _scaled(phys.eps, g2.lap(eta, g2.NEUMANN, g.hx, g.hy))
     return out
 
 
@@ -275,46 +277,46 @@ def tr_log_field(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -
 def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams):
     """Right-hand side (x, y) for the conservative momentum density rho u."""
     g = state.grid
-    rho, u, eta, T = state.rho, state.u, state.eta, state.T
+    rho, ux, uy, eta, txx, txy, tyy = state.components()
 
     # transport of momentum components by the same upwind flux as mass;
     # each temporary below is released right after its last use, so the
     # assembly holds few arrays at once
-    out_x = g2.upwind_div(u.x, u.y, rho.data * u.x, u.bc, g.hx, g.hy)
-    out_y = g2.upwind_div(u.x, u.y, rho.data * u.y, u.bc, g.hx, g.hy)
+    out_x = g2.upwind_div(ux, uy, rho * ux, g2.DIRICHLET, g.hx, g.hy)
+    out_y = g2.upwind_div(ux, uy, rho * uy, g2.DIRICHLET, g.hx, g.hy)
     np.negative(out_x, out=out_x)
     np.negative(out_y, out=out_y)
 
-    p = pressure(rho.data, phys, reg)
-    out_x -= g2.grad_x(p, rho.bc, g.hx)
-    out_y -= g2.grad_y(p, rho.bc, g.hy)
+    p = pressure(rho, phys, reg)
+    out_x -= g2.grad_x(p, g2.NEUMANN, g.hx)
+    out_y -= g2.grad_y(p, g2.NEUMANN, g.hy)
     del p
 
-    solvent = polymer_pressure(eta.data, phys)
-    out_x -= g2.grad_x(solvent, eta.bc, g.hx)
-    out_y -= g2.grad_y(solvent, eta.bc, g.hy)
+    solvent = polymer_pressure(eta, phys)
+    out_x -= g2.grad_x(solvent, g2.NEUMANN, g.hx)
+    out_y -= g2.grad_y(solvent, g2.NEUMANN, g.hy)
     del solvent
 
-    div_x, div_y = g2.tensor_divergence(*newtonian_stress(g, u.x, u.y, phys), g.hx, g.hy)
+    div_x, div_y = g2.tensor_divergence(*newtonian_stress(g, ux, uy, phys), g.hx, g.hy)
     out_x += div_x
     out_y += div_y
     del div_x, div_y
 
-    div_x, div_y = g2.tensor_divergence(T.xx, T.xy, T.yy, g.hx, g.hy)
+    div_x, div_y = g2.tensor_divergence(txx, txy, tyy, g.hx, g.hy)
     out_x += div_x
     out_y += div_y
     del div_x, div_y
 
     if reg.alpha != 0.0:
-        trlog = tr_log_field(T.xx, T.xy, T.yy, context="momentum assembly")
-        out_x -= _scaled(0.5 * reg.alpha, g2.grad_x(trlog, T.bc, g.hx))
-        out_y -= _scaled(0.5 * reg.alpha, g2.grad_y(trlog, T.bc, g.hy))
+        trlog = tr_log_field(txx, txy, tyy, context="momentum assembly")
+        out_x -= _scaled(0.5 * reg.alpha, g2.grad_x(trlog, g2.NEUMANN, g.hx))
+        out_y -= _scaled(0.5 * reg.alpha, g2.grad_y(trlog, g2.NEUMANN, g.hy))
         del trlog
 
     if reg.sigma2 != 0.0:
-        jxx, jxy, jyx, jyy = velocity_jacobian(g, u.x, u.y)
-        drho_x = g2.grad_x(rho.data, rho.bc, g.hx)
-        drho_y = g2.grad_y(rho.data, rho.bc, g.hy)
+        jxx, jxy, jyx, jyy = velocity_jacobian(g, ux, uy)
+        drho_x = g2.grad_x(rho, g2.NEUMANN, g.hx)
+        drho_y = g2.grad_y(rho, g2.NEUMANN, g.hy)
         jxx *= drho_x
         jxx += np.multiply(jxy, drho_y, out=jxy)
         out_x -= _scaled(reg.sigma2, jxx)
@@ -332,23 +334,23 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> list:
     and relaxation; the diffusion keeps acting on T itself.
     """
     g = state.grid
-    u, eta, T = state.u, state.eta, state.T
+    _, ux, uy, eta, *T = state.components()
 
     if reg.sigma3 != 0.0:
-        txx, txy, tyy = symcalc.cutoff_fields(T.xx, T.xy, T.yy, reg.sigma3)[1]
+        txx, txy, tyy = symcalc.cutoff_fields(*T, reg.sigma3)[1]
     else:
-        txx, txy, tyy = T.xx, T.xy, T.yy
+        txx, txy, tyy = T
 
     out = [
-        g2.upwind_div(u.x, u.y, comp, T.bc, g.hx, g.hy)
+        g2.upwind_div(ux, uy, comp, g2.NEUMANN, g.hx, g.hy)
         for comp in (txx, txy, tyy)
     ]
     for comp in out:
         np.negative(comp, out=comp)
-    add_stretching(out, *velocity_jacobian(g, u.x, u.y), txx, txy, tyy)
-    for i, comp in enumerate((T.xx, T.xy, T.yy)):
-        out[i] += _scaled(phys.eps, g2.lap(comp, T.bc, g.hx, g.hy))
-    add_relaxation(out, txx, txy, tyy, eta.data + reg.alpha, phys)
+    add_stretching(out, *velocity_jacobian(g, ux, uy), txx, txy, tyy)
+    for i, comp in enumerate(T):
+        out[i] += _scaled(phys.eps, g2.lap(comp, g2.NEUMANN, g.hx, g.hy))
+    add_relaxation(out, txx, txy, tyy, eta + reg.alpha, phys)
 
     return out
 
@@ -400,8 +402,8 @@ def equilibrium_state(
     eta_bar: float = 1.0,
 ) -> SimState:
     """Spatially uniform rest state; every right-hand side vanishes on it."""
-    if rho_bar <= 0.0 or eta_bar <= 0.0:
-        raise ValueError("equilibrium density and polymer density must be positive")
+    for name, val in (("rho_bar", rho_bar), ("eta_bar", eta_bar)):
+        require(0.0 < val < np.inf, f"{name} = {val} must be finite and positive", name)
     shape = (grid.nx, grid.ny)
     t_eq = phys.k * (eta_bar + reg.alpha)
     return state_from_components(

@@ -486,8 +486,8 @@ def functional_ineq_checks(state: SimState, sigma3: float = 0.0) -> FieldIneqRep
     eta = state.eta
     l4 = cell_sum(grid, eta.data**4) ** 0.25
     l2 = math.sqrt(cell_sum(grid, eta.data**2))
-    dex = g2.grad_x(eta.data, eta.bc, grid.hx)
-    dey = g2.grad_y(eta.data, eta.bc, grid.hy)
+    dex = g2.grad_x(eta.data, NEUMANN, grid.hx)
+    dey = g2.grad_y(eta.data, NEUMANN, grid.hy)
     w12 = math.sqrt(cell_sum(grid, eta.data**2 + dex**2 + dey**2))
     gn = _fitted(l4, math.sqrt(l2 * w12) if l2 * w12 > 0.0 else 0.0)
 

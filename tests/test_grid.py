@@ -14,9 +14,6 @@ from oldroyd2d.grid import (
     DIRICHLET,
     NEUMANN,
     Grid2D,
-    ScalarField2D,
-    SymTensorField2D,
-    VectorField2D,
     _bump_kernel,
     _fast_len,
     _pad,
@@ -47,20 +44,20 @@ def rng_velocity(grid, rng):
 
 def grad(g, f):
     """Gradient of the scalar array f under the scalar ghost rule."""
-    return grad_x(f, ScalarField2D.bc, g.hx), grad_y(f, ScalarField2D.bc, g.hy)
+    return grad_x(f, NEUMANN, g.hx), grad_y(f, NEUMANN, g.hy)
 
 
 def div(g, vx, vy):
     """Divergence of the velocity (vx, vy) under the velocity ghost rule."""
-    return grad_x(vx, VectorField2D.bc, g.hx) + grad_y(vy, VectorField2D.bc, g.hy)
+    return grad_x(vx, DIRICHLET, g.hx) + grad_y(vy, DIRICHLET, g.hy)
 
 
 def laplace(g, f):
-    return lap(f, ScalarField2D.bc, g.hx, g.hy)
+    return lap(f, NEUMANN, g.hx, g.hy)
 
 
 def advect(g, ux, uy, f):
-    return upwind_div(ux, uy, f, ScalarField2D.bc, g.hx, g.hy)
+    return upwind_div(ux, uy, f, NEUMANN, g.hx, g.hy)
 
 
 class TestGridType:
@@ -101,16 +98,12 @@ class TestGridType:
 class TestWallRule:
     """No-slip walls for velocity, homogeneous Neumann for everything else."""
 
-    def test_rule_per_field_kind(self):
-        assert VectorField2D.bc == DIRICHLET
-        assert ScalarField2D.bc == NEUMANN and SymTensorField2D.bc == NEUMANN
-
     def test_constant_velocity_sees_the_walls(self):
         g = Grid2D(8, 8, 1.0, 2.0)
         c = 0.75
         ux, uy = np.full((8, 8), c), np.full((8, 8), c)
-        gx = grad_x(ux, VectorField2D.bc, g.hx)
-        gy = grad_y(uy, VectorField2D.bc, g.hy)
+        gx = grad_x(ux, DIRICHLET, g.hx)
+        gy = grad_y(uy, DIRICHLET, g.hy)
         assert np.all(gx[0, :] == c / g.hx) and np.all(gx[-1, :] == -c / g.hx)
         assert np.all(gy[:, 0] == c / g.hy) and np.all(gy[:, -1] == -c / g.hy)
         assert np.all(gx[1:-1, :] == 0.0) and np.all(gy[:, 1:-1] == 0.0)
@@ -118,10 +111,8 @@ class TestWallRule:
     def test_constant_scalar_and_tensor_have_zero_gradient(self):
         g = Grid2D(8, 8, 1.0, 2.0)
         one = np.full((8, 8), 0.75)
-        for bc, comps in ((ScalarField2D.bc, (one,)), (SymTensorField2D.bc, (one, one, one))):
-            for comp in comps:
-                assert np.all(grad_x(comp, bc, g.hx) == 0.0)
-                assert np.all(grad_y(comp, bc, g.hy) == 0.0)
+        assert np.all(grad_x(one, NEUMANN, g.hx) == 0.0)
+        assert np.all(grad_y(one, NEUMANN, g.hy) == 0.0)
 
 
 class TestGhostPadding:
@@ -309,7 +300,7 @@ class TestLaplacian:
         g = unit_grid(16)
         x, y = g.cell_centers()
         ux = np.sin(np.pi * x) * np.sin(np.pi * y)
-        got = lap(ux, VectorField2D.bc, g.hx, g.hy)
+        got = lap(ux, DIRICHLET, g.hx, g.hy)
         want = -2.0 * np.pi**2 * ux
         # interior truncation O(h^2); boundary ghost is first order
         assert np.abs(got[2:-2, 2:-2] - want[2:-2, 2:-2]).max() < 0.4
@@ -321,7 +312,7 @@ class TestAdvection:
         rng = np.random.default_rng(5)
         t = [rng.standard_normal((8, 8)) for _ in range(3)]
         zero = np.zeros((8, 8))
-        out = [upwind_div(zero, zero, comp, SymTensorField2D.bc, g.hx, g.hy) for comp in t]
+        out = [upwind_div(zero, zero, comp, NEUMANN, g.hx, g.hy) for comp in t]
         assert np.all(out[0] == 0.0) and np.all(out[1] == 0.0) and np.all(out[2] == 0.0)
 
     def test_constant_tensor_linear_velocity(self):
@@ -330,7 +321,7 @@ class TestAdvection:
         x, _ = g.cell_centers()
         t = [np.full_like(x, 2.0), np.full_like(x, -1.0), np.full_like(x, 0.5)]
         zero = np.zeros_like(x)
-        out = [upwind_div(x, zero, comp, SymTensorField2D.bc, g.hx, g.hy) for comp in t]
+        out = [upwind_div(x, zero, comp, NEUMANN, g.hx, g.hy) for comp in t]
         assert np.allclose(out[0][1:-1, 1:-1], 2.0, atol=1e-13)
         assert np.allclose(out[1][1:-1, 1:-1], -1.0, atol=1e-13)
         assert np.allclose(out[2][1:-1, 1:-1], 0.5, atol=1e-13)
@@ -396,6 +387,12 @@ class TestMollifier:
         g = unit_grid(8)
         with pytest.raises(ValueError):
             mollify_initial(g, [np.zeros((8, 8))], 0.0)
+
+    # without the check, NaN fails in int(ceil(theta / h)) and inf overflows there
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, theta):
+        with pytest.raises(ValueError, match="mollifier radius theta"):
+            mollify_initial(unit_grid(8), [np.zeros((8, 8))], theta)
 
     # theta^2 underflows to 0 at 1e-200 (the zero-mass branch: a 1 x 1
     # identity) and to a subnormal at 1e-160 (only the center tap is inside)

@@ -11,7 +11,7 @@ A NaN's sign and an infinity's fate depend on the order of the operands,
 so the bytes pin the order of every operation.
 
 No aliasing: no solver function writes into an input array, and the
-state a step returns shares no memory with the state it was given.
+state a step or a run returns shares no memory with the state it was given.
 """
 
 import itertools
@@ -21,6 +21,7 @@ import pytest
 
 import oracles
 from oldroyd2d import grid as g2
+from oldroyd2d import diagnostics as dg
 from oldroyd2d import integrate, model
 from oldroyd2d.grid import DIRICHLET, NEUMANN, Grid2D
 from oldroyd2d.model import PhysParams, RegParams, SimState
@@ -229,6 +230,22 @@ class TestNoAliasing:
         for a, b in itertools.product(outs, state.components()):
             assert not np.shares_memory(a, b)
         for a, b in itertools.combinations(outs, 2):
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("scheme", ["rk2", "imex"])
+    @pytest.mark.parametrize("hooked", [False, True], ids=["no-hooks", "hooks"])
+    def test_run_leaves_initial_and_returns_fresh_arrays(self, scheme, hooked):
+        # cli's sweep variants share the base state's arrays and rely on this
+        phys, reg = KNOB_SETS["alpha-sigma2"]
+        state = smooth_state(12, np.random.default_rng(26))
+        before = [a.copy() for a in state.components()]
+        hooks = (dg.TimeseriesRecorder(phys, reg).hook,) if hooked else ()
+        cfg = integrate.StepConfig(dt=1e-4, t_end=3e-4, scheme=scheme)
+        result = integrate.run(state, phys, reg, cfg, diag_hooks=hooks)
+        assert result.steps == 3
+        for a, b in zip(state.components(), before):
+            assert a.tobytes() == b.tobytes()
+        for a, b in itertools.product(result.final.components(), state.components()):
             assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("knobs", list(KNOB_SETS))

@@ -20,14 +20,19 @@ No module in src/oldroyd2d imports scipy: numpy is the only runtime
 dependency, and scipy serves the tests' reference routes alone.
 
 The field classes are named component bundles: model.state_from_components
-is the only place in src/ that builds one, and none carries a grid, a
-__post_init__ or a method.
+is the only place in src/ that builds one, and each holds only its
+component arrays, with no grid, ghost rule, __post_init__ or method.
+SimState.components() is the only reader of a state's fields and of their
+arrays; every other function in src/ unpacks that tuple.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import oldroyd2d
+from oldroyd2d.grid import ScalarField2D, SymTensorField2D, VectorField2D
+from oldroyd2d.model import SimState
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oldroyd2d"
@@ -163,6 +168,48 @@ def test_field_classes_hold_only_component_arrays():
             assert docstring or isinstance(stmt, ast.AnnAssign), (cls.name, stmt.lineno)
             if isinstance(stmt, ast.AnnAssign):
                 assert stmt.target.id != "grid", cls.name
+                # a ClassVar, such as a ghost rule, or a default is not a component array
+                assert ast.unparse(stmt.annotation) == "np.ndarray", (cls.name, stmt.lineno)
+                assert stmt.value is None, (cls.name, stmt.lineno)
+
+
+# SimState's fields (rho, u, eta, T) and the fields' arrays (data, x, y, xx, xy, yy)
+FIELD_ATTRIBUTES = frozenset(
+    [f.name for f in fields(SimState) if f.type.endswith("Field2D")]
+    + [f.name for cls in (ScalarField2D, VectorField2D, SymTensorField2D) for f in fields(cls)])
+FIELD_READERS = {("model.py", "components"), ("model.py", "state_from_components")}
+
+
+def field_attribute_uses() -> list[str]:
+    """Each read or write of a FIELD_ATTRIBUTES attribute in src/ outside FIELD_READERS.
+
+    Only modules that name SimState are scanned: closure.py and symcalc.py
+    hold no state, and their .xx, .xy and .yy are those of GradU2 and SymMat2,
+    their .T numpy's transpose.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if not any(isinstance(node, ast.Name) and node.id == "SimState"
+                   for node in ast.walk(tree)):
+            continue
+
+        def visit(node, func):
+            if isinstance(node, _FUNCS):
+                func = node.name
+            elif isinstance(node, ast.Attribute) and node.attr in FIELD_ATTRIBUTES and \
+                    (path.name, func) not in FIELD_READERS:
+                found.append(f"{path.name}:{node.lineno} .{node.attr} in {func}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(tree, None)
+    return found
+
+
+def test_fields_are_read_only_through_components():
+    assert FIELD_ATTRIBUTES == {"rho", "u", "eta", "T", "data", "x", "y", "xx", "xy", "yy"}
+    assert field_attribute_uses() == []
 
 
 def test_no_line_in_src_is_longer_than_max_line():

@@ -184,6 +184,13 @@ class TestEquilibrium:
         with pytest.raises(ValueError):
             equilibrium_state(g, PhysParams(), RegParams(), rho_bar=0.0)
 
+    # a <= 0 check alone lets these through as a NaN or an inf state
+    @pytest.mark.parametrize("name", ["rho_bar", "eta_bar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_means(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            equilibrium_state(unit_grid(8), PhysParams(), RegParams(), **{name: value})
+
     def test_perturbed_stress_pure_relaxation(self):
         g = unit_grid(8)
         phys = PhysParams(A0=1.5, lam=0.75)
@@ -403,8 +410,8 @@ class TestKramersSplit:
         kx, ky = g2.tensor_divergence(*kramers_tensor(state, phys), g.hx, g.hy)
         tx, ty = g2.tensor_divergence(state.T.xx, state.T.xy, state.T.yy, g.hx, g.hy)
         solvent = phys.k * phys.L * state.eta.data + phys.delta * state.eta.data**2
-        gx = g2.grad_x(solvent, state.eta.bc, g.hx)
-        gy = g2.grad_y(solvent, state.eta.bc, g.hy)
+        gx = g2.grad_x(solvent, g2.NEUMANN, g.hx)
+        gy = g2.grad_y(solvent, g2.NEUMANN, g.hy)
         scale = 1.0 + np.abs(tx).max() + np.abs(gx).max()
         assert np.abs(kx - (tx - gx)).max() <= 1e-12 * scale
         assert np.abs(ky - (ty - gy)).max() <= 1e-12 * scale
