@@ -8,12 +8,7 @@ front end (``oldroyd2d.cli``, run as ``python -m oldroyd2d``).
 """
 
 from oldroyd2d.symcalc import EigenPair2, NotSPDError, SymMat2
-from oldroyd2d.grid import (
-    Grid2D,
-    ScalarField2D,
-    SymTensorField2D,
-    VectorField2D,
-)
+from oldroyd2d.grid import Grid2D
 from oldroyd2d.model import PhysParams, RegParams, SimState, equilibrium_state
 from oldroyd2d.integrate import (
     BlowupError,
@@ -39,9 +34,6 @@ __all__ = [
     "EigenPair2",
     "NotSPDError",
     "Grid2D",
-    "ScalarField2D",
-    "VectorField2D",
-    "SymTensorField2D",
     "PhysParams",
     "RegParams",
     "SimState",

@@ -1,14 +1,14 @@
-"""Structured cell-centered grid, field component bundles, and stencil operators.
+"""Structured cell-centered grid and stencil operators.
 
 The domain is the rectangle (0, lx) x (0, ly) split into nx x ny cells
 with samples at cell centers.  Boundary handling goes through one layer
 of ghost cells, and each field kind has one fixed ghost rule: odd
 reflection realizes the no-slip (homogeneous Dirichlet) condition for
 velocity, mirror ghosts realize homogeneous Neumann conditions for
-scalars and tensors; each stencil call names its rule.  The field classes
-only name component arrays, which model.SimState.components() alone reads;
-the grid belongs to the state.  All operators take plain (nx, ny) arrays with
-the spacings or the grid and return new arrays; nothing here mutates its inputs.
+scalars and tensors; each stencil call names its rule.  The state and the
+field bundles that store its component arrays live in model.py.  All operators
+take plain (nx, ny) arrays with the spacings or the grid and return new arrays;
+nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -90,26 +90,6 @@ class Grid2D:
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
         return np.meshgrid(x, y, indexing="ij")
-
-
-@dataclass
-class ScalarField2D:
-    data: np.ndarray
-
-
-@dataclass
-class VectorField2D:
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
-class SymTensorField2D:
-    """Symmetric tensor field storing (xx, xy, yy) per cell."""
-
-    xx: np.ndarray
-    xy: np.ndarray
-    yy: np.ndarray
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,9 @@ class StepConfig:
         require(self.dt is None or self.dt > 0.0,
                 f"dt = {self.dt} violates dt > 0 (or the literal 'auto')", "dt")
         require(self.t_end >= 0.0, f"t_end = {self.t_end} violates t_end >= 0", "t_end")
+        # an infinite t_end makes run()'s stopping time inf - 1e-14 * inf = nan,
+        # and the run would return at once without a step
+        require(self.t_end < math.inf, f"t_end = {self.t_end} must be finite", "t_end")
         require(0.0 < self.cfl <= 1.0, f"cfl = {self.cfl} violates 0 < cfl <= 1", "cfl")
         require(self.scheme in ("rk2", "imex"),
                 f"scheme = {self.scheme!r} must be 'rk2' or 'imex'", "scheme")

@@ -14,9 +14,11 @@ extra stress T (symmetric, diffusive).  The regularization knobs are
 With every knob at zero the assembled right-hand sides coincide with
 the base model bit for bit: knob terms are skipped, not multiplied by 0.
 
-SimState holds t, the grid and four fields that only state_from_components builds
-and only SimState.components() reads.  Every function below the state takes and
-returns plain arrays; rhs_momentum returns (x, y), rhs_stress [xx, xy, yy].
+SimState holds t, the grid and four fields.  The field bundles (ScalarField2D,
+VectorField2D, SymTensorField2D) are defined here and nowhere else: only
+state_from_components builds them and only SimState.components() reads them.
+Every function below the state takes and returns plain arrays; rhs_momentum
+returns (x, y), rhs_stress [xx, xy, yy].
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ import numpy as np
 
 from oldroyd2d import grid as g2
 from oldroyd2d import symcalc
-from oldroyd2d.grid import (
-    Grid2D,
-    ScalarField2D,
-    SymTensorField2D,
-    VectorField2D,
-    require,
-)
+from oldroyd2d.grid import Grid2D, require
 from oldroyd2d.symcalc import NotSPDError
 
 
@@ -95,6 +91,26 @@ class RegParams:
                 f"sigma3 = {self.sigma3} violates sigma3 < min(alpha, theta) = "
                 f"{cap} (the eigenvalue cutoff must sit below the stress shift "
                 "and the mollification radius)", "sigma3", "alpha", "theta")
+
+
+@dataclass
+class ScalarField2D:
+    data: np.ndarray
+
+
+@dataclass
+class VectorField2D:
+    x: np.ndarray
+    y: np.ndarray
+
+
+@dataclass
+class SymTensorField2D:
+    """Symmetric tensor field storing (xx, xy, yy) per cell."""
+
+    xx: np.ndarray
+    xy: np.ndarray
+    yy: np.ndarray
 
 
 @dataclass

@@ -291,6 +291,16 @@ class TestConfigRules:
                    and not (owner is cli.RunConfig and field.name in sections)]
         assert missing == []
 
+    def test_readme_library_example_runs(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = text.split("## Library use\n\n```python\n")[1].split("```\n")[0]
+        scope: dict = {}
+        exec(block, scope)
+        assert scope["result"].steps > 0
+        assert scope["result"].final.t == pytest.approx(0.1, rel=1e-12)
+        assert scope["rho"].shape == (32, 32) and scope["rec"].rows()
+
     def test_readme_key_table_matches_parser(self):
         # the README's config key table lists every key with the default the
         # parser applies ("none" for an empty string)
@@ -310,20 +320,21 @@ class TestConfigRules:
 class TestPresets:
     def test_equilibrium_is_exact_and_unmollified(self):
         cfg = cli.parse_config("nx = 8\nny = 8\nalpha = 0.1\neta_bar = 2.0")
-        st = cli.build_initial(cfg)
-        assert np.all(st.T.xx == 1.0 * (2.0 + 0.1))
-        assert np.all(st.T.xy == 0.0) and np.all(st.u.x == 0.0)
-        assert np.all(st.rho.data == 1.0)
+        rho, ux, _, _, txx, txy, _ = cli.build_initial(cfg).components()
+        assert np.all(txx == 1.0 * (2.0 + 0.1))
+        assert np.all(txy == 0.0) and np.all(ux == 0.0)
+        assert np.all(rho == 1.0)
 
     def test_perturbed_preset_carries_mollifier_shift(self):
         cfg = cli.parse_config(
             "nx = 16\nny = 16\ninitial = perturbed-equilibrium\ntheta = 0.1")
         st = cli.build_initial(cfg)
+        rho, ux, _, eta, *_ = st.components()
         # the cosine perturbations integrate to zero on the symmetric grid,
         # so total mass is (rho_bar + theta) * area up to roundoff
-        assert cell_sum(st.grid, st.rho.data) == pytest.approx(1.1, abs=1e-12)
-        assert st.eta.data.min() >= 0.1
-        assert st.u.x.max() > 0.0
+        assert cell_sum(st.grid, rho) == pytest.approx(1.1, abs=1e-12)
+        assert eta.min() >= 0.1
+        assert ux.max() > 0.0
 
     def test_mollified_preset_lifts_rho_eta_and_the_stress_diagonal(self, monkeypatch):
         def rank_one(cfg):
@@ -337,13 +348,14 @@ class TestPresets:
         cfg = cli.parse_config(
             f"nx = 16\nny = 16\ninitial = perturbed-equilibrium\ntheta = {theta}")
         smooth = mollify_initial(cfg.grid, rank_one(cfg), theta)
-        st = cli.build_initial(cfg)
+        comps = cli.build_initial(cfg).components()
         # rho, eta, T_xx and T_yy get + theta on the smoothed bits; u and T_xy do not
         lifted = (True, False, False, True, True, False, True)
-        for got, arr, lift in zip(st.components(), smooth, lifted):
+        for got, arr, lift in zip(comps, smooth, lifted):
             assert np.array_equal(got, arr + theta if lift else arr)
-        assert st.rho.data.min() >= theta and st.eta.data.min() >= theta
-        assert eig_fields(st.T.xx, st.T.xy, st.T.yy)[1].min() >= theta - 1e-12
+        rho, _, _, eta, txx, txy, tyy = comps
+        assert rho.min() >= theta and eta.min() >= theta
+        assert eig_fields(txx, txy, tyy)[1].min() >= theta - 1e-12
 
     @pytest.mark.parametrize("initial", ["perturbed-equilibrium", "shear-layer"])
     def test_one_kernel_per_initial_state(self, monkeypatch, initial):
@@ -360,11 +372,11 @@ class TestPresets:
 
     def test_shear_layer_moves_only_velocity(self):
         cfg = cli.parse_config("nx = 16\nny = 16\ninitial = shear-layer\namp = 0.2")
-        st = cli.build_initial(cfg)
-        assert np.ptp(st.rho.data) <= 1e-12
-        assert np.ptp(st.T.xx) <= 1e-12
-        assert np.abs(st.u.x).max() > 0.05
-        assert np.all(st.u.y == 0.0)
+        rho, ux, uy, _, txx, _, _ = cli.build_initial(cfg).components()
+        assert np.ptp(rho) <= 1e-12
+        assert np.ptp(txx) <= 1e-12
+        assert np.abs(ux).max() > 0.05
+        assert np.all(uy == 0.0)
 
     def test_file_preset_round_trips_bits(self, tmp_path):
         cfg = cli.parse_config("nx = 5\nny = 5\nlx = 0.9\nly = 0.9\n"
@@ -479,8 +491,7 @@ class TestSnapshotFuzz:
                 state = load_state(str(path))
             except ValueError:
                 return
-        comps = (state.rho.data, state.u.x, state.u.y, state.eta.data,
-                 state.T.xx, state.T.xy, state.T.yy)
+        comps = state.components()
         grid = state.grid
         assert all(c.shape == (grid.nx, grid.ny) for c in comps)
         assert all(np.isfinite(c).all() for c in comps) and math.isfinite(state.t)
@@ -496,7 +507,7 @@ class TestSnapshotFuzz:
                 state = cli.build_initial(cli.parse_config(f"initial = file:{tmp}/s"))
             except cli.ConfigError:
                 return
-        assert state.rho.data.shape == (state.grid.nx, state.grid.ny)
+        assert state.components()[0].shape == (state.grid.nx, state.grid.ny)
 
 
 class TestRunCommand:
@@ -517,8 +528,8 @@ class TestRunCommand:
         cols = lines[0].split(",")
         ridx = cols.index("residual")
         assert all(float(row.split(",")[ridx]) <= 1e-10 for row in lines[1:])
-        final = load_state(tmp_path / "final").T
-        assert np.all(final.xx == pytest.approx(1.1))
+        txx = load_state(tmp_path / "final").components()[4]
+        assert np.all(txx == pytest.approx(1.1))
 
     def test_file_restart_continues_the_clock(self, tmp_path):
         first = tmp_path / "first.cfg"
@@ -686,7 +697,7 @@ class TestRunCommand:
 
     def test_indefinite_stress_exits_two_at_start(self, tmp_path):
         st = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
-        st.T.xx[3, 4] = -0.5
+        st.components()[4][3, 4] = -0.5
         save_state(st, tmp_path / "bad")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"initial = file:{tmp_path}/bad\nalpha = 0.1\n"
@@ -1030,7 +1041,7 @@ class TestSweepCommand:
     def write_dented(self, tmp_path, txx, t_end):
         """A sweep config starting from the 8x8 equilibrium with T_xx[2, 2] = txx."""
         bad = cli.build_initial(cli.parse_config("nx = 8\nny = 8"))
-        bad.T.xx[2, 2] = txx
+        bad.components()[4][2, 2] = txx
         save_state(bad, tmp_path / "bad")
         text = f"initial = file:{tmp_path}/bad\ndt = 0.001\nt_end = {t_end}\n"
         return self.write(tmp_path, text)

@@ -344,11 +344,12 @@ class TestSolverSourceTerms:
         phys = PhysParams(k=1.3, A0=1.5, lam=0.6, eps=0.2)
         reg = RegParams(alpha=0.0)
         state = equilibrium_state(Grid2D(16, 16), phys, reg, eta_bar=1.2)
-        state.T.xx[...], state.T.xy[...], state.T.yy[...] = 1.7, 0.3, 0.9
+        _, ux, uy, _, txx, txy, tyy = state.components()
+        txx[...], txy[...], tyy[...] = 1.7, 0.3, 0.9
         x, y = state.grid.cell_centers()
         # u = kappa (x - 1/2): its centered gradient is kappa away from the walls
-        state.u.x[...] = kappa.xx * (x - 0.5) + kappa.xy * (y - 0.5)
-        state.u.y[...] = kappa.yx * (x - 0.5) + kappa.yy * (y - 0.5)
+        ux[...] = kappa.xx * (x - 0.5) + kappa.xy * (y - 0.5)
+        uy[...] = kappa.yx * (x - 0.5) + kappa.yy * (y - 0.5)
         got = rhs_stress(state, phys, reg)
         want = cl._moment_rhs(1.7, 0.3, 0.9, 1.2, kappa, phys)
         inner = (slice(2, -2), slice(2, -2))

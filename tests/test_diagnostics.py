@@ -106,7 +106,7 @@ class TestEnergyReport:
         # eps int (k L |grad eta|^2 / eta + 2 delta |grad eta|^2); L = 0 drops the first term
         state = perturbed_state(8)
         phys = PhysParams(k=0.9, L=L, delta=0.3, eps=0.2)
-        eta, g = state.eta.data, state.grid
+        eta, g = state.components()[3], state.grid
         grad2 = g2.grad_x(eta, NEUMANN, g.hx) ** 2 + g2.grad_y(eta, NEUMANN, g.hy) ** 2
         entropic = np.where(grad2 == 0.0, 0.0, phys.k * L * grad2 / eta)
         want = phys.eps * cell_sum(g, entropic + 2.0 * phys.delta * grad2)
@@ -120,11 +120,11 @@ class TestEnergyReport:
 
     def test_not_spd_with_alpha(self):
         state = unit_state()
-        data = state.T.xx.copy()
-        yy = state.T.yy.copy()
+        rho, ux, uy, eta, txx, txy, tyy = state.components()
+        yy = tyy.copy()
         yy[3, 4] = -0.1
-        bad_state = state_from_components(0.0, state.grid, state.rho.data, state.u.x, state.u.y,
-                                          state.eta.data, data, state.T.xy.copy(), yy)
+        bad_state = state_from_components(0.0, state.grid, rho, ux, uy, eta,
+                                          txx.copy(), txy.copy(), yy)
         with pytest.raises(NotSPDError):
             dg.energy(bad_state, PhysParams(), RegParams(alpha=0.1))
         # without the log terms the same field is merely reported, not fatal
@@ -212,7 +212,7 @@ class TestConservation:
     def test_fault_injection(self):
         state = perturbed_state(8)
         tampered = state.copy()
-        tampered.rho.data[2, 2] += 1e-3
+        tampered.components()[0][2, 2] += 1e-3
         drift, _ = dg.conservation(tampered, state)
         assert drift > 1e-6
 
@@ -252,7 +252,7 @@ def trace_stats(grid, xx, xy, yy, alpha: float = 0.0) -> TraceStats:
 class TestSPDMonitor:
     def test_identity_tensor(self):
         state = unit_state()
-        T = (state.T.xx, state.T.xy, state.T.yy)
+        T = state.components()[4:]
         rep = dg.spd_monitor(*T)
         assert rep.min_eig == 1.0
         stats = trace_stats(state.grid, *T)
@@ -264,9 +264,9 @@ class TestSPDMonitor:
 
     def test_indefinite_cell_located(self):
         state = unit_state()
-        yy = state.T.yy.copy()
+        xx, xy, yy = (comp.copy() for comp in state.components()[4:])
         yy[5, 2] = -0.1
-        T = (state.T.xx.copy(), state.T.xy.copy(), yy)
+        T = (xx, xy, yy)
         rep = dg.spd_monitor(*T)
         assert rep.min_eig == pytest.approx(-0.1, rel=1e-13)
         assert rep.argmin == (5, 2)
@@ -280,9 +280,9 @@ class TestSPDMonitor:
     def test_agrees_with_solver_on_far_apart_eigenvalues(self):
         # mean - radius cancels to 0 here; the solver's det / lam1 does not
         state = unit_state()
-        xx, yy = state.T.xx.copy(), state.T.yy.copy()
+        xx, xy, yy = (comp.copy() for comp in state.components()[4:])
         xx[2, 3], yy[2, 3] = 1e8, 1e-9
-        T = (xx, state.T.xy.copy(), yy)
+        T = (xx, xy, yy)
         assert np.all(np.isfinite(tr_log_field(*T, context="probe")))
         rep = dg.spd_monitor(*T)
         assert rep.min_eig == 1e-9
@@ -296,17 +296,18 @@ class TestSPDMonitor:
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=1e-3, t_end=0.05, scheme="rk2", diag_every=5),
                 diag_hooks=[lambda s: minima.append(
-                    dg.spd_monitor(s.T.xx, s.T.xy, s.T.yy).min_eig)])
+                    dg.spd_monitor(*s.components()[4:]).min_eig)])
         assert minima
         assert min(minima) > 0.0
 
 
 def relaxation_distance(state: SimState, phys: PhysParams, reg: RegParams) -> float:
     """Squared L2 distance of the stress from its local relaxation target."""
-    target = phys.k * (state.eta.data + reg.alpha)
-    dxx = state.T.xx - target
-    dyy = state.T.yy - target
-    return cell_sum(state.grid, dxx**2 + 2.0 * state.T.xy**2 + dyy**2)
+    _, _, _, eta, txx, txy, tyy = state.components()
+    target = phys.k * (eta + reg.alpha)
+    dxx = txx - target
+    dyy = tyy - target
+    return cell_sum(state.grid, dxx**2 + 2.0 * txy**2 + dyy**2)
 
 
 class TestStressL2Monitor:
@@ -316,7 +317,7 @@ class TestStressL2Monitor:
         g = Grid2D(8, 8, 1.0, 1.0)
         state = equilibrium_state(g, phys, reg)
         times = [0.0, 0.5, 1.0, 1.5]
-        rep = stress_l2_monitor(g, times, [(state.T.xx, state.T.xy, state.T.yy)] * 4, phys)
+        rep = stress_l2_monitor(g, times, [state.components()[4:]] * 4, phys)
         assert not rep.doubled
         assert rep.l2_series == pytest.approx([rep.sup_l2] * 4, rel=1e-13)
         expected = rep.sup_l2 * (1.0 + phys.A0 / (4.0 * phys.lam) * 1.5)
@@ -345,8 +346,7 @@ class TestStressL2Monitor:
         xx = np.full((8, 8), 2.5)
         xy = np.full((8, 8), 0.3)
         yy = np.full((8, 8), 0.8)
-        state = state_from_components(0.0, g, state.rho.data, state.u.x, state.u.y,
-                                      state.eta.data, xx, xy, yy)
+        state = state_from_components(0.0, g, *state.components()[:4], xx, xy, yy)
         series = []
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=5e-3, t_end=1.0, scheme="rk2", diag_every=1),
@@ -414,9 +414,9 @@ class TestRenormalization:
         rhos, us = [], []
 
         def collect(s):
-            kept = s.copy()
-            rhos.append(kept.rho.data)
-            us.append((kept.u.x, kept.u.y))
+            rho, ux, uy, *_ = s.copy().components()
+            rhos.append(rho)
+            us.append((ux, uy))
 
         itg.run(state, phys, reg,
                 itg.StepConfig(dt=dt, t_end=t_end, scheme="rk2", diag_every=1),
@@ -478,25 +478,24 @@ def functional_ineq_checks(state: SimState, sigma3: float = 0.0) -> FieldIneqRep
     not asserted); the two log-gradient bounds come back with margins.
     """
     grid = state.grid
-    jxx, jxy, jyx, jyy = velocity_jacobian(grid, state.u.x, state.u.y)
+    _, ux, uy, eta, *stress = state.components()
+    jxx, jxy, jyx, jyy = velocity_jacobian(grid, ux, uy)
     grad_norm = math.sqrt(cell_sum(grid, jxx**2 + jxy**2 + jyx**2 + jyy**2))
     dev_norm = math.sqrt(cell_sum(grid, dg._div_and_dev2(jxx, jxy, jyx, jyy)[1]))
     korn = _fitted(grad_norm, dev_norm)
 
-    eta = state.eta
-    l4 = cell_sum(grid, eta.data**4) ** 0.25
-    l2 = math.sqrt(cell_sum(grid, eta.data**2))
-    dex = g2.grad_x(eta.data, NEUMANN, grid.hx)
-    dey = g2.grad_y(eta.data, NEUMANN, grid.hy)
-    w12 = math.sqrt(cell_sum(grid, eta.data**2 + dex**2 + dey**2))
+    l4 = cell_sum(grid, eta**4) ** 0.25
+    l2 = math.sqrt(cell_sum(grid, eta**2))
+    dex = g2.grad_x(eta, NEUMANN, grid.hx)
+    dey = g2.grad_y(eta, NEUMANN, grid.hy)
+    w12 = math.sqrt(cell_sum(grid, eta**2 + dex**2 + dey**2))
     gn = _fitted(l4, math.sqrt(l2 * w12) if l2 * w12 > 0.0 else 0.0)
 
     return FieldIneqReport(
         korn=korn,
         gagliardo_nirenberg=gn,
-        log_grad_bound=dg.log_grad_bound(grid, state.T.xx, state.T.xy, state.T.yy),
-        cutoff_log_grad_bound=dg.cutoff_log_grad_bound(grid, state.T.xx, state.T.xy,
-                                                       state.T.yy, sigma3),
+        log_grad_bound=dg.log_grad_bound(grid, *stress),
+        cutoff_log_grad_bound=dg.cutoff_log_grad_bound(grid, *stress, sigma3),
     )
 
 
@@ -513,9 +512,9 @@ class TestFunctionalIneq:
     def test_korn_shear_frozen(self):
         state = unit_state(n=16)
         _, Y = state.grid.cell_centers()
+        rho, _, _, eta, txx, txy, tyy = state.components()
         rep = functional_ineq_checks(state_from_components(
-            0.0, state.grid, state.rho.data, 0.3 * Y * (1.0 - Y), np.zeros_like(Y),
-            state.eta.data, state.T.xx, state.T.xy, state.T.yy))
+            0.0, state.grid, rho, 0.3 * Y * (1.0 - Y), np.zeros_like(Y), eta, txx, txy, tyy))
         assert rep.korn.constant == pytest.approx(KORN_SHEAR, rel=1e-12)
 
     def test_gn_constant_field(self):

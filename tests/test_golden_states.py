@@ -48,8 +48,7 @@ CONFIGS = {
 
 def state_digest(state) -> str:
     h = hashlib.sha256()
-    for arr in (state.rho.data, state.u.x, state.u.y, state.eta.data,
-                state.T.xx, state.T.xy, state.T.yy):
+    for arr in state.components():
         h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return h.hexdigest()
 

@@ -94,6 +94,29 @@ class TestGridType:
             with pytest.raises(ValueError, match=rf"^component {name} has shape \(5, 4\)"):
                 state_from_components(0.0, g, *comps)
 
+    def test_components_are_the_arrays_passed_in_order(self):
+        """A float64 array is kept, so a write through components() reaches the state."""
+        g = unit_grid(4)
+        comps = [np.full((4, 4), float(i)) for i in range(7)]
+        state = state_from_components(0.0, g, *comps)
+        got = state.components()
+        assert len(got) == 7 and all(a is b for a, b in zip(got, comps))
+        got[4][1, 2] = -2.0
+        assert state.components()[4][1, 2] == -2.0
+        assert state.copy().components()[4][1, 2] == -2.0
+
+    @pytest.mark.parametrize("make", [
+        lambda i: np.full((4, 4), i, dtype=np.int64),
+        lambda i: np.full((4, 4), i, dtype=np.float32),
+        lambda i: [[i] * 4] * 4,
+    ], ids=["int64", "float32", "list"])
+    def test_components_are_converted_to_float64(self, make):
+        comps = [make(i) for i in range(7)]
+        got = state_from_components(0.0, unit_grid(4), *comps).components()
+        for i, arr in enumerate(got):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+            assert np.array_equal(arr, np.full((4, 4), float(i)))
+
 
 class TestWallRule:
     """No-slip walls for velocity, homogeneous Neumann for everything else."""
@@ -492,11 +515,6 @@ class TestIntegrate:
         assert cell_sum(g, x) == pytest.approx(0.5, abs=1e-14)
 
 
-def _state_arrays(state):
-    return (state.rho.data, state.u.x, state.u.y, state.eta.data,
-            state.T.xx, state.T.xy, state.T.yy)
-
-
 class TestSnapshot:
     """model.save_state / model.load_state: one file holds grid, time and fields."""
 
@@ -528,7 +546,7 @@ class TestSnapshot:
             assert loaded.t == state.t
             assert loaded.grid == g
             assert loaded.grid.area == g.area
-            for got, want in zip(_state_arrays(loaded), _state_arrays(state)):
+            for got, want in zip(loaded.components(), state.components()):
                 assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
             save_state(loaded, p2)
             with open(p1, "rb") as fa, open(p2, "rb") as fb:
@@ -538,10 +556,11 @@ class TestSnapshot:
     def test_non_finite_payload_names_component_and_cell(self, tmp_path, bad):
         g = unit_grid(8)
         zero = np.zeros((8, 8))
+        txy, tyy = zero.copy(), zero + 1.0
+        txy[3, 5] = bad
+        tyy[6, 1] = bad  # a later component is not reported first
         state = state_from_components(0.0, g, zero + 1.0, zero, zero, zero + 1.0,
-                                      zero + 1.0, zero.copy(), zero + 1.0)
-        state.T.xy[3, 5] = bad
-        state.T.yy[6, 1] = bad  # a later component is not reported first
+                                      zero + 1.0, txy, tyy)
         save_state(state, tmp_path / "t.state")
         with pytest.raises(ValueError, match=r"^non-finite T_xy at cell \(3, 5\)$"):
             load_state(tmp_path / "t.state")

@@ -257,10 +257,11 @@ class TestNoAliasing:
         model.rhs_momentum(state, phys, reg)
         model.rhs_eta(state, phys)
         model.rhs_stress(state, phys, reg)
-        model.newtonian_stress(state.grid, state.u.x, state.u.y, phys)
-        model.pressure(state.rho.data, phys, reg)
-        model.polymer_pressure(state.eta.data, phys)
-        model.tr_log_field(state.T.xx, state.T.xy, state.T.yy, context="probe")
+        rho, ux, uy, eta, txx, txy, tyy = state.components()
+        model.newtonian_stress(state.grid, ux, uy, phys)
+        model.pressure(rho, phys, reg)
+        model.polymer_pressure(eta, phys)
+        model.tr_log_field(txx, txy, tyy, context="probe")
         integrate._explicit_rhs(state, phys, reg)
         for a, b in zip(state.components(), before):
             assert a.tobytes() == b.tobytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oldroyd2d.grid import Grid2D
+from oldroyd2d.grid import Grid2D, ParamError
 from oldroyd2d.integrate import (
     BLOWUP_LIMIT,
     BlowupError,
@@ -67,11 +67,14 @@ class TestStepConfig:
             dict(cfl=1.5),
             dict(scheme="rk4"),
             dict(diag_every=0),
+            dict(t_end=math.inf),
+            dict(t_end=math.nan),
         ],
     )
     def test_rejects(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError) as err:
             StepConfig(**kw)
+        assert err.value.keys == tuple(kw)
 
 
 class TestAutoDt:
@@ -100,7 +103,7 @@ class TestAutoDt:
         phys = PhysParams(eps=1e-4, muS=1e-4)
         reg = RegParams()
         state = equilibrium_state(g, phys, reg)
-        state.u.x[:] = 50.0
+        state.components()[1][:] = 50.0
         cfg = StepConfig(cfl=0.4)
         c_max = math.sqrt(phys.a * phys.gamma)  # rho = 1
         want_adv = 0.4 * g.hx / (50.0 + c_max)
@@ -114,7 +117,7 @@ class TestAutoDt:
         phys = PhysParams()
         reg = RegParams()
         state = equilibrium_state(g, phys, reg)
-        state.rho.data[2, 2] = 0.0
+        state.components()[0][2, 2] = 0.0
         with pytest.raises(DegenerateStateError):
             auto_dt(state, phys, reg, StepConfig())
 
@@ -185,11 +188,13 @@ class TestEquilibriumFixedPoint:
         state = equilibrium_state(g, phys, reg, rho_bar=1.2, eta_bar=0.9)
         cfg = StepConfig(dt=1e-3, scheme=scheme)
         out = step(state, phys, reg, cfg, dt=cfg.dt)
-        assert np.abs(out.rho.data - state.rho.data).max() <= 1e-12
-        assert np.abs(out.u.x).max() <= 1e-12
-        assert np.abs(out.eta.data - state.eta.data).max() <= 1e-12
-        assert np.abs(out.T.xx - state.T.xx).max() <= 1e-12
-        assert np.abs(out.T.xy).max() <= 1e-12
+        rho, ux, _, eta, txx, txy, _ = out.components()
+        rho0, _, _, eta0, txx0, _, _ = state.components()
+        assert np.abs(rho - rho0).max() <= 1e-12
+        assert np.abs(ux).max() <= 1e-12
+        assert np.abs(eta - eta0).max() <= 1e-12
+        assert np.abs(txx - txx0).max() <= 1e-12
+        assert np.abs(txy).max() <= 1e-12
 
 
 class TestRelaxationAccuracy:
@@ -208,7 +213,7 @@ class TestRelaxationAccuracy:
         rate = phys.A0 / (2 * phys.lam)
         t_eq = phys.k * (1.0 + reg.alpha)
         exact = t_eq + (t0 - t_eq) * math.exp(-rate * n_steps * dt)
-        return abs(state.T.xx[0, 0] - exact)
+        return abs(state.components()[4][0, 0] - exact)
 
     def test_matches_exponential(self):
         err = self._uniform_relax_error(1e-3, 200)
@@ -236,9 +241,9 @@ class TestRelaxationAccuracy:
         ref = final_state(2.5e-4, 64)
         errs = []
         for dt, n in ((2e-3, 8), (1e-3, 16)):
-            got = final_state(dt, n)
-            errs.append(np.abs(got.T.xx - ref.T.xx).max()
-                        + np.abs(got.u.x - ref.u.x).max())
+            _, ux, _, _, txx, _, _ = final_state(dt, n).components()
+            _, ux_ref, _, _, txx_ref, _, _ = ref.components()
+            errs.append(np.abs(txx - txx_ref).max() + np.abs(ux - ux_ref).max())
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.5
 
@@ -250,12 +255,14 @@ class TestConservation:
         phys = PhysParams(eps=0.1, muS=0.05)
         reg = RegParams(alpha=0.1, sigma2=0.02 if scheme == "rk2" else 0.0)
         state = perturbed_state(g)
-        mass0 = g2.cell_sum(state.grid, state.rho.data)
-        eta0 = g2.cell_sum(state.grid, state.eta.data)
+        rho, _, _, eta, *_ = state.components()
+        mass0 = g2.cell_sum(state.grid, rho)
+        eta0 = g2.cell_sum(state.grid, eta)
         cfg = StepConfig(t_end=0.1, scheme=scheme)
         result = run(state, phys, reg, cfg)
-        mass1 = g2.cell_sum(result.final.grid, result.final.rho.data)
-        eta1 = g2.cell_sum(result.final.grid, result.final.eta.data)
+        rho, _, _, eta, *_ = result.final.components()
+        mass1 = g2.cell_sum(result.final.grid, rho)
+        eta1 = g2.cell_sum(result.final.grid, eta)
         assert abs(mass1 - mass0) <= 1e-11 * abs(mass0)
         assert abs(eta1 - eta0) <= 1e-11 * abs(eta0)
         assert result.steps > 0
@@ -283,7 +290,7 @@ class TestRun:
         assert result.steps == 0
         # the hooks still see the initial state, so a summary has one row
         assert [s.t for s in calls] == [0.0]
-        assert np.array_equal(result.final.rho.data, state.rho.data)
+        assert np.array_equal(result.final.components()[0], state.components()[0])
 
     def test_t_end_inside_restart_tolerance_records_once(self):
         g = unit_grid(8)
@@ -323,7 +330,7 @@ class TestRun:
 
         def hook(s):
             times.append(s.t)
-            max_u.append(float(np.abs(s.u.x).max()))
+            max_u.append(float(np.abs(s.components()[1]).max()))
 
         cfg = StepConfig(dt=1e-3, t_end=0.02, diag_every=5)
         result = run(state, phys, reg, cfg, diag_hooks=[hook])
@@ -340,8 +347,10 @@ class TestRun:
         t1, t2 = [], []
         r1 = run(perturbed_state(g), phys, reg, cfg, diag_hooks=[lambda s: t1.append(s.t)])
         r2 = run(perturbed_state(g), phys, reg, cfg, diag_hooks=[lambda s: t2.append(s.t)])
-        assert np.array_equal(r1.final.rho.data, r2.final.rho.data)
-        assert np.array_equal(r1.final.T.xx, r2.final.T.xx)
+        rho1, _, _, _, txx1, _, _ = r1.final.components()
+        rho2, _, _, _, txx2, _, _ = r2.final.components()
+        assert np.array_equal(rho1, rho2)
+        assert np.array_equal(txx1, txx2)
         assert t1 == t2
 
     def test_error_carries_failing_time(self):
@@ -350,7 +359,8 @@ class TestRun:
         reg = RegParams()
         state = equilibrium_state(g, phys, reg)
         rng = np.random.default_rng(0)
-        state.T.xx += BLOWUP_LIMIT / 10 * rng.random((8, 8))
+        txx = state.components()[4]
+        txx += BLOWUP_LIMIT / 10 * rng.random((8, 8))
         cfg = StepConfig(dt=1.0, t_end=5.0)  # far beyond the stability bound
         with pytest.raises(BlowupError) as err:
             run(state, phys, reg, cfg)
@@ -392,7 +402,8 @@ class TestBlowup:
         reg = RegParams()
         state = equilibrium_state(g, phys, reg)
         rng = np.random.default_rng(1)
-        state.T.xx += 1e11 * rng.random((8, 8))
+        txx = state.components()[4]
+        txx += 1e11 * rng.random((8, 8))
         with pytest.raises(BlowupError):
             # dt far above the diffusive limit amplifies the noise at once
             step(state, phys, reg, StepConfig(dt=10.0), dt=10.0)
@@ -403,7 +414,8 @@ class TestBlowup:
         reg = RegParams()
         state = equilibrium_state(g, phys, reg)
         rng = np.random.default_rng(1)
-        state.T.xx += 1e11 * rng.random((8, 8))
+        txx = state.components()[4]
+        txx += 1e11 * rng.random((8, 8))
         with pytest.raises(BlowupError) as err:
             step(state, phys, reg, StepConfig(dt=10.0), dt=10.0)
         # the density is checked first and is already out of range
@@ -483,8 +495,9 @@ class TestImex:
         s = state
         for _ in range(20):
             s = step(s, phys, reg, cfg, dt=cfg.dt)
-        assert np.abs(s.eta.data).max() < 10.0
-        assert np.abs(s.T.xx).max() < 10.0
+        _, _, _, eta, txx, _, _ = s.components()
+        assert np.abs(eta).max() < 10.0
+        assert np.abs(txx).max() < 10.0
 
     def test_matches_rk2_on_smooth_run(self):
         g = unit_grid(8)
@@ -495,5 +508,7 @@ class TestImex:
         cfg_b = StepConfig(dt=5e-4, t_end=0.02, scheme="imex")
         ra = run(state, phys, reg, cfg_a)
         rb = run(state, phys, reg, cfg_b)
-        assert np.abs(ra.final.eta.data - rb.final.eta.data).max() < 5e-4
-        assert np.abs(ra.final.T.xx - rb.final.T.xx).max() < 5e-3
+        _, _, _, eta_a, txx_a, _, _ = ra.final.components()
+        _, _, _, eta_b, txx_b, _, _ = rb.final.components()
+        assert np.abs(eta_a - eta_b).max() < 5e-4
+        assert np.abs(txx_a - txx_b).max() < 5e-3

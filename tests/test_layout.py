@@ -1,4 +1,4 @@
-"""Layout guards over the AST of src/.
+"""Layout guards over the AST of src/ and tests/.
 
 Every function, class and method in src/ has a caller there.  A
 definition counts as used when a name or attribute of that spelling is
@@ -19,11 +19,12 @@ count of src/ cannot drop by joining lines.
 No module in src/oldroyd2d imports scipy: numpy is the only runtime
 dependency, and scipy serves the tests' reference routes alone.
 
-The field classes are named component bundles: model.state_from_components
-is the only place in src/ that builds one, and each holds only its
-component arrays, with no grid, ghost rule, __post_init__ or method.
-SimState.components() is the only reader of a state's fields and of their
-arrays; every other function in src/ unpacks that tuple.
+The field classes are named component bundles that live in model.py, the
+only module in src/ that names them: model.state_from_components is the
+only place that builds one, and each holds only its component arrays, with
+no grid, ghost rule, __post_init__ or method.  SimState.components() is the
+only reader of a state's fields and of their arrays; every other function
+in src/ unpacks that tuple, and so does every test.
 """
 
 import ast
@@ -31,12 +32,12 @@ from dataclasses import fields
 from pathlib import Path
 
 import oldroyd2d
-from oldroyd2d.grid import ScalarField2D, SymTensorField2D, VectorField2D
-from oldroyd2d.model import SimState
+from oldroyd2d.model import ScalarField2D, SimState, SymTensorField2D, VectorField2D
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oldroyd2d"
 BENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 MAX_LINE = 99
 
@@ -156,8 +157,30 @@ def test_fields_are_built_only_by_state_from_components():
     assert field_constructions() == []
 
 
+def field_class_names() -> list[str]:
+    """Each *Field2D class, import or name in src/ outside model.py."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                name = node.name
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = getattr(node, "id", None) or node.attr
+            else:
+                continue
+            if name.endswith("Field2D"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
 def test_field_classes_hold_only_component_arrays():
-    tree = ast.parse((PACKAGE / "grid.py").read_text(encoding="utf-8"))
+    assert field_class_names() == []
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
     classes = [node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name.endswith("Field2D")]
     assert sorted(c.name for c in classes) == [
@@ -210,6 +233,31 @@ def field_attribute_uses() -> list[str]:
 def test_fields_are_read_only_through_components():
     assert FIELD_ATTRIBUTES == {"rho", "u", "eta", "T", "data", "x", "y", "xx", "xy", "yy"}
     assert field_attribute_uses() == []
+
+
+# A state's field followed by one of its arrays, and the fields that a bare
+# read names.  A bare .T is not listed: numpy's transpose has that spelling.
+STORAGE_CHAINS = frozenset([("rho", "data"), ("eta", "data"), ("u", "x"), ("u", "y"),
+                            ("T", "xx"), ("T", "xy"), ("T", "yy")])
+STORAGE_FIELDS = frozenset(["rho", "eta", "u"])
+
+
+def storage_reads_in_tests() -> list[str]:
+    """Each line of tests/*.py that reaches into a state's fields past components()."""
+    found = set()
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            base = node.value.attr if isinstance(node.value, ast.Attribute) else None
+            if (base, node.attr) in STORAGE_CHAINS or node.attr in STORAGE_FIELDS:
+                found.add((path.name, node.lineno))
+    return [f"{name}:{lineno}" for name, lineno in sorted(found)]
+
+
+def test_tests_read_states_only_through_components():
+    assert storage_reads_in_tests() == []
 
 
 def test_no_line_in_src_is_longer_than_max_line():

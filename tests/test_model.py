@@ -142,20 +142,21 @@ class TestConservation:
         state = random_state(g, seed)
         for reg in (RegParams(), RegParams(sigma2=0.3)):
             total = cell_sum(state.grid, rhs_continuity(state, PhysParams(), reg))
-            assert abs(total) <= 1e-12 * (1.0 + np.abs(state.rho.data).max() / g.hx)
+            assert abs(total) <= 1e-12 * (1.0 + np.abs(state.components()[0]).max() / g.hx)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_eta_integral_zero(self, seed):
         g = unit_grid(12)
         state = random_state(g, seed)
         total = cell_sum(state.grid, rhs_eta(state, PhysParams()))
-        assert abs(total) <= 1e-12 * (1.0 + np.abs(state.eta.data).max() / g.hx)
+        assert abs(total) <= 1e-12 * (1.0 + np.abs(state.components()[3]).max() / g.hx)
 
     def test_continuity_zero_velocity_no_diffusion(self):
         g = unit_grid(8)
         state = random_state(g, 9)
-        state.u.x[:] = 0.0
-        state.u.y[:] = 0.0
+        _, ux, uy, *_ = state.components()
+        ux[:] = 0.0
+        uy[:] = 0.0
         out = rhs_continuity(state, PhysParams(), RegParams())
         assert np.all(out == 0.0)
 
@@ -168,7 +169,7 @@ class TestEquilibrium:
         for alpha in (0.0, 0.1):
             reg = RegParams(alpha=alpha)
             state = equilibrium_state(g, phys, reg, rho_bar=1.4, eta_bar=0.8)
-            assert np.allclose(state.T.xx, phys.k * (0.8 + alpha), atol=0.0)
+            assert np.allclose(state.components()[4], phys.k * (0.8 + alpha), atol=0.0)
             assert np.abs(rhs_continuity(state, phys, reg)).max() == 0.0
             assert np.abs(rhs_eta(state, phys)).max() == 0.0
             mx, my = rhs_momentum(state, phys, reg)
@@ -196,8 +197,9 @@ class TestEquilibrium:
         phys = PhysParams(A0=1.5, lam=0.75)
         reg = RegParams(alpha=0.1)
         state = equilibrium_state(g, phys, reg)
-        state.T.xx += 0.01
-        state.T.yy += 0.01
+        *_, txx, _, tyy = state.components()
+        txx += 0.01
+        tyy += 0.01
         out = rhs_stress(state, phys, reg)
         rate = phys.A0 / (2 * phys.lam)  # = 1.0 here
         assert np.allclose(out[0], -rate * 0.01, atol=1e-14)
@@ -284,8 +286,9 @@ class TestMomentum:
     def test_not_spd_abort_names_cell(self):
         g = unit_grid(8)
         state = random_state(g, 2)
-        state.T.xx[3, 5] = -2.0
-        state.T.yy[3, 5] = -2.0
+        *_, txx, _, tyy = state.components()
+        txx[3, 5] = -2.0
+        tyy[3, 5] = -2.0
         with pytest.raises(NotSPDError) as err:
             rhs_momentum(state, PhysParams(), RegParams(alpha=0.1))
         assert "(3, 5)" in str(err.value)
@@ -325,7 +328,7 @@ class TestMomentum:
     def test_alpha_zero_tolerates_indefinite_stress(self):
         g = unit_grid(8)
         state = random_state(g, 2)
-        state.T.xx[3, 5] = -2.0
+        state.components()[4][3, 5] = -2.0
         rhs_momentum(state, PhysParams(), RegParams(alpha=0.0))
 
     def test_zero_knobs_bit_for_bit(self):
@@ -395,8 +398,9 @@ class TestMomentum:
 
 def kramers_tensor(state: SimState, phys: PhysParams):
     """Elastic extra stress K = T - (k L eta + delta eta^2) I, as (xx, xy, yy)."""
-    solvent = polymer_pressure(state.eta.data, phys)
-    return state.T.xx - solvent, state.T.xy, state.T.yy - solvent
+    _, _, _, eta, txx, txy, tyy = state.components()
+    solvent = polymer_pressure(eta, phys)
+    return txx - solvent, txy, tyy - solvent
 
 
 class TestKramersSplit:
@@ -408,8 +412,9 @@ class TestKramersSplit:
         state = random_state(g, seed)
         phys = PhysParams(k=0.9, L=1.1, delta=0.25)
         kx, ky = g2.tensor_divergence(*kramers_tensor(state, phys), g.hx, g.hy)
-        tx, ty = g2.tensor_divergence(state.T.xx, state.T.xy, state.T.yy, g.hx, g.hy)
-        solvent = phys.k * phys.L * state.eta.data + phys.delta * state.eta.data**2
+        _, _, _, eta, txx, txy, tyy = state.components()
+        tx, ty = g2.tensor_divergence(txx, txy, tyy, g.hx, g.hy)
+        solvent = phys.k * phys.L * eta + phys.delta * eta**2
         gx = g2.grad_x(solvent, g2.NEUMANN, g.hx)
         gy = g2.grad_y(solvent, g2.NEUMANN, g.hy)
         scale = 1.0 + np.abs(tx).max() + np.abs(gx).max()
@@ -445,19 +450,19 @@ def brute_force_stress_rhs(state, phys, reg):
         p[-1, -1] = -p[-2, -2]
         return p
 
+    _, ux, uy, eta, *stress = state.components()
     if reg.sigma3 != 0.0:
         comps = np.zeros((nx, ny, 3))
         for i in range(nx):
             for j in range(ny):
-                t = state.T
-                cell = SymMat2(float(t.xx[i, j]), float(t.xy[i, j]), float(t.yy[i, j]))
+                cell = SymMat2(*(float(c[i, j]) for c in stress))
                 m = oracles.chi_cutoff(reg.sigma3, cell)
                 comps[i, j] = (m.xx, m.xy, m.yy)
         txx, txy, tyy = comps[:, :, 0], comps[:, :, 1], comps[:, :, 2]
     else:
-        txx, txy, tyy = state.T.xx, state.T.xy, state.T.yy
+        txx, txy, tyy = stress
 
-    ux_p, uy_p = odd(state.u.x), odd(state.u.y)
+    ux_p, uy_p = odd(ux), odd(uy)
     out = np.zeros((nx, ny, 3))
     rate = phys.A0 / (2 * phys.lam)
 
@@ -477,7 +482,7 @@ def brute_force_stress_rhs(state, phys, reg):
                 fs = us * (cp[ii, jj - 1] if us > 0 else cp[ii, jj])
                 out[i, j, comp_idx] -= (fe - fw) / hx + (fn - fs) / hy
 
-    txx_p, txy_p, tyy_p = mirror(state.T.xx), mirror(state.T.xy), mirror(state.T.yy)
+    txx_p, txy_p, tyy_p = (mirror(c) for c in stress)
     for i in range(nx):
         for j in range(ny):
             ii, jj = i + 1, j + 1
@@ -498,7 +503,7 @@ def brute_force_stress_rhs(state, phys, reg):
                 val += (arr[ii, jj + 1] - 2 * arr[ii, jj] + arr[ii, jj - 1]) / hy**2
                 lap_big[r, c] = val
                 lap_big[c, r] = val
-            source = phys.k * rate * (state.eta.data[i, j] + reg.alpha)
+            source = phys.k * rate * (eta[i, j] + reg.alpha)
             full = stretch + phys.eps * lap_big + source * np.eye(2) - rate * tt
             out[i, j, 0] += full[0, 0]
             out[i, j, 1] += full[0, 1]
