@@ -3,11 +3,12 @@
 Submodules cover the closed-form symmetric 2x2 matrix calculus, the
 structured-grid field operators, the regularized model right-hand sides,
 explicit time integration, energy/positivity diagnostics, a kinetic
-Fokker-Planck oracle for the macroscopic closure, and the command line
-front end (``oldroyd2d.cli``, run as ``python -m oldroyd2d``).
+Fokker-Planck oracle for the macroscopic closure, the config text format
+and initial data (``oldroyd2d.config``), and the command line front end
+(``oldroyd2d.cli``, run as ``python -m oldroyd2d``).
 """
 
-from oldroyd2d.symcalc import EigenPair2, NotSPDError, SymMat2
+from oldroyd2d.symcalc import NotSPDError, SymMat2
 from oldroyd2d.grid import Grid2D
 from oldroyd2d.model import PhysParams, RegParams, SimState, equilibrium_state
 from oldroyd2d.integrate import (
@@ -31,7 +32,6 @@ from oldroyd2d.closure import GradU2, closure_compare
 
 __all__ = [
     "SymMat2",
-    "EigenPair2",
     "NotSPDError",
     "Grid2D",
     "PhysParams",

@@ -1,10 +1,7 @@
-"""Config parsing, run orchestration, verification suites, and limit sweeps.
+"""Run orchestration, verification suites, and limit sweeps.
 
-Config files are flat ``key = value`` text, one key per physical or
-numerical symbol, with '#' comments.  Each key is a field of one
-parameter dataclass, which states its default and constraints; the
-parser reports a violation with the line that caused it instead of a
-bare traceback.
+The commands read their config through oldroyd2d.config (parse_config,
+build_initial), which also holds the config format.
 
 Exit code contract: 0 success, 1 unusable configuration (one that does
 not fit in memory included), 2 run aborted (blowup, vacuum, loss of
@@ -18,22 +15,17 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from oldroyd2d import closure as cl
 from oldroyd2d import diagnostics as dg
 from oldroyd2d import symcalc as sc
-from oldroyd2d.grid import (
-    Grid2D,
-    ParamError,
-    cell_sum,
-    mollify_initial,
-    require,
-)
+from oldroyd2d.config import ConfigError, RunConfig, build_initial, parse_config
+from oldroyd2d.grid import Grid2D, cell_sum
 from oldroyd2d.integrate import (
     RUN_ABORTS,
     StepConfig,
@@ -44,7 +36,6 @@ from oldroyd2d.model import (
     RegParams,
     SimState,
     equilibrium_state,
-    load_state,
     save_state,
     state_from_components,
 )
@@ -56,200 +47,6 @@ EXIT_RUNTIME = 2
 EXIT_COUNTEREXAMPLE = 3
 
 DEFAULT_SEED = 20260817
-PRESETS = ("equilibrium", "perturbed-equilibrium", "shear-layer")
-
-
-class ConfigError(ValueError):
-    """Unusable configuration; the message carries the offending line."""
-
-
-# ---------------------------------------------------------------------------
-# Config keys.  One flat key per symbol; 'lambda' maps to PhysParams.lam.
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    grid: Optional[Grid2D]  # None for a file: initial, which takes the snapshot's grid
-    phys: PhysParams
-    reg: RegParams
-    step: StepConfig
-    initial: str = "equilibrium"
-    rho_bar: float = 1.0
-    eta_bar: float = 1.0
-    amp: float = 0.05
-    csv: str = ""
-    snapshot: str = ""
-
-    def __post_init__(self):
-        require(self.initial in PRESETS
-                or (self.initial.startswith("file:") and len(self.initial) > 5),
-                f"initial = {self.initial!r} must be one of {', '.join(PRESETS)} "
-                "or file:<path>", "initial")
-        require(self.rho_bar > 0.0, f"rho_bar = {self.rho_bar} violates rho_bar > 0",
-                "rho_bar")
-        require(self.eta_bar > 0.0, f"eta_bar = {self.eta_bar} violates eta_bar > 0",
-                "eta_bar")
-        require(0.0 <= self.amp < 1.0,
-                f"amp = {self.amp} violates 0 <= amp < 1 (relative perturbation "
-                "sizes at or above 1 destroy positivity of the preset data)", "amp")
-        mollified = self.grid is not None and self.initial != "equilibrium"
-        cap = min(self.grid.lx, self.grid.ly) if mollified else math.inf
-        require(self.reg.theta <= cap,
-                f"theta = {self.reg.theta} violates theta <= min(lx, ly) = {cap} for "
-                f"initial = {self.initial} (the mollifier must fit the domain)",
-                "theta", "lx", "ly", "initial")
-
-
-def _cast_float(text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise ConfigError(f"expects a number, got {text!r}") from None
-    if not math.isfinite(val):
-        raise ConfigError(f"expects a finite number, got {text!r}")
-    return val
-
-
-def _cast_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expects an integer, got {text!r}") from None
-
-
-def _cast_dt(text: str) -> Optional[float]:
-    if text == "auto":
-        return None
-    return _cast_float(text)
-
-
-# grid keys; a file: initial takes its grid from the snapshot instead
-_GRID_KEYS = ("nx", "ny", "lx", "ly")
-# config key -> (owner, field).  The owner states the field's type, default
-# and constraints; a key left out of the config text takes the owner's
-# default, except for _PARSER_DEFAULTS.
-_KEY_TABLE: dict[str, tuple[type, str]] = {
-    **{key: (Grid2D, key) for key in _GRID_KEYS},
-    **{key: (PhysParams, key)
-       for key in ("a", "gamma", "muS", "muB", "eps", "k", "L", "delta")},
-    "lambda": (PhysParams, "lam"),
-    "A0": (PhysParams, "A0"),
-    **{key: (RegParams, key)
-       for key in ("alpha", "sigma1", "Gamma", "sigma2", "sigma3", "theta")},
-    **{key: (StepConfig, key)
-       for key in ("dt", "t_end", "cfl", "scheme", "diag_every")},
-    **{key: (RunConfig, key) for key in ("initial", "rho_bar", "eta_bar", "amp",
-                                         "csv", "snapshot")},
-}
-# Grid2D has no default size; the baseline run is regularized with alpha = 0.1
-_PARSER_DEFAULTS = {"nx": 64, "ny": 64, "alpha": 0.1}
-# field annotation -> caster; the owners' modules postpone annotations, so
-# each annotation is its source text
-_CASTS = {"int": _cast_int, "float": _cast_float, "str": str, "Optional[float]": _cast_dt}
-_CASTER = {key: _CASTS[owner.__annotations__[name]]
-           for key, (owner, name) in _KEY_TABLE.items()}
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse flat key = value text; unknown keys and violations are errors."""
-    lines_by_key: dict[str, int] = {}
-    values = dict(_PARSER_DEFAULTS)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(
-                f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _KEY_TABLE:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in lines_by_key:
-            raise ConfigError(
-                f"line {lineno}: duplicate key {key!r} "
-                f"(first set on line {lines_by_key[key]})")
-        try:
-            values[key] = _CASTER[key](val)
-        except ConfigError as err:
-            raise ConfigError(f"line {lineno}: key {key!r} {err}") from None
-        lines_by_key[key] = lineno
-
-    def build(owner, **extra):
-        """The owner built from its keys; a violation cites its latest line."""
-        kwargs = {name: values[key] for key, (o, name) in _KEY_TABLE.items()
-                  if o is owner and key in values}
-        try:
-            return owner(**kwargs, **extra)
-        except ParamError as err:
-            hits = [lines_by_key[k] for k in err.keys if k in lines_by_key]
-            prefix = f"line {max(hits)}: " if hits else ""
-            raise ConfigError(prefix + str(err)) from None
-
-    grid = build(Grid2D)
-    sections = {"phys": build(PhysParams), "reg": build(RegParams),
-                "step": build(StepConfig)}
-    from_file = values.get("initial", "").startswith("file:")
-    cfg = build(RunConfig, grid=None if from_file else grid, **sections)
-    for key in _GRID_KEYS:
-        if from_file and key in lines_by_key:
-            raise ConfigError(
-                f"line {lines_by_key[key]}: {key} cannot be set with "
-                f"initial = {cfg.initial}: the grid comes from the snapshot")
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# Initial data.
-
-
-def _perturb_preset(cfg: RunConfig) -> list:
-    """A mollified preset's raw initial data: the equilibrium components, perturbed."""
-    rho, ux, uy, eta, txx, txy, tyy = equilibrium_state(
-        cfg.grid, cfg.phys, cfg.reg, rho_bar=cfg.rho_bar, eta_bar=cfg.eta_bar).components()
-    x, y = cfg.grid.cell_centers()
-    px, py = np.pi * x / cfg.grid.lx, np.pi * y / cfg.grid.ly
-    amp = cfg.amp
-    # Each perturbed component replaces its equilibrium array and frees it: writing
-    # into the zero-filled arrays instead costs about 300 more page faults per 256^2
-    # setup.  sin^2 factors keep the velocity compatible with no-slip walls.
-    ux = amp * np.sin(px) ** 2 * np.sin(2.0 * py)
-    if cfg.initial == "perturbed-equilibrium":
-        rho = rho * (1.0 + amp * np.cos(px) * np.cos(py))
-        eta = eta * (1.0 + 0.5 * amp * np.cos(px))
-        uy = -amp * np.sin(2.0 * px) * np.sin(py) ** 2
-        txy = 0.1 * amp * txx * np.cos(px) * np.cos(py)
-        txx = txx * (1.0 + 0.3 * amp * np.cos(py))
-        tyy = tyy * (1.0 + 0.2 * amp * np.cos(px))
-    return [rho, ux, uy, eta, txx, txy, tyy]
-
-
-def build_initial(cfg: RunConfig) -> SimState:
-    """Initial state for a config: preset construction plus mollification.
-
-    The equilibrium preset is returned exactly (the mollifier's positivity
-    shift would detune the stress from its relaxation target); the other
-    presets are mollified at radius theta, all seven components in one
-    pass, and then the components in SimState.LIFTED are lifted by theta.
-    file:<path> loads the state file a previous run wrote as its snapshot
-    and uses it verbatim, time included.
-    """
-    if cfg.initial.startswith("file:"):
-        path = cfg.initial[5:]
-        try:
-            return load_state(path)
-        except OSError as err:
-            raise ConfigError(f"cannot read snapshot {path}: {err}") from err
-        except ValueError as err:
-            raise ConfigError(f"malformed snapshot {path}: {err}") from err
-    if cfg.initial == "equilibrium":
-        return equilibrium_state(cfg.grid, cfg.phys, cfg.reg,
-                                 rho_bar=cfg.rho_bar, eta_bar=cfg.eta_bar)
-    th = cfg.reg.theta
-    comps = mollify_initial(cfg.grid, _perturb_preset(cfg), th)
-    for i in SimState.LIFTED:
-        comps[i] += th
-    return state_from_components(0.0, cfg.grid, *comps)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +146,11 @@ def cmd_run(config_path) -> int:
 # bytes.
 
 
-def _spd_from(lam1_exp: float, lam2_exp: float, ang: float) -> SymMat2:
-    """The SPD matrix with eigenvalues 10**lam1_exp, 10**lam2_exp rotated by ang."""
+def _spd_from(lam1_exp: np.ndarray, lam2_exp: np.ndarray, ang: np.ndarray) -> SymMat2:
+    """The SPD matrices with eigenvalues 10**lam1_exp, 10**lam2_exp rotated by ang."""
     lam1 = 10.0 ** lam1_exp
     lam2 = 10.0 ** lam2_exp
-    c, s = math.cos(ang), math.sin(ang)
+    c, s = np.cos(ang), np.sin(ang)
     return SymMat2(lam1 * c * c + lam2 * s * s,
                    (lam1 - lam2) * c * s,
                    lam1 * s * s + lam2 * c * c)
@@ -394,12 +191,17 @@ class _SuiteReport:
 
     def check(self, name: str, ok: bool, detail: Callable[[], str]) -> None:
         """Count one evaluation; detail() runs only on the check's first failure."""
+        self.check_samples(name, np.array([ok]), lambda i: detail())
+
+    def check_samples(self, name: str, ok: np.ndarray, detail: Callable[[int], str]) -> None:
+        """Count a block of evaluations; detail(i) runs only for the check's first
+        failing sample i."""
         count = self.counts.setdefault(name, [0, 0])
-        count[1] += 1
-        if ok:
-            count[0] += 1
-        elif name not in self.failures:
-            self.failures[name] = detail()
+        passed = np.count_nonzero(ok)
+        count[0] += passed
+        count[1] += ok.size
+        if passed < ok.size and name not in self.failures:
+            self.failures[name] = detail(int(np.flatnonzero(np.logical_not(ok))[0]))
 
     def render(self) -> tuple[str, int]:
         """The counterexample is the first failed check, with its first failing detail."""
@@ -414,7 +216,7 @@ class _SuiteReport:
 
 
 # (check, phi, phi', kind) of the two trace inequality chains
-_CHAINS = (("concave-chain", math.log, lambda s: 1.0 / s, "concave"),
+_CHAINS = (("concave-chain", np.log, lambda s: 1.0 / s, "concave"),
            ("convex-chain", lambda s: s * s, lambda s: 2.0 * s, "convex"))
 
 
@@ -423,8 +225,11 @@ _CHAINS = (("concave-chain", math.log, lambda s: 1.0 / s, "concave"),
 _SAMPLE_LOW = (-3.0, -3.0, -3.0, -3.0, 0.0, -3.0, -3.0, 0.0)
 _SAMPLE_HIGH = (3.0, 3.0, 3.0, 3.0, 2.0 * np.pi, 3.0, 3.0, 2.0 * np.pi)
 _MATRIX_SAMPLES = 10_000
-# a block's draws stay alive as Python floats while it runs; blocks of
-# 1,000 left the closure suite that follows 0.35 MB more peak RSS, 100 do not
+# Samples checked as one set of arrays.  Blocks of 100, 1,000 or 2,000 leave
+# the same peak RSS after the closure suite that follows, 10,000 add 2.6 MB.
+# The suite takes 31 ms in blocks of 100 and 8 ms in blocks of 1,000, but
+# the benchmark's oracle peak RSS grows with every operation that fits its
+# time budget, so the blocks stay at 100.
 _MATRIX_BLOCK = 100
 
 
@@ -433,28 +238,30 @@ def _suite_matrix(seed: int) -> _SuiteReport:
     rng = np.random.default_rng(seed)
     for _ in range(_MATRIX_SAMPLES // _MATRIX_BLOCK):
         # one call draws the block in the order of per-sample scalar draws;
-        # tolist() keeps 10.0 ** u, cos and sin on Python floats
-        block = rng.uniform(_SAMPLE_LOW, _SAMPLE_HIGH, size=(_MATRIX_BLOCK, 8)).tolist()
-        for ua, ub, *u in block:
-            a = 10.0 ** ua
-            b = 10.0 ** ub
-            r = sc.scalar_log_ineq(a, b)
-            rep.check("scalar-log", r.holds,
-                      lambda: f"a={a!r} b={b!r} lhs={r.lhs!r} rhs={r.rhs!r}")
-            A, B = _spd_from(*u[:3]), _spd_from(*u[3:])
-            eA, eB = sc.eig(A), sc.eig(B)
-            r = sc.matrix_log_diff_ineq(A, B, eA, eB)
-            rep.check("matrix-log-diff", r.holds,
-                      lambda: f"A={A!r} B={B!r} lhs={r.lhs!r} rhs={r.rhs!r}")
-            for name, phi, dphi, kind in _CHAINS:
-                ch = sc.convexity_trace_ineq(phi, dphi, kind, A, B, eA, eB)
-                rep.check(name, ch.holds, lambda: f"A={A!r} B={B!r} left={ch.left!r} "
-                                                  f"mid={ch.mid!r} right={ch.right!r}")
-            # matrix_log_diff_ineq has checked eA.lam2 > 0
-            tl = eA.tr_log()
-            ld = math.log(A.det())
-            rep.check("trlog-logdet", abs(tl - ld) <= 1e-10 * (1.0 + abs(tl)),
-                      lambda: f"A={A!r} tr_log={tl!r} log_det={ld!r}")
+        # row j of u is the j-th draw of every sample
+        u = np.transpose(rng.uniform(_SAMPLE_LOW, _SAMPLE_HIGH, size=(_MATRIX_BLOCK, 8))).copy()
+        a = 10.0 ** u[0]
+        b = 10.0 ** u[1]
+        r = sc.scalar_log_ineq(a, b)
+        rep.check_samples("scalar-log", r.holds, lambda i: (
+            f"a={float(a[i])!r} b={float(b[i])!r} "
+            f"lhs={float(r.lhs[i])!r} rhs={float(r.rhs[i])!r}"))
+        A, B = _spd_from(*u[2:5]), _spd_from(*u[5:])
+        eA, eB = sc.decompose(A), sc.decompose(B)
+        r = sc.matrix_log_diff_ineq(A, B, eA, eB)
+        rep.check_samples("matrix-log-diff", r.holds, lambda i: (
+            f"A={A.sample(i)!r} B={B.sample(i)!r} "
+            f"lhs={float(r.lhs[i])!r} rhs={float(r.rhs[i])!r}"))
+        for name, phi, dphi, kind in _CHAINS:
+            ch = sc.convexity_trace_ineq(phi, dphi, kind, A, B, eA, eB)
+            rep.check_samples(name, ch.holds, lambda i: (
+                f"A={A.sample(i)!r} B={B.sample(i)!r} left={float(ch.left[i])!r} "
+                f"mid={float(ch.mid[i])!r} right={float(ch.right[i])!r}"))
+        # matrix_log_diff_ineq has checked eA's lam2 > 0
+        tl = np.log(eA[0]) + np.log(eA[1])
+        ld = np.log(A.det())
+        rep.check_samples("trlog-logdet", abs(tl - ld) <= 1e-10 * (1.0 + abs(tl)), lambda i: (
+            f"A={A.sample(i)!r} tr_log={float(tl[i])!r} log_det={float(ld[i])!r}"))
     return rep
 
 

@@ -113,7 +113,8 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
             grid, np.maximum(rho, 0.0) ** reg.Gamma
         )
     polymer_entropy = phys.k * phys.L * cell_sum(grid, _xlogx(eta) + 1.0)
-    polymer_quad = phys.delta * cell_sum(grid, eta**2)
+    # a knob's term is skipped, not multiplied by 0 (0 * inf is NaN)
+    polymer_quad = phys.delta * cell_sum(grid, eta**2) if phys.delta != 0.0 else 0.0
 
     tr_t = txx + tyy
     if alpha != 0.0:
@@ -127,17 +128,21 @@ def energy(state: SimState, phys: PhysParams, reg: RegParams) -> EnergyReport:
     dex = g2.grad_x(eta, NEUMANN, grid.hx)
     dey = g2.grad_y(eta, NEUMANN, grid.hy)
     grad_eta2 = dex**2 + dey**2
-    eta_diss_density = 2.0 * phys.delta * grad_eta2
+    eta_diss_density = 0.0  # L and delta are never both 0
     if phys.L != 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            entropic = np.where(
+            eta_diss_density = np.where(
                 grad_eta2 == 0.0, 0.0, phys.k * phys.L * grad_eta2 / eta
             )
-        eta_diss_density = entropic + eta_diss_density
+    if phys.delta != 0.0:
+        eta_diss_density = eta_diss_density + 2.0 * phys.delta * grad_eta2
     eta_diss = phys.eps * cell_sum(grid, eta_diss_density)
 
     div_u, dev2 = _div_and_dev2(*velocity_jacobian(grid, ux, uy))
-    newtonian_diss = cell_sum(grid, phys.muS * dev2 + phys.muB * div_u**2)
+    newtonian_density = phys.muS * dev2
+    if phys.muB != 0.0:
+        newtonian_density = newtonian_density + phys.muB * div_u**2
+    newtonian_diss = cell_sum(grid, newtonian_density)
 
     rate = phys.A0 / (4.0 * phys.lam)
     stress_relax = rate * cell_sum(grid, tr_t)

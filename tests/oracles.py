@@ -19,13 +19,22 @@ neumann_heat_solve_fft the plain-expression numpy.fft form of the DCT heat
 solve, with its own per-call denominator, that the package's in-place
 version must reproduce bit for bit, and neumann_heat_solve_np the
 scipy.fft DCT form of the same solve, which it must match to rounding.
-matrix_log_diff_ineq_per_call and convexity_trace_ineq_per_call are the
-inequality checkers with every term decomposing its matrix again (through
-apply_scalar and tr_log); the package's one-decomposition checkers must
-reproduce them bit for bit.
+matrix_log_diff_ineq_fields_per_call and
+convexity_trace_ineq_fields_per_call are the inequality checkers with
+every term decomposing its matrices again (through apply_scalar_mat and
+tr_log_fields); the package's one-decomposition checkers must reproduce
+them bit for bit, exceptions included.
+
+eig, EigenPair2 and lift are the closed-form 2x2 eigendecomposition of one
+matrix in plain float arithmetic and math-module calls, the scalar twin of
+the package's eig_fields / rotation_fields.  On them rest the scalar
+references: scalar_log_ineq_math, matrix_log_diff_ineq_per_call and
+convexity_trace_ineq_per_call, which the package's array checkers must
+match to a few ulps (numpy's SIMD log and cos may round differently from
+libm's).
 
 The rest are checks that more than one test module runs and the solver
-never does, built on the package's closed-form 2x2 calculus: tr log of
+never does, built on that closed-form 2x2 calculus: tr log of
 one matrix (tr_log), the lift of a scalar function to one matrix
 (apply_scalar) and over component arrays (apply_scalar_fields), the
 eigenvalue cutoff chi (chi_scalar, chi_cutoff), the centered-difference
@@ -37,7 +46,8 @@ stress_grad_l2).
 """
 
 import math
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft
@@ -48,9 +58,9 @@ from oldroyd2d.diagnostics import energy_residual_series, stress_norms
 from oldroyd2d.grid import cell_sum
 from oldroyd2d.integrate import BlowupError
 from oldroyd2d.model import PhysParams
-from oldroyd2d.symcalc import (_CONVEXITY_SLACK, _MATRIX_LOG_SLACK, DIM, ChainResult,
-                                IneqResult, NotSPDError, SymMat2, eig, eig_fields,
-                                recombine_fields, rotation_fields)
+from oldroyd2d.symcalc import (_CONVEXITY_SLACK, _MATRIX_LOG_SLACK, _SCALAR_LOG_SLACK,
+                                _TIE_BREAK_REL, DIM, ChainResult, IneqResult, NotSPDError,
+                                SymMat2, eig_fields, recombine_fields, rotation_fields)
 
 
 def eig_np(mat: np.ndarray):
@@ -350,6 +360,62 @@ def neumann_heat_solve_fft(arr: np.ndarray, kappa_dt: float, hx: float, hy: floa
     return out
 
 
+@dataclass(frozen=True)
+class EigenPair2:
+    """Ordered eigenvalues lam1 >= lam2 plus the rotation angle of O.
+
+    O = [[cos phi, -sin phi], [sin phi, cos phi]] maps the standard basis
+    onto the eigenvectors, first column belonging to lam1.
+    """
+
+    lam1: float
+    lam2: float
+    angle: float
+
+    def tr_log(self) -> float:
+        """tr log of the matrix, for positive eigenvalues."""
+        return math.log(self.lam1) + math.log(self.lam2)
+
+
+def eig(p: SymMat2) -> EigenPair2:
+    """Closed-form eigendecomposition of one float matrix via the characteristic quadratic.
+
+    The smaller-magnitude root comes from det/lam to dodge the
+    subtraction cancellation when the eigenvalues are far apart.  The
+    rotation angle comes from atan2 on the off-diagonal structure,
+    guarded so that a (near-)repeated eigenvalue yields O = I.
+    """
+    mean = 0.5 * (p.xx + p.yy)
+    half_gap = 0.5 * (p.xx - p.yy)
+    radius = math.hypot(half_gap, p.xy)
+    if radius == 0.0:
+        return EigenPair2(mean, mean, 0.0)
+    if mean >= 0.0:
+        lam1 = mean + radius
+        lam2 = p.det() / lam1 if lam1 != 0.0 else mean - radius
+    else:
+        lam2 = mean - radius
+        lam1 = p.det() / lam2
+    if lam1 - lam2 < _TIE_BREAK_REL * (1.0 + abs(lam1)):
+        return EigenPair2(lam1, lam2, 0.0)
+    angle = 0.5 * math.atan2(2.0 * p.xy, p.xx - p.yy)
+    return EigenPair2(lam1, lam2, angle)
+
+
+def lift(g: Callable[[float], float], e: EigenPair2) -> SymMat2:
+    """The scalar function g lifted to the matrix whose eigendecomposition is e."""
+    return SymMat2(*recombine_fields(g(e.lam1), g(e.lam2), math.cos(e.angle), math.sin(e.angle)))
+
+
+def scalar_log_ineq_math(a: float, b: float) -> IneqResult:
+    """symcalc.scalar_log_ineq for one pair of floats, on math.log."""
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("arguments must be positive")
+    lhs = -(a - b) * (1.0 / a - 1.0 / b)
+    rhs = (math.log(a) - math.log(b)) ** 2
+    return IneqResult(lhs, rhs, lhs >= rhs - _SCALAR_LOG_SLACK)
+
+
 def apply_scalar(g, p: SymMat2) -> SymMat2:
     """Lift the scalar function g to p through its own eigendecomposition."""
     e = eig(p)
@@ -399,6 +465,49 @@ def apply_scalar_fields(g, xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
     lam1, lam2 = eig_fields(xx, xy, yy)
     c, s = rotation_fields(xx, xy, yy, lam1, lam2)
     return recombine_fields(g(lam1), g(lam2), c, s)
+
+
+def apply_scalar_mat(g, p: SymMat2) -> SymMat2:
+    """apply_scalar_fields on the entry arrays of p, as a SymMat2."""
+    return SymMat2(*apply_scalar_fields(g, p.xx, p.xy, p.yy))
+
+
+def tr_log_fields(p: SymMat2) -> np.ndarray:
+    """tr log of each matrix of p through its own eig_fields call."""
+    lam1, lam2 = eig_fields(p.xx, p.xy, p.yy)
+    return np.log(lam1) + np.log(lam2)
+
+
+def matrix_log_diff_ineq_fields_per_call(a: SymMat2, b: SymMat2) -> IneqResult:
+    """symcalc.matrix_log_diff_ineq with every term decomposing its matrices again."""
+    spd = [x > 0.0 and y > 0.0 for x, y in zip(eig_fields(a.xx, a.xy, a.yy)[1].ravel(),
+                                                eig_fields(b.xx, b.xy, b.yy)[1].ravel())]
+    if not all(spd):
+        raise NotSPDError(f"both arguments must be positive definite (sample {spd.index(False)})")
+    lhs = (tr_log_fields(a) - tr_log_fields(b)) ** 2
+    inv_a = apply_scalar_mat(lambda s: 1.0 / s, a)
+    inv_b = apply_scalar_mat(lambda s: 1.0 / s, b)
+    rhs = -DIM * a.sub(b).inner(inv_a.sub(inv_b))
+    scale = 1.0 + np.abs(lhs) + np.abs(rhs)
+    return IneqResult(lhs, rhs, lhs <= rhs + _MATRIX_LOG_SLACK * scale)
+
+
+def convexity_trace_ineq_fields_per_call(g, g_prime, kind: str,
+                                         a: SymMat2, b: SymMat2) -> ChainResult:
+    """symcalc.convexity_trace_ineq with every lift decomposing its matrices again."""
+    if kind not in ("concave", "convex"):
+        raise ValueError("kind must be 'concave' or 'convex'")
+    diff = a.sub(b)
+    left = diff.inner(apply_scalar_mat(g_prime, b))
+    mid = apply_scalar_mat(g, a).trace() - apply_scalar_mat(g, b).trace()
+    right = diff.inner(apply_scalar_mat(g_prime, a))
+    scale = 1.0 + np.abs(left) + np.abs(mid) + np.abs(right)
+    slack = _CONVEXITY_SLACK * scale
+    if kind == "concave":
+        holds = (left >= mid - slack) & (mid >= right - slack)
+    else:
+        holds = (left <= mid + slack) & (mid <= right + slack)
+    return ChainResult(left, mid, right, holds)
 
 
 def chi_scalar(s3: float, s: float) -> float:

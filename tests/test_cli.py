@@ -18,7 +18,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from oldroyd2d import cli, integrate
+from oldroyd2d import cli, config, integrate
 from oldroyd2d import diagnostics as dg
 from oldroyd2d import grid as g2
 from oldroyd2d.grid import Grid2D, ParamError, cell_sum, mollify_initial
@@ -33,7 +33,7 @@ def serialize(cfg: cli.RunConfig) -> str:
     sections = {Grid2D: cfg.grid, PhysParams: cfg.phys, RegParams: cfg.reg,
                 StepConfig: cfg.step}
     lines = []
-    for key, (owner, name) in cli._KEY_TABLE.items():
+    for key, (owner, name) in config._KEY_TABLE.items():
         if owner is Grid2D and cfg.grid is None:
             continue  # a file: initial carries no grid
         val = getattr(sections.get(owner, cfg), name)
@@ -114,7 +114,7 @@ class TestParseConfig:
             cli.parse_config("amp = 1.5")
 
     def test_initial_names(self):
-        for name in cli.PRESETS:
+        for name in config.PRESETS:
             assert cli.parse_config(f"initial = {name}").initial == name
         assert cli.parse_config("initial = file:/tmp/x").initial == "file:/tmp/x"
         with pytest.raises(cli.ConfigError, match="initial"):
@@ -278,11 +278,11 @@ class TestConfigRules:
             build()
         assert isinstance(err.value, ValueError)
         assert err.value.keys == keys
-        assert set(keys) <= set(cli._KEY_TABLE)
+        assert set(keys) <= set(config._KEY_TABLE)
 
     def test_every_parameter_field_has_a_config_key(self):
         # a field that no key reaches could be set only through the library
-        keyed = set(cli._KEY_TABLE.values())
+        keyed = set(config._KEY_TABLE.values())
         sections = {"grid", "phys", "reg", "step"}
         missing = [f"{owner.__name__}.{field.name}"
                    for owner in (Grid2D, PhysParams, RegParams, StepConfig, cli.RunConfig)
@@ -343,7 +343,7 @@ class TestPresets:
             rho, _, uy, eta, *_ = equilibrium_state(cfg.grid, cfg.phys, cfg.reg).components()
             return [rho, x * y, uy, eta, x * x, x * np.sin(y), np.sin(y) ** 2]
 
-        monkeypatch.setattr(cli, "_perturb_preset", rank_one)
+        monkeypatch.setattr(config, "_perturb_preset", rank_one)
         theta = 0.05
         cfg = cli.parse_config(
             f"nx = 16\nny = 16\ninitial = perturbed-equilibrium\ntheta = {theta}")
@@ -757,12 +757,15 @@ class TestVerifyCommand:
     def test_counterexample_exits_three(self, monkeypatch):
         monkeypatch.setattr(
             cli.sc, "scalar_log_ineq",
-            lambda a, b: IneqResult(0.0, 1.0, False))
+            lambda a, b: IneqResult(np.zeros_like(a), np.ones_like(a), np.zeros(a.shape, bool)))
         code, out, _ = capture(cli.cmd_verify, "matrix-inequalities", 5)
         assert code == 3
         assert "result: FAIL" in out
         assert "counterexample: scalar-log" in out
         assert "scalar-log: 0/10000" in out
+        # the first sample, as floats
+        assert re.search(r"\ncounterexample: scalar-log: a=[0-9.e+-]+ b=[0-9.e+-]+ "
+                         r"lhs=0\.0 rhs=1\.0\n$", out)
 
     def test_passing_suite_formats_no_failure_text(self, monkeypatch):
         def no_repr(self):
@@ -776,30 +779,51 @@ class TestVerifyCommand:
 
         def convex_fails(phi, dphi, kind, A, B, eA, eB):
             res = chain(phi, dphi, kind, A, B, eA, eB)
-            assert repr(res) == repr(oracles.convexity_trace_ineq_per_call(phi, dphi, kind, A, B))
-            return res._replace(holds=False) if kind == "convex" else res
+            want = oracles.convexity_trace_ineq_fields_per_call(phi, dphi, kind, A, B)
+            assert [v.tobytes() for v in res] == [v.tobytes() for v in want]
+            return res._replace(holds=np.zeros_like(res.holds)) if kind == "convex" else res
         monkeypatch.setattr(cli.sc, "convexity_trace_ineq", convex_fails)
         text, code = cli.verify_report("matrix-inequalities", 5)
         assert code == 3
         assert "concave-chain: 10000/10000\nconvex-chain: 0/10000\n" in text
         assert "counterexample: convex-chain: A=SymMat2(" in text
+        number = r"-?[0-9.e+-]+"
+        mat = rf"SymMat2\(xx={number}, xy={number}, yy={number}\)"
+        assert re.search(rf"\ncounterexample: convex-chain: A={mat} B={mat} left={number} "
+                         rf"mid={number} right={number}\n$", text)
 
     def test_two_decompositions_per_matrix_sample(self, monkeypatch):
-        calls = [0]
-        real = cli.sc.eig
+        # one eig_fields and one rotation_fields call per matrix per block
+        sizes = {"eig_fields": [], "rotation_fields": []}
 
-        def counted(p):
-            calls[0] += 1
-            return real(p)
-        monkeypatch.setattr(cli.sc, "eig", counted)
+        def counted(name):
+            real = getattr(cli.sc, name)
+
+            def call(xx, *args):
+                sizes[name].append(xx.size)
+                return real(xx, *args)
+            return call
+        for name in sizes:
+            monkeypatch.setattr(cli.sc, name, counted(name))
         text, code = cli.verify_report("matrix-inequalities", 5)
         assert code == 0 and "trlog-logdet: 10000/10000\n" in text
-        assert calls[0] == 2 * 10_000
+        blocks = 10_000 // cli._MATRIX_BLOCK
+        assert sizes == {name: [cli._MATRIX_BLOCK] * (2 * blocks) for name in sizes}
 
     def test_matrix_samples_follow_the_scalar_draw_stream(self, monkeypatch):
-        # a passing report holds counts only; this pins the sampled values to
-        # those of 8 scalar rng.uniform draws per sample, in sample order
-        seen = []
+        # a passing report holds counts only; this pins the uniforms to those
+        # of 8 scalar rng.uniform draws per sample, in sample order, and the
+        # sampled values to an independent numpy recomputation from them
+        drawn, seen = [], []
+        default_rng = np.random.default_rng
+
+        class Recorded:
+            def __init__(self, seed_):
+                self.rng = default_rng(seed_)
+
+            def uniform(self, *args, **kwargs):
+                drawn.append(self.rng.uniform(*args, **kwargs))
+                return drawn[-1].copy()
         scalar, log_diff = cli.sc.scalar_log_ineq, cli.sc.matrix_log_diff_ineq
 
         def scalar_seen(a, b):
@@ -809,28 +833,33 @@ class TestVerifyCommand:
         def log_diff_seen(A, B, eA, eB):
             seen.append((A, B))
             return log_diff(A, B, eA, eB)
+        monkeypatch.setattr(cli.np.random, "default_rng", Recorded)
         monkeypatch.setattr(cli.sc, "scalar_log_ineq", scalar_seen)
         monkeypatch.setattr(cli.sc, "matrix_log_diff_ineq", log_diff_seen)
         cli.verify_report("matrix-inequalities", 7)
+        monkeypatch.undo()
 
         rng = np.random.default_rng(7)
+        lows = (-3.0, -3.0, -3.0, -3.0, 0.0, -3.0, -3.0, 0.0)
+        highs = (3.0, 3.0, 3.0, 3.0, 2.0 * np.pi, 3.0, 3.0, 2.0 * np.pi)
+        want = np.array([[rng.uniform(lo, hi) for lo, hi in zip(lows, highs)]
+                         for _ in range(10_000)])
+        u = np.concatenate(drawn)
+        assert u.shape == want.shape and u.tobytes() == want.tobytes()
 
-        def spd():
-            lam1 = 10.0 ** rng.uniform(-3.0, 3.0)
-            lam2 = 10.0 ** rng.uniform(-3.0, 3.0)
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            c, s = math.cos(ang), math.sin(ang)
-            return SymMat2(lam1 * c * c + lam2 * s * s, (lam1 - lam2) * c * s,
-                           lam1 * s * s + lam2 * c * c)
-        expected = []
-        for _ in range(10_000):
-            a = 10.0 ** rng.uniform(-3.0, 3.0)
-            b = 10.0 ** rng.uniform(-3.0, 3.0)
-            expected += [(a, b), (spd(), spd())]
-        # reprs compare bits and types; report only the first mismatch
-        mismatch = next((i for i, (x, y) in enumerate(zip(seen, expected))
-                         if repr(x) != repr(y)), None)
-        assert len(seen) == len(expected) and mismatch is None, mismatch
+        def spd(lam1_exp, lam2_exp, ang):
+            lam1, lam2 = np.power(10.0, lam1_exp), np.power(10.0, lam2_exp)
+            c, s = np.cos(ang), np.sin(ang)
+            return [lam1 * c * c + lam2 * s * s, (lam1 - lam2) * c * s,
+                    lam1 * s * s + lam2 * c * c]
+        assert len(seen) == 2 * len(drawn)
+        for k, block in enumerate(np.split(want, len(drawn))):
+            (a, b), (A, B) = seen[2 * k], seen[2 * k + 1]
+            draws = block.T.copy()  # draw j of every sample, contiguous
+            expected = [np.power(10.0, draws[0]), np.power(10.0, draws[1]),
+                        *spd(*draws[2:5]), *spd(*draws[5:])]
+            got = [a, b, A.xx, A.xy, A.yy, B.xx, B.xy, B.yy]
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in expected], k
 
     def test_field_check_failure_names_first_field(self, monkeypatch):
         bound = dg.cutoff_log_grad_bound

@@ -278,6 +278,17 @@ class TestFpStepWorkspace:
         rep = cl.closure_compare(cl.GradU2.shear(0.1), 1.0, PHYS, t_end=0.2, nq=32)
         assert rep.steps > 1 and calls[0] == rep.steps
 
+    @pytest.mark.parametrize("nq", [4, 5, 63, 64, 128])
+    def test_scratch_rows_start_on_cache_lines(self, nq):
+        work = cl._FpWork(nq, 8.0, STRETCH, PHYS)
+        rows = (*work.faces, work.cells, work.transposed, work.mask)
+        assert [row.ctypes.data % 64 for row in rows] == [0] * 5
+        assert [row.shape for row in rows] == [(nq - 1, nq)] * 2 + [(nq, nq)] * 3
+        assert all(row.flags.c_contiguous for row in rows)
+        assert work.mask.dtype == bool
+        # the rows are disjoint, so no pass overwrites another's data
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1:])
+
     def test_warm_step_allocates_only_its_result(self):
         nq = 128
         kappa = STRETCH

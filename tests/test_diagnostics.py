@@ -112,6 +112,17 @@ class TestEnergyReport:
         want = phys.eps * cell_sum(g, entropic + 2.0 * phys.delta * grad2)
         assert dg.energy(state, phys, RegParams(alpha=0.0)).eta_diss == want
 
+    def test_zero_knob_terms_are_skipped(self):
+        # delta = 0: eta**2 overflows, and 0 * inf would make the total NaN
+        phys, reg = PhysParams(), RegParams(alpha=0.0)
+        assert phys.delta == 0.0
+        state = equilibrium_state(Grid2D(8, 8, 1.0, 1.0), phys, reg)
+        state.components()[3][3, 3] = 1e160
+        with np.errstate(over="ignore"):
+            rep = dg.energy(state, phys, reg)
+        assert rep.polymer_quad == 0.0
+        assert math.isfinite(rep.total)
+
     def test_artificial_pressure_term(self):
         state = unit_state(rho=2.0)
         phys = PhysParams(a=1.0, gamma=2.0)

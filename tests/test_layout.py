@@ -19,6 +19,10 @@ count of src/ cannot drop by joining lines.
 No module in src/oldroyd2d imports scipy: numpy is the only runtime
 dependency, and scipy serves the tests' reference routes alone.
 
+symcalc.eig_fields is the only function in src/ that calls hypot, so the
+package holds one eigendecomposition: the solver's tr log T and cutoff chi
+and the matrix-inequalities suite all run it.
+
 The field classes are named component bundles that live in model.py, the
 only module in src/ that names them: model.state_from_components is the
 only place that builds one, and each holds only its component arrays, with
@@ -287,3 +291,27 @@ def scipy_imports() -> list[str]:
 
 def test_no_module_in_src_imports_scipy():
     assert scipy_imports() == []
+
+
+def hypot_callers() -> list[str]:
+    """module.function of each function in src/ that calls hypot, as math.hypot, np.hypot or bare."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+        def visit(node, func):
+            if isinstance(node, _FUNCS):
+                func = node.name
+            elif isinstance(node, ast.Call):
+                callee = node.func
+                if (getattr(callee, "id", None) or getattr(callee, "attr", None)) == "hypot":
+                    found.append(f"{path.stem}.{func}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(tree, None)
+    return found
+
+
+def test_only_eig_fields_calls_hypot():
+    assert hypot_callers() == ["symcalc.eig_fields"]

@@ -10,18 +10,17 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (apply_scalar, apply_scalar_fields, chi_cutoff, chi_scalar,
-                     jacobi_residual, sym_scale, tr_log)
+from oracles import (EigenPair2, apply_scalar, apply_scalar_fields, chi_cutoff, chi_scalar,
+                     eig, jacobi_residual, lift, sym_scale, tr_log)
+from oldroyd2d import symcalc
 from oldroyd2d.symcalc import (
     DIM,
-    EigenPair2,
     NotSPDError,
     SymMat2,
     convexity_trace_ineq,
     cutoff_fields,
-    eig,
+    decompose,
     eig_fields,
-    lift,
     matrix_log_diff_ineq,
     recombine_fields,
     rotation_fields,
@@ -48,14 +47,32 @@ def identity() -> SymMat2:
     return SymMat2(1.0, 0.0, 1.0)
 
 
+def fields(*mats: SymMat2) -> SymMat2:
+    """The float matrices as one SymMat2 of entry arrays, one element per matrix."""
+    return SymMat2(*(np.array([getattr(p, name) for p in mats]) for name in ("xx", "xy", "yy")))
+
+
+def single(res):
+    """The only sample of a checker result, one numpy scalar per field."""
+    assert all(np.shape(v) == (1,) for v in res)
+    return type(res)(*(v[0] for v in res))
+
+
 def log_diff(a, b):
-    """matrix_log_diff_ineq with each matrix's own decomposition."""
-    return matrix_log_diff_ineq(a, b, eig(a), eig(b))
+    """matrix_log_diff_ineq on one float pair, each matrix decomposed once."""
+    A, B = fields(a), fields(b)
+    return single(matrix_log_diff_ineq(A, B, decompose(A), decompose(B)))
 
 
 def chain(g, g_prime, kind, a, b):
-    """convexity_trace_ineq with each matrix's own decomposition."""
-    return convexity_trace_ineq(g, g_prime, kind, a, b, eig(a), eig(b))
+    """convexity_trace_ineq on one float pair, each matrix decomposed once."""
+    A, B = fields(a), fields(b)
+    return single(convexity_trace_ineq(g, g_prime, kind, A, B, decompose(A), decompose(B)))
+
+
+def eig_single(p: SymMat2):
+    """(lam1, lam2, cos, sin) of one float matrix from eig_fields and rotation_fields."""
+    return tuple(float(v[0]) for v in decompose(fields(p)))
 
 
 def to_array(p: SymMat2) -> np.ndarray:
@@ -76,10 +93,6 @@ def _recombine(g1: float, g2: float, angle: float) -> SymMat2:
     return SymMat2(*recombine_fields(g1, g2, math.cos(angle), math.sin(angle)))
 
 
-def reconstruct(e: EigenPair2) -> SymMat2:
-    return _recombine(e.lam1, e.lam2, e.angle)
-
-
 def mat_log(p: SymMat2) -> SymMat2:
     e = eig(p)
     if e.lam2 <= 0.0:
@@ -92,6 +105,12 @@ def g_cutoff_scalar(s3: float, s: float) -> float:
     if s >= s3:
         return math.log(s)
     return s / s3 + math.log(s3) - 1.0
+
+
+def g_cutoff_fields(s3: float, s: np.ndarray) -> np.ndarray:
+    """g_cutoff_scalar elementwise on an array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s >= s3, np.log(s), s / s3 + math.log(s3) - 1.0)
 
 
 def g_cutoff_log(s3: float, p: SymMat2) -> SymMat2:
@@ -145,33 +164,34 @@ sym_matrices = st.builds(sym, entry, entry, entry)
 
 
 class TestEig:
+    """eig_fields and rotation_fields, one matrix at a time."""
+
     def test_identity_tie_break(self):
-        e = eig(identity())
-        assert (e.lam1, e.lam2) == (1.0, 1.0)
-        assert e.angle == 0.0
+        lam1, lam2, c, s = eig_single(identity())
+        assert (lam1, lam2) == (1.0, 1.0)
+        assert (c, s) == (1.0, 0.0)
 
     def test_diagonal(self):
-        e = eig(sym(5, 0, 2))
-        assert (e.lam1, e.lam2) == (5.0, 2.0)
-        assert e.angle == 0.0
+        lam1, lam2, c, s = eig_single(sym(5, 0, 2))
+        assert (lam1, lam2) == (5.0, 2.0)
+        assert (c, s) == (1.0, 0.0)
 
     def test_off_diagonal_frozen(self):
-        e = eig(sym(2, 1, 2))
-        assert e.lam1 == pytest.approx(EIG_211_LAM[0], abs=1e-14)
-        assert e.lam2 == pytest.approx(EIG_211_LAM[1], abs=1e-14)
-        vec1 = rotation(e)[:, 0]
-        assert vec1[0] == pytest.approx(EIG_211_VEC1[0], abs=1e-14)
-        assert vec1[1] == pytest.approx(EIG_211_VEC1[1], abs=1e-14)
+        lam1, lam2, c, s = eig_single(sym(2, 1, 2))
+        assert lam1 == pytest.approx(EIG_211_LAM[0], abs=1e-14)
+        assert lam2 == pytest.approx(EIG_211_LAM[1], abs=1e-14)
+        assert c == pytest.approx(EIG_211_VEC1[0], abs=1e-14)
+        assert s == pytest.approx(EIG_211_VEC1[1], abs=1e-14)
 
     @seed(20260817)
     @settings(max_examples=300, deadline=None)
     @given(sym_matrices)
     def test_reconstruction_and_orthogonality(self, p):
-        e = eig(p)
-        assert e.lam1 >= e.lam2
-        o = rotation(e)
+        lam1, lam2, c, s = eig_single(p)
+        assert lam1 >= lam2
+        o = np.array([[c, -s], [s, c]])
         assert np.allclose(o @ o.T, np.eye(2), atol=1e-12)
-        err = np.linalg.norm(to_array(reconstruct(e)) - to_array(p))
+        err = np.linalg.norm(to_array(SymMat2(*recombine_fields(lam1, lam2, c, s))) - to_array(p))
         assert err <= RECON_TOL * (1.0 + np.linalg.norm(to_array(p)))
 
     @seed(20260817)
@@ -179,10 +199,17 @@ class TestEig:
     @given(sym_matrices)
     def test_matches_numpy_route(self, p):
         lam_np, _ = oracles.eig_np(to_array(p))
-        e = eig(p)
+        lam1, lam2, _, _ = eig_single(p)
         scale = 1.0 + abs(lam_np[0]) + abs(lam_np[1])
-        assert abs(e.lam1 - lam_np[0]) <= 1e-12 * scale
-        assert abs(e.lam2 - lam_np[1]) <= 1e-12 * scale
+        assert abs(lam1 - lam_np[0]) <= 1e-12 * scale
+        assert abs(lam2 - lam_np[1]) <= 1e-12 * scale
+
+    def test_scalar_reference_eig(self):
+        # the float twin in tests/oracles.py that the scalar references rest on
+        e = eig(sym(2, 1, 2))
+        assert (e.lam1, e.lam2) == pytest.approx(EIG_211_LAM, abs=1e-14)
+        assert rotation(e)[:, 0] == pytest.approx(EIG_211_VEC1, abs=1e-14)
+        assert (eig(identity()).angle, eig(sym(5, 0, 2)).angle) == (0.0, 0.0)
 
 
 class TestApplyScalar:
@@ -335,11 +362,21 @@ class TestScalarLogIneq:
         with pytest.raises(ValueError):
             scalar_log_ineq(1.0, 0.0)
 
+    def test_rejects_nan_naming_the_first_bad_sample(self):
+        with pytest.raises(ValueError, match=r"\(sample 0\)"):
+            scalar_log_ineq(math.nan, 1.0)
+        a = np.array([1.0, 2.0, 0.0, math.nan])
+        with pytest.raises(ValueError, match=r"\(sample 2\)"):
+            scalar_log_ineq(a, np.ones(4))
+        with pytest.raises(ValueError, match=r"\(sample 1\)"):
+            scalar_log_ineq(np.ones(4), np.array([1.0, math.nan, -1.0, 1.0]))
+
     @seed(20260817)
     @settings(max_examples=500, deadline=None)
     @given(positive, positive)
     def test_universal(self, a, b):
         assert scalar_log_ineq(a, b).holds
+        assert single(scalar_log_ineq(np.array([a]), np.array([b]))).holds
 
 
 class TestMatrixLogDiffIneq:
@@ -358,6 +395,16 @@ class TestMatrixLogDiffIneq:
         with pytest.raises(NotSPDError):
             log_diff(sym(1, 0, -1), identity())
 
+    def test_rejects_nan_naming_the_first_bad_sample(self):
+        with pytest.raises(NotSPDError, match=r"\(sample 0\)"):
+            log_diff(SymMat2(math.nan, 0.0, 1.0), identity())
+        a = fields(identity(), sym(2, 1, 2), sym(1, 0, 1), sym(1, 0, math.nan))
+        b = fields(identity(), identity(), sym(0, 0, 1), identity())
+        with pytest.raises(NotSPDError, match=r"\(sample 2\)"):
+            matrix_log_diff_ineq(a, b, decompose(a), decompose(b))
+        with pytest.raises(NotSPDError, match=r"\(sample 3\)"):
+            matrix_log_diff_ineq(b, a, decompose(a), decompose(a))
+
     @seed(20260817)
     @settings(max_examples=500, deadline=None)
     @given(spd_matrices, spd_matrices)
@@ -368,15 +415,15 @@ class TestMatrixLogDiffIneq:
 class TestConvexityChain:
     def test_equal_matrices_collapse(self):
         p = sym(2, 1, 2)
-        r = chain(math.log, lambda s: 1.0 / s, "concave", p, p)
+        r = chain(np.log, lambda s: 1.0 / s, "concave", p, p)
         assert r.left == pytest.approx(r.mid, abs=1e-14)
         assert r.mid == pytest.approx(r.right, abs=1e-14)
         assert r.holds
 
     def test_frozen_g_cutoff_chain(self):
         r = chain(
-            lambda s: g_cutoff_scalar(0.5, s),
-            lambda s: 1.0 / max(0.5, s),
+            lambda s: g_cutoff_fields(0.5, s),
+            lambda s: 1.0 / np.maximum(0.5, s),
             "concave",
             sym(2, 0, 2),
             identity(),
@@ -388,7 +435,7 @@ class TestConvexityChain:
 
     def test_rejects_bad_tag(self):
         with pytest.raises(ValueError):
-            chain(math.log, lambda s: 1.0 / s, "linear", identity(), identity())
+            chain(np.log, lambda s: 1.0 / s, "linear", identity(), identity())
 
     @seed(20260817)
     @settings(max_examples=300, deadline=None)
@@ -402,8 +449,8 @@ class TestConvexityChain:
     @given(spd_matrices, spd_matrices, st.floats(min_value=1e-2, max_value=2.0))
     def test_g_cutoff_concave_chain(self, a, b, s3):
         r = chain(
-            lambda s: g_cutoff_scalar(s3, s),
-            lambda s: 1.0 / max(s3, s),
+            lambda s: g_cutoff_fields(s3, s),
+            lambda s: 1.0 / np.maximum(s3, s),
             "concave",
             a,
             b,
@@ -411,54 +458,139 @@ class TestConvexityChain:
         assert r.holds
 
 
+def outcome(fn, *args):
+    """A checker's result as its type and each field's dtype, shape and bytes, or its error."""
+    try:
+        res = fn(*args)
+    except (ArithmeticError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+    return type(res).__name__, [(np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes())
+                                for v in res]
+
+
 class TestOneDecompositionPerMatrix:
     """The checkers, given one decomposition per matrix, match the per-call
-    forms of tests/oracles.py bit for bit, exceptions included."""
+    array forms of tests/oracles.py bit for bit, exceptions included."""
 
     CHAINS = (
-        (math.log, lambda s: 1.0 / s, "concave"),
+        (np.log, lambda s: 1.0 / s, "concave"),
         (lambda s: s * s, lambda s: 2.0 * s, "convex"),
-        (lambda s: g_cutoff_scalar(0.5, s), lambda s: 1.0 / max(0.5, s), "concave"),
+        (lambda s: g_cutoff_fields(0.5, s), lambda s: 1.0 / np.maximum(0.5, s), "concave"),
     )
     EDGE = (identity(), sym(2, 0, 2), sym(2, 0, 3), sym(3, 0, 2), sym(2, 1, 2),
             sym(1e-3, 0, 1e3), sym(1, 1e-17, 1), sym(1, 0, -1), sym(0, 0, 0),
             sym(-2, 1, -3), sym(1e300, 0, 1e-300))
 
-    @staticmethod
-    def _outcome(fn, *args):
-        try:
-            return repr(fn(*args))
-        except (ArithmeticError, ValueError) as err:
-            return f"{type(err).__name__}: {err}"
+    def _check(self, a: SymMat2, b: SymMat2):
+        """a and b hold entry arrays of one shape; edge pairs log negatives and multiply inf."""
+        with np.errstate(all="ignore"):
+            self._compare(a, b)
 
-    def _check(self, a, b):
-        ea, eb = eig(a), eig(b)
-        assert (self._outcome(matrix_log_diff_ineq, a, b, ea, eb)
-                == self._outcome(oracles.matrix_log_diff_ineq_per_call, a, b))
+    def _compare(self, a: SymMat2, b: SymMat2):
+        ea, eb = decompose(a), decompose(b)
+        assert (outcome(matrix_log_diff_ineq, a, b, ea, eb)
+                == outcome(oracles.matrix_log_diff_ineq_fields_per_call, a, b))
         for g, g_prime, kind in self.CHAINS:
-            assert (self._outcome(convexity_trace_ineq, g, g_prime, kind, a, b, ea, eb)
-                    == self._outcome(oracles.convexity_trace_ineq_per_call,
-                                     g, g_prime, kind, a, b))
+            assert (outcome(convexity_trace_ineq, g, g_prime, kind, a, b, ea, eb)
+                    == outcome(oracles.convexity_trace_ineq_fields_per_call,
+                               g, g_prime, kind, a, b))
 
     def test_edge_pairs(self):
-        for a, b in itertools.product(self.EDGE, repeat=2):
-            self._check(a, b)
+        pairs = list(itertools.product(self.EDGE, repeat=2))
+        for a, b in pairs:
+            self._check(fields(a), fields(b))
+        # all pairs at once: the error names the first non-SPD sample
+        self._check(fields(*(a for a, _ in pairs)), fields(*(b for _, b in pairs)))
 
     def test_verify_draws(self):
         rng = np.random.default_rng(20260817)
-        for _ in range(2000):
-            self._check(from_array(oracles.random_spd(rng)), from_array(oracles.random_spd(rng)))
+        mats = [from_array(oracles.random_spd(rng)) for _ in range(4000)]
+        self._check(fields(*mats[0::2]), fields(*mats[1::2]))
 
     @seed(20260817)
     @settings(max_examples=300, deadline=None)
     @given(sym_matrices, sym_matrices)
     def test_symmetric_pairs(self, a, b):
-        self._check(a, b)
+        self._check(fields(a), fields(b))
 
     def test_lift_is_apply_scalar(self):
         p = sym(2, 1, 2)
         assert repr(lift(math.exp, eig(p))) == repr(apply_scalar(math.exp, p))
         assert eig(p).tr_log() == tr_log(p)
+        P = fields(p, sym(1, 0, 2))
+        got, want = symcalc._lift(np.exp, decompose(P)), oracles.apply_scalar_mat(np.exp, P)
+        assert ([v.tobytes() for v in (got.xx, got.xy, got.yy)]
+                == [v.tobytes() for v in (want.xx, want.xy, want.yy)])
+
+
+# The array checkers against the scalar references on the matrix suite's
+# draws: the same float matrices, decomposed by eig_fields / rotation_fields
+# or by the float eig, with numpy's SIMD log, arctan2 and cos or libm's.
+# The decompositions agree to EIG_ULPS ulps (of each eigenvalue, and of 1
+# for cos and sin).  The checkers' inner products and trace differences
+# cancel, which amplifies that to CHECKER_ULPS ulps of each checker's own
+# scale 1 + |lhs| + |rhs| (1 + |left| + |mid| + |right| for the chains); the
+# largest seen on these draws is 1024.  CHECKER_ULPS stays below 1% of the
+# matrix checks' 1e-10 slack, and every verdict must agree.
+EIG_ULPS = 4
+CHECKER_ULPS = 4096
+
+
+def _suite_like_pairs(n: int, seed_: int):
+    """n scalar pairs and n pairs of float SPD matrices drawn as the matrix suite draws them."""
+    rng = np.random.default_rng(seed_)
+    u = rng.uniform(-3.0, 3.0, size=(n, 6))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2))
+    lam = (10.0 ** u[:, 2:]).tolist()
+    mats_a = [spd_from(x, y, phi) for (x, y, _, _), phi in zip(lam, ang[:, 0].tolist())]
+    mats_b = [spd_from(x, y, phi) for (_, _, x, y), phi in zip(lam, ang[:, 1].tolist())]
+    return 10.0 ** u[:, 0], 10.0 ** u[:, 1], mats_a, mats_b
+
+
+def _within_ulps(got, want, scale, ulps):
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(scale))
+
+
+class TestArrayMatchesScalarReference:
+    @pytest.mark.parametrize("seed_", [20260817, 7])
+    def test_suite_draws(self, seed_):
+        a, b, mats_a, mats_b = _suite_like_pairs(2000, seed_)
+        r = scalar_log_ineq(a, b)
+        ref = [oracles.scalar_log_ineq_math(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        scale = 1.0 + np.abs(r.lhs) + np.abs(r.rhs)
+        for got, name in zip(r[:2], ("lhs", "rhs")):
+            _within_ulps(got, np.array([getattr(x, name) for x in ref]), scale, EIG_ULPS)
+        assert r.holds.tolist() == [x.holds for x in ref]
+
+        A, B = fields(*mats_a), fields(*mats_b)
+        eA, eB = decompose(A), decompose(B)
+        want = [eig(x) for x in mats_a]
+        lam1, lam2 = np.array([e.lam1 for e in want]), np.array([e.lam2 for e in want])
+        _within_ulps(eA[0], lam1, lam1, EIG_ULPS)
+        _within_ulps(eA[1], lam2, lam2, EIG_ULPS)
+        _within_ulps(eA[2], np.array([math.cos(e.angle) for e in want]), 1.0, EIG_ULPS)
+        _within_ulps(eA[3], np.array([math.sin(e.angle) for e in want]), 1.0, EIG_ULPS)
+
+        r = matrix_log_diff_ineq(A, B, eA, eB)
+        ref = [oracles.matrix_log_diff_ineq_per_call(x, y) for x, y in zip(mats_a, mats_b)]
+        scale = 1.0 + np.abs(r.lhs) + np.abs(r.rhs)
+        for got, name in zip(r[:2], ("lhs", "rhs")):
+            _within_ulps(got, np.array([getattr(x, name) for x in ref]), scale, CHECKER_ULPS)
+        assert r.holds.tolist() == [x.holds for x in ref]
+
+        for g, g_prime, g_math, kind in (
+                (np.log, lambda s: 1.0 / s, math.log, "concave"),
+                (lambda s: s * s, lambda s: 2.0 * s, lambda s: s * s, "convex")):
+            ch = convexity_trace_ineq(g, g_prime, kind, A, B, eA, eB)
+            ref = [oracles.convexity_trace_ineq_per_call(g_math, g_prime, kind, x, y)
+                   for x, y in zip(mats_a, mats_b)]
+            scale = 1.0 + np.abs(ch.left) + np.abs(ch.mid) + np.abs(ch.right)
+            for got, name in zip(ch[:3], ("left", "mid", "right")):
+                _within_ulps(got, np.array([getattr(x, name) for x in ref]), scale, CHECKER_ULPS)
+            assert ch.holds.tolist() == [x.holds for x in ref]
+
+        tl = np.log(eA[0]) + np.log(eA[1])
+        _within_ulps(tl, np.array([tr_log(x) for x in mats_a]), 1.0 + np.abs(tl), EIG_ULPS)
 
 
 class TestPathChecks:
