@@ -30,8 +30,8 @@ matrix in plain float arithmetic and math-module calls, the scalar twin of
 the package's eig_fields / rotation_fields.  On them rest the scalar
 references: scalar_log_ineq_math, matrix_log_diff_ineq_per_call and
 convexity_trace_ineq_per_call, which the package's array checkers must
-match to a few ulps (numpy's SIMD log and cos may round differently from
-libm's).
+match within the ulp bounds stated in tests/test_symcalc.py (numpy's SIMD
+log and cos may round differently from libm's).
 
 The rest are checks that more than one test module runs and the solver
 never does, built on that closed-form 2x2 calculus: tr log of
