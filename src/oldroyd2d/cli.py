@@ -201,7 +201,7 @@ class _SuiteReport:
         count[0] += passed
         count[1] += ok.size
         if passed < ok.size and name not in self.failures:
-            self.failures[name] = detail(int(np.flatnonzero(np.logical_not(ok))[0]))
+            self.failures[name] = detail(sc.first_false(ok))
 
     def render(self) -> tuple[str, int]:
         """The counterexample is the first failed check, with its first failing detail."""

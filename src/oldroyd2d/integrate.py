@@ -128,13 +128,14 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
     return dt
 
 
-def _pack(state: SimState):
-    """Conservative components; all but the momenta are the state's own arrays."""
-    rho, ux, uy, *rest = state.components()
+def _pack(comps):
+    """Conservative components; all but the momenta are the arrays of comps."""
+    rho, ux, uy, *rest = comps
     return [rho, rho * ux, rho * uy, *rest]
 
 
-def _unpack(y, grid: g2.Grid2D, t: float, floor_counter) -> SimState:
+def _unpack(y, floor_counter) -> tuple:
+    """The seven primitive components of the packed y, in SimState.components() order."""
     rho, mx, my, eta, txx, txy, tyy = y
     safe = np.maximum(rho, RHO_FLOOR)
     if floor_counter is not None and np.any(rho < RHO_FLOOR):
@@ -142,12 +143,12 @@ def _unpack(y, grid: g2.Grid2D, t: float, floor_counter) -> SimState:
     # the momenta are left intact: step still reads the first stage's y
     ux = mx / safe
     uy = np.divide(my, safe, out=safe)
-    return state_from_components(t, grid, rho, ux, uy, eta, txx, txy, tyy)
+    return rho, ux, uy, eta, txx, txy, tyy
 
 
-def _rhs(state: SimState, phys: PhysParams, reg: RegParams):
-    return [rhs_continuity(state, phys, reg), *rhs_momentum(state, phys, reg),
-            rhs_eta(state, phys), *rhs_stress(state, phys, reg)]
+def _rhs(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams):
+    return [rhs_continuity(grid, comps, phys, reg), *rhs_momentum(grid, comps, phys, reg),
+            rhs_eta(grid, comps, phys), *rhs_stress(grid, comps, phys, reg)]
 
 
 def _implicit_terms(phys: PhysParams, reg: RegParams):
@@ -156,18 +157,16 @@ def _implicit_terms(phys: PhysParams, reg: RegParams):
     return ((reg.sigma2, (0,)), eps_term) if reg.sigma2 != 0.0 else (eps_term,)
 
 
-def _diffusion_only(state: SimState, phys: PhysParams, reg: RegParams):
+def _diffusion_only(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams):
     """(packed index, kappa * laplacian) of each implicitly treated component."""
-    g = state.grid
-    comps = state.components()
-    return [(i, _scaled(kappa, g2.lap(comps[i], g2.NEUMANN, g.hx, g.hy)))
+    return [(i, _scaled(kappa, g2.lap(comps[i], g2.NEUMANN, grid.hx, grid.hy)))
             for kappa, indices in _implicit_terms(phys, reg) for i in indices]
 
 
-def _explicit_rhs(state: SimState, phys: PhysParams, reg: RegParams):
+def _explicit_rhs(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams):
     """The IMEX scheme's explicit part: everything but the stiff diffusion."""
-    full = _rhs(state, phys, reg)
-    for i, diffusion in _diffusion_only(state, phys, reg):
+    full = _rhs(grid, comps, phys, reg)
+    for i, diffusion in _diffusion_only(grid, comps, phys, reg):
         full[i] -= diffusion
     return full
 
@@ -292,14 +291,16 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
     """
     # SSP-RK2 stages; IMEX runs them on everything but the stiff diffusion ...
     rhs = _rhs if cfg.scheme == "rk2" else _explicit_rhs
-    y0 = _pack(state)
-    y1 = _euler_stage(y0, rhs(state, phys, reg), dt)
-    s1 = _unpack(y1, state.grid, state.t + dt, floor_counter)
-    y2 = _heun_stage(y0, y1, rhs(s1, phys, reg), dt)
-    del s1, y1  # the first stage is dead before the implicit solves
+    grid = state.grid
+    comps = state.components()
+    y0 = _pack(comps)
+    y1 = _euler_stage(y0, rhs(grid, comps, phys, reg), dt)
+    comps = _unpack(y1, floor_counter)
+    y2 = _heun_stage(y0, y1, rhs(grid, comps, phys, reg), dt)
+    del comps, y1  # the first stage is dead before the implicit solves
     if cfg.scheme == "imex":
         # ... then one implicit Euler solve per diffused component
-        symbol = _neumann_symbol(state.grid)
+        symbol = _neumann_symbol(grid)
         for kappa, indices in _implicit_terms(phys, reg):
             denom = 1.0 - kappa * dt * symbol
             for i in indices:
@@ -307,7 +308,7 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
             del denom  # one live denominator at a time: fewer pages to fault in
 
     _check_finite(y2, state.t + dt)
-    return _unpack(y2, state.grid, state.t + dt, floor_counter)
+    return state_from_components(state.t + dt, grid, *_unpack(y2, floor_counter))
 
 
 def run(

@@ -17,8 +17,9 @@ the base model bit for bit: knob terms are skipped, not multiplied by 0.
 SimState holds t, the grid and four fields.  The field bundles (ScalarField2D,
 VectorField2D, SymTensorField2D) are defined here and nowhere else: only
 state_from_components builds them and only SimState.components() reads them.
-Every function below the state takes and returns plain arrays; rhs_momentum
-returns (x, y), rhs_stress [xx, xy, yy].
+Every function below the state takes and returns plain arrays.  Each rhs_*
+term takes (grid, comps, phys[, reg]), with comps the seven arrays in
+components() order; rhs_momentum returns (x, y), rhs_stress [xx, xy, yy].
 """
 
 from __future__ import annotations
@@ -243,23 +244,21 @@ def newtonian_stress(grid: Grid2D, ux: np.ndarray, uy: np.ndarray, phys: PhysPar
     return sxx, sxy, syy
 
 
-def rhs_continuity(state: SimState, phys: PhysParams, reg: RegParams) -> np.ndarray:
+def rhs_continuity(grid: Grid2D, comps, phys: PhysParams, reg: RegParams) -> np.ndarray:
     """-div(rho u) with conservative upwind flux, plus sigma2 diffusion."""
-    g = state.grid
-    rho, ux, uy, *_ = state.components()
-    out = g2.upwind_div(ux, uy, rho, g2.NEUMANN, g.hx, g.hy)
+    rho, ux, uy, *_ = comps
+    out = g2.upwind_div(ux, uy, rho, g2.NEUMANN, grid.hx, grid.hy)
     np.negative(out, out=out)
     if reg.sigma2 != 0.0:
-        out += _scaled(reg.sigma2, g2.lap(rho, g2.NEUMANN, g.hx, g.hy))
+        out += _scaled(reg.sigma2, g2.lap(rho, g2.NEUMANN, grid.hx, grid.hy))
     return out
 
 
-def rhs_eta(state: SimState, phys: PhysParams) -> np.ndarray:
-    g = state.grid
-    _, ux, uy, eta, *_ = state.components()
-    out = g2.upwind_div(ux, uy, eta, g2.NEUMANN, g.hx, g.hy)
+def rhs_eta(grid: Grid2D, comps, phys: PhysParams) -> np.ndarray:
+    _, ux, uy, eta, *_ = comps
+    out = g2.upwind_div(ux, uy, eta, g2.NEUMANN, grid.hx, grid.hy)
     np.negative(out, out=out)
-    out += _scaled(phys.eps, g2.lap(eta, g2.NEUMANN, g.hx, g.hy))
+    out += _scaled(phys.eps, g2.lap(eta, g2.NEUMANN, grid.hx, grid.hy))
     return out
 
 
@@ -290,49 +289,48 @@ def tr_log_field(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -
     return out
 
 
-def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams):
+def rhs_momentum(grid: Grid2D, comps, phys: PhysParams, reg: RegParams):
     """Right-hand side (x, y) for the conservative momentum density rho u."""
-    g = state.grid
-    rho, ux, uy, eta, txx, txy, tyy = state.components()
+    rho, ux, uy, eta, txx, txy, tyy = comps
 
     # transport of momentum components by the same upwind flux as mass;
     # each temporary below is released right after its last use, so the
     # assembly holds few arrays at once
-    out_x = g2.upwind_div(ux, uy, rho * ux, g2.DIRICHLET, g.hx, g.hy)
-    out_y = g2.upwind_div(ux, uy, rho * uy, g2.DIRICHLET, g.hx, g.hy)
+    out_x = g2.upwind_div(ux, uy, rho * ux, g2.DIRICHLET, grid.hx, grid.hy)
+    out_y = g2.upwind_div(ux, uy, rho * uy, g2.DIRICHLET, grid.hx, grid.hy)
     np.negative(out_x, out=out_x)
     np.negative(out_y, out=out_y)
 
     p = pressure(rho, phys, reg)
-    out_x -= g2.grad_x(p, g2.NEUMANN, g.hx)
-    out_y -= g2.grad_y(p, g2.NEUMANN, g.hy)
+    out_x -= g2.grad_x(p, g2.NEUMANN, grid.hx)
+    out_y -= g2.grad_y(p, g2.NEUMANN, grid.hy)
     del p
 
     solvent = polymer_pressure(eta, phys)
-    out_x -= g2.grad_x(solvent, g2.NEUMANN, g.hx)
-    out_y -= g2.grad_y(solvent, g2.NEUMANN, g.hy)
+    out_x -= g2.grad_x(solvent, g2.NEUMANN, grid.hx)
+    out_y -= g2.grad_y(solvent, g2.NEUMANN, grid.hy)
     del solvent
 
-    div_x, div_y = g2.tensor_divergence(*newtonian_stress(g, ux, uy, phys), g.hx, g.hy)
+    div_x, div_y = g2.tensor_divergence(*newtonian_stress(grid, ux, uy, phys), grid.hx, grid.hy)
     out_x += div_x
     out_y += div_y
     del div_x, div_y
 
-    div_x, div_y = g2.tensor_divergence(txx, txy, tyy, g.hx, g.hy)
+    div_x, div_y = g2.tensor_divergence(txx, txy, tyy, grid.hx, grid.hy)
     out_x += div_x
     out_y += div_y
     del div_x, div_y
 
     if reg.alpha != 0.0:
         trlog = tr_log_field(txx, txy, tyy, context="momentum assembly")
-        out_x -= _scaled(0.5 * reg.alpha, g2.grad_x(trlog, g2.NEUMANN, g.hx))
-        out_y -= _scaled(0.5 * reg.alpha, g2.grad_y(trlog, g2.NEUMANN, g.hy))
+        out_x -= _scaled(0.5 * reg.alpha, g2.grad_x(trlog, g2.NEUMANN, grid.hx))
+        out_y -= _scaled(0.5 * reg.alpha, g2.grad_y(trlog, g2.NEUMANN, grid.hy))
         del trlog
 
     if reg.sigma2 != 0.0:
-        jxx, jxy, jyx, jyy = velocity_jacobian(g, ux, uy)
-        drho_x = g2.grad_x(rho, g2.NEUMANN, g.hx)
-        drho_y = g2.grad_y(rho, g2.NEUMANN, g.hy)
+        jxx, jxy, jyx, jyy = velocity_jacobian(grid, ux, uy)
+        drho_x = g2.grad_x(rho, g2.NEUMANN, grid.hx)
+        drho_y = g2.grad_y(rho, g2.NEUMANN, grid.hy)
         jxx *= drho_x
         jxx += np.multiply(jxy, drho_y, out=jxy)
         out_x -= _scaled(reg.sigma2, jxx)
@@ -343,14 +341,13 @@ def rhs_momentum(state: SimState, phys: PhysParams, reg: RegParams):
     return out_x, out_y
 
 
-def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> list:
+def rhs_stress(grid: Grid2D, comps, phys: PhysParams, reg: RegParams) -> list:
     """Stress transport, stretching, diffusion, and Maxwell relaxation, as [xx, xy, yy].
 
     With sigma3 active the cutoff tensor enters transport, stretching,
     and relaxation; the diffusion keeps acting on T itself.
     """
-    g = state.grid
-    _, ux, uy, eta, *T = state.components()
+    _, ux, uy, eta, *T = comps
 
     if reg.sigma3 != 0.0:
         txx, txy, tyy = symcalc.cutoff_fields(*T, reg.sigma3)[1]
@@ -358,14 +355,14 @@ def rhs_stress(state: SimState, phys: PhysParams, reg: RegParams) -> list:
         txx, txy, tyy = T
 
     out = [
-        g2.upwind_div(ux, uy, comp, g2.NEUMANN, g.hx, g.hy)
+        g2.upwind_div(ux, uy, comp, g2.NEUMANN, grid.hx, grid.hy)
         for comp in (txx, txy, tyy)
     ]
     for comp in out:
         np.negative(comp, out=comp)
-    add_stretching(out, *velocity_jacobian(g, ux, uy), txx, txy, tyy)
+    add_stretching(out, *velocity_jacobian(grid, ux, uy), txx, txy, tyy)
     for i, comp in enumerate(T):
-        out[i] += _scaled(phys.eps, g2.lap(comp, g2.NEUMANN, g.hx, g.hy))
+        out[i] += _scaled(phys.eps, g2.lap(comp, g2.NEUMANN, grid.hx, grid.hy))
     add_relaxation(out, txx, txy, tyy, eta + reg.alpha, phys)
 
     return out

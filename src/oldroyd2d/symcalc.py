@@ -14,7 +14,6 @@ constants and is kept in the single constant DIM below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -44,7 +43,7 @@ class SymMat2:
     """Symmetric 2x2 matrix stored as three entries (no skew part exists).
 
     The entries are floats, or arrays of one shape holding one matrix per
-    element; every method except frobenius works entrywise on either.
+    element; every method works entrywise on either.
     """
 
     xx: Entry
@@ -64,8 +63,8 @@ class SymMat2:
         """Frobenius inner product A:B (off-diagonal counted twice)."""
         return self.xx * other.xx + 2.0 * self.xy * other.xy + self.yy * other.yy
 
-    def frobenius(self) -> float:
-        return math.sqrt(self.inner(self))
+    def frobenius(self) -> Entry:
+        return np.sqrt(self.inner(self))
 
     def sample(self, i: int) -> "SymMat2":
         """Matrix i of array entries, with float entries."""
@@ -169,7 +168,7 @@ def _lift(g: Callable, e) -> SymMat2:
     return SymMat2(*recombine_fields(g(lam1), g(lam2), c, s))
 
 
-def _first_false(ok) -> int:
+def first_false(ok) -> int:
     """Index of the first False of ok, in flattened order."""
     return int(np.flatnonzero(np.logical_not(ok))[0])
 
@@ -195,7 +194,7 @@ def scalar_log_ineq(a: Entry, b: Entry) -> IneqResult:
     """
     positive = np.logical_and(a > 0.0, b > 0.0)
     if not np.all(positive):
-        raise ValueError(f"arguments must be positive (sample {_first_false(positive)})")
+        raise ValueError(f"arguments must be positive (sample {first_false(positive)})")
     lhs = -(a - b) * (1.0 / a - 1.0 / b)
     rhs = (np.log(a) - np.log(b)) ** 2
     return IneqResult(lhs, rhs, lhs >= rhs - _SCALAR_LOG_SLACK)
@@ -211,7 +210,7 @@ def matrix_log_diff_ineq(a: SymMat2, b: SymMat2, ea, eb) -> IneqResult:
     spd = np.logical_and(ea[1] > 0.0, eb[1] > 0.0)
     if not np.all(spd):
         raise NotSPDError(
-            f"both arguments must be positive definite (sample {_first_false(spd)})")
+            f"both arguments must be positive definite (sample {first_false(spd)})")
     lhs = (np.log(ea[0]) + np.log(ea[1]) - (np.log(eb[0]) + np.log(eb[1]))) ** 2
     inv_a = _lift(lambda s: 1.0 / s, ea)
     inv_b = _lift(lambda s: 1.0 / s, eb)

@@ -361,7 +361,7 @@ class TestSolverSourceTerms:
         # u = kappa (x - 1/2): its centered gradient is kappa away from the walls
         ux[...] = kappa.xx * (x - 0.5) + kappa.xy * (y - 0.5)
         uy[...] = kappa.yx * (x - 0.5) + kappa.yy * (y - 0.5)
-        got = rhs_stress(state, phys, reg)
+        got = rhs_stress(state.grid, state.components(), phys, reg)
         want = cl._moment_rhs(1.7, 0.3, 0.9, 1.2, kappa, phys)
         inner = (slice(2, -2), slice(2, -2))
         assert len(got) == 3

@@ -253,16 +253,17 @@ class TestNoAliasing:
         phys, reg = KNOB_SETS[knobs]
         state = smooth_state(12, np.random.default_rng(22))
         before = [a.copy() for a in state.components()]
-        model.rhs_continuity(state, phys, reg)
-        model.rhs_momentum(state, phys, reg)
-        model.rhs_eta(state, phys)
-        model.rhs_stress(state, phys, reg)
-        rho, ux, uy, eta, txx, txy, tyy = state.components()
-        model.newtonian_stress(state.grid, ux, uy, phys)
+        g, comps = state.grid, state.components()
+        model.rhs_continuity(g, comps, phys, reg)
+        model.rhs_momentum(g, comps, phys, reg)
+        model.rhs_eta(g, comps, phys)
+        model.rhs_stress(g, comps, phys, reg)
+        rho, ux, uy, eta, txx, txy, tyy = comps
+        model.newtonian_stress(g, ux, uy, phys)
         model.pressure(rho, phys, reg)
         model.polymer_pressure(eta, phys)
         model.tr_log_field(txx, txy, tyy, context="probe")
-        integrate._explicit_rhs(state, phys, reg)
+        integrate._explicit_rhs(g, comps, phys, reg)
         for a, b in zip(state.components(), before):
             assert a.tobytes() == b.tobytes()
 
@@ -292,8 +293,9 @@ class TestNoAliasing:
     def test_rhs_outputs_are_fresh(self):
         state = smooth_state(8, np.random.default_rng(25))
         phys, reg = KNOB_SETS["alpha-sigma2"]
-        outs = [model.rhs_continuity(state, phys, reg), model.rhs_eta(state, phys),
-                *model.rhs_momentum(state, phys, reg), *model.rhs_stress(state, phys, reg)]
+        g, comps = state.grid, state.components()
+        outs = [model.rhs_continuity(g, comps, phys, reg), model.rhs_eta(g, comps, phys),
+                *model.rhs_momentum(g, comps, phys, reg), *model.rhs_stress(g, comps, phys, reg)]
         assert len(outs) == 7
         for a, b in itertools.product(outs, state.components()):
             assert not np.shares_memory(a, b)

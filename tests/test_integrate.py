@@ -353,6 +353,20 @@ class TestRun:
         assert np.array_equal(txx1, txx2)
         assert t1 == t2
 
+    @pytest.mark.parametrize("scheme", ["rk2", "imex"])
+    def test_step_builds_one_state(self, scheme, monkeypatch):
+        # the stages run on plain arrays; only the returned state is built
+        built = []
+
+        def counted(t, *args):
+            built.append(t)
+            return state_from_components(t, *args)
+        monkeypatch.setattr(integrate, "state_from_components", counted)
+        state = perturbed_state(unit_grid(8))
+        reg = RegParams(alpha=0.1, sigma2=0.1)
+        new = step(state, PhysParams(), reg, StepConfig(scheme=scheme), dt=1e-4)
+        assert built == [new.t]
+
     def test_error_carries_failing_time(self):
         g = unit_grid(8)
         phys = PhysParams(eps=1.0)

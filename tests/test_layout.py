@@ -6,8 +6,7 @@ read in src/oldroyd2d or perfbench/*.py outside the definition's own
 body, and the code holding that reference is itself used (module-level
 code always is).  For a module-level function an attribute read x.name
 counts only when x is bound by an import to the module defining it, so a
-method of the same spelling (EigenPair2.tr_log) cannot keep an unused
-function alive.  Names listed in oldroyd2d.__all__ count as used.  The
+method of the same spelling cannot keep an unused function alive.  Names listed in oldroyd2d.__all__ count as used.  The
 scan iterates to a fixed point, so helpers that only unused definitions
 call are reported too.  Dunder methods are called by Python itself and
 count as used whenever their class is.  Code only the tests need
@@ -29,9 +28,15 @@ only place that builds one, and each holds only its component arrays, with
 no grid, ghost rule, __post_init__ or method.  SimState.components() is the
 only reader of a state's fields and of their arrays; every other function
 in src/ unpacks that tuple, and so does every test.
+
+In model.py and integrate.py a SimState parameter marks the per-state
+boundary: SimState's methods, save_state, auto_dt, step, run and run's
+hook caller record.  Everything below it, the rhs_* terms and the step's
+stage helpers included, takes the grid and the component arrays.
 """
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -315,3 +320,38 @@ def hypot_callers() -> list[str]:
 
 def test_only_eig_fields_calls_hypot():
     assert hypot_callers() == ["symcalc.eig_fields"]
+
+
+# qualified names, a method or local function as Outer.name
+STATE_TAKERS = frozenset(["SimState.components", "SimState.copy", "save_state", "auto_dt",
+                          "step", "run", "run.record"])
+
+
+def state_parameter_takers() -> list[str]:
+    """Each function in model.py or integrate.py outside STATE_TAKERS with a
+    parameter annotated SimState."""
+    found = []
+    for name in ("model.py", "integrate.py"):
+        path = PACKAGE / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+        def visit(node, outer):
+            if isinstance(node, _DEFS):
+                qualname = f"{outer}.{node.name}" if outer else node.name
+                if isinstance(node, _FUNCS) and qualname not in STATE_TAKERS:
+                    a = node.args
+                    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                    if any(p is not None and p.annotation is not None and
+                           re.search(r"\bSimState\b", ast.unparse(p.annotation))
+                           for p in params):
+                        found.append(f"{name}:{node.lineno} {qualname}")
+                outer = qualname
+            for child in ast.iter_child_nodes(node):
+                visit(child, outer)
+
+        visit(tree, None)
+    return found
+
+
+def test_only_the_per_state_boundary_takes_a_state():
+    assert state_parameter_takers() == []

@@ -677,6 +677,16 @@ class TestVectorizedPath:
         assert np.allclose(exy, xy, atol=1e-12)
         assert np.allclose(ey, yy, atol=1e-12)
 
+    def test_symmat2_methods_work_entrywise(self):
+        p = SymMat2(np.array([1.0, 2.0, 3.0]), np.array([0.0, -0.5, 1e-3]),
+                    np.array([1.0, 4.0, -2.0]))
+        q = sym(0.5, 0.25, 2.0)
+        for i in range(3):
+            pi = p.sample(i)
+            assert p.trace()[i] == pi.trace() and p.det()[i] == pi.det()
+            assert p.inner(q)[i] == pi.inner(q) and p.sub(q).sample(i) == pi.sub(q)
+            assert p.frobenius()[i] == pi.frobenius() == math.sqrt(pi.inner(pi))
+
     def test_min_eig_fields(self):
         xx = np.array([2.0, 1.0])
         xy = np.array([1.0, 0.0])
