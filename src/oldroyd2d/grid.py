@@ -8,7 +8,10 @@ velocity, mirror ghosts realize homogeneous Neumann conditions for
 scalars and tensors; each stencil call names its rule.  The state and the
 field bundles that store its component arrays live in model.py.  All operators
 take plain (nx, ny) arrays with the spacings or the grid and return new arrays;
-nothing here mutates its inputs.
+nothing here mutates its inputs.  The one exception to plain arrays is the face
+bundle: face_velocities(ux, uy) builds the face velocities of the no-slip
+velocity and their upwind masks once, and upwind_div(faces, arr, ...) reads them
+for every field that velocity transports.
 """
 
 from __future__ import annotations
@@ -158,38 +161,53 @@ def lap(arr: np.ndarray, bc: str, hx: float, hy: float) -> np.ndarray:
     return ddx + ddy
 
 
-def _upwind_flux(u: np.ndarray, arr: np.ndarray, arr_bc: str, axis: int) -> np.ndarray:
-    """Face velocity times the upwind value on the faces across the axis.
+def face_velocities(ux: np.ndarray, uy: np.ndarray) -> tuple:
+    """The face bundle of the no-slip velocity (ux, uy), which upwind_div reads.
 
-    The face velocity averages the two cells beside the face; the upwind
-    value is arr in the cell the face velocity comes from.  The result
-    has one more entry along the axis than arr.
+    Per axis, the pair (face velocity, face velocity > 0) on the faces
+    across that axis, stored with the axis first: the face velocity
+    averages the two cells beside the face, and the mask says that the
+    upwind cell is the lower one.  The odd reflection makes every
+    wall-face velocity exactly zero, so the total flux telescopes to zero
+    and cell sums are conserved.  One bundle serves every upwind_div on
+    the same velocity.
     """
-    pu = _pad(u, DIRICHLET, axis).swapaxes(0, axis)
-    flux = np.add(pu[:-1], pu[1:])
-    flux *= 0.5
-    del pu
+    faces = []
+    for axis, u in enumerate((ux, uy)):
+        pu = _pad(u, DIRICHLET, axis).swapaxes(0, axis)
+        vel = np.add(pu[:-1], pu[1:])
+        vel *= 0.5
+        del pu
+        faces.append((vel, vel > 0.0))
+    return tuple(faces)
+
+
+def _upwind_flux(face, arr: np.ndarray, arr_bc: str, axis: int) -> np.ndarray:
+    """Face velocity times the upwind value of arr on the faces across the axis.
+
+    The result has one more entry along the axis than arr.
+    """
+    vel, positive = face
     pa = _pad(arr, arr_bc, axis).swapaxes(0, axis)
-    flux *= np.where(flux > 0.0, pa[:-1], pa[1:])
+    flux = np.where(positive, pa[:-1], pa[1:])
+    np.multiply(vel, flux, out=flux)
     return flux.swapaxes(0, axis)
 
 
-def upwind_div(ux: np.ndarray, uy: np.ndarray,
-               arr: np.ndarray, arr_bc: str, hx: float, hy: float) -> np.ndarray:
+def upwind_div(faces, arr: np.ndarray, arr_bc: str, hx: float, hy: float) -> np.ndarray:
     """Conservative first-order upwind discretization of div(u * arr).
 
-    Face velocities average the two adjacent cells of the no-slip
-    velocity (ux, uy); the odd reflection makes every wall-face velocity
-    exactly zero, so the total flux telescopes to zero and cell sums are
-    conserved.
+    faces is face_velocities(ux, uy) of the velocity u = (ux, uy).
     """
-    flux_x = _upwind_flux(ux, arr, arr_bc, 0)  # x-faces, shape (nx+1, ny)
-    flux_y = _upwind_flux(uy, arr, arr_bc, 1)  # y-faces, shape (nx, ny+1)
-    dx = np.subtract(flux_x[1:, :], flux_x[:-1, :])
-    dx /= hx
-    dy = np.subtract(flux_y[:, 1:], flux_y[:, :-1])
+    flux = _upwind_flux(faces[0], arr, arr_bc, 0)  # x-faces, shape (nx+1, ny)
+    out = np.subtract(flux[1:, :], flux[:-1, :])
+    out /= hx
+    flux = _upwind_flux(faces[1], arr, arr_bc, 1)  # y-faces, shape (nx, ny+1)
+    dy = np.subtract(flux[:, 1:], flux[:, :-1])
+    del flux
     dy /= hy
-    return dx + dy
+    out += dy
+    return out
 
 
 def tensor_divergence(xx, xy, yy, hx: float, hy: float):

@@ -1,14 +1,17 @@
 """Time advancement in conservative variables (rho, rho*u, eta, T).
 
-Default scheme is SSP-RK2 (Heun), second order in time.  The IMEX variant
-runs the same explicit update with the linear diffusion removed, then
-applies one implicit Euler diffusion solve: a Lie splitting, first order
-in time.  The mirror-ghost Neumann laplacian is exactly diagonalized by
-the type-II cosine transform, so the solve is direct; the transform runs
-on numpy.fft, as an even/odd reorder, a real FFT and a quarter-wave
-twiddle along each axis (Makhoul 1980).  No positivity projection is ever
-applied to the stress: loss of positive definiteness is a reportable
-failure, not a repairable one.
+Default scheme is SSP-RK2 (Heun), second order in time.  Each stage builds
+the face velocities and the velocity Jacobian of its state once and hands
+them to every right-hand-side term.  The IMEX variant runs the same
+explicit update on right-hand sides that leave out the linear diffusions
+listed by _implicit_terms (they are never computed, rather than computed
+and subtracted), then applies one implicit Euler diffusion solve: a Lie
+splitting, first order in time.  The mirror-ghost Neumann laplacian is
+exactly diagonalized by the type-II cosine transform, so the solve is
+direct; the transform runs on numpy.fft, as an even/odd reorder, a real
+FFT and a quarter-wave twiddle along each axis (Makhoul 1980).  No
+positivity projection is ever applied to the stress: loss of positive
+definiteness is a reportable failure, not a repairable one.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from oldroyd2d.model import (
     PhysParams,
     RegParams,
     SimState,
-    _scaled,
     rhs_continuity,
     rhs_eta,
     rhs_momentum,
     rhs_stress,
     state_from_components,
+    velocity_jacobian,
 )
 from oldroyd2d.symcalc import NotSPDError
 
@@ -146,29 +149,27 @@ def _unpack(y, floor_counter) -> tuple:
     return rho, ux, uy, eta, txx, txy, tyy
 
 
-def _rhs(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams):
-    return [rhs_continuity(grid, comps, phys, reg), *rhs_momentum(grid, comps, phys, reg),
-            rhs_eta(grid, comps, phys), *rhs_stress(grid, comps, phys, reg)]
+def _rhs(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams, scheme: str):
+    """The packed right-hand side of the stage state comps under scheme.
+
+    Under imex it leaves out the diffusions that _implicit_terms lists.
+    The momentum, which allocates most, runs while no other output is
+    live, and the Jacobian is dropped after its last reader.
+    """
+    diffuse = scheme == "rk2"
+    faces = g2.face_velocities(comps[1], comps[2])
+    jac = velocity_jacobian(grid, comps[1], comps[2])
+    mx, my = rhs_momentum(grid, comps, faces, jac, phys, reg)
+    stress = rhs_stress(grid, comps, faces, jac, phys, reg, diffuse)
+    del jac
+    return [rhs_continuity(grid, comps, faces, phys, reg, diffuse), mx, my,
+            rhs_eta(grid, comps, faces, phys, diffuse), *stress]
 
 
 def _implicit_terms(phys: PhysParams, reg: RegParams):
     """(kappa, packed indices) of each diffusion of a Neumann field that IMEX solves implicitly."""
     eps_term = (phys.eps, (3, 4, 5, 6))
     return ((reg.sigma2, (0,)), eps_term) if reg.sigma2 != 0.0 else (eps_term,)
-
-
-def _diffusion_only(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams):
-    """(packed index, kappa * laplacian) of each implicitly treated component."""
-    return [(i, _scaled(kappa, g2.lap(comps[i], g2.NEUMANN, grid.hx, grid.hy)))
-            for kappa, indices in _implicit_terms(phys, reg) for i in indices]
-
-
-def _explicit_rhs(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams):
-    """The IMEX scheme's explicit part: everything but the stiff diffusion."""
-    full = _rhs(grid, comps, phys, reg)
-    for i, diffusion in _diffusion_only(grid, comps, phys, reg):
-        full[i] -= diffusion
-    return full
 
 
 def _neumann_symbol(grid: g2.Grid2D) -> np.ndarray:
@@ -290,13 +291,12 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
     no input array is modified.
     """
     # SSP-RK2 stages; IMEX runs them on everything but the stiff diffusion ...
-    rhs = _rhs if cfg.scheme == "rk2" else _explicit_rhs
     grid = state.grid
     comps = state.components()
     y0 = _pack(comps)
-    y1 = _euler_stage(y0, rhs(grid, comps, phys, reg), dt)
+    y1 = _euler_stage(y0, _rhs(grid, comps, phys, reg, cfg.scheme), dt)
     comps = _unpack(y1, floor_counter)
-    y2 = _heun_stage(y0, y1, rhs(grid, comps, phys, reg), dt)
+    y2 = _heun_stage(y0, y1, _rhs(grid, comps, phys, reg, cfg.scheme), dt)
     del comps, y1  # the first stage is dead before the implicit solves
     if cfg.scheme == "imex":
         # ... then one implicit Euler solve per diffused component

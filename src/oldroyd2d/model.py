@@ -17,9 +17,18 @@ the base model bit for bit: knob terms are skipped, not multiplied by 0.
 SimState holds t, the grid and four fields.  The field bundles (ScalarField2D,
 VectorField2D, SymTensorField2D) are defined here and nowhere else: only
 state_from_components builds them and only SimState.components() reads them.
-Every function below the state takes and returns plain arrays.  Each rhs_*
-term takes (grid, comps, phys[, reg]), with comps the seven arrays in
-components() order; rhs_momentum returns (x, y), rhs_stress [xx, xy, yy].
+Every function below the state takes and returns plain arrays.  The rhs_*
+terms take the grid, comps (the seven arrays in components() order), the
+stage's face bundle faces = grid.face_velocities(ux, uy) and, where they read
+grad u, its Jacobian jac = velocity_jacobian(grid, ux, uy):
+
+  rhs_continuity(grid, comps, faces, phys, reg, diffuse)
+  rhs_momentum(grid, comps, faces, jac, phys, reg)       -> (x, y)
+  rhs_eta(grid, comps, faces, phys, diffuse)
+  rhs_stress(grid, comps, faces, jac, phys, reg, diffuse) -> [xx, xy, yy]
+
+diffuse = False leaves out the diffusions of rho (sigma2), eta and T (eps),
+which the IMEX scheme solves implicitly.  No term writes into faces or jac.
 """
 
 from __future__ import annotations
@@ -224,18 +233,20 @@ def velocity_jacobian(grid: Grid2D, ux: np.ndarray, uy: np.ndarray):
     return jxx, jxy, jyx, jyy
 
 
-def newtonian_stress(grid: Grid2D, ux: np.ndarray, uy: np.ndarray, phys: PhysParams):
-    """muS (sym grad u - (div u / 2) I) + muB (div u) I, d = 2, as (xx, xy, yy)."""
-    # the Jacobian arrays are this call's own, so the stress is built in them
-    sxx, sxy, jyx, syy = velocity_jacobian(grid, ux, uy)
-    div_u = sxx + syy
+def newtonian_stress(jac, phys: PhysParams):
+    """muS (sym grad u - (div u / 2) I) + muB (div u) I, d = 2, as (xx, xy, yy).
+
+    jac is velocity_jacobian(grid, ux, uy); it is read, not written.
+    """
+    jxx, jxy, jyx, jyy = jac
+    div_u = jxx + jyy
     half_div = div_u * 0.5
-    sxy += jyx
+    sxy = np.add(jxy, jyx)
     sxy *= 0.5
     sxy *= phys.muS
-    sxx -= half_div
+    sxx = np.subtract(jxx, half_div)
     sxx *= phys.muS
-    syy -= half_div
+    syy = np.subtract(jyy, half_div, out=half_div)
     syy *= phys.muS
     if phys.muB != 0.0:
         div_u *= phys.muB
@@ -244,21 +255,24 @@ def newtonian_stress(grid: Grid2D, ux: np.ndarray, uy: np.ndarray, phys: PhysPar
     return sxx, sxy, syy
 
 
-def rhs_continuity(grid: Grid2D, comps, phys: PhysParams, reg: RegParams) -> np.ndarray:
-    """-div(rho u) with conservative upwind flux, plus sigma2 diffusion."""
-    rho, ux, uy, *_ = comps
-    out = g2.upwind_div(ux, uy, rho, g2.NEUMANN, grid.hx, grid.hy)
+def rhs_continuity(grid: Grid2D, comps, faces, phys: PhysParams, reg: RegParams,
+                   diffuse: bool = True) -> np.ndarray:
+    """-div(rho u) with conservative upwind flux, plus sigma2 diffusion if diffuse."""
+    rho = comps[0]
+    out = g2.upwind_div(faces, rho, g2.NEUMANN, grid.hx, grid.hy)
     np.negative(out, out=out)
-    if reg.sigma2 != 0.0:
+    if diffuse and reg.sigma2 != 0.0:
         out += _scaled(reg.sigma2, g2.lap(rho, g2.NEUMANN, grid.hx, grid.hy))
     return out
 
 
-def rhs_eta(grid: Grid2D, comps, phys: PhysParams) -> np.ndarray:
-    _, ux, uy, eta, *_ = comps
-    out = g2.upwind_div(ux, uy, eta, g2.NEUMANN, grid.hx, grid.hy)
+def rhs_eta(grid: Grid2D, comps, faces, phys: PhysParams, diffuse: bool = True) -> np.ndarray:
+    """-div(eta u) with conservative upwind flux, plus eps diffusion if diffuse."""
+    eta = comps[3]
+    out = g2.upwind_div(faces, eta, g2.NEUMANN, grid.hx, grid.hy)
     np.negative(out, out=out)
-    out += _scaled(phys.eps, g2.lap(eta, g2.NEUMANN, grid.hx, grid.hy))
+    if diffuse:
+        out += _scaled(phys.eps, g2.lap(eta, g2.NEUMANN, grid.hx, grid.hy))
     return out
 
 
@@ -289,15 +303,19 @@ def tr_log_field(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -
     return out
 
 
-def rhs_momentum(grid: Grid2D, comps, phys: PhysParams, reg: RegParams):
+def rhs_momentum(grid: Grid2D, comps, faces, jac, phys: PhysParams, reg: RegParams):
     """Right-hand side (x, y) for the conservative momentum density rho u."""
     rho, ux, uy, eta, txx, txy, tyy = comps
+
+    # the viscous divergence is built first, before the outputs exist: its
+    # stress and stencil temporaries are the assembly's largest set
+    visc_x, visc_y = g2.tensor_divergence(*newtonian_stress(jac, phys), grid.hx, grid.hy)
 
     # transport of momentum components by the same upwind flux as mass;
     # each temporary below is released right after its last use, so the
     # assembly holds few arrays at once
-    out_x = g2.upwind_div(ux, uy, rho * ux, g2.DIRICHLET, grid.hx, grid.hy)
-    out_y = g2.upwind_div(ux, uy, rho * uy, g2.DIRICHLET, grid.hx, grid.hy)
+    out_x = g2.upwind_div(faces, rho * ux, g2.DIRICHLET, grid.hx, grid.hy)
+    out_y = g2.upwind_div(faces, rho * uy, g2.DIRICHLET, grid.hx, grid.hy)
     np.negative(out_x, out=out_x)
     np.negative(out_y, out=out_y)
 
@@ -311,10 +329,9 @@ def rhs_momentum(grid: Grid2D, comps, phys: PhysParams, reg: RegParams):
     out_y -= g2.grad_y(solvent, g2.NEUMANN, grid.hy)
     del solvent
 
-    div_x, div_y = g2.tensor_divergence(*newtonian_stress(grid, ux, uy, phys), grid.hx, grid.hy)
-    out_x += div_x
-    out_y += div_y
-    del div_x, div_y
+    out_x += visc_x
+    out_y += visc_y
+    del visc_x, visc_y
 
     div_x, div_y = g2.tensor_divergence(txx, txy, tyy, grid.hx, grid.hy)
     out_x += div_x
@@ -328,26 +345,29 @@ def rhs_momentum(grid: Grid2D, comps, phys: PhysParams, reg: RegParams):
         del trlog
 
     if reg.sigma2 != 0.0:
-        jxx, jxy, jyx, jyy = velocity_jacobian(grid, ux, uy)
+        jxx, jxy, jyx, jyy = jac
         drho_x = g2.grad_x(rho, g2.NEUMANN, grid.hx)
         drho_y = g2.grad_y(rho, g2.NEUMANN, grid.hy)
-        jxx *= drho_x
-        jxx += np.multiply(jxy, drho_y, out=jxy)
-        out_x -= _scaled(reg.sigma2, jxx)
-        jyx *= drho_x
-        jyx += np.multiply(jyy, drho_y, out=jyy)
-        out_y -= _scaled(reg.sigma2, jyx)
+        # J grad rho, built in the two gradients once each has been read
+        coupling_y = np.multiply(jyx, drho_x)
+        coupling_y += np.multiply(jyy, drho_y)
+        coupling_x = np.multiply(jxx, drho_x, out=drho_x)
+        coupling_x += np.multiply(jxy, drho_y, out=drho_y)
+        out_x -= _scaled(reg.sigma2, coupling_x)
+        out_y -= _scaled(reg.sigma2, coupling_y)
 
     return out_x, out_y
 
 
-def rhs_stress(grid: Grid2D, comps, phys: PhysParams, reg: RegParams) -> list:
-    """Stress transport, stretching, diffusion, and Maxwell relaxation, as [xx, xy, yy].
+def rhs_stress(grid: Grid2D, comps, faces, jac, phys: PhysParams, reg: RegParams,
+               diffuse: bool = True) -> list:
+    """Stress transport, stretching, diffusion if diffuse, and Maxwell relaxation,
+    as [xx, xy, yy].
 
     With sigma3 active the cutoff tensor enters transport, stretching,
     and relaxation; the diffusion keeps acting on T itself.
     """
-    _, ux, uy, eta, *T = comps
+    eta, *T = comps[3:]
 
     if reg.sigma3 != 0.0:
         txx, txy, tyy = symcalc.cutoff_fields(*T, reg.sigma3)[1]
@@ -355,14 +375,15 @@ def rhs_stress(grid: Grid2D, comps, phys: PhysParams, reg: RegParams) -> list:
         txx, txy, tyy = T
 
     out = [
-        g2.upwind_div(ux, uy, comp, g2.NEUMANN, grid.hx, grid.hy)
+        g2.upwind_div(faces, comp, g2.NEUMANN, grid.hx, grid.hy)
         for comp in (txx, txy, tyy)
     ]
     for comp in out:
         np.negative(comp, out=comp)
-    add_stretching(out, *velocity_jacobian(grid, ux, uy), txx, txy, tyy)
-    for i, comp in enumerate(T):
-        out[i] += _scaled(phys.eps, g2.lap(comp, g2.NEUMANN, grid.hx, grid.hy))
+    add_stretching(out, *jac, txx, txy, tyy)
+    if diffuse:
+        for i, comp in enumerate(T):
+            out[i] += _scaled(phys.eps, g2.lap(comp, g2.NEUMANN, grid.hx, grid.hy))
     add_relaxation(out, txx, txy, tyy, eta + reg.alpha, phys)
 
     return out

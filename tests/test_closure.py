@@ -8,9 +8,15 @@ import pytest
 
 import oracles
 from oldroyd2d import closure as cl
-from oldroyd2d.grid import Grid2D
+from oldroyd2d.grid import Grid2D, face_velocities
 from oldroyd2d.integrate import BlowupError
-from oldroyd2d.model import PhysParams, RegParams, equilibrium_state, rhs_stress
+from oldroyd2d.model import (
+    PhysParams,
+    RegParams,
+    equilibrium_state,
+    rhs_stress,
+    velocity_jacobian,
+)
 from oldroyd2d.symcalc import SymMat2
 
 # frozen: Gaussian normalization 1/(2 pi)
@@ -361,7 +367,8 @@ class TestSolverSourceTerms:
         # u = kappa (x - 1/2): its centered gradient is kappa away from the walls
         ux[...] = kappa.xx * (x - 0.5) + kappa.xy * (y - 0.5)
         uy[...] = kappa.yx * (x - 0.5) + kappa.yy * (y - 0.5)
-        got = rhs_stress(state.grid, state.components(), phys, reg)
+        faces, jac = face_velocities(ux, uy), velocity_jacobian(state.grid, ux, uy)
+        got = rhs_stress(state.grid, state.components(), faces, jac, phys, reg)
         want = cl._moment_rhs(1.7, 0.3, 0.9, 1.2, kappa, phys)
         inner = (slice(2, -2), slice(2, -2))
         assert len(got) == 3

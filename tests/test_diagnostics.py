@@ -391,7 +391,7 @@ def renormalization_residual(
         ux, uy = u
         brho = b(rho)
         transport = cell_sum(
-            grid, g2.upwind_div(ux, uy, brho, NEUMANN, grid.hx, grid.hy)
+            grid, g2.upwind_div(g2.face_velocities(ux, uy), brho, NEUMANN, grid.hx, grid.hy)
         )
         div_u = g2.grad_x(ux, DIRICHLET, grid.hx) + g2.grad_y(uy, DIRICHLET, grid.hy)
         compress = cell_sum(grid, (b_prime(rho) * rho - brho) * div_u)

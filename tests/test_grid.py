@@ -18,6 +18,7 @@ from oldroyd2d.grid import (
     _fast_len,
     _pad,
     cell_sum,
+    face_velocities,
     grad_x,
     grad_y,
     lap,
@@ -57,7 +58,7 @@ def laplace(g, f):
 
 
 def advect(g, ux, uy, f):
-    return upwind_div(ux, uy, f, NEUMANN, g.hx, g.hy)
+    return upwind_div(face_velocities(ux, uy), f, NEUMANN, g.hx, g.hy)
 
 
 class TestGridType:
@@ -335,7 +336,8 @@ class TestAdvection:
         rng = np.random.default_rng(5)
         t = [rng.standard_normal((8, 8)) for _ in range(3)]
         zero = np.zeros((8, 8))
-        out = [upwind_div(zero, zero, comp, NEUMANN, g.hx, g.hy) for comp in t]
+        faces = face_velocities(zero, zero)
+        out = [upwind_div(faces, comp, NEUMANN, g.hx, g.hy) for comp in t]
         assert np.all(out[0] == 0.0) and np.all(out[1] == 0.0) and np.all(out[2] == 0.0)
 
     def test_constant_tensor_linear_velocity(self):
@@ -344,7 +346,8 @@ class TestAdvection:
         x, _ = g.cell_centers()
         t = [np.full_like(x, 2.0), np.full_like(x, -1.0), np.full_like(x, 0.5)]
         zero = np.zeros_like(x)
-        out = [upwind_div(x, zero, comp, NEUMANN, g.hx, g.hy) for comp in t]
+        faces = face_velocities(x, zero)
+        out = [upwind_div(faces, comp, NEUMANN, g.hx, g.hy) for comp in t]
         assert np.allclose(out[0][1:-1, 1:-1], 2.0, atol=1e-13)
         assert np.allclose(out[1][1:-1, 1:-1], -1.0, atol=1e-13)
         assert np.allclose(out[2][1:-1, 1:-1], 0.5, atol=1e-13)

@@ -10,8 +10,13 @@ signed zeros, NaNs of both signs, infinities, values near 1e+-300 and
 A NaN's sign and an infinity's fate depend on the order of the operands,
 so the bytes pin the order of every operation.
 
-No aliasing: no solver function writes into an input array, and the
-state a step or a run returns shares no memory with the state it was given.
+No aliasing: no solver function writes into an input array (the face
+bundle and the velocity Jacobian that a stage shares among its terms
+included), and the state a step or a run returns shares no memory with
+the state it was given.
+
+The IMEX explicit stage leaves out exactly the diffusions that
+integrate._implicit_terms hands to the implicit solve.
 """
 
 import itertools
@@ -88,7 +93,7 @@ class TestBitwiseOracles:
         hx, hy = 1.0 / shape[0], 0.7 / shape[1]
         for scale in SCALES:
             ux, uy, a = (special_array(shape, rng, layout, scale) for _ in range(3))
-            assert_same_bits(g2.upwind_div(ux, uy, a, bc, hx, hy),
+            assert_same_bits(g2.upwind_div(g2.face_velocities(ux, uy), a, bc, hx, hy),
                              oracles.upwind_div_np(ux, uy, a, bc, hx, hy))
 
     def test_upwind_div_mixed_layouts(self):
@@ -97,7 +102,7 @@ class TestBitwiseOracles:
         rng = np.random.default_rng(13)
         for layouts in itertools.product(LAYOUTS, repeat=3):
             ux, uy, a = (special_array((8, 8), rng, lay, 1e307) for lay in layouts)
-            got = g2.upwind_div(ux, uy, a, NEUMANN, 0.125, 0.125)
+            got = g2.upwind_div(g2.face_velocities(ux, uy), a, NEUMANN, 0.125, 0.125)
             want = oracles.upwind_div_np(ux, uy, a, NEUMANN, 0.125, 0.125)
             assert got.tobytes() == want.tobytes(), str(layouts)
 
@@ -121,7 +126,7 @@ class TestBitwiseOracles:
         phys = PhysParams(muS=0.7, muB=muB)
         for scale in SCALES:
             ux, uy = (special_array(shape, rng, layout, scale) for _ in range(2))
-            got = model.newtonian_stress(grid, ux, uy, phys)
+            got = model.newtonian_stress(model.velocity_jacobian(grid, ux, uy), phys)
             want = oracles.newtonian_stress_np(ux, uy, grid.hx, grid.hy, phys.muS, muB)
             assert len(got) == 3
             for name, g, w in zip(("xx", "xy", "yy"), got, want):
@@ -254,17 +259,24 @@ class TestNoAliasing:
         state = smooth_state(12, np.random.default_rng(22))
         before = [a.copy() for a in state.components()]
         g, comps = state.grid, state.components()
-        model.rhs_continuity(g, comps, phys, reg)
-        model.rhs_momentum(g, comps, phys, reg)
-        model.rhs_eta(g, comps, phys)
-        model.rhs_stress(g, comps, phys, reg)
         rho, ux, uy, eta, txx, txy, tyy = comps
-        model.newtonian_stress(g, ux, uy, phys)
+        faces, jac = g2.face_velocities(ux, uy), model.velocity_jacobian(g, ux, uy)
+        shared = [*faces[0], *faces[1], *jac]
+        shared_before = [a.copy() for a in shared]
+        for diffuse in (True, False):
+            model.rhs_continuity(g, comps, faces, phys, reg, diffuse)
+            model.rhs_momentum(g, comps, faces, jac, phys, reg)
+            model.rhs_eta(g, comps, faces, phys, diffuse)
+            model.rhs_stress(g, comps, faces, jac, phys, reg, diffuse)
+        model.newtonian_stress(jac, phys)
         model.pressure(rho, phys, reg)
         model.polymer_pressure(eta, phys)
         model.tr_log_field(txx, txy, tyy, context="probe")
-        integrate._explicit_rhs(g, comps, phys, reg)
+        for scheme in ("rk2", "imex"):
+            integrate._rhs(g, comps, phys, reg, scheme)
         for a, b in zip(state.components(), before):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(shared, shared_before):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -272,14 +284,22 @@ class TestNoAliasing:
         rng = np.random.default_rng(23)
         ux, uy, a = (special_array((8, 8), rng, layout) for _ in range(3))
         before = [x.copy() for x in (ux, uy, a)]
+        faces = g2.face_velocities(ux, uy)
+        faces_before = [x.copy() for x in (*faces[0], *faces[1])]
         for bc in (DIRICHLET, NEUMANN):
             g2.grad_x(a, bc, 0.1)
             g2.grad_y(a, bc, 0.1)
             g2.lap(a, bc, 0.1, 0.1)
-            g2.upwind_div(ux, uy, a, bc, 0.1, 0.1)
+            out = g2.upwind_div(faces, a, bc, 0.1, 0.1)
+            for x in (ux, uy, a, *faces[0], *faces[1]):
+                assert not np.shares_memory(out, x)
         g2.tensor_divergence(ux, uy, a, 0.1, 0.1)
         for x, b in zip((ux, uy, a), before):
             assert x.tobytes() == b.tobytes()
+        for x, b in zip((*faces[0], *faces[1]), faces_before):
+            assert x.tobytes() == b.tobytes()
+        for x in (*faces[0], *faces[1]):
+            assert not np.shares_memory(x, ux) and not np.shares_memory(x, uy)
 
     def test_heat_solve_leaves_its_argument(self):
         grid = Grid2D(8, 6, 1.0, 0.7)
@@ -294,8 +314,39 @@ class TestNoAliasing:
         state = smooth_state(8, np.random.default_rng(25))
         phys, reg = KNOB_SETS["alpha-sigma2"]
         g, comps = state.grid, state.components()
-        outs = [model.rhs_continuity(g, comps, phys, reg), model.rhs_eta(g, comps, phys),
-                *model.rhs_momentum(g, comps, phys, reg), *model.rhs_stress(g, comps, phys, reg)]
-        assert len(outs) == 7
-        for a, b in itertools.product(outs, state.components()):
-            assert not np.shares_memory(a, b)
+        _, ux, uy, *_ = comps
+        faces, jac = g2.face_velocities(ux, uy), model.velocity_jacobian(g, ux, uy)
+        for diffuse in (True, False):
+            outs = [model.rhs_continuity(g, comps, faces, phys, reg, diffuse),
+                    model.rhs_eta(g, comps, faces, phys, diffuse),
+                    *model.rhs_momentum(g, comps, faces, jac, phys, reg),
+                    *model.rhs_stress(g, comps, faces, jac, phys, reg, diffuse),
+                    *model.newtonian_stress(jac, phys)]
+            assert len(outs) == 10
+            for a, b in itertools.product(outs, [*comps, *faces[0], *faces[1], *jac]):
+                assert not np.shares_memory(a, b)
+            for a, b in itertools.combinations(outs, 2):
+                assert not np.shares_memory(a, b)
+
+
+class TestImexExplicitStage:
+    @pytest.mark.parametrize("knobs", list(KNOB_SETS))
+    def test_leaves_out_exactly_the_implicit_diffusions(self, knobs):
+        # the full and the explicit right-hand side agree bit for bit where
+        # _implicit_terms lists nothing, and differ by kappa * lap where it does
+        phys, reg = KNOB_SETS[knobs]
+        state = smooth_state(12, np.random.default_rng(27))
+        g, comps = state.grid, state.components()
+        full = integrate._rhs(g, comps, phys, reg, "rk2")
+        explicit = integrate._rhs(g, comps, phys, reg, "imex")
+        kappas = {i: kappa for kappa, indices in integrate._implicit_terms(phys, reg)
+                  for i in indices}
+        assert len(full) == len(explicit) == 7
+        for i, (f, e) in enumerate(zip(full, explicit)):
+            if i not in kappas:
+                assert f.tobytes() == e.tobytes(), i
+                continue
+            want = kappas[i] * g2.lap(comps[i], NEUMANN, g.hx, g.hy)
+            scale = np.abs(f).max() + np.abs(e).max() + np.abs(want).max()
+            assert np.abs(want).max() > 1e-3 * scale, i
+            assert np.abs((f - e) - want).max() <= 16 * np.finfo(float).eps * scale, i

@@ -29,7 +29,7 @@ from oldroyd2d.model import (
     state_from_components,
 )
 from oldroyd2d.symcalc import NotSPDError
-from oldroyd2d import cli, integrate
+from oldroyd2d import cli, integrate, model
 from oldroyd2d import diagnostics as dg
 from oldroyd2d import grid as g2
 
@@ -366,6 +366,25 @@ class TestRun:
         reg = RegParams(alpha=0.1, sigma2=0.1)
         new = step(state, PhysParams(), reg, StepConfig(scheme=scheme), dt=1e-4)
         assert built == [new.t]
+
+    @pytest.mark.parametrize("scheme, laps", [("rk2", 10), ("imex", 0)])
+    def test_step_shares_faces_and_jacobian(self, scheme, laps, monkeypatch):
+        # each stage builds its face velocities and velocity Jacobian once, and
+        # the IMEX stages never build the laplacians the implicit solve handles
+        calls = {"face_velocities": 0, "velocity_jacobian": 0, "lap": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        for module in (g2, model, integrate):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        reg = RegParams(alpha=0.1, sigma2=0.01)
+        step(perturbed_state(unit_grid(8)), PhysParams(), reg, StepConfig(scheme=scheme), dt=1e-4)
+        assert calls == {"face_velocities": 2, "velocity_jacobian": 2, "lap": laps}
 
     def test_error_carries_failing_time(self):
         g = unit_grid(8)

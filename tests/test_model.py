@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oldroyd2d import grid as g2
 from oldroyd2d.grid import Grid2D, cell_sum
 from oldroyd2d.model import (
     PhysParams,
@@ -22,6 +23,7 @@ from oldroyd2d.model import (
     rhs_stress,
     state_from_components,
     tr_log_field,
+    velocity_jacobian,
 )
 from oldroyd2d.symcalc import NotSPDError
 
@@ -34,6 +36,12 @@ def unit_grid(n):
 
 def make_state(grid, rho, ux, uy, eta, txx, txy, tyy, t=0.0):
     return state_from_components(t, grid, rho, ux, uy, eta, txx, txy, tyy)
+
+
+def stage(grid, comps):
+    """The face bundle and the velocity Jacobian that a stage hands its terms."""
+    _, ux, uy, *_ = comps
+    return g2.face_velocities(ux, uy), velocity_jacobian(grid, ux, uy)
 
 
 def random_state(grid, seed, spd_shift=3.0):
@@ -111,14 +119,15 @@ class TestPressure:
 class TestNewtonianStress:
     def test_zero_velocity(self):
         g = unit_grid(8)
-        sxx, sxy, syy = newtonian_stress(g, np.zeros((8, 8)), np.zeros((8, 8)), PhysParams())
+        sxx, sxy, syy = newtonian_stress(
+            velocity_jacobian(g, np.zeros((8, 8)), np.zeros((8, 8))), PhysParams())
         assert np.all(sxx == 0.0) and np.all(sxy == 0.0) and np.all(syy == 0.0)
 
     def test_dilation_gives_bulk_only(self):
         # u = (x, y) has grad u = I on the interior: deviatoric part drops out
         g = unit_grid(16)
         x, y = g.cell_centers()
-        sxx, sxy, syy = newtonian_stress(g, x, y, PhysParams(muS=0.7, muB=0.3))
+        sxx, sxy, syy = newtonian_stress(velocity_jacobian(g, x, y), PhysParams(muS=0.7, muB=0.3))
         inner = slice(1, -1)
         assert np.allclose(sxx[inner, inner], 2 * 0.3, atol=1e-13)
         assert np.allclose(sxy[inner, inner], 0.0, atol=1e-13)
@@ -128,7 +137,8 @@ class TestNewtonianStress:
         # u = (y, 0): grad u = [[0,1],[0,0]], S = muS [[0, 1/2], [1/2, 0]]
         g = unit_grid(16)
         _, y = g.cell_centers()
-        sxx, sxy, syy = newtonian_stress(g, y, np.zeros_like(y), PhysParams(muS=2.0, muB=0.0))
+        jac = velocity_jacobian(g, y, np.zeros_like(y))
+        sxx, sxy, syy = newtonian_stress(jac, PhysParams(muS=2.0, muB=0.0))
         inner = slice(1, -1)
         assert np.allclose(sxx[inner, inner], 0.0, atol=1e-13)
         assert np.allclose(sxy[inner, inner], 1.0, atol=1e-13)
@@ -140,15 +150,17 @@ class TestConservation:
     def test_continuity_integral_zero(self, seed):
         g = unit_grid(12)
         state = random_state(g, seed)
+        faces, _ = stage(g, state.components())
         for reg in (RegParams(), RegParams(sigma2=0.3)):
-            total = cell_sum(g, rhs_continuity(g, state.components(), PhysParams(), reg))
+            total = cell_sum(g, rhs_continuity(g, state.components(), faces, PhysParams(), reg))
             assert abs(total) <= 1e-12 * (1.0 + np.abs(state.components()[0]).max() / g.hx)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_eta_integral_zero(self, seed):
         g = unit_grid(12)
         state = random_state(g, seed)
-        total = cell_sum(g, rhs_eta(g, state.components(), PhysParams()))
+        faces, _ = stage(g, state.components())
+        total = cell_sum(g, rhs_eta(g, state.components(), faces, PhysParams()))
         assert abs(total) <= 1e-12 * (1.0 + np.abs(state.components()[3]).max() / g.hx)
 
     def test_continuity_zero_velocity_no_diffusion(self):
@@ -157,7 +169,8 @@ class TestConservation:
         _, ux, uy, *_ = state.components()
         ux[:] = 0.0
         uy[:] = 0.0
-        out = rhs_continuity(g, state.components(), PhysParams(), RegParams())
+        faces, _ = stage(g, state.components())
+        out = rhs_continuity(g, state.components(), faces, PhysParams(), RegParams())
         assert np.all(out == 0.0)
 
 
@@ -170,12 +183,14 @@ class TestEquilibrium:
             reg = RegParams(alpha=alpha)
             state = equilibrium_state(g, phys, reg, rho_bar=1.4, eta_bar=0.8)
             assert np.allclose(state.components()[4], phys.k * (0.8 + alpha), atol=0.0)
-            assert np.abs(rhs_continuity(g, state.components(), phys, reg)).max() == 0.0
-            assert np.abs(rhs_eta(g, state.components(), phys)).max() == 0.0
-            mx, my = rhs_momentum(g, state.components(), phys, reg)
+            comps = state.components()
+            faces, jac = stage(g, comps)
+            assert np.abs(rhs_continuity(g, comps, faces, phys, reg)).max() == 0.0
+            assert np.abs(rhs_eta(g, comps, faces, phys)).max() == 0.0
+            mx, my = rhs_momentum(g, comps, faces, jac, phys, reg)
             assert np.abs(mx).max() <= 1e-13
             assert np.abs(my).max() <= 1e-13
-            s = rhs_stress(g, state.components(), phys, reg)
+            s = rhs_stress(g, comps, faces, jac, phys, reg)
             assert len(s) == 3
             for comp in s:
                 assert np.abs(comp).max() <= 1e-13
@@ -200,7 +215,7 @@ class TestEquilibrium:
         *_, txx, _, tyy = state.components()
         txx += 0.01
         tyy += 0.01
-        out = rhs_stress(g, state.components(), phys, reg)
+        out = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
         rate = phys.A0 / (2 * phys.lam)  # = 1.0 here
         assert np.allclose(out[0], -rate * 0.01, atol=1e-14)
         assert np.allclose(out[1], 0.0, atol=1e-14)
@@ -228,7 +243,7 @@ class TestStressRelaxationODE:
         rate = phys.A0 / (2 * phys.lam)
         t_eq = phys.k * (1.5 + reg.alpha)
         exact = -rate * (t0 - t_eq * np.eye(2))
-        out = rhs_stress(g, state.components(), phys, reg)
+        out = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
         assert np.allclose(out[0], exact[0, 0], atol=1e-12)
         assert np.allclose(out[1], exact[0, 1], atol=1e-12)
         assert np.allclose(out[2], exact[1, 1], atol=1e-12)
@@ -256,7 +271,7 @@ class TestStressRelaxationODE:
                 np.full(shape, tt[1, 1]),
                 t=t,
             )
-            out = rhs_stress(g, state.components(), phys, reg)
+            out = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
             exact = -rate * (tt - t_eq * np.eye(2))
             assert np.allclose(out[0], exact[0, 0], atol=1e-12)
             assert np.allclose(out[1], exact[0, 1], atol=1e-12)
@@ -276,7 +291,8 @@ class TestHeatKernelDecay:
                 np.ones(shape), np.zeros(shape), np.ones(shape),
             )
             phys = PhysParams(eps=0.7)
-            out = rhs_eta(g, state.components(), phys)
+            faces, _ = stage(g, state.components())
+            out = rhs_eta(g, state.components(), faces, phys)
             want = -phys.eps * np.pi**2 * (eta - 1.0)
             errs.append(np.abs(out - want).max())
         assert math.log2(errs[0] / errs[1]) >= 1.9
@@ -290,7 +306,8 @@ class TestMomentum:
         txx[3, 5] = -2.0
         tyy[3, 5] = -2.0
         with pytest.raises(NotSPDError) as err:
-            rhs_momentum(g, state.components(), PhysParams(), RegParams(alpha=0.1))
+            rhs_momentum(g, state.components(), *stage(g, state.components()), PhysParams(),
+                         RegParams(alpha=0.1))
         assert "(3, 5)" in str(err.value)
 
     def test_non_finite_cell_named_before_indefinite_one(self):
@@ -329,7 +346,8 @@ class TestMomentum:
         g = unit_grid(8)
         state = random_state(g, 2)
         state.components()[4][3, 5] = -2.0
-        rhs_momentum(g, state.components(), PhysParams(), RegParams(alpha=0.0))
+        rhs_momentum(g, state.components(), *stage(g, state.components()), PhysParams(),
+                     RegParams(alpha=0.0))
 
     def test_zero_knobs_bit_for_bit(self):
         # inactive knob parameters (Gamma, theta) must not leak into values
@@ -340,8 +358,10 @@ class TestMomentum:
                           sigma3=0.0, theta=0.1)
         reg_b = RegParams(alpha=0.0, sigma1=0.0, Gamma=7.0, sigma2=0.0,
                           sigma3=0.0, theta=0.9)
-        for op in (rhs_continuity, rhs_momentum, rhs_stress):
-            out_a, out_b = op(g, comps, phys, reg_a), op(g, comps, phys, reg_b)
+        faces, jac = stage(g, comps)
+        for op, args in ((rhs_continuity, (faces,)), (rhs_momentum, (faces, jac)),
+                         (rhs_stress, (faces, jac))):
+            out_a, out_b = op(g, comps, *args, phys, reg_a), op(g, comps, *args, phys, reg_b)
             if op is rhs_continuity:
                 out_a, out_b = [out_a], [out_b]
             for ca, cb in zip(out_a, out_b):
@@ -361,8 +381,9 @@ class TestMomentum:
                                np.ones(shape), np.zeros(shape), np.ones(shape))
             phys = PhysParams()
             comps = state.components()
-            with_term = rhs_momentum(g, comps, phys, RegParams(sigma2=sigma2))
-            without = rhs_momentum(g, comps, phys, RegParams())
+            faces, jac = stage(g, comps)
+            with_term = rhs_momentum(g, comps, faces, jac, phys, RegParams(sigma2=sigma2))
+            without = rhs_momentum(g, comps, faces, jac, phys, RegParams())
             got_x = with_term[0] - without[0]
             # minus sigma2 * sum_j d_j u_x d_j rho, evaluated analytically
             dux_dx = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
@@ -385,7 +406,8 @@ class TestMomentum:
             shape = (n, n)
             state = make_state(g, rho, ux, uy, np.ones(shape),
                                np.ones(shape), np.zeros(shape), np.ones(shape))
-            out = rhs_continuity(g, state.components(), PhysParams(), RegParams())
+            faces, _ = stage(g, state.components())
+            out = rhs_continuity(g, state.components(), faces, PhysParams(), RegParams())
             drho_dx = -np.pi * np.sin(np.pi * x) * np.cos(2 * np.pi * y)
             drho_dy = -2 * np.pi * np.cos(np.pi * x) * np.sin(2 * np.pi * y)
             div_u = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y) + \
@@ -528,7 +550,7 @@ class TestSigma3BruteForce:
         )
         phys = PhysParams(eps=0.4, k=0.9, A0=1.2, lam=0.8)
         reg = RegParams(alpha=0.1, sigma3=0.05, theta=0.2)
-        got = rhs_stress(g, state.components(), phys, reg)
+        got = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
         want = brute_force_stress_rhs(state, phys, reg)
         assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12
         assert np.abs(got[1] - want[:, :, 1]).max() <= 1e-12
@@ -539,7 +561,7 @@ class TestSigma3BruteForce:
         state = random_state(g, 21, spd_shift=0.02)
         phys = PhysParams(eps=0.4)
         reg = RegParams(alpha=0.1, sigma3=0.05, theta=0.2)
-        got = rhs_stress(g, state.components(), phys, reg)
+        got = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
         want = brute_force_stress_rhs(state, phys, reg)
         scale = 1.0 + np.abs(want).max()
         assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12 * scale
@@ -551,7 +573,7 @@ class TestSigma3BruteForce:
         state = random_state(g, 22)
         phys = PhysParams()
         reg = RegParams()
-        got = rhs_stress(g, state.components(), phys, reg)
+        got = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
         want = brute_force_stress_rhs(state, phys, reg)
         scale = 1.0 + np.abs(want).max()
         assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12 * scale
