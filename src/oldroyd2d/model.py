@@ -29,6 +29,8 @@ grad u, its Jacobian jac = velocity_jacobian(grid, ux, uy):
 
 diffuse = False leaves out the diffusions of rho (sigma2), eta and T (eps),
 which the IMEX scheme solves implicitly.  No term writes into faces or jac.
+rhs_momentum takes one divergence of one total stress, and tr_log_field runs
+eig_fields only where a bound test cannot prove T SPD.
 """
 
 from __future__ import annotations
@@ -277,9 +279,25 @@ def rhs_eta(grid: Grid2D, comps, faces, phys: PhysParams, diffuse: bool = True) 
 
 
 def tr_log_field(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -> np.ndarray:
-    """Pointwise tr log T; aborts naming the first non-finite cell, else the
-    worst cell, and the context, if T is not SPD."""
-    lam1, lam2 = symcalc.eig_fields(xx, xy, yy)
+    """Pointwise tr log T as log det T; aborts naming the first non-finite cell,
+    else the worst cell, and the context, if T is not SPD.
+
+    det is built in eig_fields' operation order (xx * yy, then minus xy * xy).
+    If every cell has 0 < T_xx <= M, T_yy <= M and det >= D (M = 1e150,
+    D = 1e-150), eig_fields would find T SPD and is not run: det > 0 forces
+    T_yy > 0 and xy^2 < T_xx T_yy <= M^2, so no product overflows, its
+    lam1 = mean + radius lies in (0, about 2.2 M], and its lam2 = det / lam1
+    lies in [D / (2.2 M), 2 min(T_xx, T_yy)], above 4.5e-301.  A NaN fails
+    every comparison.  Otherwise eig_fields decides; wherever it finds every
+    lam2 positive and finite, so is det = lam1 lam2, and the value is log det.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.multiply(xx, yy)
+        det -= xy * xy
+    if (xx.min() > 0.0 and xx.max() <= 1e150 and yy.max() <= 1e150
+            and det.min() >= 1e-150):
+        return np.log(det, out=det)
+    lam2 = symcalc.eig_fields(xx, xy, yy)[1]
     if np.any(lam2 <= 0.0) or not np.all(np.isfinite(lam2)):
         where = f" in {context}"
         finite = np.isfinite(lam2)
@@ -298,52 +316,31 @@ def tr_log_field(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -
             f"stress lost positive definiteness at cell {tuple(int(v) for v in idx)}"
             f" (min eigenvalue {lam2[idx]:.3e}){where}"
         )
-    out = np.log(lam1, out=lam1)
-    out += np.log(lam2, out=lam2)
-    return out
+    return np.log(det, out=det)
 
 
 def rhs_momentum(grid: Grid2D, comps, faces, jac, phys: PhysParams, reg: RegParams):
-    """Right-hand side (x, y) for the conservative momentum density rho u."""
+    """Right-hand side (x, y) for the conservative momentum density rho u: Div Sigma
+    of the total stress Sigma = S(grad u) + T - q I, q = p(rho) + pi(eta)
+    (+ (alpha / 2) tr log T), minus the upwind momentum fluxes and sigma2 J grad rho.
+    """
     rho, ux, uy, eta, txx, txy, tyy = comps
-
-    # the viscous divergence is built first, before the outputs exist: its
-    # stress and stencil temporaries are the assembly's largest set
-    visc_x, visc_y = g2.tensor_divergence(*newtonian_stress(jac, phys), grid.hx, grid.hy)
-
-    # transport of momentum components by the same upwind flux as mass;
-    # each temporary below is released right after its last use, so the
-    # assembly holds few arrays at once
-    out_x = g2.upwind_div(faces, rho * ux, g2.DIRICHLET, grid.hx, grid.hy)
-    out_y = g2.upwind_div(faces, rho * uy, g2.DIRICHLET, grid.hx, grid.hy)
-    np.negative(out_x, out=out_x)
-    np.negative(out_y, out=out_y)
-
-    p = pressure(rho, phys, reg)
-    out_x -= g2.grad_x(p, g2.NEUMANN, grid.hx)
-    out_y -= g2.grad_y(p, g2.NEUMANN, grid.hy)
-    del p
-
-    solvent = polymer_pressure(eta, phys)
-    out_x -= g2.grad_x(solvent, g2.NEUMANN, grid.hx)
-    out_y -= g2.grad_y(solvent, g2.NEUMANN, grid.hy)
-    del solvent
-
-    out_x += visc_x
-    out_y += visc_y
-    del visc_x, visc_y
-
-    div_x, div_y = g2.tensor_divergence(txx, txy, tyy, grid.hx, grid.hy)
-    out_x += div_x
-    out_y += div_y
-    del div_x, div_y
-
+    q = pressure(rho, phys, reg)
+    q += polymer_pressure(eta, phys)
     if reg.alpha != 0.0:
-        trlog = tr_log_field(txx, txy, tyy, context="momentum assembly")
-        out_x -= _scaled(0.5 * reg.alpha, g2.grad_x(trlog, g2.NEUMANN, grid.hx))
-        out_y -= _scaled(0.5 * reg.alpha, g2.grad_y(trlog, g2.NEUMANN, grid.hy))
-        del trlog
-
+        q += _scaled(0.5 * reg.alpha, tr_log_field(txx, txy, tyy, context="momentum assembly"))
+    sxx, sxy, syy = newtonian_stress(jac, phys)
+    sxx += txx
+    sxx -= q
+    sxy += txy
+    syy += tyy
+    syy -= q
+    del q
+    # the summands share the mirror ghost and the stencil: one divergence serves all
+    out_x, out_y = g2.tensor_divergence(sxx, sxy, syy, grid.hx, grid.hy)
+    del sxx, sxy, syy
+    out_x -= g2.upwind_div(faces, rho * ux, g2.DIRICHLET, grid.hx, grid.hy)
+    out_y -= g2.upwind_div(faces, rho * uy, g2.DIRICHLET, grid.hx, grid.hy)
     if reg.sigma2 != 0.0:
         jxx, jxy, jyx, jyy = jac
         drho_x = g2.grad_x(rho, g2.NEUMANN, grid.hx)

@@ -1,12 +1,12 @@
 """Closed-form functional calculus for symmetric 2x2 matrices.
 
 Everything works componentwise on arrays (xx, xy, yy) holding one matrix
-per element: the eigenvalues the solver's tr log T and positivity checks
-use, the eigenvector rotation, the lift of a scalar function through
-them, the eigenvalue cutoff chi, and executable checks of the matrix
-inequalities the stress analysis relies on (difference-of-logs bound,
-concavity trace chains), which the matrix-inequalities verify suite runs
-on whole blocks of samples.
+per element: the eigenvalues the solver's positivity checks use, the
+eigenvector rotation, the lift of a scalar function through them, the
+eigenvalue cutoff chi, and executable checks of the matrix inequalities
+the stress analysis relies on (difference-of-logs bound, concavity trace
+chains), which the matrix-inequalities verify suite runs on whole blocks
+of samples.
 
 Everything is specialized to d = 2; the dimension enters inequality
 constants and is kept in the single constant DIM below.
@@ -74,11 +74,11 @@ class SymMat2:
 # ---------------------------------------------------------------------------
 # The eigendecomposition, on whole component arrays (xx, xy, yy), so that
 # per-cell loops never appear in the solver.  eig_fields() returns the
-# eigenvalues only, which is all tr log T needs; rotation_fields() adds the
+# eigenvalues only, all a positivity check needs; rotation_fields() adds the
 # eigenvector angle (arctan2, the tie mask, cos and sin) that a lift
 # through recombine_fields() needs.  eig_fields() is the only
-# eigendecomposition in the package: the solver's tr log T and cutoff chi
-# and the inequality checkers below all run it.
+# eigendecomposition in the package: the solver's positivity checks and
+# cutoff chi and the inequality checkers below all run it.
 
 
 def eig_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray):
@@ -150,7 +150,7 @@ def cutoff_fields(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, floor: float):
 # ---------------------------------------------------------------------------
 # Inequality checkers.  The matrix-inequalities suite decomposes each of its
 # matrices once per block of samples (decompose: one eig_fields and one
-# rotation_fields call, the path tr_log_field and cutoff_fields run) and
+# rotation_fields call, the path cutoff_fields runs) and
 # hands the decomposition to every checker, which lifts each function
 # from it with recombine_fields.  Each checker returns one lhs, rhs and
 # holds per sample; scalar_log_ineq also takes a pair of floats.

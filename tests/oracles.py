@@ -24,6 +24,12 @@ convexity_trace_ineq_fields_per_call are the inequality checkers with
 every term decomposing its matrices again (through apply_scalar_mat and
 tr_log_fields); the package's one-decomposition checkers must reproduce
 them bit for bit, exceptions included.
+rhs_momentum_by_terms is the momentum right-hand side with one divergence per
+term of the total stress and tr log T as log lam1 + log lam2 (tr_log_eig);
+the package's one-divergence rhs_momentum must match it within the bound
+stated in tests/test_model.py, and its tr_log_field must raise what
+tr_log_eig raises, message for message.  KNOB_SETS are the knob settings
+those tests and the in-place tests run.
 
 eig, EigenPair2 and lift are the closed-form 2x2 eigendecomposition of one
 matrix in plain float arithmetic and math-module calls, the scalar twin of
@@ -57,7 +63,8 @@ from oldroyd2d import grid as g2
 from oldroyd2d.diagnostics import energy_residual_series, stress_norms
 from oldroyd2d.grid import cell_sum
 from oldroyd2d.integrate import BlowupError
-from oldroyd2d.model import PhysParams
+from oldroyd2d import model
+from oldroyd2d.model import PhysParams, RegParams
 from oldroyd2d.symcalc import (_CONVEXITY_SLACK, _MATRIX_LOG_SLACK, _SCALAR_LOG_SLACK,
                                 _TIE_BREAK_REL, DIM, ChainResult, IneqResult, NotSPDError,
                                 SymMat2, eig_fields, recombine_fields, rotation_fields)
@@ -220,6 +227,64 @@ def euler_stage_np(y0, f, dt: float):
 
 def heun_stage_np(y0, y1, f, dt: float):
     return [0.5 * (a + b + dt * c) for a, b, c in zip(y0, y1, f)]
+
+
+def tr_log_eig(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -> np.ndarray:
+    """tr log T as log lam1 + log lam2 of eig_fields, aborting as model.tr_log_field must."""
+    lam1, lam2 = eig_fields(xx, xy, yy)
+    if np.any(lam2 <= 0.0) or not np.all(np.isfinite(lam2)):
+        where = f" in {context}"
+        finite = np.isfinite(lam2)
+        if not finite.all():
+            idx = np.unravel_index(np.argmin(finite), lam2.shape)
+            cell = tuple(int(v) for v in idx)
+            if np.isfinite(xx[idx]) and np.isfinite(xy[idx]) and np.isfinite(yy[idx]):
+                raise NotSPDError(
+                    f"stress eigenvalue overflowed at cell {cell} (T_xx = {xx[idx]:.3e},"
+                    f" T_xy = {xy[idx]:.3e}, T_yy = {yy[idx]:.3e}){where}")
+            raise NotSPDError(
+                f"stress is not finite at cell {cell} (eigenvalue {lam2[idx]:.3e}){where}")
+        idx = np.unravel_index(np.argmin(lam2), lam2.shape)
+        raise NotSPDError(
+            f"stress lost positive definiteness at cell {tuple(int(v) for v in idx)}"
+            f" (min eigenvalue {lam2[idx]:.3e}){where}")
+    return np.log(lam1) + np.log(lam2)
+
+
+def rhs_momentum_by_terms(grid, comps, faces, jac, phys: PhysParams, reg):
+    """The momentum right-hand side with one divergence per term of the total stress."""
+    rho, ux, uy, eta, txx, txy, tyy = comps
+    hx, hy = grid.hx, grid.hy
+    visc_x, visc_y = g2.tensor_divergence(*model.newtonian_stress(jac, phys), hx, hy)
+    div_x, div_y = g2.tensor_divergence(txx, txy, tyy, hx, hy)
+    p = model.pressure(rho, phys, reg)
+    solvent = model.polymer_pressure(eta, phys)
+    out_x = (-g2.upwind_div(faces, rho * ux, g2.DIRICHLET, hx, hy)
+             - g2.grad_x(p, g2.NEUMANN, hx) - g2.grad_x(solvent, g2.NEUMANN, hx)
+             + visc_x + div_x)
+    out_y = (-g2.upwind_div(faces, rho * uy, g2.DIRICHLET, hx, hy)
+             - g2.grad_y(p, g2.NEUMANN, hy) - g2.grad_y(solvent, g2.NEUMANN, hy)
+             + visc_y + div_y)
+    if reg.alpha != 0.0:
+        trlog = tr_log_eig(txx, txy, tyy, context="momentum assembly")
+        out_x = out_x - 0.5 * reg.alpha * g2.grad_x(trlog, g2.NEUMANN, hx)
+        out_y = out_y - 0.5 * reg.alpha * g2.grad_y(trlog, g2.NEUMANN, hy)
+    if reg.sigma2 != 0.0:
+        jxx, jxy, jyx, jyy = jac
+        drho_x, drho_y = g2.grad_x(rho, g2.NEUMANN, hx), g2.grad_y(rho, g2.NEUMANN, hy)
+        out_x = out_x - reg.sigma2 * (jxx * drho_x + jxy * drho_y)
+        out_y = out_y - reg.sigma2 * (jyx * drho_x + jyy * drho_y)
+    return out_x, out_y
+
+
+# The knob sets that the in-place and momentum-assembly tests run: every
+# regularization knob and both optional physical terms (muB, delta) active somewhere.
+KNOB_SETS = {
+    "base": (PhysParams(muS=0.1, eps=0.1), RegParams()),
+    "alpha-sigma2": (PhysParams(muS=0.1, eps=0.1), RegParams(alpha=0.1, sigma2=0.01)),
+    "sigma1-sigma3-muB-delta": (PhysParams(muS=0.1, muB=0.05, eps=0.1, delta=0.5),
+                                RegParams(alpha=0.1, sigma1=0.01, sigma3=0.05)),
+}
 
 
 def mc_slopes_np(psi: np.ndarray, axis: int) -> np.ndarray:

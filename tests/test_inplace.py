@@ -25,11 +25,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import KNOB_SETS
 from oldroyd2d import grid as g2
 from oldroyd2d import diagnostics as dg
 from oldroyd2d import integrate, model
 from oldroyd2d.grid import DIRICHLET, NEUMANN, Grid2D
-from oldroyd2d.model import PhysParams, RegParams, SimState
+from oldroyd2d.model import PhysParams, SimState
 
 SHAPES = [(8, 8), (4, 4), (5, 7), (9, 6)]
 LAYOUTS = ["C", "F", "strided"]
@@ -211,14 +212,6 @@ def smooth_state(n, rng) -> SimState:
     return model.state_from_components(
         0.25, grid, 1.0 + noise(0.05), noise(0.05), noise(0.05), 1.0 + noise(0.05),
         1.2 + noise(0.05), noise(0.02), 1.2 + noise(0.05))
-
-
-KNOB_SETS = {
-    "base": (PhysParams(muS=0.1, eps=0.1), RegParams()),
-    "alpha-sigma2": (PhysParams(muS=0.1, eps=0.1), RegParams(alpha=0.1, sigma2=0.01)),
-    "sigma1-sigma3-muB-delta": (PhysParams(muS=0.1, muB=0.05, eps=0.1, delta=0.5),
-                                RegParams(alpha=0.1, sigma1=0.01, sigma3=0.05)),
-}
 
 
 class TestNoAliasing:

@@ -31,6 +31,7 @@ from oldroyd2d.model import (
 from oldroyd2d.symcalc import NotSPDError
 from oldroyd2d import cli, integrate, model
 from oldroyd2d import diagnostics as dg
+from oldroyd2d import symcalc as sc
 from oldroyd2d import grid as g2
 
 
@@ -386,6 +387,27 @@ class TestRun:
         step(perturbed_state(unit_grid(8)), PhysParams(), reg, StepConfig(scheme=scheme), dt=1e-4)
         assert calls == {"face_velocities": 2, "velocity_jacobian": 2, "lap": laps}
 
+    @pytest.mark.parametrize("scheme", ["rk2", "imex"])
+    def test_step_takes_one_momentum_divergence_per_stage(self, scheme, monkeypatch):
+        # the momentum assembly takes one divergence of its total stress, and
+        # tr log T of an SPD stress needs no eigendecomposition: per stage, 4
+        # gradients build the Jacobian, 4 the divergence and 2 grad rho (sigma2)
+        calls = {"grad": 0, "tensor_divergence": 0, "eig_fields": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        for name in ("grad_x", "grad_y"):
+            monkeypatch.setattr(g2, name, counted("grad", getattr(g2, name)))
+        monkeypatch.setattr(g2, "tensor_divergence",
+                            counted("tensor_divergence", g2.tensor_divergence))
+        monkeypatch.setattr(sc, "eig_fields", counted("eig_fields", sc.eig_fields))
+        reg = RegParams(alpha=0.1, sigma2=0.01)
+        step(perturbed_state(unit_grid(8)), PhysParams(), reg, StepConfig(scheme=scheme), dt=1e-4)
+        assert calls == {"grad": 20, "tensor_divergence": 2, "eig_fields": 0}
+
     def test_error_carries_failing_time(self):
         g = unit_grid(8)
         phys = PhysParams(eps=1.0)
@@ -407,9 +429,16 @@ class TestRun:
             "nx = 32\nny = 32\nk = 1000\nlambda = 100\nmuS = 0.01\neps = 0.01\n"
             "amp = 0.5\ninitial = perturbed-equilibrium\nt_end = 0.15\n")
         rec = dg.TimeseriesRecorder(cfg.phys, cfg.reg)
+        seen = []
+
+        def hook(state):
+            seen.append(state.t)
+            return rec.hook(state)
         with pytest.raises(NotSPDError) as err:
-            run(cli.build_initial(cfg), cfg.phys, cfg.reg, cfg.step, diag_hooks=(rec.hook,))
-        assert str(err.value).endswith("in energy report (run failed at t=0.0914856)")
+            run(cli.build_initial(cfg), cfg.phys, cfg.reg, cfg.step, diag_hooks=(hook,))
+        # the run is unstable, so the failing time moves with the rounding of a step
+        assert str(err.value).endswith("in energy report (run failed at t=0.0914859)")
+        assert str(err.value).endswith(f"(run failed at t={seen[-1]:.6g})")
 
     def test_auto_dt_abort_carries_failing_time(self, monkeypatch):
         calls = []

@@ -19,8 +19,9 @@ No module in src/oldroyd2d imports scipy: numpy is the only runtime
 dependency, and scipy serves the tests' reference routes alone.
 
 symcalc.eig_fields is the only function in src/ that calls hypot, so the
-package holds one eigendecomposition: the solver's tr log T and cutoff chi
-and the matrix-inequalities suite all run it.
+package holds one eigendecomposition: the solver's cutoff chi, the
+positivity monitor and the matrix-inequalities suite run it, and tr log T
+falls back on it where its determinant test cannot prove T SPD.
 
 The field classes are named component bundles that live in model.py, the
 only module in src/ that names them: model.state_from_components is the

@@ -1,5 +1,7 @@
 """Model RHS tests: parameter validation, pointwise formulas, equilibria,
-conservation, the relaxation ODE, and a brute-force sigma3 assembly oracle."""
+conservation, the relaxation ODE, a brute-force sigma3 assembly oracle, the
+one-divergence momentum assembly against its term-by-term form, and
+tr_log_field's determinant route against the eigenvalue route."""
 
 import math
 
@@ -25,9 +27,11 @@ from oldroyd2d.model import (
     tr_log_field,
     velocity_jacobian,
 )
+from oldroyd2d import symcalc
 from oldroyd2d.symcalc import NotSPDError
 
 PRESSURE_2_WITH_ART = 5.6  # 1*2^2 + 0.1*2^4
+EPS = np.finfo(float).eps
 
 
 def unit_grid(n):
@@ -342,6 +346,37 @@ class TestMomentum:
                            r"in probe$"):
             tr_log_field(full, np.zeros((4, 4)), full, context="probe")
 
+    # Each assembly rounds every summand of Sigma (or its term) at most a few
+    # times at the size of the largest, and the central difference divides that
+    # by 2 h; what follows rounds at the size of the output.  Measured: at most
+    # 0.65 of these eps on the three knob sets over 60 states.
+    @pytest.mark.parametrize("knobs", list(oracles.KNOB_SETS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_divergence_matches_term_by_term_assembly(self, knobs, seed):
+        phys, reg = oracles.KNOB_SETS[knobs]
+        for g in (unit_grid(12), Grid2D(9, 13, 0.3, 2.0)):
+            comps = random_state(g, seed).components()
+            rho, _, _, eta, txx, txy, tyy = comps
+            faces, jac = stage(g, comps)
+            got = rhs_momentum(g, comps, faces, jac, phys, reg)
+            want = oracles.rhs_momentum_by_terms(g, comps, faces, jac, phys, reg)
+            size = sum(np.abs(c) for c in (*newtonian_stress(jac, phys), txx, txy, tyy,
+                                            pressure(rho, phys, reg), polymer_pressure(eta, phys)))
+            if reg.alpha != 0.0:
+                lam1, lam2 = symcalc.eig_fields(txx, txy, tyy)
+                size += 0.5 * reg.alpha * (1.0 + np.abs(np.log(lam1)) + np.abs(np.log(lam2)))
+            scale = size.max() / min(g.hx, g.hy) + max(np.abs(w).max() for w in want)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 4.0 * EPS * scale
+
+    @pytest.mark.parametrize("knobs", list(oracles.KNOB_SETS))
+    def test_vanishes_exactly_at_equilibrium(self, knobs):
+        phys, reg = oracles.KNOB_SETS[knobs]
+        g = Grid2D(8, 6, 1.0, 0.7)
+        comps = equilibrium_state(g, phys, reg, rho_bar=1.4, eta_bar=0.8).components()
+        for out in rhs_momentum(g, comps, *stage(g, comps), phys, reg):
+            assert np.all(out == 0.0)
+
     def test_alpha_zero_tolerates_indefinite_stress(self):
         g = unit_grid(8)
         state = random_state(g, 2)
@@ -417,6 +452,72 @@ class TestMomentum:
             errs.append(np.abs(out[inner, inner] - want[inner, inner]).max())
         order = math.log2(errs[0] / errs[1])
         assert order >= 0.8
+
+
+# Cells (T_xx, T_xy, T_yy) that the determinant test must hand to eig_fields or
+# that sit at its bounds M = 1e150 and D = 1e-150; each goes into a field of 2 I.
+EDGE_CELLS = [
+    (np.nan, 0.0, 2.0), (2.0, np.nan, 2.0), (2.0, 0.0, np.nan),
+    (np.inf, 0.0, 2.0), (-np.inf, 0.0, 2.0), (2.0, np.inf, 2.0), (2.0, -np.inf, 2.0),
+    (2.0, 0.0, np.inf), (2.0, 0.0, -np.inf),
+    (1.0, 1.0, 1.0), (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (1.0, 2.0, 1.0),
+    (-1.0, 0.0, -1.0), (-1.0, 0.5, -2.0), (1.0, 0.0, -1.0),
+    (2e154, 0.0, 2e154), (1e160, 1e155, 1e160), (1e200, 0.0, 1e-200), (1.0, 0.0, 1e155),
+    (1e150, 0.0, 1e150), (np.nextafter(1e150, np.inf), 0.0, 1.0),
+    (1.0, 0.0, np.nextafter(1e150, np.inf)), (1e150, 1e150, 1e150),
+    (1e-75, 0.0, 1e-75), (1e-76, 0.0, 1e-76), (1e-160, 0.0, 1e-160), (5e-324, 0.0, 1.0),
+    (4.0, 3e-162, 5e-324),  # det = 1e-323 > 0, but lam2 = det / lam1 underflows to 0
+]
+
+
+def tr_log_bound(xx, xy, yy):
+    """4 eps (1 + |log lam1| + |log lam2|): both routes take log of the same det."""
+    lam1, lam2 = symcalc.eig_fields(xx, xy, yy)
+    return 4.0 * EPS * (1.0 + np.abs(np.log(lam1)) + np.abs(np.log(lam2)))
+
+
+class TestTrLogField:
+    @pytest.mark.parametrize("cell", EDGE_CELLS, ids=repr)
+    def test_raises_exactly_where_eig_fields_finds_no_spd(self, cell):
+        T = [np.full((4, 5), v) for v in (2.0, 0.0, 2.0)]
+        for comp, v in zip(T, cell):
+            comp[1, 3] = v
+        lam2 = symcalc.eig_fields(*T)[1]
+        try:
+            want = oracles.tr_log_eig(*T, context="probe")
+        except NotSPDError as err:
+            assert not np.all((lam2 > 0.0) & np.isfinite(lam2))
+            with pytest.raises(NotSPDError) as got:
+                tr_log_field(*T, context="probe")
+            assert str(got.value) == str(err)
+            return
+        assert np.all((lam2 > 0.0) & np.isfinite(lam2))
+        got = tr_log_field(*T, context="probe")
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= tr_log_bound(*T))
+
+    def test_matches_eigenvalue_logs_up_to_condition_1e12(self):
+        rng = np.random.default_rng(5)
+        shape = (40, 50)
+        lam2 = 10.0 ** rng.uniform(-6.0, 6.0, shape)
+        lam1 = lam2 * 10.0 ** rng.uniform(0.0, 12.0, shape)
+        phi = rng.uniform(0.0, np.pi, shape)
+        c, s = np.cos(phi), np.sin(phi)
+        T = (c * c * lam1 + s * s * lam2, c * s * (lam1 - lam2), s * s * lam1 + c * c * lam2)
+        got = tr_log_field(*T, context="probe")
+        want = oracles.tr_log_eig(*T, context="probe")
+        assert np.all(np.abs(got - want) <= tr_log_bound(*T))
+
+    def test_eig_fields_runs_only_when_the_determinant_test_fails(self, monkeypatch):
+        calls = []
+        eig_fields = symcalc.eig_fields
+        monkeypatch.setattr(symcalc, "eig_fields", lambda *T: calls.append(1) or eig_fields(*T))
+        _, _, _, _, *T = random_state(unit_grid(8), 3).components()
+        tr_log_field(*T, context="probe")
+        assert calls == []
+        T[0][2, 2] = 2e150  # still SPD, but past the entry bound
+        tr_log_field(*T, context="probe")
+        assert calls == [1]
 
 
 def kramers_tensor(state: SimState, phys: PhysParams):
