@@ -2,11 +2,11 @@
 
 Default scheme is SSP-RK2 (Heun), second order in time.  Each stage builds
 the face velocities and the velocity Jacobian of its state once and hands
-them to every right-hand-side term.  The IMEX variant runs the same
-explicit update on right-hand sides that leave out the linear diffusions
-listed by _implicit_terms (they are never computed, rather than computed
-and subtracted), then applies one implicit Euler diffusion solve: a Lie
-splitting, first order in time.  The mirror-ghost Neumann laplacian is
+them to every right-hand-side term.  _diffusions alone decides how the
+scheme treats the diffusions sigma2 lap rho, eps lap eta and eps lap T:
+rk2 adds them to the right-hand side and bounds dt by them; IMEX leaves
+them out of the same update, then applies one implicit Euler solve of
+each: a Lie splitting, first order in time.  The mirror-ghost Neumann laplacian is
 exactly diagonalized by the type-II cosine transform, so the solve is
 direct; the transform runs on numpy.fft, as an even/odd reorder, a real
 FFT and a quarter-wave twiddle along each axis (Makhoul 1980).  No
@@ -99,10 +99,9 @@ def auto_dt(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig) 
     h = min(g.hx, g.hy)
 
     nu_eff = (phys.muS + phys.muB) / rho_min
-    if cfg.scheme == "imex":
-        diffusive = nu_eff  # eps and sigma2 handled implicitly
-    else:
-        diffusive = max(phys.eps, reg.sigma2, nu_eff)
+    # nu_eff goes last: max() passes over a nan anywhere but first
+    explicit = _diffusions(phys, reg, cfg.scheme)[0]
+    diffusive = max((*(kappa for kappa, _ in explicit), nu_eff))
     dt_diff = cfg.cfl * h * h / (4.0 * diffusive) if diffusive > 0.0 else math.inf
 
     rho = np.maximum(rho, 0.0)
@@ -149,27 +148,32 @@ def _unpack(y, floor_counter) -> tuple:
     return rho, ux, uy, eta, txx, txy, tyy
 
 
-def _rhs(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams, scheme: str):
-    """The packed right-hand side of the stage state comps under scheme.
+def _diffusions(phys: PhysParams, reg: RegParams, scheme: str):
+    """(explicit, implicit): the (kappa, packed indices) of each diffusion
+    kappa lap_neumann of a packed component, as scheme treats it."""
+    terms = ((reg.sigma2, (0,)),) if reg.sigma2 != 0.0 else ()
+    terms += ((phys.eps, (3, 4, 5, 6)),)
+    return (terms, ()) if scheme == "rk2" else ((), terms)
 
-    Under imex it leaves out the diffusions that _implicit_terms lists.
+
+def _rhs(grid: g2.Grid2D, comps, phys: PhysParams, reg: RegParams, explicit):
+    """The packed right-hand side of the stage state comps, with the explicit diffusions.
+
     The momentum, which allocates most, runs while no other output is
     live, and the Jacobian is dropped after its last reader.
     """
-    diffuse = scheme == "rk2"
     faces = g2.face_velocities(comps[1], comps[2])
     jac = velocity_jacobian(grid, comps[1], comps[2])
     mx, my = rhs_momentum(grid, comps, faces, jac, phys, reg)
-    stress = rhs_stress(grid, comps, faces, jac, phys, reg, diffuse)
+    stress = rhs_stress(grid, comps, faces, jac, phys, reg)
     del jac
-    return [rhs_continuity(grid, comps, faces, phys, reg, diffuse), mx, my,
-            rhs_eta(grid, comps, faces, phys, diffuse), *stress]
-
-
-def _implicit_terms(phys: PhysParams, reg: RegParams):
-    """(kappa, packed indices) of each diffusion of a Neumann field that IMEX solves implicitly."""
-    eps_term = (phys.eps, (3, 4, 5, 6))
-    return ((reg.sigma2, (0,)), eps_term) if reg.sigma2 != 0.0 else (eps_term,)
+    f = [rhs_continuity(grid, comps, faces), mx, my, rhs_eta(grid, comps, faces), *stress]
+    for kappa, indices in explicit:
+        for i in indices:
+            d = g2.lap(comps[i], g2.NEUMANN, grid.hx, grid.hy)
+            d *= kappa
+            f[i] += d
+    return f
 
 
 def _neumann_symbol(grid: g2.Grid2D) -> np.ndarray:
@@ -290,22 +294,22 @@ def step(state: SimState, phys: PhysParams, reg: RegParams, cfg: StepConfig,
     Returns a fresh state at t + dt that shares no memory with state;
     no input array is modified.
     """
-    # SSP-RK2 stages; IMEX runs them on everything but the stiff diffusion ...
+    # SSP-RK2 stages on everything but the implicit diffusions ...
     grid = state.grid
+    explicit, implicit = _diffusions(phys, reg, cfg.scheme)
     comps = state.components()
     y0 = _pack(comps)
-    y1 = _euler_stage(y0, _rhs(grid, comps, phys, reg, cfg.scheme), dt)
+    y1 = _euler_stage(y0, _rhs(grid, comps, phys, reg, explicit), dt)
     comps = _unpack(y1, floor_counter)
-    y2 = _heun_stage(y0, y1, _rhs(grid, comps, phys, reg, cfg.scheme), dt)
+    y2 = _heun_stage(y0, y1, _rhs(grid, comps, phys, reg, explicit), dt)
     del comps, y1  # the first stage is dead before the implicit solves
-    if cfg.scheme == "imex":
-        # ... then one implicit Euler solve per diffused component
-        symbol = _neumann_symbol(grid)
-        for kappa, indices in _implicit_terms(phys, reg):
-            denom = 1.0 - kappa * dt * symbol
-            for i in indices:
-                y2[i] = _neumann_heat_solve(y2[i], denom)
-            del denom  # one live denominator at a time: fewer pages to fault in
+    # ... then one implicit Euler solve per implicitly diffused component
+    symbol = _neumann_symbol(grid) if implicit else None
+    for kappa, indices in implicit:
+        denom = 1.0 - kappa * dt * symbol
+        for i in indices:
+            y2[i] = _neumann_heat_solve(y2[i], denom)
+        del denom  # one live denominator at a time: fewer pages to fault in
 
     _check_finite(y2, state.t + dt)
     return state_from_components(state.t + dt, grid, *_unpack(y2, floor_counter))

@@ -22,13 +22,13 @@ terms take the grid, comps (the seven arrays in components() order), the
 stage's face bundle faces = grid.face_velocities(ux, uy) and, where they read
 grad u, its Jacobian jac = velocity_jacobian(grid, ux, uy):
 
-  rhs_continuity(grid, comps, faces, phys, reg, diffuse)
-  rhs_momentum(grid, comps, faces, jac, phys, reg)       -> (x, y)
-  rhs_eta(grid, comps, faces, phys, diffuse)
-  rhs_stress(grid, comps, faces, jac, phys, reg, diffuse) -> [xx, xy, yy]
+  rhs_continuity(grid, comps, faces)
+  rhs_momentum(grid, comps, faces, jac, phys, reg) -> (x, y)
+  rhs_eta(grid, comps, faces)
+  rhs_stress(grid, comps, faces, jac, phys, reg)   -> [xx, xy, yy]
 
-diffuse = False leaves out the diffusions of rho (sigma2), eta and T (eps),
-which the IMEX scheme solves implicitly.  No term writes into faces or jac.
+None holds a laplacian: the diffusions of rho (sigma2), eta and T (eps) are
+listed once, in integrate._diffusions.  No term writes into faces or jac.
 rhs_momentum takes one divergence of one total stress, and tr_log_field runs
 eig_fields only where a bound test cannot prove T SPD.
 """
@@ -257,25 +257,16 @@ def newtonian_stress(jac, phys: PhysParams):
     return sxx, sxy, syy
 
 
-def rhs_continuity(grid: Grid2D, comps, faces, phys: PhysParams, reg: RegParams,
-                   diffuse: bool = True) -> np.ndarray:
-    """-div(rho u) with conservative upwind flux, plus sigma2 diffusion if diffuse."""
-    rho = comps[0]
-    out = g2.upwind_div(faces, rho, g2.NEUMANN, grid.hx, grid.hy)
-    np.negative(out, out=out)
-    if diffuse and reg.sigma2 != 0.0:
-        out += _scaled(reg.sigma2, g2.lap(rho, g2.NEUMANN, grid.hx, grid.hy))
-    return out
+def rhs_continuity(grid: Grid2D, comps, faces) -> np.ndarray:
+    """-div(rho u) with conservative upwind flux."""
+    out = g2.upwind_div(faces, comps[0], g2.NEUMANN, grid.hx, grid.hy)
+    return np.negative(out, out=out)
 
 
-def rhs_eta(grid: Grid2D, comps, faces, phys: PhysParams, diffuse: bool = True) -> np.ndarray:
-    """-div(eta u) with conservative upwind flux, plus eps diffusion if diffuse."""
-    eta = comps[3]
-    out = g2.upwind_div(faces, eta, g2.NEUMANN, grid.hx, grid.hy)
-    np.negative(out, out=out)
-    if diffuse:
-        out += _scaled(phys.eps, g2.lap(eta, g2.NEUMANN, grid.hx, grid.hy))
-    return out
+def rhs_eta(grid: Grid2D, comps, faces) -> np.ndarray:
+    """-div(eta u) with conservative upwind flux."""
+    out = g2.upwind_div(faces, comps[3], g2.NEUMANN, grid.hx, grid.hy)
+    return np.negative(out, out=out)
 
 
 def tr_log_field(xx: np.ndarray, xy: np.ndarray, yy: np.ndarray, context: str) -> np.ndarray:
@@ -356,13 +347,11 @@ def rhs_momentum(grid: Grid2D, comps, faces, jac, phys: PhysParams, reg: RegPara
     return out_x, out_y
 
 
-def rhs_stress(grid: Grid2D, comps, faces, jac, phys: PhysParams, reg: RegParams,
-               diffuse: bool = True) -> list:
-    """Stress transport, stretching, diffusion if diffuse, and Maxwell relaxation,
-    as [xx, xy, yy].
+def rhs_stress(grid: Grid2D, comps, faces, jac, phys: PhysParams, reg: RegParams) -> list:
+    """Stress transport, stretching and Maxwell relaxation, as [xx, xy, yy].
 
-    With sigma3 active the cutoff tensor enters transport, stretching,
-    and relaxation; the diffusion keeps acting on T itself.
+    With sigma3 active the cutoff tensor enters all three; the eps
+    diffusion, added outside, acts on T itself.
     """
     eta, *T = comps[3:]
 
@@ -378,9 +367,6 @@ def rhs_stress(grid: Grid2D, comps, faces, jac, phys: PhysParams, reg: RegParams
     for comp in out:
         np.negative(comp, out=comp)
     add_stretching(out, *jac, txx, txy, tyy)
-    if diffuse:
-        for i, comp in enumerate(T):
-            out[i] += _scaled(phys.eps, g2.lap(comp, g2.NEUMANN, grid.hx, grid.hy))
     add_relaxation(out, txx, txy, tyy, eta + reg.alpha, phys)
 
     return out

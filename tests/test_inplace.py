@@ -16,7 +16,8 @@ included), and the state a step or a run returns shares no memory with
 the state it was given.
 
 The IMEX explicit stage leaves out exactly the diffusions that
-integrate._implicit_terms hands to the implicit solve.
+integrate._diffusions hands to the implicit solve: the rk2 right-hand side
+is the IMEX one plus kappa lap of each, bit for bit.
 """
 
 import itertools
@@ -256,17 +257,17 @@ class TestNoAliasing:
         faces, jac = g2.face_velocities(ux, uy), model.velocity_jacobian(g, ux, uy)
         shared = [*faces[0], *faces[1], *jac]
         shared_before = [a.copy() for a in shared]
-        for diffuse in (True, False):
-            model.rhs_continuity(g, comps, faces, phys, reg, diffuse)
-            model.rhs_momentum(g, comps, faces, jac, phys, reg)
-            model.rhs_eta(g, comps, faces, phys, diffuse)
-            model.rhs_stress(g, comps, faces, jac, phys, reg, diffuse)
+        model.rhs_continuity(g, comps, faces)
+        model.rhs_momentum(g, comps, faces, jac, phys, reg)
+        model.rhs_eta(g, comps, faces)
+        model.rhs_stress(g, comps, faces, jac, phys, reg)
         model.newtonian_stress(jac, phys)
         model.pressure(rho, phys, reg)
         model.polymer_pressure(eta, phys)
         model.tr_log_field(txx, txy, tyy, context="probe")
+        # the full rk2 right-hand side reads every diffused component too
         for scheme in ("rk2", "imex"):
-            integrate._rhs(g, comps, phys, reg, scheme)
+            integrate._rhs(g, comps, phys, reg, integrate._diffusions(phys, reg, scheme)[0])
         for a, b in zip(state.components(), before):
             assert a.tobytes() == b.tobytes()
         for a, b in zip(shared, shared_before):
@@ -309,14 +310,21 @@ class TestNoAliasing:
         g, comps = state.grid, state.components()
         _, ux, uy, *_ = comps
         faces, jac = g2.face_velocities(ux, uy), model.velocity_jacobian(g, ux, uy)
-        for diffuse in (True, False):
-            outs = [model.rhs_continuity(g, comps, faces, phys, reg, diffuse),
-                    model.rhs_eta(g, comps, faces, phys, diffuse),
-                    *model.rhs_momentum(g, comps, faces, jac, phys, reg),
-                    *model.rhs_stress(g, comps, faces, jac, phys, reg, diffuse),
-                    *model.newtonian_stress(jac, phys)]
-            assert len(outs) == 10
-            for a, b in itertools.product(outs, [*comps, *faces[0], *faces[1], *jac]):
+        outs = [model.rhs_continuity(g, comps, faces),
+                model.rhs_eta(g, comps, faces),
+                *model.rhs_momentum(g, comps, faces, jac, phys, reg),
+                *model.rhs_stress(g, comps, faces, jac, phys, reg),
+                *model.newtonian_stress(jac, phys)]
+        assert len(outs) == 10
+        for a, b in itertools.product(outs, [*comps, *faces[0], *faces[1], *jac]):
+            assert not np.shares_memory(a, b)
+        for a, b in itertools.combinations(outs, 2):
+            assert not np.shares_memory(a, b)
+        # the full rk2 right-hand side, its diffusions included, and the IMEX one
+        for scheme in ("rk2", "imex"):
+            outs = integrate._rhs(g, comps, phys, reg, integrate._diffusions(phys, reg, scheme)[0])
+            assert len(outs) == 7
+            for a, b in itertools.product(outs, comps):
                 assert not np.shares_memory(a, b)
             for a, b in itertools.combinations(outs, 2):
                 assert not np.shares_memory(a, b)
@@ -325,21 +333,22 @@ class TestNoAliasing:
 class TestImexExplicitStage:
     @pytest.mark.parametrize("knobs", list(KNOB_SETS))
     def test_leaves_out_exactly_the_implicit_diffusions(self, knobs):
-        # the full and the explicit right-hand side agree bit for bit where
-        # _implicit_terms lists nothing, and differ by kappa * lap where it does
+        # rk2 treats explicitly what IMEX treats implicitly; its right-hand
+        # side is the IMEX one plus kappa * lap, built as _rhs builds it
         phys, reg = KNOB_SETS[knobs]
+        terms, none = integrate._diffusions(phys, reg, "rk2")
+        assert none == () and integrate._diffusions(phys, reg, "imex") == ((), terms)
         state = smooth_state(12, np.random.default_rng(27))
         g, comps = state.grid, state.components()
-        full = integrate._rhs(g, comps, phys, reg, "rk2")
-        explicit = integrate._rhs(g, comps, phys, reg, "imex")
-        kappas = {i: kappa for kappa, indices in integrate._implicit_terms(phys, reg)
-                  for i in indices}
+        full = integrate._rhs(g, comps, phys, reg, terms)
+        explicit = integrate._rhs(g, comps, phys, reg, ())
+        kappas = {i: kappa for kappa, indices in terms for i in indices}
         assert len(full) == len(explicit) == 7
         for i, (f, e) in enumerate(zip(full, explicit)):
             if i not in kappas:
                 assert f.tobytes() == e.tobytes(), i
                 continue
-            want = kappas[i] * g2.lap(comps[i], NEUMANN, g.hx, g.hy)
-            scale = np.abs(f).max() + np.abs(e).max() + np.abs(want).max()
-            assert np.abs(want).max() > 1e-3 * scale, i
-            assert np.abs((f - e) - want).max() <= 16 * np.finfo(float).eps * scale, i
+            d = g2.lap(comps[i], NEUMANN, g.hx, g.hy)
+            d *= kappas[i]
+            assert np.abs(d).max() > 1e-3 * (np.abs(f).max() + np.abs(e).max()), i
+            assert f.tobytes() == (e + d).tobytes(), i

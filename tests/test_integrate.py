@@ -437,7 +437,7 @@ class TestRun:
         with pytest.raises(NotSPDError) as err:
             run(cli.build_initial(cfg), cfg.phys, cfg.reg, cfg.step, diag_hooks=(hook,))
         # the run is unstable, so the failing time moves with the rounding of a step
-        assert str(err.value).endswith("in energy report (run failed at t=0.0914859)")
+        assert str(err.value).endswith("in energy report (run failed at t=0.0914858)")
         assert str(err.value).endswith(f"(run failed at t={seen[-1]:.6g})")
 
     def test_auto_dt_abort_carries_failing_time(self, monkeypatch):

@@ -30,6 +30,11 @@ no grid, ghost rule, __post_init__ or method.  SimState.components() is the
 only reader of a state's fields and of their arrays; every other function
 in src/ unpacks that tuple, and so does every test.
 
+The linear diffusions are listed once: no function in model.py calls lap
+or takes a diffuse parameter, and the only functions in src/ that compare
+a scheme to a string are StepConfig's validation and integrate._diffusions,
+the table that says which diffusions each scheme treats explicitly.
+
 In model.py and integrate.py a SimState parameter marks the per-state
 boundary: SimState's methods, save_state, auto_dt, step, run and run's
 hook caller record.  Everything below it, the rhs_* terms and the step's
@@ -356,3 +361,63 @@ def state_parameter_takers() -> list[str]:
 
 def test_only_the_per_state_boundary_takes_a_state():
     assert state_parameter_takers() == []
+
+
+def model_diffusions() -> list[str]:
+    """Each lap call and each diffuse parameter of a function in model.py."""
+    found = []
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+
+    def visit(node, func):
+        if isinstance(node, _FUNCS):
+            func = node.name
+            a = node.args
+            found.extend(f"model.py:{node.lineno} {func} takes diffuse"
+                         for p in (*a.posonlyargs, *a.args, *a.kwonlyargs) if p.arg == "diffuse")
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            if (getattr(callee, "id", None) or getattr(callee, "attr", None)) == "lap":
+                found.append(f"model.py:{node.lineno} {func} calls lap")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_model_holds_no_diffusion():
+    assert model_diffusions() == []
+
+
+def _names_scheme(node) -> bool:
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) == "scheme"
+
+
+def _is_strings(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_strings, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def scheme_deciders() -> list[str]:
+    """module.qualname of each function in src/ that compares a scheme to a string."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+        def visit(node, outer):
+            if isinstance(node, _DEFS):
+                outer = f"{outer}.{node.name}" if outer else node.name
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(_names_scheme, sides)) and any(map(_is_strings, sides)):
+                    found.add(f"{path.stem}.{outer}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, outer)
+
+        visit(tree, None)
+    return sorted(found)
+
+
+def test_one_function_decides_how_each_scheme_treats_diffusion():
+    assert scheme_deciders() == ["integrate.StepConfig.__post_init__", "integrate._diffusions"]

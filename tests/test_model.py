@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from oldroyd2d import grid as g2
+from oldroyd2d import integrate
 from oldroyd2d.grid import Grid2D, cell_sum
 from oldroyd2d.model import (
     PhysParams,
@@ -46,6 +47,11 @@ def stage(grid, comps):
     """The face bundle and the velocity Jacobian that a stage hands its terms."""
     _, ux, uy, *_ = comps
     return g2.face_velocities(ux, uy), velocity_jacobian(grid, ux, uy)
+
+
+def full_rhs(grid, comps, phys, reg):
+    """The packed rk2 right-hand side: every rhs_* term plus every diffusion, explicit."""
+    return integrate._rhs(grid, comps, phys, reg, integrate._diffusions(phys, reg, "rk2")[0])
 
 
 def random_state(grid, seed, spd_shift=3.0):
@@ -154,17 +160,15 @@ class TestConservation:
     def test_continuity_integral_zero(self, seed):
         g = unit_grid(12)
         state = random_state(g, seed)
-        faces, _ = stage(g, state.components())
         for reg in (RegParams(), RegParams(sigma2=0.3)):
-            total = cell_sum(g, rhs_continuity(g, state.components(), faces, PhysParams(), reg))
+            total = cell_sum(g, full_rhs(g, state.components(), PhysParams(), reg)[0])
             assert abs(total) <= 1e-12 * (1.0 + np.abs(state.components()[0]).max() / g.hx)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_eta_integral_zero(self, seed):
         g = unit_grid(12)
         state = random_state(g, seed)
-        faces, _ = stage(g, state.components())
-        total = cell_sum(g, rhs_eta(g, state.components(), faces, PhysParams()))
+        total = cell_sum(g, full_rhs(g, state.components(), PhysParams(), RegParams())[3])
         assert abs(total) <= 1e-12 * (1.0 + np.abs(state.components()[3]).max() / g.hx)
 
     def test_continuity_zero_velocity_no_diffusion(self):
@@ -174,7 +178,7 @@ class TestConservation:
         ux[:] = 0.0
         uy[:] = 0.0
         faces, _ = stage(g, state.components())
-        out = rhs_continuity(g, state.components(), faces, PhysParams(), RegParams())
+        out = rhs_continuity(g, state.components(), faces)
         assert np.all(out == 0.0)
 
 
@@ -189,14 +193,20 @@ class TestEquilibrium:
             assert np.allclose(state.components()[4], phys.k * (0.8 + alpha), atol=0.0)
             comps = state.components()
             faces, jac = stage(g, comps)
-            assert np.abs(rhs_continuity(g, comps, faces, phys, reg)).max() == 0.0
-            assert np.abs(rhs_eta(g, comps, faces, phys)).max() == 0.0
+            assert np.abs(rhs_continuity(g, comps, faces)).max() == 0.0
+            assert np.abs(rhs_eta(g, comps, faces)).max() == 0.0
             mx, my = rhs_momentum(g, comps, faces, jac, phys, reg)
             assert np.abs(mx).max() <= 1e-13
             assert np.abs(my).max() <= 1e-13
             s = rhs_stress(g, comps, faces, jac, phys, reg)
             assert len(s) == 3
             for comp in s:
+                assert np.abs(comp).max() <= 1e-13
+            # the diffusions of the uniform fields vanish exactly
+            full = full_rhs(g, comps, phys, reg)
+            for i in (0, 3):
+                assert np.abs(full[i]).max() == 0.0
+            for comp in full:
                 assert np.abs(comp).max() <= 1e-13
 
     def test_rejects_nonpositive_means(self):
@@ -295,8 +305,7 @@ class TestHeatKernelDecay:
                 np.ones(shape), np.zeros(shape), np.ones(shape),
             )
             phys = PhysParams(eps=0.7)
-            faces, _ = stage(g, state.components())
-            out = rhs_eta(g, state.components(), faces, phys)
+            out = full_rhs(g, state.components(), phys, RegParams())[3]
             want = -phys.eps * np.pi**2 * (eta - 1.0)
             errs.append(np.abs(out - want).max())
         assert math.log2(errs[0] / errs[1]) >= 1.9
@@ -393,14 +402,8 @@ class TestMomentum:
                           sigma3=0.0, theta=0.1)
         reg_b = RegParams(alpha=0.0, sigma1=0.0, Gamma=7.0, sigma2=0.0,
                           sigma3=0.0, theta=0.9)
-        faces, jac = stage(g, comps)
-        for op, args in ((rhs_continuity, (faces,)), (rhs_momentum, (faces, jac)),
-                         (rhs_stress, (faces, jac))):
-            out_a, out_b = op(g, comps, *args, phys, reg_a), op(g, comps, *args, phys, reg_b)
-            if op is rhs_continuity:
-                out_a, out_b = [out_a], [out_b]
-            for ca, cb in zip(out_a, out_b):
-                assert np.array_equal(ca, cb)
+        for ca, cb in zip(full_rhs(g, comps, phys, reg_a), full_rhs(g, comps, phys, reg_b)):
+            assert np.array_equal(ca, cb)
 
     def test_sigma2_coupling_matches_manufactured(self):
         errs = []
@@ -442,7 +445,7 @@ class TestMomentum:
             state = make_state(g, rho, ux, uy, np.ones(shape),
                                np.ones(shape), np.zeros(shape), np.ones(shape))
             faces, _ = stage(g, state.components())
-            out = rhs_continuity(g, state.components(), faces, PhysParams(), RegParams())
+            out = rhs_continuity(g, state.components(), faces)
             drho_dx = -np.pi * np.sin(np.pi * x) * np.cos(2 * np.pi * y)
             drho_dy = -2 * np.pi * np.cos(np.pi * x) * np.sin(2 * np.pi * y)
             div_u = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y) + \
@@ -651,7 +654,7 @@ class TestSigma3BruteForce:
         )
         phys = PhysParams(eps=0.4, k=0.9, A0=1.2, lam=0.8)
         reg = RegParams(alpha=0.1, sigma3=0.05, theta=0.2)
-        got = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
+        got = full_rhs(g, state.components(), phys, reg)[4:]
         want = brute_force_stress_rhs(state, phys, reg)
         assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12
         assert np.abs(got[1] - want[:, :, 1]).max() <= 1e-12
@@ -662,7 +665,12 @@ class TestSigma3BruteForce:
         state = random_state(g, 21, spd_shift=0.02)
         phys = PhysParams(eps=0.4)
         reg = RegParams(alpha=0.1, sigma3=0.05, theta=0.2)
-        got = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
+        # T is indefinite in places, where the momentum's tr log T, and with it
+        # full_rhs, aborts: the eps diffusion rk2 adds is added here instead
+        comps = state.components()
+        got = rhs_stress(g, comps, *stage(g, comps), phys, reg)
+        for i, comp in enumerate(comps[4:]):
+            got[i] += phys.eps * g2.lap(comp, g2.NEUMANN, g.hx, g.hy)
         want = brute_force_stress_rhs(state, phys, reg)
         scale = 1.0 + np.abs(want).max()
         assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12 * scale
@@ -674,7 +682,7 @@ class TestSigma3BruteForce:
         state = random_state(g, 22)
         phys = PhysParams()
         reg = RegParams()
-        got = rhs_stress(g, state.components(), *stage(g, state.components()), phys, reg)
+        got = full_rhs(g, state.components(), phys, reg)[4:]
         want = brute_force_stress_rhs(state, phys, reg)
         scale = 1.0 + np.abs(want).max()
         assert np.abs(got[0] - want[:, :, 0]).max() <= 1e-12 * scale

@@ -1,11 +1,12 @@
-"""Reachability guard: the run command enters every function in grid, model and integrate.
+"""Reachability guard: the run command enters every function in grid, model,
+integrate and config.
 
 test_layout.py reports definitions that nothing in src/ names, but a name
 shared with another definition (a field's copy() and ndarray.copy, say)
 hides an unused one from that scan.  This test runs five small configs
 through cli.main(["run", ...]), and one config that breaks a parameter
 constraint, under sys.setprofile, and requires that every function and
-method written in grid.py, model.py and integrate.py was entered.
+method written in grid.py, model.py, integrate.py and config.py was entered.
 """
 
 import ast
@@ -14,9 +15,9 @@ import io
 import sys
 from pathlib import Path
 
-from oldroyd2d import cli, grid, integrate, model
+from oldroyd2d import cli, config, grid, integrate, model
 
-MODULES = (grid, model, integrate)
+MODULES = (grid, model, integrate, config)
 
 
 def defined(module) -> set:
